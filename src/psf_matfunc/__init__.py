@@ -13,7 +13,7 @@ from .kernels import (L1Estimate, SpectralProfile, TimeKernel,
                       algebraic_envelope_constant, algebraic_tail_integral,
                       algebraic_tail_value, decay_envelope, envelope_rate,
                       kernel_value, kernel_values, l1_norm_estimate,
-                      saddle_rate)
+                      lattice_kernel, saddle_rate)
 from .fourier import (ErrorBudget, FourierPlan, aliasing_bound,
                       assemble_fourier_approx, error_bounds,
                       lcu_coefficients, plan_fourier, scalar_psf_residual,
@@ -49,7 +49,7 @@ __all__ = [
     "dirac_operator", "discrete_sum_apply", "eig", "envelope_rate",
     "error_bounds", "evolution_matrix", "exact_evolution",
     "gradient_stack", "kernel_value", "kernel_values", "l1_norm_estimate",
-    "laplacian", "lcu_coefficients", "make_nodes", "make_plan", "matfun",
+    "laplacian", "lattice_kernel", "lcu_coefficients", "make_nodes", "make_plan", "matfun",
     "optimize_radius", "path_a_cost", "path_b_cost", "plan_contour",
     "plan_fourier", "plan_m", "qsvt_cos_degree", "qsvt_inverse_degree",
     "resolvent_apply", "resolvent_sup_on_circle", "run_application",

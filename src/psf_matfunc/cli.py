@@ -15,7 +15,6 @@ elapsed time.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -25,8 +24,7 @@ import numpy as np
 from . import contour, costmodel, fourier, io as pio, operators
 from .errors import NumericalError, PrecondError
 from .instances import random_normal_matrix, random_psd, random_state
-from .kernels import (SpectralProfile, TimeKernel, decay_envelope,
-                      kernel_values)
+from .kernels import SpectralProfile, decay_envelope, lattice_kernel
 from .linalg import eig, evolution_matrix, matfun
 from .util import THREADS_ENV
 
@@ -98,6 +96,8 @@ def _fourier_matrix(args, cfg, profile, seed: int) -> np.ndarray:
     if path is not None:
         return pio.load_matrix(path)
     size = _merge(args, cfg, "size", int, default=8)
+    if size < 1:
+        raise PrecondError(f"--size must be >= 1, got {size}")
     hnorm = _merge(args, cfg, "hnorm", float, default=1.0)
     return random_psd(np.random.default_rng(seed), size, norm=hnorm)
 
@@ -130,9 +130,9 @@ def _cmd_plan(args, cfg) -> int:
 
 def _cmd_kernel(args, cfg) -> int:
     profile = _profile(args, cfg)
-    xs = pio.parse_range(_merge(args, cfg, "x", str, default="0:10:0.5"))
-    kern = TimeKernel(profile=profile)
-    vals = kernel_values(kern, xs)
+    lo, step, count = pio.parse_lattice(_merge(args, cfg, "x", str, default="0:10:0.5"))
+    vals = lattice_kernel(profile, lo, step, count)
+    xs = [lo + i * step for i in range(count)]
     rows = []
     for x, v in zip(xs, vals):
         if x == 0.0 and profile.regime == "fractional":
@@ -218,7 +218,10 @@ def _cmd_app(args, cfg) -> int:
     coeffs_str = _merge(args, cfg, "coeffs", str)
     coeffs = None
     if coeffs_str is not None:
-        coeffs = [float(t) for t in coeffs_str.split(",")]
+        try:
+            coeffs = [float(t) for t in coeffs_str.split(",")]
+        except ValueError as exc:
+            raise PrecondError(f"--coeffs must be numbers a0,a1,...: {exc}")
     rec = operators.run_application(name, operators.GridSpec(d, n, h), T, eps,
                                     seed=seed, coeffs=coeffs, m=m)
     out = _out_path(args, cfg, "app.csv")
@@ -305,12 +308,9 @@ def _cmd_sweep(args, cfg) -> int:
         h_norm = float(np.linalg.norm(H, 2))
         plan = fourier.plan_fourier(profile, h_norm, eps)
         oracle = _evolution_oracle(profile, H)
-        kern = TimeKernel(profile=profile)
-        kmax = int(ks.max())
-        cs = kernel_values(kern, np.arange(kmax + 1) / plan.a) / plan.a
-        lam = np.linalg.eigvalsh(H)
+        cs = lattice_kernel(profile, 0.0, 1.0 / plan.a, int(ks.max()) + 1) / plan.a
+        lam, V = np.linalg.eigh(H)
         theta = np.sqrt(np.clip(lam, 0.0, None)) if profile.mode == "root" else lam
-        V = np.linalg.eigh(H)[1]
         rows = []
         for K in ks:
             kk = np.arange(1, K + 1)

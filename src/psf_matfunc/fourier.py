@@ -6,8 +6,12 @@ H is approximated by a finite cosine combination
     sum_{|k| <= K} c_k cos((2 pi k / a) * G),   c_k = f(k/a) / a,
 
 where G = sqrt(H) in root mode and G = H in direct mode, and f is the
-time-domain kernel of the profile. Two error channels exist and are planned
-for separately:
+time-domain kernel of the profile. By the Poisson identity the c_k are the
+Fourier coefficients of the a-periodized profile sum_n e^{-T|xi + n a|^p}, so
+all of them come from one FFT: `kernels.lattice_kernel` samples f on the
+lattice k/a and removes the FFT's own aliases a priori (its quadrature
+counterpart `kernels.kernel_values` is kept for scattered points and as the
+test oracle). Two error channels exist and are planned for separately:
 
 - truncation (dropping |k| > K), controlled by the kernel decay envelope;
 - aliasing (spectral copies spaced a apart), controlled by the gap between
@@ -27,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalError, PrecondError
 from .kernels import (SpectralProfile, TimeKernel, algebraic_envelope_constant,
-                      kernel_value, kernel_values, saddle_rate)
+                      lattice_kernel, saddle_rate)
 from .linalg import as_matrix, is_hermitian
 
 _GROWTH = 1.05
@@ -36,8 +40,9 @@ _MAX_GROWTH_STEPS = 200
 
 def spectral_scale(profile: SpectralProfile, h_norm: float) -> float:
     """Frequency extent of the operator under the profile's access mode."""
-    if h_norm < 0:
-        raise PrecondError(f"operator norm must be non-negative, got {h_norm}")
+    if not (0 <= h_norm < math.inf):
+        raise PrecondError(
+            f"operator norm must be finite and non-negative, got {h_norm}")
     return math.sqrt(h_norm) if profile.mode == "root" else float(h_norm)
 
 
@@ -181,16 +186,14 @@ def error_bounds(plan: FourierPlan, h_norm: float) -> ErrorBudget:
 def lcu_coefficients(plan: FourierPlan, kern: TimeKernel | None = None) -> np.ndarray:
     """Coefficients c_k = f(k/a)/a for k = 0..K (evenness implied).
 
-    The result is cached on the plan; an explicit kernel must match the
-    plan's profile.
+    The samples come from one lattice FFT and are cached on the plan; an
+    explicit kernel must match the plan's profile.
     """
-    if kern is None:
-        kern = TimeKernel(plan.profile)
-    elif kern.profile != plan.profile:
+    if kern is not None and kern.profile != plan.profile:
         raise PrecondError("kernel profile does not match the plan's profile")
     if plan.coefficients is None:
-        ks = np.arange(plan.K + 1, dtype=float)
-        plan.coefficients = kernel_values(kern, ks / plan.a) / plan.a
+        plan.coefficients = lattice_kernel(plan.profile, 0.0, 1.0 / plan.a,
+                                           plan.K + 1) / plan.a
     return plan.coefficients
 
 
@@ -238,7 +241,7 @@ def scalar_psf_residual(kern: TimeKernel, a: float, delta: float, K: int,
         raise PrecondError("K and n_alias must be non-negative")
     p, T = kern.profile.p, kern.profile.T
     ks = np.arange(0, K + 1, dtype=float)
-    fk = kernel_values(kern, ks / a)
+    fk = lattice_kernel(kern.profile, 0.0, 1.0 / a, K + 1)
     lhs = (fk[0] + 2.0 * np.sum(fk[1:] * np.cos(2.0 * np.pi * ks[1:] * delta / a))) / a
     ns = np.arange(-n_alias, n_alias + 1, dtype=float)
     rhs = float(np.sum(np.exp(-T * np.abs(a * ns + delta) ** p)))

@@ -11,7 +11,11 @@ config line. Generators are documented here once:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import PrecondError
 
 
 def _rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -44,6 +48,10 @@ def random_hermitian(seed: int | np.random.Generator, n: int, norm: float = 1.0)
 
 def random_psd(seed: int | np.random.Generator, n: int, norm: float = 1.0) -> np.ndarray:
     """Hermitian PSD matrix with spectral norm exactly `norm`."""
+    if n < 1:
+        raise PrecondError(f"matrix size must be >= 1, got {n}")
+    if not (0 <= norm < math.inf):
+        raise PrecondError(f"norm must be finite and non-negative, got {norm}")
     rng = _rng(seed)
     G = complex_gaussian(rng, (n, n))
     H = G @ G.conj().T

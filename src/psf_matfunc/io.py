@@ -217,23 +217,30 @@ def parse_function_spec(spec: str) -> FunctionSpec:
         "poly:a0,a1,..., or inv-shift:c")
 
 
-def parse_range(spec: str, integer: bool = False) -> np.ndarray:
-    """lo:hi:step with inclusive endpoints (hi kept when it lands on the
-    lattice); a bare number is a single-point range."""
+def parse_lattice(spec: str) -> tuple[float, float, int]:
+    """(lo, step, count) of lo:hi:step with inclusive endpoints (hi kept when
+    it lands on the lattice); a bare number is one point with step 1."""
     parts = spec.split(":")
     try:
         if len(parts) == 1:
-            vals = [float(parts[0])]
+            lo, step, count = float(parts[0]), 1.0, 1
         elif len(parts) == 3:
             lo, hi, step = (float(t) for t in parts)
             if step <= 0 or hi < lo:
                 raise PrecondError(f"range {spec!r} needs hi >= lo and step > 0")
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            vals = [lo + i * step for i in range(count)]
         else:
             raise PrecondError(f"range {spec!r} must be lo:hi:step or a number")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise PrecondError(f"bad range {spec!r}: {exc}")
+    return lo, step, count
+
+
+def parse_range(spec: str, integer: bool = False) -> np.ndarray:
+    """The points lo + i*step of `parse_lattice(spec)`; with integer=True
+    every point must be an integer."""
+    lo, step, count = parse_lattice(spec)
+    vals = [lo + i * step for i in range(count)]
     if integer:
         out = np.array([int(round(v)) for v in vals], dtype=int)
         if np.any(np.abs(out - np.asarray(vals)) > 1e-9):

@@ -2,13 +2,26 @@
 
 A profile e^{-T |xi|^p} in frequency has the real-space kernel
 
-    f(x) = 2 * int_0^inf e^{-T xi^p} cos(2 pi x xi) d xi,
+    f(x) = 2 * int_0^inf e^{-T xi^p} cos(2 pi x xi) d xi.
 
-computed here by composite 15-point Gauss-Legendre panels with a hard cap on
+Samples on a uniform lattice x0 + j*step come from `lattice_kernel`, which
+rests on the same Poisson identity as the Fourier path: the trapezoid rule in
+xi at spacing 1/P returns the P-periodized kernel sum_l f(x + l P) exactly, so
+one FFT of the profile folded onto N bins (P = N * step) yields every lattice
+sample at once (Trefethen & Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Review 56, 2014). The period is chosen a priori so
+that every alias l != 0 lies at least a distance D away. For even integer p
+the super-exponential decay of f makes the aliases negligible there; for
+other p the aliases are subtracted, summing the signed large-x series of f
+over the lattice with Hurwitz sums.
+
+Scattered points (the Gauss abscissae of `l1_norm_estimate`) go through
+`kernel_values`: composite 15-point Gauss-Legendre panels with a hard cap on
 the panel width so the cosine is always resolved (at most 1/8 of a period per
-panel), plus doubling-based refinement. Closed forms exist for p = 2
-(Gaussian) and p = 1 (Cauchy) and are used as oracles in the tests, never
-inside the quadrature itself.
+panel), plus doubling refinement. Being independent of the FFT, it also
+serves as the oracle of `lattice_kernel` in the tests. Closed forms exist for
+p = 2 (Gaussian) and p = 1 (Cauchy) and are used as oracles in the tests,
+never inside either sampler.
 
 The module also provides the two decay envelopes used by the planner
 (super-exponential for even integer p, algebraic C/|x|^{p+1} otherwise) and a
@@ -20,12 +33,12 @@ from the logarithmic-growth regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PrecondError
+from .errors import NumericalError, PrecondError
 
 # xi beyond which e^{-T xi^p} < 1e-18: contributes nothing at double precision.
 _TAIL_LOG = math.log(1e18)
@@ -54,10 +67,10 @@ class SpectralProfile:
     def __post_init__(self):
         if self.mode not in ("root", "direct"):
             raise PrecondError(f"mode must be 'root' or 'direct', got {self.mode!r}")
-        if not (self.alpha > 0):
-            raise PrecondError(f"alpha must be positive, got {self.alpha}")
-        if not (self.T > 0):
-            raise PrecondError(f"T must be positive, got {self.T}")
+        if not (0 < self.alpha < math.inf):
+            raise PrecondError(f"alpha must be positive and finite, got {self.alpha}")
+        if not (0 < self.T < math.inf):
+            raise PrecondError(f"T must be positive and finite, got {self.T}")
         if self.mode == "root" and self.alpha < 0.5:
             raise PrecondError(f"root mode requires alpha >= 0.5, got {self.alpha}")
 
@@ -74,6 +87,14 @@ class SpectralProfile:
             return "analytic"
         return "fractional"
 
+    @property
+    def tail_cutoff(self) -> float:
+        """Xi solving T * Xi^p = log(1e18) (inf when it overflows)."""
+        try:
+            return (_TAIL_LOG / self.T) ** (1.0 / self.p)
+        except OverflowError:
+            return math.inf
+
 
 @dataclass(frozen=True)
 class TimeKernel:
@@ -84,11 +105,6 @@ class TimeKernel:
     min_panels: int = 32
     max_refinements: int = 8
 
-    @property
-    def tail_cutoff(self) -> float:
-        """Xi solving T * Xi^p = log(1e18)."""
-        return (_TAIL_LOG / self.profile.T) ** (1.0 / self.profile.p)
-
     def oscillation_cap(self, x: float) -> float:
         """Maximum admissible panel width in xi when evaluating at x."""
         return 1.0 / (8.0 * (abs(x) + 1.0))
@@ -97,7 +113,7 @@ class TimeKernel:
 def _composite_cosine(kern: TimeKernel, n_panels: int, xs: np.ndarray) -> np.ndarray:
     """2 * sum of 15-point Gauss-Legendre panels of e^{-T xi^p} cos(2 pi x xi)."""
     p, T = kern.profile.p, kern.profile.T
-    cut = kern.tail_cutoff
+    cut = kern.profile.tail_cutoff
     edges = np.linspace(0.0, cut, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -117,24 +133,30 @@ def kernel_values(kern: TimeKernel, xs: np.ndarray) -> np.ndarray:
 
     The shared width satisfies the oscillation cap of every requested point
     (the cap shrinks with |x|); refinement doubles the panel count until two
-    successive composites agree to panel_tolerance in the sup norm.
+    successive composites agree to panel_tolerance in the sup norm, and
+    raises NumericalError if max_refinements doublings do not get there.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
         return np.empty(0)
     if not np.all(np.isfinite(xs)):
         raise PrecondError("kernel evaluation points must be finite")
-    cut = kern.tail_cutoff
+    cut = kern.profile.tail_cutoff
     cap = kern.oscillation_cap(float(np.abs(xs).max()))
     n = max(kern.min_panels, int(math.ceil(cut / cap)))
     prev = _composite_cosine(kern, n, xs)
+    change = math.inf
     for _ in range(kern.max_refinements):
         n *= 2
         cur = _composite_cosine(kern, n, xs)
-        if float(np.abs(cur - prev).max()) <= kern.panel_tolerance:
+        change = float(np.abs(cur - prev).max())
+        if change <= kern.panel_tolerance:
             return cur
         prev = cur
-    return prev
+    raise NumericalError(
+        f"kernel quadrature not converged after {kern.max_refinements} "
+        f"refinements ({n} panels): last change {change:.3e} > "
+        f"tolerance {kern.panel_tolerance:.3e}")
 
 
 def kernel_value(kern: TimeKernel, x: float) -> float:
@@ -246,6 +268,124 @@ def algebraic_tail_integral(p: float, T: float, X: float) -> float:
         total += term
         last = abs(term)
     return total
+
+
+# Aliases the lattice sampler leaves uncorrected stay below this, and its FFT
+# and xi sample counts stay below _MAX_LATTICE_SAMPLES (256 MB of complex bins).
+_ALIAS_TOL = 1e-13
+_MAX_ALIAS_DOUBLINGS = 4
+_MAX_LATTICE_SAMPLES = 1 << 24
+# Euler-Maclaurin coefficients B_{2k} / (2k)! for k = 1..6.
+_EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
+              1.0 / 47900160.0, -691.0 / 1307674368000.0)
+
+
+def _hurwitz(s: float, q: np.ndarray) -> np.ndarray:
+    """Hurwitz sum Z(s, q) = sum_{l>=0} (l + q)^{-s} for s > 1 and q > 0.
+
+    Eight direct terms, then the Euler-Maclaurin expansion of the rest from
+    q + 8 on, where its terms fall off like (s + 2k)^2 / (2 pi (q + 8))^2.
+    """
+    q = np.asarray(q, dtype=float)
+    direct = sum((l + q) ** -s for l in range(8))
+    a = q + 8.0
+    a_s = a ** -s
+    tail = a / (s - 1.0) + 0.5
+    rising, a_pow = s, 1.0 / a            # s (s+1) ... (s+2k-2), a^{-(2k-1)}
+    for k, coeff in enumerate(_EM_COEFFS):
+        tail = tail + coeff * rising * a_pow
+        rising *= (s + 2 * k + 1) * (s + 2 * k + 2)
+        a_pow = a_pow / (a * a)
+    return direct + a_s * tail
+
+
+def _alias_series(profile: SpectralProfile) -> tuple[float, list]:
+    """Alias distance D and the tail-series terms (s, c_n) that correct
+    sum_{l != 0} f(x + l P) when every |x + l P| >= D.
+
+    Fractional regime: D = 30 max(1, T^{1/p}), at least the analytic D below
+    when p > 2 (the stationary-phase part of f decays super-exponentially but
+    slowly for large p). The terms run while their bound |c_n| D^{-s} 2 zeta(s)
+    on the lattice sum shrinks; D doubles while the first term left out
+    exceeds _ALIAS_TOL. Analytic regime: D with 4 exp(-lam D^beta) <= 1e-15
+    at the saddle rate, and no terms.
+    """
+    p, T = profile.p, profile.T
+    d_saddle = 0.0
+    if p >= 2.0:
+        lam, beta = saddle_rate(profile)
+        d_saddle = (math.log(4e15) / lam) ** (1.0 / beta)
+    if profile.regime == "analytic":
+        return d_saddle, []
+    D = max(30.0 * max(1.0, T ** (1.0 / p)), d_saddle)
+    for _ in range(_MAX_ALIAS_DOUBLINGS + 1):
+        terms, last = [], math.inf
+        for n, c in _tail_series_terms(p, T):
+            if c == 0.0:
+                continue
+            s = n * p + 1.0
+            size = abs(c) * D ** -s * 2.0 * float(_hurwitz(s, 1.0))
+            if size >= last or size < 1e-3 * _ALIAS_TOL:
+                break
+            terms.append((s, c))
+            last = size
+        if size <= _ALIAS_TOL:
+            return D, terms
+        D *= 2.0
+    raise NumericalError(
+        f"alias series of p={p:g}, T={T:g} left {size:.3e} > {_ALIAS_TOL:g} "
+        f"out at distance {D / 2.0:g}")
+
+
+def lattice_kernel(profile: SpectralProfile, x0: float, step: float,
+                   count: int) -> np.ndarray:
+    """Kernel f at x_j = x0 + j * step, j = 0..count-1, from one FFT.
+
+    With P = N * step, the trapezoid rule on e^{-T |xi|^p} at spacing 1/P,
+    folded mod N, gives sum_l f(x_j + l P) for all j from one FFT of N bins
+    (an rfft when x0 = 0). N is the next power of two with P >= max|x_j| + D
+    and N >= 2 count, so every alias l != 0 lies at distance >= D from the
+    lattice, where `_alias_series` removes it to within _ALIAS_TOL: each
+    series term c_n |x|^{-s} sums over the aliases to
+    c_n P^{-s} [Z(s, 1 + x/P) + Z(s, 1 - x/P)].
+    """
+    x0, step = float(x0), float(step)
+    if not (math.isfinite(x0) and math.isfinite(step) and step > 0.0):
+        raise PrecondError(
+            f"lattice needs a finite origin and a positive step, got {x0}, {step}")
+    if count < 1:
+        raise PrecondError(f"lattice needs at least one point, got {count}")
+    p, T = profile.p, profile.T
+    D, terms = _alias_series(profile)
+    x_max = max(abs(x0), abs(x0 + step * (count - 1)))
+    target = max((x_max + D) / step, 2.0 * count)
+    N = 1
+    while N < min(target, 2.0 * _MAX_LATTICE_SAMPLES):
+        N *= 2
+    P = N * step
+    h = 1.0 / P
+    # xi = m h for |m| <= m_max, taken in rows of N consecutive m starting at
+    # a multiple of N, so column r of each row holds m = r (mod N).
+    m_max = math.floor(min(profile.tail_cutoff / h, 2.0 * _MAX_LATTICE_SAMPLES))
+    rows = -(-m_max // N)
+    if (2 * rows + 1) * N > _MAX_LATTICE_SAMPLES:
+        raise PrecondError(
+            f"lattice of {count} points at step {step:g} needs more than "
+            f"{_MAX_LATTICE_SAMPLES} samples for p={p:g}, T={T:g}")
+    chunk = max(1, (1 << 20) // N)
+    bins = np.zeros(N, dtype=float if x0 == 0.0 else complex)
+    for r0 in range(-rows, rows + 1, chunk):
+        xi = h * np.arange(r0 * N, min(r0 + chunk, rows + 1) * N, dtype=float)
+        g = np.exp(-T * np.abs(xi) ** p)
+        if x0 != 0.0:
+            g = g * np.exp((-2j * np.pi * x0) * xi)
+        bins += g.reshape(-1, N).sum(axis=0)
+    spectrum = np.fft.rfft(bins) if x0 == 0.0 else np.fft.fft(bins)
+    vals = h * spectrum[:count].real
+    xs = x0 + step * np.arange(count)
+    for s, c in terms:
+        vals -= c * P ** -s * (_hurwitz(s, 1.0 + xs / P) + _hurwitz(s, 1.0 - xs / P))
+    return vals
 
 
 class L1Estimate(NamedTuple):

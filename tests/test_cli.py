@@ -47,6 +47,19 @@ def test_kernel_csv(tmp_path, capsys):
     assert rc == 0 and read_bytes(out) == first
 
 
+def test_kernel_cauchy_lattice_left_of_zero(tmp_path, capsys):
+    out = str(tmp_path / "cauchy.csv")
+    rc, _, _ = run(["kernel", "--alpha", "0.5", "--T", "1", "--x=-1:1:0.25",
+                    "--out", out], capsys)
+    assert rc == 0
+    rows = [ln.split(",") for ln in read_bytes(out).decode().splitlines()[1:]]
+    x = np.array([float(r[0]) for r in rows])
+    np.testing.assert_allclose(x, -1.0 + 0.25 * np.arange(9), atol=1e-15)
+    f = np.array([float(r[1]) for r in rows])
+    np.testing.assert_allclose(f, 2.0 / (1.0 + 4.0 * np.pi**2 * x**2),
+                               atol=1e-12, rtol=0)
+
+
 def test_simulate_fourier_report(tmp_path, capsys):
     out = str(tmp_path / "sf.json")
     rc, text, _ = run(["simulate-fourier", "--alpha", "1", "--T", "1",
@@ -206,6 +219,20 @@ def test_exit_code_precondition(capsys):
     rc, _, err = run(["plan", "--alpha", "1", "--T", "1", "--eps", "1e-6",
                       "--hnorm", "1", "--threads", "0"], capsys)
     assert rc == 2 and "--threads" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--alpha", "1", "--T", "1", "--eps", "1e-6", "--hnorm", "nan"],
+    ["plan", "--alpha", "1", "--T", "1", "--eps", "1e-6", "--hnorm", "inf"],
+    ["plan", "--alpha", "inf", "--T", "1", "--eps", "1e-6", "--hnorm", "1"],
+    ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6",
+     "--size", "0"],
+    ["app", "--name", "matrix_poly", "--d", "1", "--n", "8", "--T", "0.5",
+     "--eps", "1e-6", "--coeffs", "1,x"],
+], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x"])
+def test_exit_code_admission(tmp_path, capsys, argv):
+    rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert rc == 2 and err.startswith("precondition:")
 
 
 def test_exit_code_numerical(tmp_path, capsys):

@@ -30,8 +30,9 @@ def test_spectral_scale_modes():
     prof_d = SpectralProfile(2.0, 1.0, "direct")
     assert spectral_scale(prof_r, 4.0) == 2.0
     assert spectral_scale(prof_d, 4.0) == 4.0
-    with pytest.raises(PrecondError):
-        spectral_scale(prof_r, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(PrecondError):
+            spectral_scale(prof_r, bad)
 
 
 @pytest.mark.parametrize("profile", [
@@ -127,9 +128,12 @@ def test_assemble_error_within_twice_eps_fractional():
 
 
 def test_assemble_measured_error_below_reported_budget():
+    # The fractional case is the K = 2422 stress plan of the Fourier path.
     for profile, eps in [(SpectralProfile(1.0, 1.0, "root"), 1e-6),
-                         (SpectralProfile(2.0, 1.0, "direct"), 1e-6)]:
+                         (SpectralProfile(2.0, 1.0, "direct"), 1e-6),
+                         (SpectralProfile(0.75, 1.0, "root"), 1e-4)]:
         plan = plan_fourier(profile, 1.0, eps)
+        assert profile.regime == "analytic" or plan.K == 2422
         budget = error_bounds(plan, 1.0)
         H = random_psd(np.random.default_rng(31), 8, norm=1.0)
         if profile.mode == "root":

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from psf_matfunc.errors import PrecondError
-from psf_matfunc.kernels import (SpectralProfile, TimeKernel,
+from psf_matfunc.errors import NumericalError, PrecondError
+from psf_matfunc.kernels import (SpectralProfile, TimeKernel, _hurwitz,
                                  algebraic_envelope_constant,
                                  algebraic_tail_value, decay_envelope,
                                  envelope_rate, kernel_value, kernel_values,
-                                 l1_norm_estimate, saddle_rate)
+                                 l1_norm_estimate, lattice_kernel, saddle_rate)
 from psf_matfunc.util import fit_loglog_slope
 
 
@@ -18,6 +18,15 @@ def gaussian_profile(T=1.0):
 
 def cauchy_profile(T=1.0):
     return SpectralProfile(alpha=0.5, T=T, mode="root")   # p = 1
+
+
+# (x0, step, count) lattices: from the origin, offset, and reaching negative x.
+LATTICES = [(0.0, 20.0 / 49.0, 50), (0.0, 0.25, 41), (-2.0, 0.05, 81),
+            (0.3, 0.7, 12), (-1.5, 1.0, 1)]
+
+
+def lattice(x0, step, count):
+    return x0 + step * np.arange(count)
 
 
 class TestSpectralProfile:
@@ -44,23 +53,80 @@ class TestSpectralProfile:
             SpectralProfile(1.0, -1.0, "root")
         with pytest.raises(PrecondError):
             SpectralProfile(1.0, 1.0, "sideways")
+        for alpha, T in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(PrecondError):
+                SpectralProfile(alpha, T, "root")
 
 
 @pytest.mark.parametrize("T", [0.5, 1.0, 4.0])
 def test_gaussian_closed_form(T):
     """p = 2 kernel is exactly the heat kernel sqrt(pi/T) e^{-pi^2 x^2/T}."""
     xs = np.linspace(0.0, 20.0, 50)
+    gauss = lambda x: np.sqrt(np.pi / T) * np.exp(-np.pi**2 * x**2 / T)
     vals = kernel_values(TimeKernel(gaussian_profile(T)), xs)
-    exact = np.sqrt(np.pi / T) * np.exp(-np.pi**2 * xs**2 / T)
-    np.testing.assert_allclose(vals, exact, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(vals, gauss(xs), atol=1e-10, rtol=0)
+    for x0, step, count in LATTICES:
+        vals = lattice_kernel(gaussian_profile(T), x0, step, count)
+        np.testing.assert_allclose(vals, gauss(lattice(x0, step, count)),
+                                   atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("T", [0.5, 1.0, 4.0])
 def test_cauchy_closed_form(T):
     xs = np.linspace(0.0, 20.0, 50)
+    cauchy = lambda x: 2.0 * T / (T**2 + 4.0 * np.pi**2 * x**2)
     vals = kernel_values(TimeKernel(cauchy_profile(T)), xs)
-    exact = 2.0 * T / (T**2 + 4.0 * np.pi**2 * xs**2)
-    np.testing.assert_allclose(vals, exact, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(vals, cauchy(xs), atol=1e-10, rtol=0)
+    for x0, step, count in LATTICES:
+        vals = lattice_kernel(cauchy_profile(T), x0, step, count)
+        np.testing.assert_allclose(vals, cauchy(lattice(x0, step, count)),
+                                   atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.5, 3.0, 3.5, 4.0])
+def test_lattice_kernel_matches_quadrature(p, T):
+    """The FFT sampler with its alias correction against the independent
+    Gauss-Legendre quadrature, on lattices from, off and left of 0."""
+    prof = SpectralProfile(p, T, "direct")
+    kern = TimeKernel(prof)
+    # Short lattices: the quadrature's cost grows with count and max |x|.
+    for x0, step, count in ((0.0, 0.25, 17), (-2.0, 0.2, 21), (0.3, 0.7, 6)):
+        np.testing.assert_allclose(
+            lattice_kernel(prof, x0, step, count),
+            kernel_values(kern, lattice(x0, step, count)), atol=1e-12, rtol=0)
+
+
+def test_lattice_kernel_guards():
+    prof = cauchy_profile()
+    for x0, step, count in ((0.0, 0.0, 4), (0.0, -0.1, 4), (math.nan, 0.1, 4),
+                            (0.0, math.inf, 4), (0.0, 0.1, 0)):
+        with pytest.raises(PrecondError):
+            lattice_kernel(prof, x0, step, count)
+    with pytest.raises(PrecondError):       # FFT far beyond memory: refused
+        lattice_kernel(prof, 0.0, 1e-9, 10)
+
+
+def test_hurwitz_sum_values():
+    """Z(s, 1) = zeta(s) and Z(s, 1/2) = (2^s - 1) zeta(s)."""
+    for s, zeta in ((2.0, math.pi**2 / 6.0), (4.0, math.pi**4 / 90.0)):
+        assert float(_hurwitz(s, 1.0)) == pytest.approx(zeta, rel=1e-15)
+        assert float(_hurwitz(s, 0.5)) == pytest.approx((2**s - 1) * zeta, rel=1e-15)
+    for q in (0.05, 1.3):
+        # Exactly rounded direct sum plus the leading terms of the rest.
+        L = 100_000
+        ref = math.fsum((l + q) ** -2.5 for l in range(L))
+        ref += (L + q) ** -1.5 / 1.5 + 0.5 * (L + q) ** -2.5
+        assert float(_hurwitz(2.5, q)) == pytest.approx(ref, rel=1e-14)
+
+
+def test_kernel_values_unconverged_raises():
+    """Too few refinements for the tolerance is a NumericalError, never a
+    silently unconverged value."""
+    kern = TimeKernel(SpectralProfile(0.75, 1.0, "root"), panel_tolerance=1e-16,
+                      max_refinements=1)
+    with pytest.raises(NumericalError):
+        kernel_values(kern, np.array([0.0, 5.0]))
 
 
 def test_kernel_value_scalar_matches_batch():
