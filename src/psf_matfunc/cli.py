@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -456,9 +457,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_ranges(argv: list[str]) -> list[str]:
+    """Join `--x -1:1:0.25` into `--x=-1:1:0.25`: argparse takes a value
+    that starts with '-' for a flag unless it is a plain negative number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--x" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--x={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_negative_ranges(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _load_config(args.config)
         threads = _merge(args, cfg, "threads", int)

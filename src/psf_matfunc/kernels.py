@@ -15,19 +15,16 @@ the super-exponential decay of f makes the aliases negligible there; for
 other p the aliases are subtracted, summing the signed large-x series of f
 over the lattice with Hurwitz sums.
 
-Scattered points (the Gauss abscissae of `l1_norm_estimate`) go through
-`kernel_values`: composite 15-point Gauss-Legendre panels with a hard cap on
-the panel width so the cosine is always resolved (at most 1/8 of a period per
-panel), plus doubling refinement. Being independent of the FFT, it also
-serves as the oracle of `lattice_kernel` in the tests. Closed forms exist for
-p = 2 (Gaussian) and p = 1 (Cauchy) and are used as oracles in the tests,
-never inside either sampler.
+`kernel_values` (composite 15-point Gauss-Legendre panels, at most 1/8 of
+a cosine period wide, with doubling refinement) is independent of the FFT
+and serves as the test oracle of `lattice_kernel` and `l1_norm_estimate`,
+next to the closed forms at p = 2 (Gaussian) and p = 1 (Cauchy).
 
 The module also provides the two decay envelopes used by the planner
 (super-exponential for even integer p, algebraic C/|x|^{p+1} otherwise) and a
-numerical estimate of ||f||_1, whose growth with the profile order separates
-the "stable" regime (p <= 2, f is a probability density, norm exactly 1)
-from the logarithmic-growth regime.
+numerical estimate of ||f||_1 from one lattice FFT, whose growth with the
+profile order separates the "stable" regime (p <= 2, f is a probability
+density, norm exactly 1) from the logarithmic-growth regime.
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import NumericalError, PrecondError
 
@@ -44,7 +42,6 @@ from .errors import NumericalError, PrecondError
 _TAIL_LOG = math.log(1e18)
 
 _GL15_NODES, _GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 # Keep cos(2 pi x xi) matrices below ~128 MB per chunk.
 _MAX_CHUNK_ELEMS = 16_777_216
@@ -105,10 +102,6 @@ class TimeKernel:
     min_panels: int = 32
     max_refinements: int = 8
 
-    def oscillation_cap(self, x: float) -> float:
-        """Maximum admissible panel width in xi when evaluating at x."""
-        return 1.0 / (8.0 * (abs(x) + 1.0))
-
 
 def _composite_cosine(kern: TimeKernel, n_panels: int, xs: np.ndarray) -> np.ndarray:
     """2 * sum of 15-point Gauss-Legendre panels of e^{-T xi^p} cos(2 pi x xi)."""
@@ -142,7 +135,7 @@ def kernel_values(kern: TimeKernel, xs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(xs)):
         raise PrecondError("kernel evaluation points must be finite")
     cut = kern.profile.tail_cutoff
-    cap = kern.oscillation_cap(float(np.abs(xs).max()))
+    cap = 1.0 / (8.0 * (float(np.abs(xs).max()) + 1.0))   # panel width in xi
     n = max(kern.min_panels, int(math.ceil(cut / cap)))
     prev = _composite_cosine(kern, n, xs)
     change = math.inf
@@ -365,21 +358,23 @@ def lattice_kernel(profile: SpectralProfile, x0: float, step: float,
     P = N * step
     h = 1.0 / P
     # xi = m h for |m| <= m_max, taken in rows of N consecutive m starting at
-    # a multiple of N, so column r of each row holds m = r (mod N).
+    # a multiple of N, so column r of each row holds m = r (mod N); the rows
+    # are padded with zeros, not with |xi| > tail_cutoff (|xi|^p overflows).
     m_max = math.floor(min(profile.tail_cutoff / h, 2.0 * _MAX_LATTICE_SAMPLES))
     rows = -(-m_max // N)
     if (2 * rows + 1) * N > _MAX_LATTICE_SAMPLES:
         raise PrecondError(
             f"lattice of {count} points at step {step:g} needs more than "
             f"{_MAX_LATTICE_SAMPLES} samples for p={p:g}, T={T:g}")
-    chunk = max(1, (1 << 20) // N)
+    chunk = N * max(1, (1 << 20) // N)
     bins = np.zeros(N, dtype=float if x0 == 0.0 else complex)
-    for r0 in range(-rows, rows + 1, chunk):
-        xi = h * np.arange(r0 * N, min(r0 + chunk, rows + 1) * N, dtype=float)
+    for r0 in range(-rows * N, m_max + 1, chunk):
+        lo, hi = max(r0, -m_max), min(r0 + chunk, m_max + 1)
+        xi = h * np.arange(lo, hi, dtype=float)
         g = np.exp(-T * np.abs(xi) ** p)
         if x0 != 0.0:
             g = g * np.exp((-2j * np.pi * x0) * xi)
-        bins += g.reshape(-1, N).sum(axis=0)
+        bins += np.pad(g, (lo - r0, (r0 - hi) % N)).reshape(-1, N).sum(axis=0)
     spectrum = np.fft.rfft(bins) if x0 == 0.0 else np.fft.fft(bins)
     vals = h * spectrum[:count].real
     xs = x0 + step * np.arange(count)
@@ -395,59 +390,63 @@ class L1Estimate(NamedTuple):
     x_cut: float       # where numerical integration stopped
 
 
-def _abs_integral(kern: TimeKernel, lo: float, hi: float, width: float,
-                  nodes: np.ndarray, weights: np.ndarray) -> float:
-    """int_lo^hi |f| dx on uniform panels with the given Gauss rule."""
-    n_panels = max(1, int(math.ceil((hi - lo) / width)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    xq = (mids[:, None] + half * nodes[None, :]).ravel()
-    wq = np.tile(half * weights, n_panels)
-    vals = kernel_values(kern, xq)
-    return float(np.abs(vals) @ wq)
+# L1 sample step at T = 1, where f has features of unit size for all p >= 1:
+# the error stays below 1e-9 for p in [1, 256] and falls 16x per halving.
+_L1_STEP = 1.0 / 512.0
+
+
+def _abs_cubic_integral(y: np.ndarray) -> float:
+    """Sum over j = 1..len(y)-3 of int_0^1 |q_j|, q_j the cubic through
+    y[j-1..j+2] at t = -1..2. A cell that may change sign is cut at the
+    critical points of q_j, and each monotone piece at its root, if any.
+    """
+    ev = lambda t, c: polyval(t, c, tensor=False)   # sum_i c[i] t^i per cell
+    ym, y0, y1, y2 = y[:-3], y[1:-2], y[2:-1], y[3:]
+    c2, c3 = 0.5 * (ym + y1) - y0, (y2 - ym) / 6.0 - 0.5 * (y1 - y0)
+    # q_j minus its chord is t (t - 1) (c2 + c3 (t + 1)): at most (|c2| + 2|c3|) / 4.
+    safe = (y0 * y1 > 0.0) & (np.minimum(abs(y0), abs(y1))
+                              > 0.25 * (abs(c2) + 2.0 * abs(c3)))
+    whole = abs(13.0 * (y0 + y1) - ym - y2)[safe].sum() / 24.0
+    c = np.stack([y0, y1 - y0 - c2 - c3, c2, c3])[:, ~safe]
+    C = np.vstack([np.zeros(c.shape[1]), c / np.arange(1.0, 5.0)[:, None]])  # int q
+    # Roots of q' in the stable form; any not in (0, 1) becomes the cut 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -(c[2] + np.copysign(np.sqrt(c[2] ** 2 - 3.0 * c[1] * c[3]), c[2]))
+        cuts = np.array([s / (3.0 * c[3]), c[1] / s])
+    cuts = np.sort(np.where((cuts > 0.0) & (cuts < 1.0), cuts, 0.0), axis=0)
+    a, b = np.vstack([np.zeros_like(s), cuts]), np.vstack([cuts, np.ones_like(s)])
+    qa = ev(a, c)
+    crossing = qa * ev(b, c) < 0.0
+    lo, hi, sign = a[crossing], b[crossing], np.sign(qa[crossing])
+    cc = c[:, np.nonzero(crossing)[1]]
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        right = np.sign(ev(mid, cc)) == sign
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    root = a.copy()
+    root[crossing] = 0.5 * (lo + hi)
+    Fr = ev(root, C)
+    return float(whole + abs(Fr - ev(a, C)).sum() + abs(ev(b, C) - Fr).sum())
 
 
 def l1_norm_estimate(kern: TimeKernel) -> L1Estimate:
-    """Numerical ||f||_1 = int |f(x)| dx with an analytic tail correction.
+    """||f||_1 = 2 int_0^inf |f(x)| dx from one lattice FFT.
 
-    p <= 2: f is a stable density, the integral is 1; integrate |f| on
-    [0, X0] and close with the true asymptotic series tail. 2 < p, p not an
-    even integer: same, on finer panels (|f| has kinks at sign changes).
-    Even integer p > 2: no algebraic tail exists; march outward in blocks
-    until contributions die (the sinc-like window ends near x ~ p/e and the
-    remaining decay is super-exponential).
+    The norm is invariant under x -> x T^{1/p}, so f is sampled at T = 1 up
+    to the alias distance X of `lattice_kernel`, past which f has one sign
+    and follows its large-x series (none for even p): |f| is integrated on
+    cubic interpolants cut at the sign changes, plus the series tail from X.
+    p < 1 is refused, as in costmodel.path_a_cost: f sharpens at 0 as p
+    falls, and at p = 0.4 this step misses the norm by 1e-5.
     """
     p, T = kern.profile.p, kern.profile.T
-    scale = max(1.0, T ** (1.0 / p))
-    regime = "stable" if p <= 2.0 else "logarithmic"
-    if kern.profile.regime == "fractional" or p <= 2.0:
-        if p <= 2.0:
-            # f is positive and smooth: graded panels, fine near the peak.
-            x0 = 16.0 * scale
-            body = (_abs_integral(kern, 0.0, 4.0 * scale, 0.25 * scale,
-                                  _GL15_NODES, _GL15_WEIGHTS)
-                    + _abs_integral(kern, 4.0 * scale, x0, 1.0 * scale,
-                                    _GL15_NODES, _GL15_WEIGHTS))
-        else:
-            # |f| has kinks at sign changes: short low-order panels.
-            x0 = 40.0 * scale
-            body = _abs_integral(kern, 0.0, x0, 0.125 * scale,
-                                 _GL7_NODES, _GL7_WEIGHTS)
-        tail = abs(algebraic_tail_integral(p, T, x0))
-        return L1Estimate(2.0 * (body + tail), regime, 2.0 * tail, x0)
-    # analytic regime, p in {4, 6, ...}: march in blocks, no algebraic tail
-    block = 4.0 * scale
-    width = 0.125 * scale
-    x_cap = scale * (2.0 * p + 80.0)
-    total, lo = 0.0, 0.0
-    quiet = 0
-    while lo < x_cap:
-        hi = lo + block
-        part = _abs_integral(kern, lo, hi, width, _GL7_NODES, _GL7_WEIGHTS)
-        total += part
-        lo = hi
-        quiet = quiet + 1 if part < 1e-9 else 0
-        if quiet >= 2:
-            break
-    return L1Estimate(2.0 * total, regime, 0.0, lo)
+    if p < 1.0:
+        raise PrecondError(f"L1 estimate needs p >= 1, got p = {p:g}")
+    unit = SpectralProfile(p, 1.0, "direct")
+    n = math.ceil(_alias_series(unit)[0] / _L1_STEP)
+    y = lattice_kernel(unit, 0.0, _L1_STEP, n + 2)
+    body = _L1_STEP * _abs_cubic_integral(np.concatenate((y[1:2], y)))  # f(-h) = f(h)
+    tail = (abs(algebraic_tail_integral(p, 1.0, n * _L1_STEP))
+            if unit.regime == "fractional" else 0.0)
+    return L1Estimate(2.0 * (body + tail), "stable" if p <= 2.0 else "logarithmic",
+                      2.0 * tail, n * _L1_STEP * T ** (1.0 / p))

@@ -235,19 +235,19 @@ def _poly_app(g: GridSpec, eps: float, psi: np.ndarray,
     r1 = 1.1 * rho
     res = contour.optimize_radius(contour.sup_poly_abs(coeffs), r1, 16.0 * r1)
     r2 = res.r2
-    f_psi = matfun(A, f) @ psi
+    fA = matfun(A, f)
+    psi_norm = float(np.linalg.norm(psi))
     if m is None:
         m = contour.plan_m(eps, r1, r2, contour.circle_sup(f, r2), dec.kappa_s,
-                           float(np.linalg.norm(f_psi)), float(np.linalg.norm(psi)),
-                           rho=rho)
+                           float(np.linalg.norm(fA @ psi)), psi_norm, rho=rho)
     plan = contour.make_plan(f, r1, r2, m, kappa_s=dec.kappa_s)
     disc = contour.discrete_sum_apply(A, f, plan, psi)
     r1m = plan.r1 ** plan.m
-    target = matfun(A, f) @ (r1m * np.linalg.solve(
+    target = fA @ (r1m * np.linalg.solve(
         r1m * np.eye(A.shape[0]) - np.linalg.matrix_power(A, plan.m), psi))
     err = float(np.linalg.norm(disc - target))
-    bound = (contour.aliasing_norm_ratio(plan, rho) * plan.b1 * float(np.linalg.norm(psi))
-             + contour.truncation_norm_bound(plan, float(np.linalg.norm(psi))))
+    bound = (contour.aliasing_norm_ratio(plan, rho) * plan.b1 * plan.kappa_s * psi_norm
+             + contour.truncation_norm_bound(plan, psi_norm))
     params = {"R1": plan.r1, "R2": plan.r2, "m": plan.m, "quad_n": plan.quad_n}
     return params, err, bound
 

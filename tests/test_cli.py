@@ -58,6 +58,11 @@ def test_kernel_cauchy_lattice_left_of_zero(tmp_path, capsys):
     f = np.array([float(r[1]) for r in rows])
     np.testing.assert_allclose(f, 2.0 / (1.0 + 4.0 * np.pi**2 * x**2),
                                atol=1e-12, rtol=0)
+    # A range that starts with '-' may also be given as a separate value.
+    spaced = str(tmp_path / "spaced.csv")
+    rc, _, _ = run(["kernel", "--alpha", "0.5", "--T", "1", "--x", "-1:1:0.25",
+                    "--out", spaced], capsys)
+    assert rc == 0 and read_bytes(spaced) == read_bytes(out)
 
 
 def test_simulate_fourier_report(tmp_path, capsys):

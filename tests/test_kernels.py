@@ -1,11 +1,16 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from psf_matfunc import kernels
 from psf_matfunc.errors import NumericalError, PrecondError
 from psf_matfunc.kernels import (SpectralProfile, TimeKernel, _hurwitz,
                                  algebraic_envelope_constant,
+                                 algebraic_tail_integral,
                                  algebraic_tail_value, decay_envelope,
                                  envelope_rate, kernel_value, kernel_values,
                                  l1_norm_estimate, lattice_kernel, saddle_rate)
@@ -214,9 +219,71 @@ def test_saddle_rate_is_observed_decay_p4():
 
 def test_l1_unit_for_stable_exponents():
     for p in (1.0, 1.5, 2.0):
-        est = l1_norm_estimate(TimeKernel(SpectralProfile(p / 2.0, 1.0, "root")))
-        assert est.regime == "stable"
-        assert est.value == pytest.approx(1.0, abs=1e-6)
+        for T in (0.25, 1.0, 4.0):
+            est = l1_norm_estimate(TimeKernel(SpectralProfile(p / 2.0, T, "root")))
+            assert est.regime == "stable"
+            assert est.value == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.8])
+def test_l1_refuses_p_below_one(p):
+    with pytest.raises(PrecondError):
+        l1_norm_estimate(TimeKernel(SpectralProfile(p, 1.0, "direct")))
+
+
+def test_l1_never_calls_the_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("l1_norm_estimate called kernel_values")
+    monkeypatch.setattr(kernels, "kernel_values", refuse)
+    for alpha, mode in ((0.5, "root"), (1.0, "root"), (1.25, "root"),
+                        (3.0, "root"), (8.0, "root"), (3.0, "direct")):
+        l1_norm_estimate(TimeKernel(SpectralProfile(alpha, 1.0, mode)))
+
+
+_GL30_NODES, _GL30_WEIGHTS = np.polynomial.legendre.leggauss(30)
+
+
+def _l1_root_split_reference(p: float, X: float = 10.0) -> float:
+    """2 (int_0^X |f| + |int_X^inf f|) from the quadrature: sign changes
+    bracketed on a grid and located by brentq, 30-point Gauss on panels of
+    width <= 1/2 between them, the series tail from X on."""
+    kern = TimeKernel(SpectralProfile(p, 1.0, "direct"))
+    grid = np.linspace(0.0, X, 401)
+    vals = kernel_values(kern, grid)
+    roots = [brentq(lambda x: kernel_value(kern, x), a, b, xtol=1e-15)
+             for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:])
+             if fa * fb < 0.0]
+    edges = np.array([0.0] + roots + [X])
+    panels = np.concatenate([np.linspace(a, b, math.ceil(2.0 * (b - a)) + 1)[:-1]
+                             for a, b in zip(edges[:-1], edges[1:])] + [[X]])
+    half = 0.5 * np.diff(panels)
+    xs = ((panels[:-1] + half)[:, None] + half[:, None] * _GL30_NODES).ravel()
+    ws = (half[:, None] * _GL30_WEIGHTS).ravel()
+    body = float(np.abs(kernel_values(kern, xs)) @ ws)
+    return 2.0 * (body + abs(algebraic_tail_integral(p, 1.0, X)))
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0])
+def test_l1_logarithmic_matches_root_split_reference(p):
+    """|f| has kinks at the sign changes of f; the estimate integrates
+    across them to the accuracy of a reference that splits at the roots."""
+    t0 = time.perf_counter()
+    ref = _l1_root_split_reference(p)
+    est = l1_norm_estimate(TimeKernel(SpectralProfile(p, 1.0, "direct")))
+    assert est.regime == "logarithmic"
+    assert abs(est.value - ref) <= 1e-8
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_lattice_kernel_p256_no_overflow():
+    """xi beyond tail_cutoff, where |xi|^256 overflows, is never sampled."""
+    prof = SpectralProfile(128.0, 1.0, "root")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = lattice_kernel(prof, 0.0, 0.01, 101)
+        est = l1_norm_estimate(TimeKernel(prof))
+    assert np.all(np.isfinite(vals)) and vals[0] == pytest.approx(2.0, abs=1e-2)
+    assert est.value > 1.0
 
 
 def test_l1_regime_tag_above_two():

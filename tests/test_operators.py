@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from psf_matfunc import contour
 from psf_matfunc.errors import PrecondError
-from psf_matfunc.operators import (GridSpec, difference_operator,
+from psf_matfunc.instances import random_state
+from psf_matfunc.linalg import eig, matfun
+from psf_matfunc.operators import (_DEFAULT_COEFFS, GridSpec, difference_operator,
                                    dirac_operator, gradient_stack, laplacian,
                                    run_application, shifted_encoding,
                                    shifted_encoding_stats)
@@ -153,6 +156,23 @@ def test_matrix_poly_application_planned_m():
     rec = run_application("matrix_poly", GridSpec(1, 6, 1.0), 0.0, 1e-6)
     assert rec.error_measured <= 1e-12      # lattice identity is exact
     assert rec.params["m"] >= 1
+
+
+@pytest.mark.parametrize("d,n,m", [(1, 6, None), (1, 6, 2), (2, 4, 2), (1, 8, 4)])
+def test_matrix_poly_bound_covers_error(d, n, m):
+    """The reported bound covers the measured error and the deviation of the
+    discrete sum from f(A) psi itself, which is what it bounds."""
+    g = GridSpec(d, n, 1.0)
+    rec = run_application("matrix_poly", g, 0.0, 1e-6, m=m, seed=3)
+    assert rec.error_measured <= rec.error_bound
+    A = shifted_encoding(laplacian(g), g)
+    f = lambda z: np.polynomial.polynomial.polyval(z, np.asarray(_DEFAULT_COEFFS))
+    plan = contour.make_plan(f, rec.params["R1"], rec.params["R2"], rec.params["m"],
+                             kappa_s=eig(A).kappa_s)
+    psi = random_state(np.random.default_rng(3), g.size)
+    deviation = np.linalg.norm(contour.discrete_sum_apply(A, f, plan, psi)
+                               - matfun(A, f) @ psi)
+    assert deviation <= rec.error_bound
 
 
 def test_run_application_guards():
