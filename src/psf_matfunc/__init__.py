@@ -8,21 +8,21 @@ supplies grid Hamiltonians and application drivers, `costmodel` turns plans
 into oracle-query counts, and `cli` wraps everything for the shell.
 """
 
-from .errors import NumericalError, PrecondError
+from .errors import ErrorBudget, NumericalError, PrecondError
 from .kernels import (L1Estimate, SpectralProfile, TimeKernel,
                       algebraic_envelope_constant, algebraic_tail_integral,
                       algebraic_tail_value, decay_envelope, envelope_rate,
                       kernel_value, kernel_values, l1_norm_estimate,
                       lattice_kernel, saddle_rate)
-from .fourier import (ErrorBudget, FourierPlan, aliasing_bound,
-                      assemble_fourier_approx, error_bounds,
+from .fourier import (FourierPlan, aliasing_bound, assemble_fourier_approx,
+                      cosine_series, error_bounds, evolution_oracle,
                       lcu_coefficients, plan_fourier, scalar_psf_residual,
                       spectral_scale, truncation_bound, truncation_ratio)
 from .contour import (Amplification, ContourPlan, RadiusResult,
                       aliasing_norm_ratio, aliasing_term,
                       amplification_factor, circle_sup, discrete_sum_apply,
-                      make_nodes, make_plan, optimize_radius, plan_contour,
-                      plan_m, sup_exp_neg, sup_monomial, sup_poly_abs,
+                      lattice_radii, make_nodes, make_plan, optimize_radius,
+                      plan_contour, plan_lattice, plan_m, sup_exp_neg, sup_monomial, sup_poly_abs,
                       truncation_integral, truncation_norm_bound)
 from .linalg import (SpectralDecomposition, eig, evolution_matrix,
                      exact_evolution, matfun, resolvent_apply,
@@ -45,13 +45,14 @@ __all__ = [
     "algebraic_envelope_constant", "algebraic_tail_integral",
     "algebraic_tail_value", "aliasing_bound", "aliasing_norm_ratio",
     "aliasing_term", "amplification_factor", "assemble_fourier_approx",
-    "circle_sup", "compare_paths", "decay_envelope", "difference_operator",
-    "dirac_operator", "discrete_sum_apply", "eig", "envelope_rate",
-    "error_bounds", "evolution_matrix", "exact_evolution",
-    "gradient_stack", "kernel_value", "kernel_values", "l1_norm_estimate",
-    "laplacian", "lattice_kernel", "lcu_coefficients", "make_nodes", "make_plan", "matfun",
+    "circle_sup", "compare_paths", "cosine_series", "decay_envelope",
+    "difference_operator", "dirac_operator", "discrete_sum_apply", "eig",
+    "envelope_rate", "error_bounds", "evolution_matrix", "evolution_oracle",
+    "exact_evolution", "gradient_stack", "kernel_value", "kernel_values",
+    "l1_norm_estimate", "laplacian", "lattice_kernel", "lattice_radii",
+    "lcu_coefficients", "make_nodes", "make_plan", "matfun",
     "optimize_radius", "path_a_cost", "path_b_cost", "plan_contour",
-    "plan_fourier", "plan_m", "qsvt_cos_degree", "qsvt_inverse_degree",
+    "plan_fourier", "plan_lattice", "plan_m", "qsvt_cos_degree", "qsvt_inverse_degree",
     "resolvent_apply", "resolvent_sup_on_circle", "run_application",
     "saddle_rate", "scalar_psf_residual", "shifted_encoding",
     "shifted_encoding_stats", "spectral_scale", "sup_exp_neg",

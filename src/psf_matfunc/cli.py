@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from . import contour, costmodel, fourier, io as pio, operators
 from .errors import NumericalError, PrecondError
 from .instances import random_normal_matrix, random_psd, random_state
 from .kernels import SpectralProfile, decay_envelope, lattice_kernel
-from .linalg import eig, evolution_matrix, matfun
+from .linalg import eig, matfun
 from .util import THREADS_ENV
 
 
@@ -81,17 +82,6 @@ def _profile(args, cfg) -> SpectralProfile:
     return SpectralProfile(alpha=alpha, T=T, mode=mode)
 
 
-def _evolution_oracle(profile: SpectralProfile, H: np.ndarray) -> np.ndarray:
-    """Dense e^{-T H^alpha} (or e^{-(T) H^p} in direct mode); even integer
-    exponents accept indefinite Hermitian H."""
-    p = profile.p
-    if profile.mode == "direct" and profile.regime == "analytic":
-        k = int(round(p))
-        return matfun(H, lambda lam: np.exp(-profile.T * lam ** k))
-    return evolution_matrix(H, profile.alpha if profile.mode == "root" else p,
-                            profile.T)
-
-
 def _fourier_matrix(args, cfg, profile, seed: int) -> np.ndarray:
     path = _merge(args, cfg, "matrix", str)
     if path is not None:
@@ -111,6 +101,22 @@ def _contour_matrix(args, cfg, seed: int) -> np.ndarray:
     rho = _merge(args, cfg, "rho", float, default=0.5)
     return random_normal_matrix(np.random.default_rng(seed), size,
                                 spectral_radius=rho)
+
+
+def _contour_setup(args, cfg, spec: pio.FunctionSpec):
+    """(A, eig(A), R1, R2, psi, f(A) psi) shared by the contour commands;
+    R2 must stay inside the singularity of f."""
+    seed = _merge(args, cfg, "seed", int, default=0)
+    A = _contour_matrix(args, cfg, seed)
+    dec = eig(A)
+    r1, r2 = contour.lattice_radii(dec.spectral_radius, _merge(args, cfg, "R1", float),
+                                   _merge(args, cfg, "R2", float))
+    if spec.pole_radius is not None and r2 >= spec.pole_radius:
+        raise PrecondError(
+            f"outer radius {r2} reaches the singularity of {spec.label} "
+            f"at |z| = {spec.pole_radius}")
+    psi = random_state(np.random.default_rng(seed + 1), A.shape[0])
+    return A, dec, r1, r2, psi, matfun(A, spec.fn) @ psi
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +162,7 @@ def _cmd_simulate_fourier(args, cfg) -> int:
     h_norm = float(np.linalg.norm(H, 2))
     plan = fourier.plan_fourier(profile, h_norm, eps)
     approx = fourier.assemble_fourier_approx(plan, H)
-    oracle = _evolution_oracle(profile, H)
+    oracle = fourier.evolution_oracle(profile, H)
     err = float(np.linalg.norm(approx - oracle, 2))
     budget = fourier.error_bounds(plan, h_norm)
     out = _out_path(args, cfg, "simulate_fourier.json")
@@ -173,31 +179,15 @@ def _cmd_simulate_fourier(args, cfg) -> int:
 def _cmd_simulate_contour(args, cfg) -> int:
     spec = pio.parse_function_spec(_merge(args, cfg, "f", str, required=True))
     eps = _merge(args, cfg, "eps", float, default=1e-8)
-    seed = _merge(args, cfg, "seed", int, default=0)
-    A = _contour_matrix(args, cfg, seed)
-    dec = eig(A)
-    rho = dec.spectral_radius
-    r1 = _merge(args, cfg, "R1", float, default=1.1 * rho)
-    r2 = _merge(args, cfg, "R2", float, default=2.0 * r1)
-    if spec.pole_radius is not None and r2 >= spec.pole_radius:
-        raise PrecondError(
-            f"outer radius {r2} reaches the singularity of {spec.label} "
-            f"at |z| = {spec.pole_radius}")
-    psi = random_state(np.random.default_rng(seed + 1), A.shape[0])
-    f_psi = matfun(A, spec.fn) @ psi
-    m = _merge(args, cfg, "m", int)
-    if m is None:
-        m = contour.plan_m(eps, r1, r2, contour.circle_sup(spec.fn, r2),
-                           dec.kappa_s, float(np.linalg.norm(f_psi)),
-                           float(np.linalg.norm(psi)), rho=rho)
-    quad_n = _merge(args, cfg, "quad-n", int, default=max(8 * m, 256))
-    plan = contour.make_plan(spec.fn, r1, r2, m, quad_n=quad_n,
-                             kappa_s=dec.kappa_s)
+    A, dec, r1, r2, psi, f_psi = _contour_setup(args, cfg, spec)
+    rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
+    plan = contour.plan_lattice(spec.fn, eps, rho, dec.kappa_s,
+                                float(np.linalg.norm(f_psi)), psi_norm, r1=r1, r2=r2,
+                                m=_merge(args, cfg, "m", int),
+                                quad_n=_merge(args, cfg, "quad-n", int))
     approx = contour.discrete_sum_apply(A, spec.fn, plan, psi)
     err = float(np.linalg.norm(approx - f_psi))
-    psi_norm = float(np.linalg.norm(psi))
-    bound = (contour.aliasing_norm_ratio(plan, rho) * plan.b1 * plan.kappa_s * psi_norm
-             + contour.truncation_norm_bound(plan, psi_norm))
+    bound = plan.error_bounds(rho, psi_norm).total
     out = _out_path(args, cfg, "simulate_contour.json")
     report = {"plan": pio.contour_plan_json(plan), "size": A.shape[0],
               "f": spec.label, "spectral_radius": rho,
@@ -252,38 +242,23 @@ def _cmd_cost(args, cfg) -> int:
         if profile is None:
             raise PrecondError("cost --path a needs --alpha (and --T, --mode)")
         rep = costmodel.path_a_cost(profile, anorm, T, eps, ur)
-        out = _out_path(args, cfg, "cost.json")
-        pio.write_json(out, pio.cost_report_json(rep))
-        _say(f"cost path-a: matrix_queries={rep.matrix_queries!r} "
-             f"lcu_terms={rep.lcu_terms!r} -> {out}")
-        return 0
-
-    rho = _merge(args, cfg, "rho", float, default=0.5)
-    gamma = _merge(args, cfg, "gamma", float, default=1.0)
-    fpsi = _merge(args, cfg, "fpsi", float, default=1.0)
-    psinorm = _merge(args, cfg, "psinorm", float, default=1.0)
-    if which == "b":
-        if fspec is None:
+    else:
+        if which == "b" and fspec is None:
             raise PrecondError("cost --path b needs --f")
-        problem = costmodel.ProblemSpec(eps=eps, a_norm=anorm,
-                                        spectral_radius=rho, f=fspec.fn,
-                                        f_label=fspec.label, T=T, u_r=ur,
-                                        gamma=gamma, psi_norm=psinorm,
-                                        f_psi_norm=fpsi)
-        rep = costmodel.compare_paths(problem).report_b
+        cmp = costmodel.compare_paths(costmodel.ProblemSpec(
+            eps=eps, a_norm=anorm, spectral_radius=_merge(args, cfg, "rho", float, default=0.5),
+            profile=profile if which == "both" else None,
+            f=fspec.fn if fspec else None, f_label=fspec.label if fspec else "",
+            T=T, u_r=ur, gamma=_merge(args, cfg, "gamma", float, default=1.0),
+            psi_norm=_merge(args, cfg, "psinorm", float, default=1.0),
+            f_psi_norm=_merge(args, cfg, "fpsi", float, default=1.0)))
+        rep = cmp.report_b
+    if which != "both":
         out = _out_path(args, cfg, "cost.json")
         pio.write_json(out, pio.cost_report_json(rep))
-        _say(f"cost path-b: matrix_queries={rep.matrix_queries!r} "
+        _say(f"cost path-{which}: matrix_queries={rep.matrix_queries!r} "
              f"lcu_terms={rep.lcu_terms!r} -> {out}")
         return 0
-
-    problem = costmodel.ProblemSpec(eps=eps, a_norm=anorm, spectral_radius=rho,
-                                    profile=profile,
-                                    f=fspec.fn if fspec else None,
-                                    f_label=fspec.label if fspec else "",
-                                    T=T, u_r=ur, gamma=gamma,
-                                    psi_norm=psinorm, f_psi_norm=fpsi)
-    cmp = costmodel.compare_paths(problem)
     fields = ["matrix_queries", "state_queries", "lcu_terms",
               "amplification", "l1_norm", "u_r"]
     rows = []
@@ -308,18 +283,15 @@ def _cmd_sweep(args, cfg) -> int:
         H = _fourier_matrix(args, cfg, profile, seed)
         h_norm = float(np.linalg.norm(H, 2))
         plan = fourier.plan_fourier(profile, h_norm, eps)
-        oracle = _evolution_oracle(profile, H)
-        cs = lattice_kernel(profile, 0.0, 1.0 / plan.a, int(ks.max()) + 1) / plan.a
+        oracle = fourier.evolution_oracle(profile, H)
+        # One coefficient sample at the largest cutoff serves every row.
+        wide = replace(plan, K=int(ks.max()), coefficients=None)
         lam, V = np.linalg.eigh(H)
-        theta = np.sqrt(np.clip(lam, 0.0, None)) if profile.mode == "root" else lam
         rows = []
         for K in ks:
-            kk = np.arange(1, K + 1)
-            series = cs[0] + 2.0 * (cs[1:K + 1] @ np.cos(np.outer(kk, theta) * (2 * np.pi / plan.a)))
-            approx = (V * series) @ V.conj().T
+            approx = (V * fourier.cosine_series(wide, lam, int(K))) @ V.conj().T
             err = float(np.linalg.norm(approx - oracle, 2))
-            bound = (fourier.truncation_bound(profile, K / plan.a)
-                     + fourier.aliasing_bound(profile, plan.gap, eps))
+            bound = fourier.error_bounds(replace(plan, K=int(K)), h_norm).total
             rows.append([int(K), err, bound])
         pio.write_csv(out, ["K", "error_measured", "error_bound"], rows)
         _say(f"sweep fourier: {len(rows)} points, a={plan.a!r} -> {out}")
@@ -327,22 +299,15 @@ def _cmd_sweep(args, cfg) -> int:
     if which == "contour":
         spec = pio.parse_function_spec(_merge(args, cfg, "f", str, required=True))
         ms = pio.parse_range(_merge(args, cfg, "m", str, required=True), integer=True)
-        A = _contour_matrix(args, cfg, seed)
-        dec = eig(A)
-        rho = dec.spectral_radius
-        r1 = _merge(args, cfg, "R1", float, default=1.1 * rho)
-        r2 = _merge(args, cfg, "R2", float, default=2.0 * r1)
-        psi = random_state(np.random.default_rng(seed + 1), A.shape[0])
-        psi_norm = float(np.linalg.norm(psi))
-        f_psi = matfun(A, spec.fn) @ psi
+        A, dec, r1, r2, psi, f_psi = _contour_setup(args, cfg, spec)
+        rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
         rows = []
         for m in ms:
             plan = contour.make_plan(spec.fn, r1, r2, int(m), kappa_s=dec.kappa_s)
             approx = contour.discrete_sum_apply(A, spec.fn, plan, psi)
             err = float(np.linalg.norm(approx - f_psi))
-            ali = contour.aliasing_norm_ratio(plan, rho) * plan.b1 * plan.kappa_s * psi_norm
-            trunc = contour.truncation_norm_bound(plan, psi_norm)
-            rows.append([int(m), err, ali, trunc])
+            budget = plan.error_bounds(rho, psi_norm)
+            rows.append([int(m), err, budget.aliasing, budget.truncation])
         pio.write_csv(out, ["m", "error", "aliasing_bound", "truncation_bound"], rows)
         _say(f"sweep contour: {len(rows)} points, R1={r1!r} R2={r2!r} -> {out}")
         return 0
@@ -375,26 +340,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="RNG seed for generated instances")
         p.add_argument("--threads", type=int, help=f"parallelism cap ({THREADS_ENV})")
 
+    def profile_flags(p):
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--T", type=float)
+        p.add_argument("--mode", choices=["root", "direct"])
+
     p = sub.add_parser("plan", help="Fourier-path planner: (a, K) and bounds")
     common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--mode", choices=["root", "direct"])
+    profile_flags(p)
     p.add_argument("--eps", type=float)
     p.add_argument("--hnorm", type=float)
 
     p = sub.add_parser("kernel", help="tabulate the time-domain kernel")
     common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--mode", choices=["root", "direct"])
+    profile_flags(p)
     p.add_argument("--x", help="lo:hi:step sample range")
 
     p = sub.add_parser("simulate-fourier", help="end-to-end cosine-series run")
     common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--mode", choices=["root", "direct"])
+    profile_flags(p)
     p.add_argument("--eps", type=float)
     p.add_argument("--hnorm", type=float)
     p.add_argument("--matrix", help="operator file (.json or Matrix Market)")
@@ -426,9 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="query-count models and path comparison")
     common(p)
     p.add_argument("--path", choices=["a", "b", "both"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--mode", choices=["root", "direct"])
+    profile_flags(p)
     p.add_argument("--eps", type=float)
     p.add_argument("--anorm", type=float)
     p.add_argument("--ur", type=float)
@@ -441,9 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="convergence sweeps (CSV)")
     common(p)
     p.add_argument("--path", choices=["fourier", "contour"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--mode", choices=["root", "direct"])
+    profile_flags(p)
     p.add_argument("--eps", type=float)
     p.add_argument("--hnorm", type=float)
     p.add_argument("--K", help="lo:hi:step cutoff sweep")

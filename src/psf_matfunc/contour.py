@@ -5,15 +5,18 @@ the Cauchy integral into
 
     S_m = (1/m) sum_{k=1}^m w_k f(w_k) (w_k I - A)^{-1},  w_k = R1 e^{2 pi i k/m},
 
-which differs from f(A) by two terms with clean geometric decay in m:
+the periodic trapezoid rule on the circle (Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 56, 2014). It
+differs from f(A) by two terms with clean geometric decay in m:
 
     S_m = f(A) - f(A) g(A) + E_m,   g(z) = z^m / (z^m - R1^m),
 
 where the remainder E_m is a contour integral over a larger circle |z| = R2
 (evaluated here by a periodic trapezoid rule, spectrally accurate). The
-module provides the node set, the discrete sum, both correction terms, an m
-planner driven by the two decay ratios, a golden-section optimizer for R2,
-and the sampling-amplification diagnostic.
+module provides the node set, the discrete sum, both correction terms, the
+one planner `plan_lattice` (radius defaults in `lattice_radii`, m from the
+two decay ratios in `plan_m`), the one bound `ContourPlan.error_bounds`, a
+golden-section optimizer for R2, and the sampling-amplification diagnostic.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import PrecondError
+from .errors import ErrorBudget, PrecondError
 from .linalg import as_matrix, eig, matfun, resolvent_apply
 from .util import ordered_map
 
@@ -80,14 +83,19 @@ class ContourPlan:
     def mu(self) -> float:
         return self.r1 / self.r2
 
+    def error_bounds(self, rho: float, psi_norm: float) -> ErrorBudget:
+        """Bound on ||S_m psi - f(A) psi|| for spectral radius rho: the outer
+        remainder and the spectral overlap ||g(A)|| B1 kappa_s ||psi||."""
+        return ErrorBudget(
+            truncation=truncation_norm_bound(self, psi_norm),
+            aliasing=aliasing_norm_ratio(self, rho) * self.b1 * self.kappa_s * psi_norm)
+
 
 def make_plan(f: Callable[[np.ndarray], np.ndarray], r1: float, r2: float,
               m: int, quad_n: int | None = None, kappa_s: float = 1.0) -> ContourPlan:
-    """Assemble a plan, sampling the circle suprema of f."""
-    if quad_n is None:
-        quad_n = max(8 * m, 256)
-    return ContourPlan(r1=r1, r2=r2, m=m, quad_n=quad_n,
-                       b1=circle_sup(f, r1), b2=circle_sup(f, r2), kappa_s=kappa_s)
+    """Assemble a plan with given radii and node count (`plan_lattice`)."""
+    return plan_lattice(f, None, 0.0, kappa_s, None, None,
+                        r1=r1, r2=r2, m=m, quad_n=quad_n)
 
 
 def _check_enclosure(A: np.ndarray, radius: float, label: str) -> tuple[np.ndarray, float]:
@@ -298,42 +306,56 @@ def amplification_factor(plan: ContourPlan, f: Callable[[np.ndarray], np.ndarray
                          gamma * plan.r1 * plan.b1 / f_psi_norm)
 
 
+def lattice_radii(rho: float, r1: float | None = None,
+                  r2: float | None = None) -> tuple[float, float]:
+    """(R1, R2) for spectral radius rho: R1 defaults to 1.1 rho and must
+    enclose the spectrum, R2 defaults to 2 R1."""
+    if r1 is None:
+        if rho == 0.0:
+            raise PrecondError("cannot choose R1 automatically for a nilpotent A")
+        r1 = 1.1 * rho
+    if rho >= r1:
+        raise PrecondError(
+            f"spectral radius {rho:.6g} is not enclosed by R1 = {r1:.6g}")
+    return r1, 2.0 * r1 if r2 is None else r2
+
+
+def plan_lattice(f: Callable[[np.ndarray], np.ndarray], eps: float | None,
+                 rho: float, kappa_s: float, f_psi_norm: float | None,
+                 psi_norm: float | None, r1: float | None = None,
+                 r2: float | None = None, m: int | None = None,
+                 quad_n: int | None = None) -> ContourPlan:
+    """The contour planner: radii (`lattice_radii`), circle suprema, m and
+    quad_n = max(8m, 256). m defaults to `plan_m` at relative accuracy eps
+    against ||f(A) psi||; only then are eps and the two norms read."""
+    r1, r2 = lattice_radii(rho, r1, r2)
+    b2 = circle_sup(f, r2)
+    if m is None:
+        m = plan_m(eps, r1, r2, b2, kappa_s, f_psi_norm, psi_norm, rho=rho)
+    if quad_n is None:
+        quad_n = max(8 * m, 256)
+    return ContourPlan(r1=r1, r2=r2, m=m, quad_n=quad_n,
+                       b1=circle_sup(f, r1), b2=b2, kappa_s=kappa_s)
+
+
 def plan_contour(A: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
                  psi: np.ndarray, eps: float,
                  r1: float | None = None, r2: float | None = None,
-                 r1_margin: float = 1.1,
                  optimize: bool = False, r2_cap_factor: float = 16.0,
                  quad_n: int | None = None) -> ContourPlan:
-    """End-to-end plan: radii defaults, circle suprema, kappa_s, and m.
+    """End-to-end plan for f(A) psi: eig, f(A) psi, then `plan_lattice`.
 
-    R1 defaults to r1_margin * spectral radius of A; R2 to 2 R1, or to the
-    golden-section optimum of the remainder prefactor when optimize=True.
-    The reference norm ||f(A) psi|| is computed spectrally (desk scale).
+    With optimize=True and no R2, R2 is the golden-section optimum of the
+    remainder prefactor on (R1, r2_cap_factor R1]. The reference norm
+    ||f(A) psi|| is computed spectrally (desk scale).
     """
     A = as_matrix(A)
     psi = np.asarray(psi, dtype=complex)
     dec = eig(A)
     rho = dec.spectral_radius
-    if r1 is None:
-        if rho == 0.0:
-            raise PrecondError("cannot choose R1 automatically for a nilpotent A")
-        r1 = r1_margin * rho
-    if rho >= r1:
-        raise PrecondError(f"spectral radius {rho:.6g} not enclosed by R1={r1:.6g}")
-    if r2 is None:
-        if optimize:
-            r2 = optimize_radius(lambda r: circle_sup(f, r), r1,
-                                 r2_cap_factor * r1).r2
-        else:
-            r2 = 2.0 * r1
-    f_psi = matfun(A, f) @ psi
-    f_psi_norm = float(np.linalg.norm(f_psi))
-    psi_norm = float(np.linalg.norm(psi))
-    if f_psi_norm == 0.0:
-        raise PrecondError("f(A) psi vanishes; relative planning impossible")
-    b2 = circle_sup(f, r2)
-    m = plan_m(eps, r1, r2, b2, dec.kappa_s, f_psi_norm, psi_norm, rho=rho)
-    if quad_n is None:
-        quad_n = max(8 * m, 256)
-    return ContourPlan(r1=r1, r2=r2, m=m, quad_n=quad_n,
-                       b1=circle_sup(f, r1), b2=b2, kappa_s=dec.kappa_s)
+    if r2 is None and optimize:
+        r1, _ = lattice_radii(rho, r1)
+        r2 = optimize_radius(lambda r: circle_sup(f, r), r1, r2_cap_factor * r1).r2
+    f_psi_norm = float(np.linalg.norm(matfun(A, f) @ psi))
+    return plan_lattice(f, eps, rho, dec.kappa_s, f_psi_norm,
+                        float(np.linalg.norm(psi)), r1=r1, r2=r2, quad_n=quad_n)

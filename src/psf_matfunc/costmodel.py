@@ -184,14 +184,11 @@ class PathComparison:
 
 
 def _contour_plan_for(problem: ProblemSpec, f: Callable) -> contour.ContourPlan:
+    """The contour plan at kappa_s = 1; R1 = max(||A||, 1) when rho = 0."""
     rho = problem.spectral_radius
-    r1 = 1.1 * rho if rho > 0 else max(problem.a_norm, 1.0)
-    r2 = 2.0 * r1
-    b2 = contour.circle_sup(f, r2)
-    m = contour.plan_m(problem.eps, r1, r2, b2, 1.0,
-                       problem.f_psi_norm, problem.psi_norm, rho=rho)
-    return contour.ContourPlan(r1=r1, r2=r2, m=m, quad_n=max(8 * m, 256),
-                               b1=contour.circle_sup(f, r1), b2=b2)
+    return contour.plan_lattice(f, problem.eps, rho, 1.0, problem.f_psi_norm,
+                                problem.psi_norm,
+                                r1=None if rho > 0 else max(problem.a_norm, 1.0))
 
 
 def compare_paths(problem: ProblemSpec) -> PathComparison:

@@ -18,21 +18,23 @@ test oracle). Two error channels exist and are planned for separately:
   the lattice period a and the spectral scale of H.
 
 The planner picks the period a and the cutoff K so each reported bound is at
-most eps_internal / 2.
+most eps_internal / 2. One evaluator, `cosine_series`, sums the series on
+the spectrum of H for any cutoff up to the plan's; `assemble_fourier_approx`
+wraps it in eigh and the reconstruction, and `evolution_oracle` is the dense
+reference every run is measured against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, PrecondError
-from .kernels import (SpectralProfile, TimeKernel, algebraic_envelope_constant,
-                      lattice_kernel, saddle_rate)
-from .linalg import as_matrix, is_hermitian
+from .errors import ErrorBudget, NumericalError, PrecondError
+from .kernels import (_LOG_FLOAT_MAX, SpectralProfile, TimeKernel,
+                      algebraic_envelope_constant, lattice_kernel, saddle_rate)
+from .linalg import as_matrix, evolution_matrix, is_hermitian, matfun
 
 _GROWTH = 1.05
 _MAX_GROWTH_STEPS = 200
@@ -63,7 +65,10 @@ def truncation_ratio(profile: SpectralProfile, eps_internal: float) -> float:
             f"fractional planning needs p >= 1 (profile has p = {p}); "
             "use root mode with alpha >= 0.5")
     C = algebraic_envelope_constant(p, T)
-    return (2.0 * C / (a_eff * eps_internal)) ** (1.0 / p)
+    target = 2.0 * C / (a_eff * eps_internal)
+    if math.isinf(target):
+        return math.exp((math.log(2.0 * C / a_eff) - math.log(eps_internal)) / p)
+    return target ** (1.0 / p)
 
 
 def truncation_bound(profile: SpectralProfile, ratio: float) -> float:
@@ -83,6 +88,8 @@ def truncation_bound(profile: SpectralProfile, ratio: float) -> float:
         lam, beta = saddle_rate(profile)
         return 4.0 * math.exp(-lam * ratio ** beta) / (lam * beta * ratio ** (beta - 1.0))
     C = algebraic_envelope_constant(p, T)
+    if p * math.log(ratio) > _LOG_FLOAT_MAX:   # ratio^p overflows
+        return math.exp(math.log(C / (p / 2.0)) - p * math.log(ratio))
     return C / ((p / 2.0) * ratio ** p)
 
 
@@ -121,15 +128,6 @@ class FourierPlan:
     @property
     def gap(self) -> float:
         return self.a - self.spectral_scale
-
-
-class ErrorBudget(NamedTuple):
-    truncation: float
-    aliasing: float
-
-    @property
-    def total(self) -> float:
-        return self.truncation + self.aliasing
 
 
 def plan_fourier(profile: SpectralProfile, h_norm: float,
@@ -197,33 +195,51 @@ def lcu_coefficients(plan: FourierPlan, kern: TimeKernel | None = None) -> np.nd
     return plan.coefficients
 
 
-def assemble_fourier_approx(plan: FourierPlan, H: np.ndarray) -> np.ndarray:
-    """Evaluate the cosine combination of the plan on a Hermitian H.
+def cosine_series(plan: FourierPlan, lam: np.ndarray,
+                  K: int | None = None) -> np.ndarray:
+    """c_0 + 2 sum_{k=1}^K c_k cos(2 pi k theta / a), K <= plan.K (default),
+    at each eigenvalue lam of a Hermitian H: theta = sqrt(lam) in root mode,
+    which requires lam >= 0 up to a clamp window, and lam in direct mode.
+    Every theta must stay below the period a."""
+    K = plan.K if K is None else K
+    if not 0 <= K <= plan.K:
+        raise PrecondError(f"cutoff {K} outside the plan's 0..{plan.K}")
+    c = lcu_coefficients(plan)
+    grid = lam
+    if plan.profile.mode == "root":
+        if lam.size and lam.min() < -1e-12 * max(float(np.abs(lam).max()), 1.0):
+            raise PrecondError(
+                f"root mode requires PSD input: eigenvalue {lam.min():.3e}")
+        grid = np.sqrt(np.maximum(lam, 0.0))
+    scale = float(np.abs(grid).max()) if grid.size else 0.0
+    if scale >= plan.a:
+        raise PrecondError(
+            "operator exceeds the spectral scale the plan was built for "
+            f"(scale {scale:.6g} >= period {plan.a:.6g})")
+    theta = (2.0 * np.pi / plan.a) * grid
+    ks = np.arange(1, K + 1, dtype=float)
+    return c[0] + 2.0 * (c[1:K + 1] @ np.cos(np.outer(ks, theta)))
 
-    Root mode additionally requires H PSD (small negative eigenvalues within
-    the clamp window are set to zero before the square root).
-    """
+
+def assemble_fourier_approx(plan: FourierPlan, H: np.ndarray) -> np.ndarray:
+    """Evaluate the cosine combination of the plan on a Hermitian H:
+    eigh, `cosine_series`, reconstruction."""
     H = as_matrix(H)
     if not is_hermitian(H):
         raise PrecondError("assembly requires a Hermitian operator")
-    c = lcu_coefficients(plan)
     lam, V = np.linalg.eigh(H)
-    nrm = float(np.abs(lam).max()) if lam.size else 0.0
-    if plan.profile.mode == "root":
-        if np.any(lam < -1e-12 * max(nrm, 1.0)):
-            raise PrecondError(
-                f"root mode requires PSD input: eigenvalue {lam.min():.3e}")
-        grid = np.sqrt(np.clip(lam, 0.0, None))
-    else:
-        grid = lam
-    if float(np.abs(grid).max() if grid.size else 0.0) >= plan.a:
-        raise PrecondError(
-            "operator exceeds the spectral scale the plan was built for "
-            f"(scale {np.abs(grid).max():.6g} >= period {plan.a:.6g})")
-    theta = (2.0 * np.pi / plan.a) * grid
-    ks = np.arange(1, plan.K + 1, dtype=float)
-    series = c[0] + 2.0 * (c[1:] @ np.cos(np.outer(ks, theta)))
-    return (V * series) @ V.conj().T
+    return (V * cosine_series(plan, lam)) @ V.conj().T
+
+
+def evolution_oracle(profile: SpectralProfile, H: np.ndarray) -> np.ndarray:
+    """Dense e^{-T H^alpha} (root mode) or e^{-T H^p} (direct mode); even
+    integer p in direct mode accepts indefinite Hermitian H."""
+    p = profile.p
+    if profile.mode == "direct" and profile.regime == "analytic":
+        k = int(round(p))
+        return matfun(H, lambda lam: np.exp(-profile.T * lam ** k))
+    return evolution_matrix(H, profile.alpha if profile.mode == "root" else p,
+                            profile.T)
 
 
 def scalar_psf_residual(kern: TimeKernel, a: float, delta: float, K: int,

@@ -1,5 +1,7 @@
 """File formats: matrices, vectors, plans, reports, and RFC-4180 CSV.
 
+Plans and reports are written, never read back: plan JSON is an output.
+
 Dense matrices travel as JSON ({rows, cols, re[], im[]}, row-major) or
 Matrix Market coordinate files; vectors as JSON arrays of [re, im] pairs.
 Floats are rendered with repr() everywhere so identical inputs produce
@@ -17,11 +19,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.io
 
-from .contour import ContourPlan
+from .contour import ContourPlan, sup_exp_neg, sup_poly_abs
 from .costmodel import CostReport
 from .errors import PrecondError
 from .fourier import FourierPlan, lcu_coefficients
-from .kernels import SpectralProfile
 from .operators import ConvergenceRecord
 
 
@@ -93,26 +94,10 @@ def fourier_plan_json(plan: FourierPlan) -> dict:
             "c": [float(x) for x in lcu_coefficients(plan)]}
 
 
-def fourier_plan_from_json(obj: dict) -> FourierPlan:
-    prof = SpectralProfile(alpha=obj["alpha"], T=obj["T"], mode=obj["mode"])
-    plan = FourierPlan(profile=prof, a=obj["a"], K=obj["K"],
-                       eps_internal=obj["eps_internal"], regime=prof.regime,
-                       spectral_scale=obj.get("spectral_scale", 0.0))
-    if "c" in obj:
-        plan.coefficients = np.asarray(obj["c"], dtype=float)
-    return plan
-
-
 def contour_plan_json(plan: ContourPlan) -> dict:
     return {"R1": plan.r1, "R2": plan.r2, "m": plan.m, "mu": plan.mu,
             "quad_n": plan.quad_n, "B1": plan.b1, "B2": plan.b2,
             "kappa_S": plan.kappa_s}
-
-
-def contour_plan_from_json(obj: dict) -> ContourPlan:
-    return ContourPlan(r1=obj["R1"], r2=obj["R2"], m=obj["m"],
-                       quad_n=obj["quad_n"], b1=obj["B1"], b2=obj["B2"],
-                       kappa_s=obj.get("kappa_S", 1.0))
 
 
 def cost_report_json(report: CostReport) -> dict:
@@ -182,10 +167,10 @@ def parse_function_spec(spec: str) -> FunctionSpec:
     spec = spec.strip()
     if spec == "exp-neg":
         return FunctionSpec("exp-neg", lambda z: np.exp(-z),
-                            lambda r: math.exp(r), "entire", None, None)
+                            sup_exp_neg(), "entire", None, None)
     if spec == "exp-neg-i":
         return FunctionSpec("exp-neg-i", lambda z: np.exp(-1j * z),
-                            lambda r: math.exp(r), "entire", None, None)
+                            sup_exp_neg(), "entire", None, None)
     if spec.startswith("poly:"):
         try:
             coeffs = np.array([float(t) for t in spec[5:].split(",")], dtype=float)
@@ -194,10 +179,8 @@ def parse_function_spec(spec: str) -> FunctionSpec:
         if coeffs.size == 0:
             raise PrecondError("polynomial needs at least one coefficient")
         deg = int(np.max(np.nonzero(coeffs)[0])) if np.any(coeffs) else 0
-        a = np.abs(coeffs)
         return FunctionSpec(spec, lambda z: np.polynomial.polynomial.polyval(z, coeffs),
-                            lambda r: float(np.polynomial.polynomial.polyval(r, a)),
-                            "polynomial", deg, None)
+                            sup_poly_abs(coeffs), "polynomial", deg, None)
     if spec.startswith("inv-shift:"):
         try:
             c = float(spec[10:])

@@ -40,6 +40,8 @@ from .errors import NumericalError, PrecondError
 
 # xi beyond which e^{-T xi^p} < 1e-18: contributes nothing at double precision.
 _TAIL_LOG = math.log(1e18)
+# Magnitudes whose logarithm exceeds this are kept as logarithms (e^709 < 1.8e308).
+_LOG_FLOAT_MAX = 709.0
 
 _GL15_NODES, _GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -164,9 +166,14 @@ def algebraic_envelope_constant(p: float, T: float) -> float:
     it upper-bounds the true large-x asymptote (which carries an extra
     (2 pi)^{-p}), so plans built from it err on the conservative side. It
     vanishes exactly at even integer p, where the decay is super-exponential
-    instead.
+    instead. Raises PrecondError when C exceeds the float range (p above
+    about 170 at T = 1).
     """
-    return (T / math.pi) * math.exp(math.lgamma(p + 1.0)) * abs(math.sin(math.pi * p / 2.0))
+    log_gamma = math.lgamma(p + 1.0)
+    if log_gamma + math.log(T) - math.log(math.pi) > _LOG_FLOAT_MAX:
+        raise PrecondError(
+            f"algebraic envelope constant of p={p:g}, T={T:g} exceeds the float range")
+    return (T / math.pi) * math.exp(log_gamma) * abs(math.sin(math.pi * p / 2.0))
 
 
 def envelope_rate(profile: SpectralProfile) -> tuple[float, float]:
@@ -210,7 +217,10 @@ def decay_envelope(profile: SpectralProfile, x: float) -> float:
         return math.exp(-lam * abs(x) ** beta)
     if x == 0:
         raise PrecondError("algebraic envelope has a pole at x = 0")
-    return algebraic_envelope_constant(p, T) / abs(x) ** (p + 1.0)
+    C = algebraic_envelope_constant(p, T)
+    if (p + 1.0) * math.log(abs(x)) > _LOG_FLOAT_MAX:   # |x|^{p+1} overflows
+        return math.exp(math.log(C) - (p + 1.0) * math.log(abs(x)))
+    return C / abs(x) ** (p + 1.0)
 
 
 def _tail_series_terms(p: float, T: float, n_max: int = 24):
@@ -219,48 +229,57 @@ def _tail_series_terms(p: float, T: float, n_max: int = 24):
     f(x) ~ (1/pi) sum_{n>=1} (-1)^{n+1} Gamma(n p + 1)/n! sin(n pi p / 2)
            * t_eff^n / x^{n p + 1},  t_eff = T / (2 pi)^p.
 
-    Yields (n, coeff) with coeff the full prefactor of x^{-(n p + 1)}.
+    Yields (n, coeff, log |coeff|) with coeff the full prefactor of
+    x^{-(n p + 1)}; coeff is +-inf where it exceeds the float range (large
+    p), and `_series_term` then works from the logarithm.
     """
     log_teff = math.log(T) - p * math.log(2.0 * math.pi)
     for n in range(1, n_max + 1):
-        s = math.sin(n * math.pi * p / 2.0)
-        if abs(s) < 1e-12:  # n*p/2 integer: the term vanishes identically
-            yield n, 0.0
+        half = n * p / 2.0
+        if abs(half - round(half)) * math.pi < 1e-12:  # the sine below is 0
+            yield n, 0.0, -math.inf
             continue
-        mag = math.exp(math.lgamma(n * p + 1.0) - math.lgamma(n + 1.0) + n * log_teff)
-        yield n, ((-1.0) ** (n + 1)) * s * mag / math.pi
+        s = ((-1.0) ** (n + 1)) * math.sin(n * math.pi * p / 2.0)
+        log_mag = math.lgamma(n * p + 1.0) - math.lgamma(n + 1.0) + n * log_teff
+        c = (s * math.exp(log_mag) / math.pi if log_mag <= _LOG_FLOAT_MAX
+             else math.copysign(math.inf, s))
+        yield n, c, log_mag + math.log(abs(s) / math.pi)
 
 
-def algebraic_tail_value(p: float, T: float, x: float) -> float:
-    """Signed asymptotic value of f(x) for large x (fractional p).
+def _series_term(c: float, log_c: float, e: float, x: float) -> float:
+    """c * x^{-e}, through log |c| when c is beyond the float range."""
+    if math.isfinite(c):
+        return c * x ** -e
+    log_t = log_c - e * math.log(x)
+    return math.copysign(math.exp(log_t) if log_t < _LOG_FLOAT_MAX else math.inf, c)
 
-    Terms are summed while they keep shrinking (asymptotic truncation); the
-    caller is responsible for x being deep enough in the tail.
-    """
+
+def _tail_sum(p: float, T: float, x: float, integral: bool) -> float:
+    """Series terms c_n x^{-(n p + 1)}, or their integrals from x, summed
+    while they keep shrinking (asymptotic truncation)."""
     total, last = 0.0, math.inf
-    for n, c in _tail_series_terms(p, T):
+    for n, c, log_c in _tail_series_terms(p, T):
         if c == 0.0:
             continue
-        term = c * x ** (-(n * p + 1.0))
+        term = _series_term(c, log_c, n * p + (0.0 if integral else 1.0), x)
+        if integral:
+            term /= n * p
         if abs(term) >= last:
             break
         total += term
         last = abs(term)
     return total
+
+
+def algebraic_tail_value(p: float, T: float, x: float) -> float:
+    """Signed asymptotic value of f(x) for large x (fractional p); the
+    caller is responsible for x being deep enough in the tail."""
+    return _tail_sum(p, T, x, False)
 
 
 def algebraic_tail_integral(p: float, T: float, X: float) -> float:
     """Signed int_X^inf f(x) dx from the same asymptotic expansion."""
-    total, last = 0.0, math.inf
-    for n, c in _tail_series_terms(p, T):
-        if c == 0.0:
-            continue
-        term = c * X ** (-n * p) / (n * p)
-        if abs(term) >= last:
-            break
-        total += term
-        last = abs(term)
-    return total
+    return _tail_sum(p, T, X, True)
 
 
 # Aliases the lattice sampler leaves uncorrected stay below this, and its FFT
@@ -313,13 +332,17 @@ def _alias_series(profile: SpectralProfile) -> tuple[float, list]:
     D = max(30.0 * max(1.0, T ** (1.0 / p)), d_saddle)
     for _ in range(_MAX_ALIAS_DOUBLINGS + 1):
         terms, last = [], math.inf
-        for n, c in _tail_series_terms(p, T):
+        for n, c, log_c in _tail_series_terms(p, T):
             if c == 0.0:
                 continue
             s = n * p + 1.0
-            size = abs(c) * D ** -s * 2.0 * float(_hurwitz(s, 1.0))
+            size = abs(_series_term(c, log_c, s, D)) * 2.0 * float(_hurwitz(s, 1.0))
             if size >= last or size < 1e-3 * _ALIAS_TOL:
                 break
+            if not math.isfinite(c):
+                raise PrecondError(
+                    f"alias series of p={p:g}, T={T:g} needs a coefficient "
+                    "beyond the float range")
             terms.append((s, c))
             last = size
         if size <= _ALIAS_TOL:

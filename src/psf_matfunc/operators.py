@@ -23,7 +23,7 @@ from . import contour, fourier
 from .errors import NumericalError, PrecondError
 from .instances import random_state
 from .kernels import SpectralProfile
-from .linalg import eig, evolution_matrix, matfun
+from .linalg import eig, matfun
 
 _MAX_SITES = 4096
 _DIRAC_TOL = 1e-12
@@ -201,18 +201,11 @@ def _fourier_app(app: str, g: GridSpec, T: float, eps: float) -> tuple[dict, flo
     (planner params, operator-norm error, reported bound)."""
     L = gradient_stack(g)
     dop = dirac_operator(L)
-    if app == "heat":
-        profile = SpectralProfile(alpha=2.0, T=T, mode="direct")
-        op = dop.H
-        oracle = matfun(op, lambda lam: np.exp(-T * lam ** 2))
-    elif app == "biharmonic":
-        profile = SpectralProfile(alpha=4.0, T=T, mode="direct")
-        op = dop.H
-        oracle = matfun(op, lambda lam: np.exp(-T * lam ** 4))
-    else:  # levy
-        profile = SpectralProfile(alpha=0.75, T=T, mode="root")
-        op = (L.conj().T @ L).real
-        oracle = evolution_matrix(op, 0.75, T)
+    alpha, mode = {"heat": (2.0, "direct"), "biharmonic": (4.0, "direct"),
+                   "levy": (0.75, "root")}[app]
+    profile = SpectralProfile(alpha=alpha, T=T, mode=mode)
+    op = (L.conj().T @ L).real if app == "levy" else dop.H
+    oracle = fourier.evolution_oracle(profile, op)
     h_norm = float(np.linalg.norm(op, 2))
     plan = fourier.plan_fourier(profile, h_norm, eps)
     approx = fourier.assemble_fourier_approx(plan, op)
@@ -232,22 +225,18 @@ def _poly_app(g: GridSpec, eps: float, psi: np.ndarray,
     f = lambda z: np.polynomial.polynomial.polyval(z, coeffs)
     dec = eig(A)
     rho = dec.spectral_radius
-    r1 = 1.1 * rho
-    res = contour.optimize_radius(contour.sup_poly_abs(coeffs), r1, 16.0 * r1)
-    r2 = res.r2
+    r1, _ = contour.lattice_radii(rho)
+    r2 = contour.optimize_radius(contour.sup_poly_abs(coeffs), r1, 16.0 * r1).r2
     fA = matfun(A, f)
     psi_norm = float(np.linalg.norm(psi))
-    if m is None:
-        m = contour.plan_m(eps, r1, r2, contour.circle_sup(f, r2), dec.kappa_s,
-                           float(np.linalg.norm(fA @ psi)), psi_norm, rho=rho)
-    plan = contour.make_plan(f, r1, r2, m, kappa_s=dec.kappa_s)
+    plan = contour.plan_lattice(f, eps, rho, dec.kappa_s, float(np.linalg.norm(fA @ psi)),
+                                psi_norm, r1=r1, r2=r2, m=m)
     disc = contour.discrete_sum_apply(A, f, plan, psi)
     r1m = plan.r1 ** plan.m
     target = fA @ (r1m * np.linalg.solve(
         r1m * np.eye(A.shape[0]) - np.linalg.matrix_power(A, plan.m), psi))
     err = float(np.linalg.norm(disc - target))
-    bound = (contour.aliasing_norm_ratio(plan, rho) * plan.b1 * plan.kappa_s * psi_norm
-             + contour.truncation_norm_bound(plan, psi_norm))
+    bound = plan.error_bounds(rho, psi_norm).total
     params = {"R1": plan.r1, "R2": plan.r2, "m": plan.m, "quad_n": plan.quad_n}
     return params, err, bound
 

@@ -47,14 +47,3 @@ def fit_loglog_slope(x: Sequence[float], y: Sequence[float],
     if keep.sum() < 2:
         raise ValueError("need at least two points above the floor to fit")
     return float(np.polyfit(np.log10(x[keep]), np.log10(y[keep]), 1)[0])
-
-
-def fit_semilog_slope(x: Sequence[float], y: Sequence[float],
-                      floor: float = 0.0) -> float:
-    """Least-squares slope of log10(y) against x, ignoring y <= floor."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    keep = y > floor
-    if keep.sum() < 2:
-        raise ValueError("need at least two points above the floor to fit")
-    return float(np.polyfit(x[keep], np.log10(y[keep]), 1)[0])

@@ -187,6 +187,45 @@ def test_sweep_contour(tmp_path, capsys):
     assert read_bytes(out) == first
 
 
+def test_contour_commands_refuse_outer_radius_at_pole(tmp_path, capsys):
+    """R2 = 3 lies beyond the pole of 1/(z+2) at |z| = 2, where the measured
+    error exceeds the reported bound: both contour commands refuse it."""
+    common = ["--f", "inv-shift:2", "--size", "8", "--rho", "0.5",
+              "--R1", "2.5", "--R2", "3", "--out", str(tmp_path / "out")]
+    for cmd in (["sweep", "--path", "contour", "--m", "8:16:8"],
+                ["simulate-contour", "--m", "16"]):
+        rc, _, err = run(cmd + common, capsys)
+        assert rc == 2 and "singularity" in err
+
+
+def test_sweep_fourier_row_at_plan_cutoff_matches_simulate(tmp_path, capsys):
+    """The sweep and simulate-fourier share one series evaluator and one
+    bound; the sweep samples its coefficients at its largest K."""
+    common = ["--alpha", "0.75", "--T", "1", "--eps", "1e-3", "--size", "8",
+              "--seed", "5"]
+    sim = str(tmp_path / "sim.json")
+    assert run(["simulate-fourier", *common, "--out", sim], capsys)[0] == 0
+    report = json.loads(read_bytes(sim))
+    K = report["plan"]["K"]
+    sw = str(tmp_path / "sw.csv")
+    assert run(["sweep", "--path", "fourier", *common, "--K", f"{K - 8}:{K + 8}:4",
+                "--out", sw], capsys)[0] == 0
+    rows = [ln.split(",") for ln in read_bytes(sw).decode().splitlines()[1:]]
+    row = next(r for r in rows if int(r[0]) == K)
+    assert abs(float(row[1]) - report["error_measured"]) <= 1e-15
+    assert float(row[2]) == report["truncation_bound"] + report["aliasing_bound"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--alpha", "127.5", "--T", "1", "--x", "0:1:0.1"],
+    ["kernel", "--alpha", "200.25", "--T", "1", "--x", "0:1:0.1"],
+    ["plan", "--alpha", "127.5", "--T", "1", "--eps", "1e-6", "--hnorm", "1"],
+], ids=["kernel-p255", "kernel-p400.5", "plan-p255"])
+def test_large_fractional_p_exits_zero_or_two(tmp_path, capsys, argv):
+    rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert rc in (0, 2), err
+
+
 def test_config_merge_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# planner inputs\nalpha = 1\nT = 1\n\neps = 1e-6\nhnorm = 1\n")

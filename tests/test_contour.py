@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from psf_matfunc.contour import (Amplification, ContourPlan,
                                  aliasing_norm_ratio, aliasing_term,
                                  amplification_factor, circle_sup,
-                                 discrete_sum_apply, make_nodes, make_plan,
-                                 optimize_radius, plan_contour, plan_m,
-                                 sup_exp_neg, sup_monomial, sup_poly_abs,
+                                 discrete_sum_apply, lattice_radii, make_nodes,
+                                 make_plan, optimize_radius, plan_contour,
+                                 plan_lattice, plan_m, sup_exp_neg,
+                                 sup_monomial, sup_poly_abs,
                                  truncation_integral, truncation_norm_bound)
-from psf_matfunc.errors import PrecondError
+from psf_matfunc.errors import ErrorBudget, PrecondError
 from psf_matfunc.instances import random_normal_matrix, random_state
-from psf_matfunc.linalg import matfun
+from psf_matfunc.linalg import eig, matfun
 
 
 def one(z):
@@ -240,6 +243,72 @@ def test_plan_contour_guards():
         plan_contour(np.diag([1.2, 0.3]), exp_neg, np.ones(2), 1e-6, r1=1.0)
     with pytest.raises(PrecondError):
         plan_contour(np.zeros((2, 2)), exp_neg, np.ones(2), 1e-6)
+
+
+def test_error_bounds_channels():
+    plan = make_plan(exp_neg, 1.0, 2.0, 12, kappa_s=1.5)
+    budget = plan.error_bounds(0.5, 2.0)
+    assert budget == ErrorBudget(
+        truncation=truncation_norm_bound(plan, 2.0),
+        aliasing=aliasing_norm_ratio(plan, 0.5) * plan.b1 * 1.5 * 2.0)
+    assert budget.total == budget.truncation + budget.aliasing
+    with pytest.raises(PrecondError):
+        plan.error_bounds(1.0, 2.0)          # rho on the lattice circle
+
+
+def test_plan_lattice_defaults():
+    assert lattice_radii(0.5) == (1.1 * 0.5, 2.0 * 1.1 * 0.5)
+    assert lattice_radii(0.5, 0.8) == (0.8, 1.6)
+    assert lattice_radii(0.5, None, 3.0) == (0.55, 3.0)
+    with pytest.raises(PrecondError):
+        lattice_radii(0.0)                   # nilpotent: no automatic R1
+    with pytest.raises(PrecondError):
+        lattice_radii(0.5, 0.5)              # R1 must enclose the spectrum
+    plan = plan_lattice(exp_neg, 1e-8, 0.5, 1.0, 1.0, 1.0)
+    assert (plan.r1, plan.r2) == lattice_radii(0.5)
+    assert plan.m == plan_m(1e-8, plan.r1, plan.r2, circle_sup(exp_neg, plan.r2),
+                            1.0, 1.0, 1.0, rho=0.5)
+    assert plan.quad_n == max(8 * plan.m, 256)
+    assert plan.b1 == circle_sup(exp_neg, plan.r1)
+    fixed = plan_lattice(exp_neg, None, 0.5, 1.0, None, None, m=40, quad_n=400)
+    assert (fixed.m, fixed.quad_n) == (40, 400)
+    assert make_plan(exp_neg, 1.0, 2.0, 8) == plan_lattice(
+        exp_neg, None, 0.0, 1.0, None, None, r1=1.0, r2=2.0, m=8)
+
+
+_POLY = np.array([1.0, 2.0, 0.0, 3.0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       rho=st.floats(0.05, 1.5), g1=st.floats(1.05, 2.0),
+       g2=st.floats(1.1, 3.0), m=st.integers(4, 48),
+       kind=st.sampled_from(["exp-neg", "poly", "inv-shift"]),
+       pole=st.floats(1.05, 3.0), sign=st.sampled_from([1.0, -1.0]))
+def test_contour_bound_covers_measured_error(n, seed, rho, g1, g2, m, kind,
+                                             pole, sign):
+    """||S_m psi - f(A) psi|| <= the plan's reported bound on normal A, for
+    rho < R1 < R2 and, for 1/(z + c), R2 < |c|."""
+    rng = default_rng(seed)
+    A = random_normal_matrix(rng, n, spectral_radius=rho)
+    psi = random_state(rng, n)
+    r1 = g1 * rho
+    r2 = g2 * r1
+    if kind == "exp-neg":
+        f = exp_neg
+    elif kind == "poly":
+        f = lambda z: np.polynomial.polynomial.polyval(z, _POLY)
+    else:
+        c = sign * pole * r2
+        f = lambda z: 1.0 / (z + c)
+    dec = eig(A)
+    plan = plan_lattice(f, None, dec.spectral_radius, dec.kappa_s, None, None,
+                        r1=r1, r2=r2, m=m)
+    psi_norm = float(np.linalg.norm(psi))
+    err = float(np.linalg.norm(discrete_sum_apply(A, f, plan, psi)
+                               - matfun(A, f) @ psi))
+    assert err <= plan.error_bounds(dec.spectral_radius, psi_norm).total \
+        + 1e-13 * psi_norm
 
 
 def test_plan_contour_optimized_radius_runs():

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from psf_matfunc.errors import PrecondError
 from psf_matfunc.fourier import (aliasing_bound, assemble_fourier_approx,
+                                 cosine_series, evolution_oracle,
                                  error_bounds, lcu_coefficients, plan_fourier,
                                  scalar_psf_residual, spectral_scale,
                                  truncation_bound, truncation_ratio)
@@ -154,6 +156,32 @@ def test_assemble_guards():
         assemble_fourier_approx(plan, np.diag([30.0, 0.5]))
 
 
+def test_cosine_series_cutoffs_share_one_sample():
+    """Lower cutoffs of a wider plan reproduce the plan's own series."""
+    H = random_psd(7, 6, norm=1.0)
+    plan = plan_fourier(SpectralProfile(0.75, 1.0, "root"), 1.0, 1e-3)
+    lam, V = np.linalg.eigh(H)
+    np.testing.assert_array_equal(
+        (V * cosine_series(plan, lam)) @ V.conj().T, assemble_fourier_approx(plan, H))
+    wide = replace(plan, K=plan.K + 20, coefficients=None)
+    diff = np.abs(cosine_series(wide, lam, plan.K) - cosine_series(plan, lam)).max()
+    assert diff <= 1e-15
+    assert np.all(cosine_series(plan, lam, 0) == plan.coefficients[0])
+    with pytest.raises(PrecondError):
+        cosine_series(plan, lam, plan.K + 1)
+
+
+def test_evolution_oracle_modes():
+    H = random_hermitian(5, 6, norm=1.0)
+    direct = evolution_oracle(SpectralProfile(4.0, 0.5, "direct"), H)
+    np.testing.assert_array_equal(direct, matfun(H, lambda lam: np.exp(-0.5 * lam ** 4)))
+    P = random_psd(5, 6, norm=1.0)
+    np.testing.assert_array_equal(evolution_oracle(SpectralProfile(0.75, 0.5, "root"), P),
+                                  evolution_matrix(P, 0.75, 0.5))
+    np.testing.assert_array_equal(evolution_oracle(SpectralProfile(1.5, 0.5, "direct"), P),
+                                  evolution_matrix(P, 1.5, 0.5))
+
+
 def test_scalar_psf_identity_gaussian():
     kern = TimeKernel(SpectralProfile(1.0, 1.0, "root"))
     assert scalar_psf_residual(kern, 6.0, 0.3, 64, 4) <= 1e-10
@@ -187,13 +215,12 @@ def test_scalar_psf_dominated_by_bounds():
                 assert res <= bound + floor
 
 
-def test_plan_serialization_fields_roundtrip():
-    from psf_matfunc.io import fourier_plan_from_json, fourier_plan_json
+def test_plan_serialization_fields():
+    from psf_matfunc.io import fourier_plan_json
     plan = plan_fourier(SpectralProfile(1.5, 2.0, "root"), 1.5, 1e-4)
     obj = fourier_plan_json(plan)
     for key in ("alpha", "T", "mode", "a", "K", "eps_internal", "c"):
         assert key in obj
-    back = fourier_plan_from_json(obj)
-    assert back.a == plan.a and back.K == plan.K
-    assert back.profile == plan.profile
-    np.testing.assert_array_equal(back.coefficients, lcu_coefficients(plan))
+    assert obj["a"] == plan.a and obj["K"] == plan.K
+    assert (obj["alpha"], obj["T"], obj["mode"]) == (1.5, 2.0, "root")
+    np.testing.assert_array_equal(obj["c"], lcu_coefficients(plan))

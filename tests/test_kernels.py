@@ -286,6 +286,34 @@ def test_lattice_kernel_p256_no_overflow():
     assert est.value > 1.0
 
 
+def test_tail_series_vanishes_at_even_p():
+    """Every term carries sin(n pi p / 2), which is 0 at even p; at p = 256
+    the rounded sine passed the old 1e-12 zero test and the terms overflowed."""
+    assert algebraic_tail_integral(256, 1, 40) == 0.0
+    assert algebraic_tail_value(256, 1, 40) == 0.0
+
+
+def test_tail_series_coefficients_beyond_float_range():
+    """p = 400.5: Gamma(p + 1) (2 pi)^-p overflows, the term at X = 30 does
+    not; the second term is larger, so the sum stops after the first."""
+    p = 400.5
+    log_c1 = (math.lgamma(p + 1.0) - p * math.log(2.0 * math.pi)
+              + math.log(abs(math.sin(math.pi * p / 2.0)) / math.pi))
+    first = math.exp(log_c1 - p * math.log(30.0)) / p
+    assert algebraic_tail_integral(p, 1.0, 30.0) == pytest.approx(first, rel=1e-9)
+    vals = lattice_kernel(SpectralProfile(p, 1.0, "direct"), 0.0, 0.1, 11)
+    assert np.all(np.isfinite(vals)) and vals[0] == pytest.approx(2.0, abs=1e-2)
+
+
+def test_envelope_constant_beyond_float_range_is_refused():
+    with pytest.raises(PrecondError):
+        algebraic_envelope_constant(255.0, 1.0)
+    prof = SpectralProfile(50.25, 1.0, "root")           # |x|^{p+1} overflows
+    env = decay_envelope(prof, 1e4)
+    C = algebraic_envelope_constant(100.5, 1.0)
+    assert 0.0 < env == pytest.approx(C / 1e4 ** 50 / 1e4 ** 51.5, rel=1e-9)
+
+
 def test_l1_regime_tag_above_two():
     est = l1_norm_estimate(TimeKernel(SpectralProfile(1.25, 1.0, "root")))  # p = 2.5
     assert est.regime == "logarithmic"
