@@ -27,7 +27,7 @@ from . import contour, costmodel, fourier, io as pio, operators
 from .errors import NumericalError, PrecondError
 from .instances import random_normal_matrix, random_psd, random_state
 from .kernels import SpectralProfile, decay_envelope, lattice_kernel
-from .linalg import eig, matfun
+from .linalg import eig, hermitian_eig, matfun
 from .util import THREADS_ENV
 
 
@@ -104,19 +104,18 @@ def _contour_matrix(args, cfg, seed: int) -> np.ndarray:
 
 
 def _contour_setup(args, cfg, spec: pio.FunctionSpec):
-    """(A, eig(A), R1, R2, psi, f(A) psi) shared by the contour commands;
-    R2 must stay inside the singularity of f."""
+    """(eig(A), R1, R2, psi, f(A) psi) shared by the contour commands, which
+    decompose A only here; R2 must stay inside the singularity of f."""
     seed = _merge(args, cfg, "seed", int, default=0)
-    A = _contour_matrix(args, cfg, seed)
-    dec = eig(A)
+    dec = eig(_contour_matrix(args, cfg, seed))
     r1, r2 = contour.lattice_radii(dec.spectral_radius, _merge(args, cfg, "R1", float),
                                    _merge(args, cfg, "R2", float))
     if spec.pole_radius is not None and r2 >= spec.pole_radius:
         raise PrecondError(
             f"outer radius {r2} reaches the singularity of {spec.label} "
             f"at |z| = {spec.pole_radius}")
-    psi = random_state(np.random.default_rng(seed + 1), A.shape[0])
-    return A, dec, r1, r2, psi, matfun(A, spec.fn) @ psi
+    psi = random_state(np.random.default_rng(seed + 1), dec.matrix.shape[0])
+    return dec, r1, r2, psi, matfun(dec, spec.fn) @ psi
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +157,15 @@ def _cmd_simulate_fourier(args, cfg) -> int:
     profile = _profile(args, cfg)
     eps = _merge(args, cfg, "eps", float, required=True)
     seed = _merge(args, cfg, "seed", int, default=0)
-    H = _fourier_matrix(args, cfg, profile, seed)
-    h_norm = float(np.linalg.norm(H, 2))
-    plan = fourier.plan_fourier(profile, h_norm, eps)
-    approx = fourier.assemble_fourier_approx(plan, H)
-    oracle = fourier.evolution_oracle(profile, H)
+    dec = hermitian_eig(_fourier_matrix(args, cfg, profile, seed))
+    plan = fourier.plan_fourier(profile, dec.norm, eps)
+    approx = fourier.assemble_fourier_approx(plan, dec)
+    oracle = fourier.evolution_oracle(profile, dec)
     err = float(np.linalg.norm(approx - oracle, 2))
-    budget = fourier.error_bounds(plan, h_norm)
+    budget = fourier.error_bounds(plan, dec.norm)
     out = _out_path(args, cfg, "simulate_fourier.json")
-    report = {"plan": pio.fourier_plan_json(plan), "size": H.shape[0],
-              "h_norm": h_norm, "error_measured": err,
+    report = {"plan": pio.fourier_plan_json(plan), "size": dec.matrix.shape[0],
+              "h_norm": dec.norm, "error_measured": err,
               "truncation_bound": budget.truncation,
               "aliasing_bound": budget.aliasing}
     pio.write_json(out, report)
@@ -179,17 +177,17 @@ def _cmd_simulate_fourier(args, cfg) -> int:
 def _cmd_simulate_contour(args, cfg) -> int:
     spec = pio.parse_function_spec(_merge(args, cfg, "f", str, required=True))
     eps = _merge(args, cfg, "eps", float, default=1e-8)
-    A, dec, r1, r2, psi, f_psi = _contour_setup(args, cfg, spec)
+    dec, r1, r2, psi, f_psi = _contour_setup(args, cfg, spec)
     rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
     plan = contour.plan_lattice(spec.fn, eps, rho, dec.kappa_s,
                                 float(np.linalg.norm(f_psi)), psi_norm, r1=r1, r2=r2,
                                 m=_merge(args, cfg, "m", int),
                                 quad_n=_merge(args, cfg, "quad-n", int))
-    approx = contour.discrete_sum_apply(A, spec.fn, plan, psi)
+    approx = contour.discrete_sum_apply(dec, spec.fn, plan, psi)
     err = float(np.linalg.norm(approx - f_psi))
     bound = plan.error_bounds(rho, psi_norm).total
     out = _out_path(args, cfg, "simulate_contour.json")
-    report = {"plan": pio.contour_plan_json(plan), "size": A.shape[0],
+    report = {"plan": pio.contour_plan_json(plan), "size": dec.matrix.shape[0],
               "f": spec.label, "spectral_radius": rho,
               "error_measured": err, "error_bound": bound}
     pio.write_json(out, report)
@@ -280,18 +278,17 @@ def _cmd_sweep(args, cfg) -> int:
         profile = _profile(args, cfg)
         eps = _merge(args, cfg, "eps", float, default=1e-8)
         ks = pio.parse_range(_merge(args, cfg, "K", str, required=True), integer=True)
-        H = _fourier_matrix(args, cfg, profile, seed)
-        h_norm = float(np.linalg.norm(H, 2))
-        plan = fourier.plan_fourier(profile, h_norm, eps)
-        oracle = fourier.evolution_oracle(profile, H)
+        dec = hermitian_eig(_fourier_matrix(args, cfg, profile, seed))
+        plan = fourier.plan_fourier(profile, dec.norm, eps)
+        oracle = fourier.evolution_oracle(profile, dec)
         # One coefficient sample at the largest cutoff serves every row.
         wide = replace(plan, K=int(ks.max()), coefficients=None)
-        lam, V = np.linalg.eigh(H)
+        lam, V = dec.eigenvalues.real, dec.basis
         rows = []
         for K in ks:
             approx = (V * fourier.cosine_series(wide, lam, int(K))) @ V.conj().T
             err = float(np.linalg.norm(approx - oracle, 2))
-            bound = fourier.error_bounds(replace(plan, K=int(K)), h_norm).total
+            bound = fourier.error_bounds(replace(plan, K=int(K)), dec.norm).total
             rows.append([int(K), err, bound])
         pio.write_csv(out, ["K", "error_measured", "error_bound"], rows)
         _say(f"sweep fourier: {len(rows)} points, a={plan.a!r} -> {out}")
@@ -299,12 +296,12 @@ def _cmd_sweep(args, cfg) -> int:
     if which == "contour":
         spec = pio.parse_function_spec(_merge(args, cfg, "f", str, required=True))
         ms = pio.parse_range(_merge(args, cfg, "m", str, required=True), integer=True)
-        A, dec, r1, r2, psi, f_psi = _contour_setup(args, cfg, spec)
+        dec, r1, r2, psi, f_psi = _contour_setup(args, cfg, spec)
         rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
         rows = []
         for m in ms:
             plan = contour.make_plan(spec.fn, r1, r2, int(m), kappa_s=dec.kappa_s)
-            approx = contour.discrete_sum_apply(A, spec.fn, plan, psi)
+            approx = contour.discrete_sum_apply(dec, spec.fn, plan, psi)
             err = float(np.linalg.norm(approx - f_psi))
             budget = plan.error_bounds(rho, psi_norm)
             rows.append([int(m), err, budget.aliasing, budget.truncation])

@@ -28,7 +28,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ErrorBudget, PrecondError
-from .linalg import as_matrix, eig, matfun, resolvent_apply
+from .linalg import (Operator, SpectralDecomposition, as_decomposition, matfun,
+                     resolvent_apply)
 from .util import ordered_map
 
 _SUP_SAMPLES = 4096
@@ -98,66 +99,59 @@ def make_plan(f: Callable[[np.ndarray], np.ndarray], r1: float, r2: float,
                         r1=r1, r2=r2, m=m, quad_n=quad_n)
 
 
-def _check_enclosure(A: np.ndarray, radius: float, label: str) -> tuple[np.ndarray, float]:
-    """Spectrum and norm of A, verifying spectral radius < radius."""
-    dec = eig(A)
+def _check_enclosure(A: Operator, radius: float, label: str) -> SpectralDecomposition:
+    """Decomposition of A, verifying spectral radius < radius."""
+    dec = as_decomposition(A)
     rho = dec.spectral_radius
     if rho >= radius:
         raise PrecondError(
             f"spectral radius {rho:.6g} is not enclosed by {label} = {radius:.6g}")
-    return dec.eigenvalues, float(np.linalg.norm(A, 2))
+    return dec
 
 
-def discrete_sum_apply(A: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
+def discrete_sum_apply(A: Operator, f: Callable[[np.ndarray], np.ndarray],
                        plan: ContourPlan, psi: np.ndarray) -> np.ndarray:
     """(1/m) sum_k w_k f(w_k) (w_k I - A)^{-1} psi, summed in ascending k.
 
     Node solves are independent and may run on the thread budget; the
     reduction order is fixed so results are bitwise reproducible.
     """
-    A = as_matrix(A)
+    dec = _check_enclosure(A, plan.r1, "R1")
     psi = np.asarray(psi, dtype=complex)
-    spectrum, a_norm = _check_enclosure(A, plan.r1, "R1")
     nodes = make_nodes(plan.r1, plan.m)
     weights = nodes * np.asarray(f(nodes), dtype=complex) / plan.m
-    solves = ordered_map(
-        lambda w: resolvent_apply(A, w, psi, spectrum=spectrum, a_norm=a_norm),
-        nodes)
+    solves = ordered_map(lambda w: resolvent_apply(dec, w, psi), nodes)
     out = np.zeros_like(psi)
     for w_f, x in zip(weights, solves):
         out = out + w_f * x
     return out
 
 
-def aliasing_term(A: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
+def aliasing_term(A: Operator, f: Callable[[np.ndarray], np.ndarray],
                   plan: ContourPlan, psi: np.ndarray) -> np.ndarray:
     """f(A) g(A) psi with g(z) = z^m / (z^m - R1^m), both factors spectral."""
-    A = as_matrix(A)
+    dec = _check_enclosure(A, plan.r1, "R1")
     psi = np.asarray(psi, dtype=complex)
-    _check_enclosure(A, plan.r1, "R1")
     m, r1m = plan.m, plan.r1 ** plan.m
-    fA = matfun(A, f)
-    gA = matfun(A, lambda z: z ** m / (z ** m - r1m))
+    fA = matfun(dec, f)
+    gA = matfun(dec, lambda z: z ** m / (z ** m - r1m))
     return fA @ (gA @ psi)
 
 
-def truncation_integral(A: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
+def truncation_integral(A: Operator, f: Callable[[np.ndarray], np.ndarray],
                         plan: ContourPlan, psi: np.ndarray) -> np.ndarray:
     """Trapezoid evaluation of the outer-circle remainder term.
 
     (1/(2 pi i)) oint_{|z|=R2} R1^m/(z^m - R1^m) f(z) (zI-A)^{-1} psi dz,
     with quad_n uniform nodes (quad_n >= 8m enforced by the plan).
     """
-    A = as_matrix(A)
+    dec = _check_enclosure(A, plan.r2, "R2")
     psi = np.asarray(psi, dtype=complex)
-    spectrum, a_norm = _check_enclosure(A, plan.r2, "R2")
     n = plan.quad_n
     z = plan.r2 * np.exp(2j * np.pi * np.arange(1, n + 1) / n)
     r1m = plan.r1 ** plan.m
     pref = z * np.asarray(f(z), dtype=complex) * r1m / (z ** plan.m - r1m) / n
-    solves = ordered_map(
-        lambda w: resolvent_apply(A, w, psi, spectrum=spectrum, a_norm=a_norm),
-        z)
+    solves = ordered_map(lambda w: resolvent_apply(dec, w, psi), z)
     out = np.zeros_like(psi)
     for c, x in zip(pref, solves):
         out = out + c * x
@@ -338,7 +332,7 @@ def plan_lattice(f: Callable[[np.ndarray], np.ndarray], eps: float | None,
                        b1=circle_sup(f, r1), b2=b2, kappa_s=kappa_s)
 
 
-def plan_contour(A: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
+def plan_contour(A: Operator, f: Callable[[np.ndarray], np.ndarray],
                  psi: np.ndarray, eps: float,
                  r1: float | None = None, r2: float | None = None,
                  optimize: bool = False, r2_cap_factor: float = 16.0,
@@ -349,13 +343,12 @@ def plan_contour(A: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
     remainder prefactor on (R1, r2_cap_factor R1]. The reference norm
     ||f(A) psi|| is computed spectrally (desk scale).
     """
-    A = as_matrix(A)
+    dec = as_decomposition(A)
     psi = np.asarray(psi, dtype=complex)
-    dec = eig(A)
     rho = dec.spectral_radius
     if r2 is None and optimize:
         r1, _ = lattice_radii(rho, r1)
         r2 = optimize_radius(lambda r: circle_sup(f, r), r1, r2_cap_factor * r1).r2
-    f_psi_norm = float(np.linalg.norm(matfun(A, f) @ psi))
+    f_psi_norm = float(np.linalg.norm(matfun(dec, f) @ psi))
     return plan_lattice(f, eps, rho, dec.kappa_s, f_psi_norm,
                         float(np.linalg.norm(psi)), r1=r1, r2=r2, quad_n=quad_n)

@@ -20,8 +20,8 @@ test oracle). Two error channels exist and are planned for separately:
 The planner picks the period a and the cutoff K so each reported bound is at
 most eps_internal / 2. One evaluator, `cosine_series`, sums the series on
 the spectrum of H for any cutoff up to the plan's; `assemble_fourier_approx`
-wraps it in eigh and the reconstruction, and `evolution_oracle` is the dense
-reference every run is measured against.
+wraps it in the eigenbasis of H, and `evolution_oracle` is the dense
+reference every run is measured against; both also take H's decomposition.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ErrorBudget, NumericalError, PrecondError
 from .kernels import (_LOG_FLOAT_MAX, SpectralProfile, TimeKernel,
                       algebraic_envelope_constant, lattice_kernel, saddle_rate)
-from .linalg import as_matrix, evolution_matrix, is_hermitian, matfun
+from .linalg import Operator, evolution_matrix, hermitian_eig, matfun
 
 _GROWTH = 1.05
 _MAX_GROWTH_STEPS = 200
@@ -221,24 +221,22 @@ def cosine_series(plan: FourierPlan, lam: np.ndarray,
     return c[0] + 2.0 * (c[1:K + 1] @ np.cos(np.outer(ks, theta)))
 
 
-def assemble_fourier_approx(plan: FourierPlan, H: np.ndarray) -> np.ndarray:
+def assemble_fourier_approx(plan: FourierPlan, H: Operator) -> np.ndarray:
     """Evaluate the cosine combination of the plan on a Hermitian H:
-    eigh, `cosine_series`, reconstruction."""
-    H = as_matrix(H)
-    if not is_hermitian(H):
-        raise PrecondError("assembly requires a Hermitian operator")
-    lam, V = np.linalg.eigh(H)
-    return (V * cosine_series(plan, lam)) @ V.conj().T
+    `cosine_series` on the spectrum, then the eigenbasis."""
+    dec = hermitian_eig(H)
+    return (dec.basis * cosine_series(plan, dec.eigenvalues.real)) @ dec.basis.conj().T
 
 
-def evolution_oracle(profile: SpectralProfile, H: np.ndarray) -> np.ndarray:
-    """Dense e^{-T H^alpha} (root mode) or e^{-T H^p} (direct mode); even
-    integer p in direct mode accepts indefinite Hermitian H."""
+def evolution_oracle(profile: SpectralProfile, H: Operator) -> np.ndarray:
+    """Dense e^{-T H^alpha} (root mode) or e^{-T H^p} (direct mode) of a
+    Hermitian H; even integer p in direct mode accepts indefinite H."""
+    dec = hermitian_eig(H)
     p = profile.p
     if profile.mode == "direct" and profile.regime == "analytic":
         k = int(round(p))
-        return matfun(H, lambda lam: np.exp(-profile.T * lam ** k))
-    return evolution_matrix(H, profile.alpha if profile.mode == "root" else p,
+        return matfun(dec, lambda lam: np.exp(-profile.T * lam ** k))
+    return evolution_matrix(dec, profile.alpha if profile.mode == "root" else p,
                             profile.T)
 
 

@@ -4,6 +4,11 @@ Everything downstream (Fourier lattice assembly, contour sums, application
 drivers) is verified against these routines, so they are deliberately plain:
 dense numpy eigendecompositions and direct solves, with explicit residual
 checks instead of silent trust in the factorization.
+
+One reduction serves every function of a matrix (Higham, *Functions of
+Matrices*, SIAM 2008, ch. 4): each command computes `eig` once and passes the
+`SpectralDecomposition`, which carries the matrix and its 2-norm, down to
+every dense consumer; no per-call amortization keywords remain.
 """
 
 from __future__ import annotations
@@ -49,30 +54,37 @@ def is_normal(M: np.ndarray, tol: float = _HERM_TOL) -> bool:
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenvalues/eigenbasis of a matrix plus the basis condition number."""
+    """A validated matrix, its eigenpairs, basis condition number and 2-norm."""
 
+    matrix: np.ndarray           # the matrix, square complex (as_matrix)
     eigenvalues: np.ndarray      # shape (n,), complex
     basis: np.ndarray            # columns are eigenvectors
     kappa_s: float               # 2-norm condition number of the basis
     hermitian: bool
+    norm: float                  # ||matrix||_2
 
     @property
     def spectral_radius(self) -> float:
         return float(np.abs(self.eigenvalues).max())
 
 
+Operator = np.ndarray | SpectralDecomposition   # a matrix or its decomposition
+
+
 def eig(M: np.ndarray) -> SpectralDecomposition:
     """Diagonalize M, verifying that the factors reconstruct it.
 
     Hermitian input is detected and routed to the unitary (eigh) path, in
-    which case kappa_s is exactly 1. A reconstruction residual above
-    1e-10*||M|| (defective or badly conditioned eigenbasis) raises
-    NumericalError rather than returning unusable factors.
+    which case kappa_s is exactly 1 and ||M||_2 = max |lambda|. A Frobenius
+    (>= 2-norm) reconstruction residual above 1e-10*||M||_2 (defective or
+    badly conditioned eigenbasis) raises NumericalError rather than
+    returning unusable factors.
     """
     M = as_matrix(M)
     herm = is_hermitian(M)
     if herm:
         lam, V = np.linalg.eigh(M)
+        nrm = float(np.abs(lam).max())
         lam = lam.astype(complex)
         kappa = 1.0
         recon = (V * lam) @ V.conj().T
@@ -83,22 +95,37 @@ def eig(M: np.ndarray) -> SpectralDecomposition:
             raise NumericalError(f"eigendecomposition failed to converge: {exc}")
         kappa = float(np.linalg.cond(V, 2))
         recon = (V * lam) @ np.linalg.inv(V)
-    nrm = float(np.linalg.norm(M, 2))
-    resid = float(np.linalg.norm(recon - M, 2))
+        nrm = float(np.linalg.norm(M, 2))
+    resid = float(np.linalg.norm(recon - M))
     if resid > _RECON_TOL * max(nrm, 1e-300):
         raise NumericalError(
             f"eigendecomposition does not reconstruct the matrix: "
             f"residual {resid:.3e} > {_RECON_TOL:.0e}*||M|| (matrix may be defective)")
-    return SpectralDecomposition(eigenvalues=lam, basis=V, kappa_s=kappa, hermitian=herm)
+    return SpectralDecomposition(matrix=M, eigenvalues=lam, basis=V, kappa_s=kappa,
+                                 hermitian=herm, norm=nrm)
 
 
-def matfun(M: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def as_decomposition(M: Operator) -> SpectralDecomposition:
+    """M itself when the caller already holds its decomposition, else eig(M)."""
+    return M if isinstance(M, SpectralDecomposition) else eig(M)
+
+
+def hermitian_eig(H: Operator) -> SpectralDecomposition:
+    """`as_decomposition` of a Hermitian H. Any other H is refused before it
+    is decomposed, so a defective H is a PrecondError, not a NumericalError."""
+    if not (H.hermitian if isinstance(H, SpectralDecomposition)
+            else is_hermitian(as_matrix(H))):
+        raise PrecondError("operator must be Hermitian")
+    return as_decomposition(H)
+
+
+def matfun(M: Operator, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to M through its eigendecomposition.
 
     fn receives the eigenvalue vector and must return finite values; any
     non-finite f(lambda) aborts with the offending eigenvalue named.
     """
-    dec = eig(M)
+    dec = as_decomposition(M)
     flam = np.asarray(fn(dec.eigenvalues), dtype=complex)
     if flam.shape != dec.eigenvalues.shape:
         raise PrecondError("fn must map the eigenvalue vector elementwise")
@@ -115,30 +142,25 @@ def matfun(M: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     return out
 
 
-def resolvent_apply(A: np.ndarray, z: complex, b: np.ndarray,
-                    spectrum: np.ndarray | None = None,
-                    a_norm: float | None = None) -> np.ndarray:
+def resolvent_apply(A: Operator, z: complex, b: np.ndarray) -> np.ndarray:
     """Solve (zI - A) x = b directly, guarding the distance of z to spec(A).
 
-    `spectrum`/`a_norm` may be passed to amortize the eigenvalue computation
-    across many shifts (contour sums); they must describe the same A.
+    A caller solving at many shifts passes A's decomposition, so that A is
+    decomposed once, not once per shift.
     """
-    A = as_matrix(A)
+    dec = as_decomposition(A)
     b = np.asarray(b, dtype=complex)
-    if b.shape != (A.shape[0],):
-        raise PrecondError(f"vector shape {b.shape} does not match matrix {A.shape}")
-    if spectrum is None:
-        spectrum = np.linalg.eigvals(A)
-    if a_norm is None:
-        a_norm = float(np.linalg.norm(A, 2))
-    dist = float(np.abs(np.asarray(spectrum) - z).min())
-    if dist <= _RESOLVENT_DIST * a_norm or dist == 0.0:
+    n = dec.matrix.shape[0]
+    if b.shape != (n,):
+        raise PrecondError(f"vector shape {b.shape} does not match matrix {dec.matrix.shape}")
+    dist = float(np.abs(dec.eigenvalues - z).min())
+    if dist <= _RESOLVENT_DIST * dec.norm or dist == 0.0:
         raise PrecondError(
             f"shift z={z} is within {_RESOLVENT_DIST:.0e}*||A|| of the spectrum "
             f"(distance {dist:.3e}); resolvent solve refused")
-    n = A.shape[0]
-    x = np.linalg.solve(z * np.eye(n) - A, b)
-    resid = float(np.linalg.norm((z * np.eye(n) - A) @ x - b))
+    shifted = z * np.eye(n) - dec.matrix
+    x = np.linalg.solve(shifted, b)
+    resid = float(np.linalg.norm(shifted @ x - b))
     bnorm = float(np.linalg.norm(b))
     if resid > 1e-10 * max(bnorm, 1e-300):
         raise NumericalError(
@@ -146,46 +168,33 @@ def resolvent_apply(A: np.ndarray, z: complex, b: np.ndarray,
     return x
 
 
-def evolution_matrix(H: np.ndarray, alpha: float, T: float) -> np.ndarray:
+def evolution_matrix(H: Operator, alpha: float, T: float) -> np.ndarray:
     """Reference dense e^{-T H^alpha} for Hermitian PSD H.
 
     Eigenvalues in [-1e-12*||H||, 0) are clamped to zero; anything more
     negative is a genuine precondition failure.
     """
-    H = as_matrix(H)
-    if not is_hermitian(H):
-        raise PrecondError("evolution requires a Hermitian matrix")
     if alpha <= 0:
         raise PrecondError(f"alpha must be positive, got {alpha}")
     if T < 0:
         raise PrecondError(f"T must be non-negative, got {T}")
-    lam, V = np.linalg.eigh(H)
-    nrm = float(np.abs(lam).max()) if lam.size else 0.0
-    low = lam < -_PSD_CLAMP * max(nrm, 1.0)
-    if np.any(low):
+    dec = hermitian_eig(H)
+    lam, V = dec.eigenvalues.real, dec.basis
+    if np.any(lam < -_PSD_CLAMP * max(dec.norm, 1.0)):
         raise PrecondError(
             f"matrix is not PSD: eigenvalue {lam.min():.6e} below the clamp window")
     lam = np.clip(lam, 0.0, None)
     return (V * np.exp(-T * lam ** alpha)) @ V.conj().T
 
 
-def exact_evolution(H: np.ndarray, alpha: float, T: float,
-                    u0: np.ndarray) -> np.ndarray:
-    """Reference evolution e^{-T H^alpha} u0 (see evolution_matrix).
-
-    T = 0 returns u0 unchanged.
-    """
-    H = as_matrix(H)
+def exact_evolution(H: Operator, alpha: float, T: float, u0: np.ndarray) -> np.ndarray:
+    """Reference evolution e^{-T H^alpha} u0 (see evolution_matrix); T = 0
+    returns u0 unchanged."""
+    E = evolution_matrix(H, alpha, T)
     u0 = np.asarray(u0, dtype=complex)
-    if u0.shape != (H.shape[0],):
+    if u0.shape != (E.shape[0],):
         raise PrecondError("state dimension does not match H")
-    if T == 0:
-        if not is_hermitian(H):
-            raise PrecondError("evolution requires a Hermitian matrix")
-        if alpha <= 0:
-            raise PrecondError(f"alpha must be positive, got {alpha}")
-        return u0.copy()
-    return evolution_matrix(H, alpha, T) @ u0
+    return u0.copy() if T == 0 else E @ u0
 
 
 class ResolventSup(NamedTuple):
@@ -195,22 +204,21 @@ class ResolventSup(NamedTuple):
     is_bound: bool
 
 
-def resolvent_sup_on_circle(A: np.ndarray, radius: float) -> ResolventSup:
+def resolvent_sup_on_circle(A: Operator, radius: float) -> ResolventSup:
     """Resolvent supremum on |z| = radius.
 
     Exact for normal A (reciprocal of the spectrum's distance to the circle);
     for non-normal A the kappa_s-weighted value is returned flagged as an
     upper bound rather than a value.
     """
-    A = as_matrix(A)
     if radius <= 0:
         raise PrecondError(f"radius must be positive, got {radius}")
-    dec = eig(A)
+    dec = as_decomposition(A)
     dists = np.abs(np.abs(dec.eigenvalues) - radius)
     dmin = float(dists.min())
     if dmin <= _RESOLVENT_DIST * max(1.0, radius):
         raise PrecondError(
             f"an eigenvalue lies on the circle |z|={radius} (distance {dmin:.3e})")
-    if is_normal(A):
+    if is_normal(dec.matrix):
         return ResolventSup(1.0 / dmin, False)
     return ResolventSup(dec.kappa_s / dmin, True)

@@ -23,7 +23,7 @@ from . import contour, fourier
 from .errors import NumericalError, PrecondError
 from .instances import random_state
 from .kernels import SpectralProfile
-from .linalg import eig, matfun
+from .linalg import eig, hermitian_eig, matfun
 
 _MAX_SITES = 4096
 _DIRAC_TOL = 1e-12
@@ -204,13 +204,12 @@ def _fourier_app(app: str, g: GridSpec, T: float, eps: float) -> tuple[dict, flo
     alpha, mode = {"heat": (2.0, "direct"), "biharmonic": (4.0, "direct"),
                    "levy": (0.75, "root")}[app]
     profile = SpectralProfile(alpha=alpha, T=T, mode=mode)
-    op = (L.conj().T @ L).real if app == "levy" else dop.H
-    oracle = fourier.evolution_oracle(profile, op)
-    h_norm = float(np.linalg.norm(op, 2))
-    plan = fourier.plan_fourier(profile, h_norm, eps)
-    approx = fourier.assemble_fourier_approx(plan, op)
+    dec = hermitian_eig((L.conj().T @ L).real if app == "levy" else dop.H)
+    oracle = fourier.evolution_oracle(profile, dec)
+    plan = fourier.plan_fourier(profile, dec.norm, eps)
+    approx = fourier.assemble_fourier_approx(plan, dec)
     err = float(np.linalg.norm(approx - oracle, 2))
-    bound = fourier.error_bounds(plan, h_norm).total
+    bound = fourier.error_bounds(plan, dec.norm).total
     params = {"mode": profile.mode, "alpha": profile.alpha, "regime": plan.regime,
               "a": plan.a, "K": plan.K}
     return params, err, bound
@@ -227,11 +226,11 @@ def _poly_app(g: GridSpec, eps: float, psi: np.ndarray,
     rho = dec.spectral_radius
     r1, _ = contour.lattice_radii(rho)
     r2 = contour.optimize_radius(contour.sup_poly_abs(coeffs), r1, 16.0 * r1).r2
-    fA = matfun(A, f)
+    fA = matfun(dec, f)
     psi_norm = float(np.linalg.norm(psi))
     plan = contour.plan_lattice(f, eps, rho, dec.kappa_s, float(np.linalg.norm(fA @ psi)),
                                 psi_norm, r1=r1, r2=r2, m=m)
-    disc = contour.discrete_sum_apply(A, f, plan, psi)
+    disc = contour.discrete_sum_apply(dec, f, plan, psi)
     r1m = plan.r1 ** plan.m
     target = fA @ (r1m * np.linalg.solve(
         r1m * np.eye(A.shape[0]) - np.linalg.matrix_power(A, plan.m), psi))
@@ -261,6 +260,8 @@ def run_application(app: str, g: GridSpec, T: float, eps: float,
     if T < 0 or not np.isfinite(T):
         raise PrecondError(f"T must be non-negative, got {T}")
     dim = g.size if app in ("levy", "matrix_poly") else g.size + g.d * g.n ** (g.d - 1) * (g.n + 1)
+    if dim > _MAX_SITES:
+        raise PrecondError(f"dense dimension {dim} is beyond the desk-scale cap {_MAX_SITES}")
     if u0 is None:
         u0 = random_state(np.random.default_rng(seed), dim)
     u0 = np.asarray(u0, dtype=complex)

@@ -1,5 +1,6 @@
 import json
 import subprocess
+import time
 
 import numpy as np
 import pytest
@@ -273,10 +274,16 @@ def test_exit_code_precondition(capsys):
      "--size", "0"],
     ["app", "--name", "matrix_poly", "--d", "1", "--n", "8", "--T", "0.5",
      "--eps", "1e-6", "--coeffs", "1,x"],
-], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x"])
+    # Dense dimension 22528 and 12416: refused before anything is allocated.
+    ["app", "--name", "heat", "--d", "4", "--n", "8", "--T", "0.5", "--eps", "1e-6"],
+    ["app", "--name", "heat", "--d", "2", "--n", "64", "--T", "0.5", "--eps", "1e-6"],
+], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x",
+        "heat-d4-n8", "heat-d2-n64"])
 def test_exit_code_admission(tmp_path, capsys, argv):
+    t0 = time.perf_counter()
     rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
     assert rc == 2 and err.startswith("precondition:")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_exit_code_numerical(tmp_path, capsys):
@@ -285,6 +292,41 @@ def test_exit_code_numerical(tmp_path, capsys):
     rc, _, err = run(["simulate-contour", "--f", "exp-neg",
                       "--matrix", mpath, "--R1", "1"], capsys)
     assert rc == 3 and err.startswith("numerical:")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6"],
+    ["sweep", "--path", "fourier", "--alpha", "1", "--T", "1", "--K", "4:8:4"],
+])
+def test_fourier_commands_refuse_defective_operator(tmp_path, capsys, command):
+    """A non-Hermitian operator is a precondition failure (exit 2), also when
+    it is defective and would fail to diagonalize (exit 3)."""
+    mpath = str(tmp_path / "jordan.json")
+    save_matrix(mpath, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    rc, _, err = run(command + ["--matrix", mpath, "--out", str(tmp_path / "out")],
+                     capsys)
+    assert rc == 2 and "Hermitian" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-contour", "--f", "exp-neg"],
+    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:24:8"],
+    ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6"],
+    ["sweep", "--path", "fourier", "--alpha", "1", "--T", "1", "--K", "4:24:4"],
+    ["app", "--name", "heat", "--d", "1", "--n", "8", "--T", "0.5", "--eps", "1e-4"],
+    ["app", "--name", "matrix_poly", "--d", "1", "--n", "8", "--T", "0.5",
+     "--eps", "1e-6"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_each_command_decomposes_its_operator_once(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    for name in ("eig", "eigh"):
+        def counted(*a, _name=name, _orig=getattr(np.linalg, name), **k):
+            calls.append(_name)
+            return _orig(*a, **k)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rc, _, _ = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_unknown_command_rejected(capsys):

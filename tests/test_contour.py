@@ -15,7 +15,8 @@ from psf_matfunc.contour import (Amplification, ContourPlan,
                                  sup_monomial, sup_poly_abs,
                                  truncation_integral, truncation_norm_bound)
 from psf_matfunc.errors import ErrorBudget, PrecondError
-from psf_matfunc.instances import random_normal_matrix, random_state
+from psf_matfunc.instances import (random_diagonalizable, random_hermitian,
+                                   random_normal_matrix, random_state)
 from psf_matfunc.linalg import eig, matfun
 
 
@@ -157,6 +158,23 @@ def test_truncation_within_norm_bound():
     rem = truncation_integral(A, psi=psi, f=exp_neg, plan=plan)
     assert np.linalg.norm(rem) <= truncation_norm_bound(
         plan, float(np.linalg.norm(psi)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_hermitian(rng, 6, norm=0.5),
+    lambda rng: random_diagonalizable(rng, 6, spectral_radius=0.5, basis_spread=0.3),
+], ids=["hermitian", "non-normal"])
+def test_decomposition_stands_in_for_its_matrix(make):
+    """Handing eig(A) instead of A gives the same bits: one decomposition."""
+    rng = default_rng(12)
+    A = make(rng)
+    psi = random_state(rng, 6)
+    dec = eig(A)
+    plan = make_plan(exp_neg, 1.0, 2.0, 8)
+    np.testing.assert_array_equal(matfun(dec, exp_neg), matfun(A, exp_neg))
+    for fn in (discrete_sum_apply, aliasing_term, truncation_integral):
+        np.testing.assert_array_equal(fn(dec, exp_neg, plan, psi),
+                                      fn(A, exp_neg, plan, psi))
 
 
 def _closure_residual(A, psi, f, r2, m, quad_n=2048):

@@ -10,9 +10,10 @@ from psf_matfunc.fourier import (aliasing_bound, assemble_fourier_approx,
                                  error_bounds, lcu_coefficients, plan_fourier,
                                  scalar_psf_residual, spectral_scale,
                                  truncation_bound, truncation_ratio)
-from psf_matfunc.instances import random_hermitian, random_psd
+from psf_matfunc.instances import (random_diagonalizable, random_hermitian,
+                                   random_psd)
 from psf_matfunc.kernels import SpectralProfile, TimeKernel
-from psf_matfunc.linalg import evolution_matrix, matfun
+from psf_matfunc.linalg import eig, evolution_matrix, matfun
 
 
 def test_planner_worked_example():
@@ -180,6 +181,26 @@ def test_evolution_oracle_modes():
                                   evolution_matrix(P, 0.75, 0.5))
     np.testing.assert_array_equal(evolution_oracle(SpectralProfile(1.5, 0.5, "direct"), P),
                                   evolution_matrix(P, 1.5, 0.5))
+
+
+@pytest.mark.parametrize("profile", [SpectralProfile(0.75, 0.5, "root"),
+                                     SpectralProfile(2.0, 0.5, "direct")])
+def test_decomposition_stands_in_for_its_operator(profile):
+    """eig(H) in place of H gives the same bits; a non-Hermitian operator is
+    refused either way."""
+    H = random_psd(9, 6, norm=1.0)
+    dec = eig(H)
+    plan = plan_fourier(profile, dec.norm, 1e-6)
+    np.testing.assert_array_equal(assemble_fourier_approx(plan, dec),
+                                  assemble_fourier_approx(plan, H))
+    np.testing.assert_array_equal(evolution_oracle(profile, dec),
+                                  evolution_oracle(profile, H))
+    A = random_diagonalizable(9, 6, spectral_radius=0.5)
+    for op in (A, eig(A)):
+        with pytest.raises(PrecondError):
+            assemble_fourier_approx(plan, op)
+        with pytest.raises(PrecondError):
+            evolution_oracle(profile, op)
 
 
 def test_scalar_psf_identity_gaussian():

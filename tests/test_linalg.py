@@ -18,6 +18,22 @@ def test_eig_hermitian_unitary_basis():
     assert np.abs(dec.eigenvalues.imag).max() < 1e-12
     recon = (dec.basis * dec.eigenvalues) @ dec.basis.conj().T
     assert np.linalg.norm(recon - H, 2) < 1e-12
+    np.testing.assert_array_equal(dec.matrix, H)
+    assert dec.norm == pytest.approx(np.linalg.norm(H, 2), rel=1e-14)
+
+
+def test_decomposition_serves_resolvent_and_evolution():
+    A = random_diagonalizable(np.random.default_rng(4), 5, spectral_radius=0.5)
+    dec = eig(A)
+    assert not dec.hermitian and dec.norm == np.linalg.norm(A, 2)
+    b = random_state(np.random.default_rng(5), 5)
+    np.testing.assert_array_equal(resolvent_apply(dec, 0.9j, b),
+                                  resolvent_apply(A, 0.9j, b))
+    with pytest.raises(PrecondError):
+        evolution_matrix(dec, 1.0, 1.0)
+    P = random_psd(np.random.default_rng(6), 5)
+    np.testing.assert_array_equal(evolution_matrix(eig(P), 0.75, 1.0),
+                                  evolution_matrix(P, 0.75, 1.0))
 
 
 def test_eig_defective_matrix_refused():
