@@ -2,13 +2,15 @@
 
 Everything downstream (Fourier lattice assembly, contour sums, application
 drivers) is verified against these routines, so they are deliberately plain:
-dense numpy eigendecompositions and direct solves, with explicit residual
-checks instead of silent trust in the factorization.
+dense numpy eigendecompositions, with explicit residual checks against the
+matrix itself instead of silent trust in the factorization.
 
 One reduction serves every function of a matrix (Higham, *Functions of
 Matrices*, SIAM 2008, ch. 4): each command computes `eig` once and passes the
 `SpectralDecomposition`, which carries the matrix and its 2-norm, down to
-every dense consumer; no per-call amortization keywords remain.
+every dense consumer; no per-call amortization keywords remain. The same
+reduction serves every shift of a contour sum: `resolvent_apply` takes a
+vector of shifts and solves them all in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -142,30 +144,63 @@ def matfun(M: Operator, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     return out
 
 
-def resolvent_apply(A: Operator, z: complex, b: np.ndarray) -> np.ndarray:
-    """Solve (zI - A) x = b directly, guarding the distance of z to spec(A).
+def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (zI - A) x = b at one shift z, or at every entry of a shift
+    vector z of shape (s,) at once, returning shape (n,) or (s, n).
 
-    A caller solving at many shifts passes A's decomposition, so that A is
-    decomposed once, not once per shift.
+    All shifts are served by the one decomposition of A (Laub, IEEE TAC 26,
+    1981): c = V^{-1} b once, then x = V (c / (z - lambda)). Every shift
+    keeps its distance to spec(A) above 1e-13*||A||, and every solution its
+    residual against A itself below 1e-10*||b||; a row that misses the
+    residual bound gets one step of fixed-precision iterative refinement
+    through the same solve (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 12) before it is refused. Temporaries are O(s n).
     """
     dec = as_decomposition(A)
     b = np.asarray(b, dtype=complex)
     n = dec.matrix.shape[0]
     if b.shape != (n,):
         raise PrecondError(f"vector shape {b.shape} does not match matrix {dec.matrix.shape}")
-    dist = float(np.abs(dec.eigenvalues - z).min())
-    if dist <= _RESOLVENT_DIST * dec.norm or dist == 0.0:
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise PrecondError(f"shifts must be a scalar or a vector, got shape {zs.shape}")
+    zs = zs.reshape(-1)
+    if not np.all(np.isfinite(zs)):
+        raise PrecondError("shifts must be finite")
+    lam, V = dec.eigenvalues, dec.basis
+    gaps = zs[:, None] - lam[None, :]
+    dist = np.abs(gaps).min(axis=1)
+    near = (dist <= _RESOLVENT_DIST * dec.norm) | (dist == 0.0)
+    if np.any(near):
+        k = int(np.argmax(near))
         raise PrecondError(
-            f"shift z={z} is within {_RESOLVENT_DIST:.0e}*||A|| of the spectrum "
-            f"(distance {dist:.3e}); resolvent solve refused")
-    shifted = z * np.eye(n) - dec.matrix
-    x = np.linalg.solve(shifted, b)
-    resid = float(np.linalg.norm(shifted @ x - b))
-    bnorm = float(np.linalg.norm(b))
-    if resid > 1e-10 * max(bnorm, 1e-300):
-        raise NumericalError(
-            f"resolvent solve residual {resid:.3e} exceeds 1e-10*||b||")
-    return x
+            f"shift z={zs[k]} is within {_RESOLVENT_DIST:.0e}*||A|| of the spectrum "
+            f"(distance {dist[k]:.3e}); resolvent solve refused")
+
+    def solve(gap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Rows (z_i I - A)^{-1} rhs_i, gap = z_i - lambda; rhs (n,) or (k, n)."""
+        c = rhs @ V.conj() if dec.hermitian else np.linalg.solve(V, rhs.T).T
+        return (c / gap) @ V.T
+
+    def residual(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Rows (w_i I - A) x_i - b, formed with A itself, not its factors."""
+        return w[:, None] * X - X @ dec.matrix.T - b
+
+    tol = 1e-10 * max(float(np.linalg.norm(b)), 1e-300)
+    X = solve(gaps, b)
+    R = residual(zs, X)
+    bad = np.flatnonzero(~(np.linalg.norm(R, axis=1) <= tol))
+    if bad.size:
+        # one refinement step: x <- x - (zI - A)^{-1} ((zI - A) x - b)
+        X[bad] -= solve(gaps[bad], R[bad])
+        resid = np.linalg.norm(residual(zs[bad], X[bad]), axis=1)
+        fail = ~(resid <= tol)
+        if np.any(fail):
+            k = int(np.argmax(fail))
+            raise NumericalError(
+                f"resolvent solve residual {resid[k]:.3e} exceeds 1e-10*||b|| "
+                f"at shift z={zs[bad[k]]} after one refinement step")
+    return X[0] if np.ndim(z) == 0 else X
 
 
 def evolution_matrix(H: Operator, alpha: float, T: float) -> np.ndarray:

@@ -200,11 +200,11 @@ def _fourier_app(app: str, g: GridSpec, T: float, eps: float) -> tuple[dict, flo
     """Cosine-series evolution vs the spectral oracle; returns
     (planner params, operator-norm error, reported bound)."""
     L = gradient_stack(g)
-    dop = dirac_operator(L)
     alpha, mode = {"heat": (2.0, "direct"), "biharmonic": (4.0, "direct"),
                    "levy": (0.75, "root")}[app]
     profile = SpectralProfile(alpha=alpha, T=T, mode=mode)
-    dec = hermitian_eig((L.conj().T @ L).real if app == "levy" else dop.H)
+    # levy evolves L'L itself; only heat and biharmonic need the Dirac root H
+    dec = hermitian_eig((L.conj().T @ L).real if app == "levy" else dirac_operator(L).H)
     oracle = fourier.evolution_oracle(profile, dec)
     plan = fourier.plan_fourier(profile, dec.norm, eps)
     approx = fourier.assemble_fourier_approx(plan, dec)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
+from psf_matfunc import contour, util
 from psf_matfunc.contour import (Amplification, ContourPlan,
                                  aliasing_norm_ratio, aliasing_term,
                                  amplification_factor, circle_sup,
@@ -175,6 +176,31 @@ def test_decomposition_stands_in_for_its_matrix(make):
     for fn in (discrete_sum_apply, aliasing_term, truncation_integral):
         np.testing.assert_array_equal(fn(dec, exp_neg, plan, psi),
                                       fn(A, exp_neg, plan, psi))
+
+
+def test_contour_sums_make_one_batched_solve(monkeypatch):
+    """Each lattice sum or remainder is one `resolvent_apply` call over all
+    its shifts, and no contour routine goes through the thread pool."""
+    shifts = []
+    real = contour.resolvent_apply
+
+    def counting(A, z, b):
+        shifts.append(np.size(z))
+        return real(A, z, b)
+
+    def no_pool(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("contour called util.ordered_map")
+
+    monkeypatch.setattr(contour, "resolvent_apply", counting)
+    monkeypatch.setattr(util, "ordered_map", no_pool)
+    A = random_normal_matrix(default_rng(3), 6, spectral_radius=0.5)
+    psi = random_state(default_rng(4), 6)
+    plan = make_plan(exp_neg, 1.0, 2.0, 12)
+    discrete_sum_apply(A, exp_neg, plan, psi)
+    assert shifts == [plan.m]
+    truncation_integral(A, exp_neg, plan, psi)
+    assert shifts == [plan.m, plan.quad_n]
+    assert not hasattr(contour, "ordered_map")
 
 
 def _closure_residual(A, psi, f, r2, m, quad_n=2048):

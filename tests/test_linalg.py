@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,76 @@ def test_resolvent_shape_check():
     A = np.eye(3, dtype=complex)
     with pytest.raises(PrecondError):
         resolvent_apply(A, 2.0, np.ones(4, dtype=complex))
+    for z in (np.full((2, 2), 2.0), np.array([2.0, np.nan])):
+        with pytest.raises(PrecondError):
+            resolvent_apply(A, z, np.ones(3, dtype=complex))
+
+
+def _conditioned_diagonalizable(seed: int, n: int, kappa: float) -> np.ndarray:
+    """V diag(lambda) V^{-1} with cond(V) = kappa exactly and |lambda| <= 0.5."""
+    rng = np.random.default_rng(seed)
+    U, W = random_unitary(rng, n), random_unitary(rng, n)
+    V = (U * np.geomspace(1.0, 1.0 / kappa, n)) @ W
+    lam = np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    lam = lam * (0.5 / np.abs(lam).max())
+    return (V * lam) @ np.linalg.inv(V)
+
+
+@pytest.mark.parametrize("make, rtol", [
+    (lambda seed: random_hermitian(seed, 12, norm=0.5), 1e-13),
+    (lambda seed: random_normal_matrix(seed, 12, spectral_radius=0.5), 1e-13),
+    (lambda seed: _conditioned_diagonalizable(seed, 12, 1e3), 1e-10),
+], ids=["hermitian", "normal", "non-normal"])
+def test_batched_resolvent_matches_per_shift_solve(make, rtol):
+    A = make(3)
+    dec = eig(A)
+    b = random_state(np.random.default_rng(4), 12)
+    z = 0.6 * np.exp(2j * np.pi * np.arange(1, 65) / 64)
+    X = resolvent_apply(dec, z, b)
+    assert X.shape == (64, 12)
+    for w, x in zip(z, X):
+        ref = np.linalg.solve(w * np.eye(12) - A, b)
+        assert np.linalg.norm(x - ref) <= rtol * np.linalg.norm(ref)
+    assert resolvent_apply(dec, z[5], b).shape == (12,)
+    np.testing.assert_allclose(resolvent_apply(dec, z[5], b), X[5], rtol=0, atol=1e-14)
+
+
+def test_resolvent_shift_vector_names_the_shift_on_the_spectrum():
+    A = np.diag([0.5, -0.2]).astype(complex)
+    b = np.array([1.0, 1.0], dtype=complex)
+    with pytest.raises(PrecondError, match=r"z=\(-0\.2\+0j\)"):
+        resolvent_apply(A, np.array([1.0, 0.5j, -0.2, 2.0]), b)
+
+
+def test_resolvent_residual_is_checked_against_the_matrix():
+    """Factors that no longer reproduce A are caught by the residual, which is
+    formed with A itself; one refinement step cannot hide a 1e-6 error next
+    to a shift 1e-3 from the spectrum."""
+    dec = eig(random_hermitian(np.random.default_rng(9), 6, norm=0.5))
+    b = random_state(np.random.default_rng(10), 6)
+    z = np.array([0.9, dec.eigenvalues[2] + 1e-3, -0.9j])
+    resolvent_apply(dec, z, b)
+    bent = dataclasses.replace(dec, eigenvalues=dec.eigenvalues + 1e-6)
+    with pytest.raises(NumericalError, match="refinement"):
+        resolvent_apply(bent, z, b)
+
+
+def test_resolvent_refinement_rescues_ill_conditioned_basis():
+    """cond(V) = 3e3: a per-shift LU meets the 1e-10 ||b|| residual bound
+    while a single pass through the eigenbasis misses it; one refinement step
+    brings every shift back within the bound."""
+    A = _conditioned_diagonalizable(2, 8, 3e3)
+    dec = eig(A)
+    b = np.random.default_rng(102).standard_normal(8).astype(complex)
+    z = 0.55 * np.exp(2j * np.pi * np.arange(1, 65) / 64)
+    tol = 1e-10 * np.linalg.norm(b)
+    lu = [np.linalg.norm((w * np.eye(8) - A) @ np.linalg.solve(w * np.eye(8) - A, b) - b)
+          for w in z]
+    assert max(lu) <= tol
+    one_pass = (np.linalg.solve(dec.basis, b) / (z[:, None] - dec.eigenvalues)) @ dec.basis.T
+    assert np.linalg.norm(z[:, None] * one_pass - one_pass @ A.T - b, axis=1).max() > tol
+    X = resolvent_apply(dec, z, b)
+    assert np.linalg.norm(z[:, None] * X - X @ A.T - b, axis=1).max() <= tol
 
 
 def test_evolution_norm_non_increasing():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from psf_matfunc import contour
+from psf_matfunc import contour, operators
 from psf_matfunc.errors import PrecondError
 from psf_matfunc.instances import random_state
 from psf_matfunc.linalg import eig, matfun
@@ -135,7 +135,12 @@ def test_biharmonic_application():
     assert rec.params["alpha"] == 4.0 and rec.params["regime"] == "analytic"
 
 
-def test_levy_application():
+def test_levy_application(monkeypatch):
+    """levy evolves L'L itself and never builds the Dirac root operator."""
+    def unused(L):  # pragma: no cover - must not run
+        raise AssertionError("levy built the Dirac operator")
+
+    monkeypatch.setattr(operators, "dirac_operator", unused)
     eps = 1e-3
     rec = run_application("levy", GridSpec(1, 6, 1.0), 1.0, eps)
     assert rec.error_measured <= 2.0 * eps
