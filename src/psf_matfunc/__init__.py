@@ -22,11 +22,10 @@ from .contour import (Amplification, ContourPlan, RadiusResult,
                       aliasing_norm_ratio, aliasing_term,
                       amplification_factor, circle_sup, discrete_sum_apply,
                       lattice_radii, make_nodes, make_plan, optimize_radius,
-                      plan_contour, plan_lattice, plan_m, sup_exp_neg, sup_monomial, sup_poly_abs,
+                      plan_contour, plan_lattice, plan_m, sup_poly_abs,
                       truncation_integral, truncation_norm_bound)
-from .linalg import (SpectralDecomposition, eig, evolution_matrix,
-                     exact_evolution, matfun, resolvent_apply,
-                     resolvent_sup_on_circle)
+from .linalg import (SpectralDecomposition, eig, evolution_matrix, matfun,
+                     resolvent_apply)
 from .operators import (ConvergenceRecord, DiracOperator, GridSpec,
                         difference_operator, dirac_operator, gradient_stack,
                         laplacian, run_application, shifted_encoding,
@@ -48,14 +47,13 @@ __all__ = [
     "circle_sup", "compare_paths", "cosine_series", "decay_envelope",
     "difference_operator", "dirac_operator", "discrete_sum_apply", "eig",
     "envelope_rate", "error_bounds", "evolution_matrix", "evolution_oracle",
-    "exact_evolution", "gradient_stack", "kernel_value", "kernel_values",
-    "l1_norm_estimate", "laplacian", "lattice_kernel", "lattice_radii",
-    "lcu_coefficients", "make_nodes", "make_plan", "matfun",
-    "optimize_radius", "path_a_cost", "path_b_cost", "plan_contour",
-    "plan_fourier", "plan_lattice", "plan_m", "qsvt_cos_degree", "qsvt_inverse_degree",
-    "resolvent_apply", "resolvent_sup_on_circle", "run_application",
-    "saddle_rate", "scalar_psf_residual", "shifted_encoding",
-    "shifted_encoding_stats", "spectral_scale", "sup_exp_neg",
-    "sup_monomial", "sup_poly_abs", "truncation_bound", "truncation_integral",
+    "gradient_stack", "kernel_value", "kernel_values", "l1_norm_estimate",
+    "laplacian", "lattice_kernel", "lattice_radii", "lcu_coefficients",
+    "make_nodes", "make_plan", "matfun", "optimize_radius", "path_a_cost",
+    "path_b_cost", "plan_contour", "plan_fourier", "plan_lattice", "plan_m",
+    "qsvt_cos_degree", "qsvt_inverse_degree", "resolvent_apply",
+    "run_application", "saddle_rate", "scalar_psf_residual",
+    "shifted_encoding", "shifted_encoding_stats", "spectral_scale",
+    "sup_poly_abs", "truncation_bound", "truncation_integral",
     "truncation_norm_bound", "truncation_ratio",
 ]

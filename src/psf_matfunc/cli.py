@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from dataclasses import replace
@@ -28,7 +27,6 @@ from .errors import NumericalError, PrecondError
 from .instances import random_normal_matrix, random_psd, random_state
 from .kernels import SpectralProfile, decay_envelope, lattice_kernel
 from .linalg import eig, hermitian_eig, matfun
-from .util import THREADS_ENV
 
 
 def _load_config(path: str | None) -> dict:
@@ -181,8 +179,7 @@ def _cmd_simulate_contour(args, cfg) -> int:
     rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
     plan = contour.plan_lattice(spec.fn, eps, rho, dec.kappa_s,
                                 float(np.linalg.norm(f_psi)), psi_norm, r1=r1, r2=r2,
-                                m=_merge(args, cfg, "m", int),
-                                quad_n=_merge(args, cfg, "quad-n", int))
+                                m=_merge(args, cfg, "m", int))
     approx = contour.discrete_sum_apply(dec, spec.fn, plan, psi)
     err = float(np.linalg.norm(approx - f_psi))
     bound = plan.error_bounds(rho, psi_norm).total
@@ -335,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value parameter file")
         p.add_argument("--out", help="output file (CSV or JSON per command)")
         p.add_argument("--seed", type=int, help="RNG seed for generated instances")
-        p.add_argument("--threads", type=int, help=f"parallelism cap ({THREADS_ENV})")
 
     def profile_flags(p):
         p.add_argument("--alpha", type=float)
@@ -368,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R1", type=float)
     p.add_argument("--R2", type=float)
     p.add_argument("--m", type=int)
-    p.add_argument("--quad-n", type=int, dest="quad_n")
     p.add_argument("--matrix")
     p.add_argument("--size", type=int)
     p.add_argument("--rho", type=float, help="spectral radius of the generated instance")
@@ -430,13 +425,7 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(_join_negative_ranges(sys.argv[1:] if argv is None else argv))
     try:
-        cfg = _load_config(args.config)
-        threads = _merge(args, cfg, "threads", int)
-        if threads is not None:
-            if threads < 1:
-                raise PrecondError(f"--threads must be >= 1, got {threads}")
-            os.environ[THREADS_ENV] = str(threads)
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args, _load_config(args.config))
     except PrecondError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return 2

@@ -46,12 +46,9 @@ def make_nodes(r1: float, m: int) -> np.ndarray:
     return r1 * np.exp(2j * np.pi * k / m)
 
 
-def circle_sup(f: Callable[[np.ndarray], np.ndarray], radius: float,
-               samples: int = _SUP_SAMPLES) -> float:
+def circle_sup(f: Callable[[np.ndarray], np.ndarray], radius: float) -> float:
     """max |f| over a dense uniform sample of the circle |z| = radius."""
-    unit = _UNIT_CIRCLE if samples == _SUP_SAMPLES else np.exp(
-        2j * np.pi * np.arange(samples) / samples)
-    z = radius * unit
+    z = radius * _UNIT_CIRCLE
     vals = np.abs(np.asarray(f(z), dtype=complex))
     if not np.all(np.isfinite(vals)):
         raise PrecondError(f"f is not finite on the circle |z| = {radius}")
@@ -195,11 +192,6 @@ def plan_m(eps: float, r1: float, r2: float, b2: float, kappa_s: float,
     return max(m1, m2)
 
 
-def sup_monomial(degree: int) -> Callable[[float], float]:
-    """f_sup for f = z^degree: R -> R^degree."""
-    return lambda r: r ** degree
-
-
 def sup_poly_abs(coeffs) -> Callable[[float], float]:
     """f_sup for a polynomial with ascending coefficients: sum |a_n| R^n.
 
@@ -208,11 +200,6 @@ def sup_poly_abs(coeffs) -> Callable[[float], float]:
     """
     a = np.abs(np.asarray(coeffs, dtype=complex))
     return lambda r: float(np.polynomial.polynomial.polyval(r, a))
-
-
-def sup_exp_neg() -> Callable[[float], float]:
-    """f_sup for f = e^{-z}: R -> e^R (attained at z = -R)."""
-    return lambda r: math.exp(r)
 
 
 class RadiusResult(NamedTuple):

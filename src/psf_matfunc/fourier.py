@@ -10,8 +10,8 @@ time-domain kernel of the profile. By the Poisson identity the c_k are the
 Fourier coefficients of the a-periodized profile sum_n e^{-T|xi + n a|^p}, so
 all of them come from one FFT: `kernels.lattice_kernel` samples f on the
 lattice k/a and removes the FFT's own aliases a priori (its quadrature
-counterpart `kernels.kernel_values` is kept for scattered points and as the
-test oracle). Two error channels exist and are planned for separately:
+counterpart `kernels.kernel_values` is the test oracle). Two error channels
+exist and are planned for separately:
 
 - truncation (dropping |k| > K), controlled by the kernel decay envelope;
 - aliasing (spectral copies spaced a apart), controlled by the gap between
@@ -181,14 +181,11 @@ def error_bounds(plan: FourierPlan, h_norm: float) -> ErrorBudget:
         aliasing=aliasing_bound(plan.profile, gap, plan.eps_internal))
 
 
-def lcu_coefficients(plan: FourierPlan, kern: TimeKernel | None = None) -> np.ndarray:
+def lcu_coefficients(plan: FourierPlan) -> np.ndarray:
     """Coefficients c_k = f(k/a)/a for k = 0..K (evenness implied).
 
-    The samples come from one lattice FFT and are cached on the plan; an
-    explicit kernel must match the plan's profile.
+    The samples come from one lattice FFT and are cached on the plan.
     """
-    if kern is not None and kern.profile != plan.profile:
-        raise PrecondError("kernel profile does not match the plan's profile")
     if plan.coefficients is None:
         plan.coefficients = lattice_kernel(plan.profile, 0.0, 1.0 / plan.a,
                                            plan.K + 1) / plan.a

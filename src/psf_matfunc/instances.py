@@ -66,6 +66,11 @@ def random_normal_matrix(seed: int | np.random.Generator, n: int,
     The largest eigenvalue modulus is rescaled to hit `spectral_radius`
     exactly, which the contour tests rely on.
     """
+    if n < 1:
+        raise PrecondError(f"matrix size must be >= 1, got {n}")
+    if not (0 <= spectral_radius < math.inf):
+        raise PrecondError(
+            f"spectral radius must be finite and non-negative, got {spectral_radius}")
     rng = _rng(seed)
     U = random_unitary(rng, n)
     r = np.sqrt(rng.uniform(0.0, 1.0, n))

@@ -1,11 +1,11 @@
-"""File formats: matrices, vectors, plans, reports, and RFC-4180 CSV.
+"""File formats: matrices, plans, reports, and RFC-4180 CSV.
 
 Plans and reports are written, never read back: plan JSON is an output.
 
 Dense matrices travel as JSON ({rows, cols, re[], im[]}, row-major) or
-Matrix Market coordinate files; vectors as JSON arrays of [re, im] pairs.
-Floats are rendered with repr() everywhere so identical inputs produce
-byte-identical outputs (the determinism contract for sweeps).
+Matrix Market coordinate files. Floats are rendered with repr() everywhere
+so identical inputs produce byte-identical outputs (the determinism
+contract for sweeps).
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.io
 
-from .contour import ContourPlan, sup_exp_neg, sup_poly_abs
+from .contour import ContourPlan
 from .costmodel import CostReport
 from .errors import PrecondError
 from .fourier import FourierPlan, lcu_coefficients
@@ -27,26 +26,29 @@ from .operators import ConvergenceRecord
 
 
 # ---------------------------------------------------------------------------
-# matrices and vectors
+# matrices
 
 def load_matrix(path: str) -> np.ndarray:
     """Dense complex matrix from .json ({rows, cols, re[], im[]}) or a
     Matrix Market file (any other extension)."""
     if path.endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        # ValueError covers malformed JSON and a non-numeric entry.
         try:
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh)
             rows, cols = int(obj["rows"]), int(obj["cols"])
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj["im"], dtype=float)
-        except (KeyError, TypeError) as exc:
-            raise PrecondError(f"matrix JSON in {path} needs rows/cols/re/im: {exc}")
-        if re.size != rows * cols or im.size != rows * cols:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise PrecondError(f"cannot read matrix JSON {path} "
+                               f"(needs rows/cols/re/im): {exc}")
+        if min(rows, cols) < 0 or re.size != rows * cols or im.size != rows * cols:
             raise PrecondError(
                 f"matrix JSON in {path}: {rows}x{cols} declared but "
                 f"{re.size} re / {im.size} im entries")
         M = (re + 1j * im).reshape(rows, cols)
     else:
+        import scipy.io   # scipy loads only for this branch
         try:
             M = scipy.io.mmread(path)
         except Exception as exc:
@@ -63,24 +65,6 @@ def save_matrix(path: str, M: np.ndarray) -> None:
            "re": M.real.ravel().tolist(), "im": M.imag.ravel().tolist()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
-
-
-def load_vector(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    try:
-        v = np.array([complex(re, im) for re, im in obj])
-    except (TypeError, ValueError) as exc:
-        raise PrecondError(f"vector JSON in {path} must be [[re, im], ...]: {exc}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise PrecondError(f"vector in {path} contains non-finite entries")
-    return v
-
-
-def save_vector(path: str, v: np.ndarray) -> None:
-    v = np.asarray(v, dtype=complex)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([[float(z.real), float(z.imag)] for z in v], fh)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +140,6 @@ def write_csv(path: str, header: list, rows: list) -> None:
 class FunctionSpec(NamedTuple):
     label: str
     fn: Callable[[np.ndarray], np.ndarray]
-    sup: Callable[[float], float]     # sup |f| on |z| = R
-    kind: str                         # entire | polynomial | rational
-    degree: int | None                # polynomial degree, when applicable
     pole_radius: float | None         # nearest singularity, when applicable
 
 
@@ -166,11 +147,9 @@ def parse_function_spec(spec: str) -> FunctionSpec:
     """Closed enum: exp-neg, exp-neg-i, poly:a0,a1,..., inv-shift:c."""
     spec = spec.strip()
     if spec == "exp-neg":
-        return FunctionSpec("exp-neg", lambda z: np.exp(-z),
-                            sup_exp_neg(), "entire", None, None)
+        return FunctionSpec("exp-neg", lambda z: np.exp(-z), None)
     if spec == "exp-neg-i":
-        return FunctionSpec("exp-neg-i", lambda z: np.exp(-1j * z),
-                            sup_exp_neg(), "entire", None, None)
+        return FunctionSpec("exp-neg-i", lambda z: np.exp(-1j * z), None)
     if spec.startswith("poly:"):
         try:
             coeffs = np.array([float(t) for t in spec[5:].split(",")], dtype=float)
@@ -178,9 +157,8 @@ def parse_function_spec(spec: str) -> FunctionSpec:
             raise PrecondError(f"bad polynomial coefficients in {spec!r}: {exc}")
         if coeffs.size == 0:
             raise PrecondError("polynomial needs at least one coefficient")
-        deg = int(np.max(np.nonzero(coeffs)[0])) if np.any(coeffs) else 0
         return FunctionSpec(spec, lambda z: np.polynomial.polynomial.polyval(z, coeffs),
-                            sup_poly_abs(coeffs), "polynomial", deg, None)
+                            None)
     if spec.startswith("inv-shift:"):
         try:
             c = float(spec[10:])
@@ -188,13 +166,7 @@ def parse_function_spec(spec: str) -> FunctionSpec:
             raise PrecondError(f"bad shift in {spec!r}: {exc}")
         if c == 0.0:
             raise PrecondError("inv-shift needs a nonzero shift")
-        def sup(r: float, c: float = c) -> float:
-            if r >= abs(c):
-                raise PrecondError(
-                    f"circle radius {r} reaches the pole of 1/(z+{c}) at |z| = {abs(c)}")
-            return 1.0 / (abs(c) - r)
-        return FunctionSpec(spec, lambda z: 1.0 / (z + c), sup,
-                            "rational", None, abs(c))
+        return FunctionSpec(spec, lambda z: 1.0 / (z + c), abs(c))
     raise PrecondError(
         f"unknown function spec {spec!r}; use exp-neg, exp-neg-i, "
         "poly:a0,a1,..., or inv-shift:c")

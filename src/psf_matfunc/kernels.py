@@ -44,6 +44,7 @@ _TAIL_LOG = math.log(1e18)
 _LOG_FLOAT_MAX = 709.0
 
 _GL15_NODES, _GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_MIN_PANELS = 32   # panels of the first quadrature pass
 
 # Keep cos(2 pi x xi) matrices below ~128 MB per chunk.
 _MAX_CHUNK_ELEMS = 16_777_216
@@ -101,7 +102,6 @@ class TimeKernel:
 
     profile: SpectralProfile
     panel_tolerance: float = 1e-13
-    min_panels: int = 32
     max_refinements: int = 8
 
 
@@ -138,7 +138,7 @@ def kernel_values(kern: TimeKernel, xs: np.ndarray) -> np.ndarray:
         raise PrecondError("kernel evaluation points must be finite")
     cut = kern.profile.tail_cutoff
     cap = 1.0 / (8.0 * (float(np.abs(xs).max()) + 1.0))   # panel width in xi
-    n = max(kern.min_panels, int(math.ceil(cut / cap)))
+    n = max(_MIN_PANELS, int(math.ceil(cut / cap)))
     prev = _composite_cosine(kern, n, xs)
     change = math.inf
     for _ in range(kern.max_refinements):

@@ -16,14 +16,14 @@ vector of shifts and solves them all in one vectorized pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import NumericalError, PrecondError
 
 # Scaled tolerances used by the contracts below.
-_HERM_TOL = 1e-12        # relative Hermiticity / normality test
+_HERM_TOL = 1e-12        # relative Hermiticity test
 _RECON_TOL = 1e-10       # eigendecomposition must reconstruct M to this
 _RESOLVENT_DIST = 1e-13  # z must keep this relative distance from spectrum
 _PSD_CLAMP = 1e-12       # eigenvalues in [-tol*||H||, 0) are clamped to 0
@@ -45,13 +45,6 @@ def is_hermitian(M: np.ndarray, tol: float = _HERM_TOL) -> bool:
     M = np.asarray(M, dtype=complex)
     scale = max(1.0, float(np.abs(M).max()))
     return float(np.abs(M - M.conj().T).max()) <= tol * scale
-
-
-def is_normal(M: np.ndarray, tol: float = _HERM_TOL) -> bool:
-    M = np.asarray(M, dtype=complex)
-    scale = max(1.0, float(np.abs(M).max()) ** 2)
-    comm = M @ M.conj().T - M.conj().T @ M
-    return float(np.abs(comm).max()) <= tol * scale
 
 
 @dataclass
@@ -220,40 +213,3 @@ def evolution_matrix(H: Operator, alpha: float, T: float) -> np.ndarray:
             f"matrix is not PSD: eigenvalue {lam.min():.6e} below the clamp window")
     lam = np.clip(lam, 0.0, None)
     return (V * np.exp(-T * lam ** alpha)) @ V.conj().T
-
-
-def exact_evolution(H: Operator, alpha: float, T: float, u0: np.ndarray) -> np.ndarray:
-    """Reference evolution e^{-T H^alpha} u0 (see evolution_matrix); T = 0
-    returns u0 unchanged."""
-    E = evolution_matrix(H, alpha, T)
-    u0 = np.asarray(u0, dtype=complex)
-    if u0.shape != (E.shape[0],):
-        raise PrecondError("state dimension does not match H")
-    return u0.copy() if T == 0 else E @ u0
-
-
-class ResolventSup(NamedTuple):
-    """sup of ||(zI-A)^{-1}|| on a circle; `is_bound` marks a non-normal bound."""
-
-    value: float
-    is_bound: bool
-
-
-def resolvent_sup_on_circle(A: Operator, radius: float) -> ResolventSup:
-    """Resolvent supremum on |z| = radius.
-
-    Exact for normal A (reciprocal of the spectrum's distance to the circle);
-    for non-normal A the kappa_s-weighted value is returned flagged as an
-    upper bound rather than a value.
-    """
-    if radius <= 0:
-        raise PrecondError(f"radius must be positive, got {radius}")
-    dec = as_decomposition(A)
-    dists = np.abs(np.abs(dec.eigenvalues) - radius)
-    dmin = float(dists.min())
-    if dmin <= _RESOLVENT_DIST * max(1.0, radius):
-        raise PrecondError(
-            f"an eigenvalue lies on the circle |z|={radius} (distance {dmin:.3e})")
-    if is_normal(dec.matrix):
-        return ResolventSup(1.0 / dmin, False)
-    return ResolventSup(dec.kappa_s / dmin, True)

@@ -101,12 +101,6 @@ class DiracOperator:
     L: np.ndarray
     H: np.ndarray
 
-    @property
-    def laplacian_block(self) -> np.ndarray:
-        """Top-left block of H^2, i.e. L'L."""
-        n = self.L.shape[1]
-        return (self.H @ self.H)[:n, :n].real
-
 
 def dirac_operator(L: np.ndarray) -> DiracOperator:
     """H = [[0, -iL*], [iL, 0]]; verifies the block-square structure.

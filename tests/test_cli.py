@@ -1,13 +1,15 @@
 import json
+import os
 import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import psf_matfunc
 from psf_matfunc import cli
 from psf_matfunc.io import RECORD_HEADER, save_matrix
-from psf_matfunc.util import THREADS_ENV
 
 
 def run(argv, capsys):
@@ -261,9 +263,6 @@ def test_exit_code_precondition(capsys):
     rc, _, err = run(["simulate-contour", "--f", "inv-shift:1.2",
                       "--R1", "1", "--R2", "2", "--size", "4"], capsys)
     assert rc == 2 and "singularity" in err
-    rc, _, err = run(["plan", "--alpha", "1", "--T", "1", "--eps", "1e-6",
-                      "--hnorm", "1", "--threads", "0"], capsys)
-    assert rc == 2 and "--threads" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -277,9 +276,27 @@ def test_exit_code_precondition(capsys):
     # Dense dimension 22528 and 12416: refused before anything is allocated.
     ["app", "--name", "heat", "--d", "4", "--n", "8", "--T", "0.5", "--eps", "1e-6"],
     ["app", "--name", "heat", "--d", "2", "--n", "64", "--T", "0.5", "--eps", "1e-6"],
+    ["simulate-contour", "--f", "exp-neg", "--size", "0"],
+    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:16:8", "--size", "0"],
+    ["simulate-contour", "--f", "exp-neg", "--rho", "-1"],
+    # {tmp} is the test's directory, where missing.json is never written.
+    ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6",
+     "--matrix", "{tmp}/missing.json"],
+    ["simulate-contour", "--f", "exp-neg", "--matrix", "{tmp}/malformed.json"],
+    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:16:8",
+     "--matrix", "{tmp}/im-x.json"],
+    ["simulate-contour", "--f", "exp-neg", "--matrix", "{tmp}/negative.json"],
 ], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x",
-        "heat-d4-n8", "heat-d2-n64"])
+        "heat-d4-n8", "heat-d2-n64", "contour-size-0", "sweep-contour-size-0",
+        "contour-rho-negative", "matrix-missing", "matrix-malformed",
+        "matrix-im-x", "matrix-negative-dims"])
 def test_exit_code_admission(tmp_path, capsys, argv):
+    (tmp_path / "malformed.json").write_text('{"rows": 1,')
+    (tmp_path / "im-x.json").write_text(
+        json.dumps({"rows": 1, "cols": 1, "re": [1.0], "im": "x"}))
+    (tmp_path / "negative.json").write_text(
+        json.dumps({"rows": -2, "cols": -2, "re": [1.0] * 4, "im": [0.0] * 4}))
+    argv = [a.format(tmp=tmp_path) for a in argv]
     t0 = time.perf_counter()
     rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
     assert rc == 2 and err.startswith("precondition:")
@@ -336,14 +353,15 @@ def test_unknown_command_rejected(capsys):
     capsys.readouterr()
 
 
-def test_threads_flag_sets_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "sentinel")
-    out = str(tmp_path / "plan.json")
-    rc, _, _ = run(["plan", "--alpha", "1", "--T", "1", "--eps", "1e-6",
-                    "--hnorm", "1", "--threads", "2", "--out", out], capsys)
-    assert rc == 0
-    import os
-    assert os.environ[THREADS_ENV] == "2"
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported only to read a Matrix Market file."""
+    code = ("import sys, psf_matfunc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(psf_matfunc.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_smoke(tmp_path):

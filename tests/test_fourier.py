@@ -78,9 +78,6 @@ def test_coefficients_cached_and_guarded():
     assert c1 is lcu_coefficients(plan)
     assert c1.shape == (plan.K + 1,)
     assert np.all(c1 > 0)          # Gaussian samples
-    other = TimeKernel(SpectralProfile(2.0, 1.0, "root"))
-    with pytest.raises(PrecondError):
-        lcu_coefficients(plan, other)
 
 
 def test_assemble_identity_at_zero_operator():
