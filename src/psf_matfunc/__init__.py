@@ -31,8 +31,7 @@ from .operators import (ConvergenceRecord, DiracOperator, GridSpec,
                         laplacian, run_application, shifted_encoding,
                         shifted_encoding_stats)
 from .costmodel import (CostReport, PathComparison, ProblemSpec,
-                        compare_paths, path_a_cost, path_b_cost,
-                        qsvt_cos_degree, qsvt_inverse_degree)
+                        compare_paths, path_a_cost, path_b_cost)
 
 __version__ = "0.1.0"
 
@@ -51,9 +50,8 @@ __all__ = [
     "laplacian", "lattice_kernel", "lattice_radii", "lcu_coefficients",
     "make_nodes", "make_plan", "matfun", "optimize_radius", "path_a_cost",
     "path_b_cost", "plan_contour", "plan_fourier", "plan_lattice", "plan_m",
-    "qsvt_cos_degree", "qsvt_inverse_degree", "resolvent_apply",
-    "run_application", "saddle_rate", "scalar_psf_residual",
-    "shifted_encoding", "shifted_encoding_stats", "spectral_scale",
-    "sup_poly_abs", "truncation_bound", "truncation_integral",
+    "resolvent_apply", "run_application", "saddle_rate",
+    "scalar_psf_residual", "shifted_encoding", "shifted_encoding_stats",
+    "spectral_scale", "sup_poly_abs", "truncation_bound", "truncation_integral",
     "truncation_norm_bound", "truncation_ratio",
 ]

@@ -1,9 +1,12 @@
 """Command-line driver.
 
 Commands: plan, kernel, simulate-fourier, simulate-contour, app, cost,
-sweep. Parameters come from flags, optionally seeded by a flat
-``key = value`` config file (flags win). Tables land in --out as RFC-4180
-CSV, structured results as JSON; a one-line summary goes to stdout. Exit
+sweep. The parser declares each parameter once, with its type and default;
+``psf-matfunc <command> --help`` lists the defaults. A flat ``key = value``
+config file (--config) seeds a command's defaults: its values are cast and
+checked like flags, a flag on the command line wins, and keys that name no
+flag of the command are ignored. Tables land in --out as RFC-4180 CSV,
+structured results as JSON; a one-line summary goes to stdout. Exit
 status: 0 success, 2 precondition violation (including malformed input),
 3 numerical failure.
 
@@ -29,9 +32,7 @@ from .kernels import SpectralProfile, decay_envelope, lattice_kernel
 from .linalg import eig, hermitian_eig, matfun
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     cfg = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -49,92 +50,68 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _merge(args: argparse.Namespace, cfg: dict, key: str, cast, default=None,
-           required: bool = False):
-    """Flag value if given, else config value, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is None and key in cfg:
-        try:
-            val = cast(cfg[key])
-        except (TypeError, ValueError) as exc:
-            raise PrecondError(f"config key {key}: {exc}")
+def _required(args: argparse.Namespace, key: str):
+    """The value of a parameter that has no default."""
+    val = getattr(args, key)
     if val is None:
-        val = default
-    if val is None and required:
         raise PrecondError(f"missing required parameter --{key}")
     return val
 
 
-def _say(msg: str) -> None:
-    print(msg)
+def _profile(args) -> SpectralProfile:
+    return SpectralProfile(alpha=_required(args, "alpha"), T=_required(args, "T"),
+                           mode=args.mode)
 
 
-def _out_path(args, cfg, default_name: str) -> str:
-    return _merge(args, cfg, "out", str, default=default_name)
+def _fourier_matrix(args) -> np.ndarray:
+    if args.matrix is not None:
+        return pio.load_matrix(args.matrix)
+    if args.size < 1:
+        raise PrecondError(f"--size must be >= 1, got {args.size}")
+    return random_psd(np.random.default_rng(args.seed), args.size, norm=args.hnorm)
 
 
-def _profile(args, cfg) -> SpectralProfile:
-    alpha = _merge(args, cfg, "alpha", float, required=True)
-    T = _merge(args, cfg, "T", float, required=True)
-    mode = _merge(args, cfg, "mode", str, default="root")
-    return SpectralProfile(alpha=alpha, T=T, mode=mode)
-
-
-def _fourier_matrix(args, cfg, profile, seed: int) -> np.ndarray:
-    path = _merge(args, cfg, "matrix", str)
-    if path is not None:
-        return pio.load_matrix(path)
-    size = _merge(args, cfg, "size", int, default=8)
-    if size < 1:
-        raise PrecondError(f"--size must be >= 1, got {size}")
-    hnorm = _merge(args, cfg, "hnorm", float, default=1.0)
-    return random_psd(np.random.default_rng(seed), size, norm=hnorm)
-
-
-def _contour_matrix(args, cfg, seed: int) -> np.ndarray:
-    path = _merge(args, cfg, "matrix", str)
-    if path is not None:
-        return pio.load_matrix(path)
-    size = _merge(args, cfg, "size", int, default=8)
-    rho = _merge(args, cfg, "rho", float, default=0.5)
-    return random_normal_matrix(np.random.default_rng(seed), size,
-                                spectral_radius=rho)
-
-
-def _contour_setup(args, cfg, spec: pio.FunctionSpec):
-    """(eig(A), R1, R2, psi, f(A) psi) shared by the contour commands, which
-    decompose A only here; R2 must stay inside the singularity of f."""
-    seed = _merge(args, cfg, "seed", int, default=0)
-    dec = eig(_contour_matrix(args, cfg, seed))
-    r1, r2 = contour.lattice_radii(dec.spectral_radius, _merge(args, cfg, "R1", float),
-                                   _merge(args, cfg, "R2", float))
+def _refuse_pole(spec: pio.FunctionSpec, r2: float) -> None:
+    """A contour of outer radius r2 must stay inside the singularity of f."""
     if spec.pole_radius is not None and r2 >= spec.pole_radius:
         raise PrecondError(
             f"outer radius {r2} reaches the singularity of {spec.label} "
             f"at |z| = {spec.pole_radius}")
-    psi = random_state(np.random.default_rng(seed + 1), dec.matrix.shape[0])
+
+
+def _contour_setup(args, spec: pio.FunctionSpec):
+    """(eig(A), R1, R2, psi, f(A) psi) shared by the contour commands, which
+    decompose A only here."""
+    if args.matrix is not None:
+        A = pio.load_matrix(args.matrix)
+    else:
+        A = random_normal_matrix(np.random.default_rng(args.seed), args.size,
+                                 spectral_radius=args.rho)
+    dec = eig(A)
+    r1, r2 = contour.lattice_radii(dec.spectral_radius, args.R1, args.R2)
+    _refuse_pole(spec, r2)
+    psi = random_state(np.random.default_rng(args.seed + 1), dec.matrix.shape[0])
     return dec, r1, r2, psi, matfun(dec, spec.fn) @ psi
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_plan(args, cfg) -> int:
-    profile = _profile(args, cfg)
-    eps = _merge(args, cfg, "eps", float, required=True)
-    hnorm = _merge(args, cfg, "hnorm", float, required=True)
+def _cmd_plan(args) -> int:
+    profile = _profile(args)
+    eps = _required(args, "eps")
+    hnorm = _required(args, "hnorm")
     plan = fourier.plan_fourier(profile, hnorm, eps)
     budget = fourier.error_bounds(plan, hnorm)
-    out = _out_path(args, cfg, "plan.json")
-    pio.write_json(out, pio.fourier_plan_json(plan))
-    _say(f"plan: a={plan.a!r} K={plan.K} regime={plan.regime} "
-         f"truncation={budget.truncation!r} aliasing={budget.aliasing!r} -> {out}")
+    pio.write_json(args.out, pio.fourier_plan_json(plan))
+    print(f"plan: a={plan.a!r} K={plan.K} regime={plan.regime} "
+          f"truncation={budget.truncation!r} aliasing={budget.aliasing!r} -> {args.out}")
     return 0
 
 
-def _cmd_kernel(args, cfg) -> int:
-    profile = _profile(args, cfg)
-    lo, step, count = pio.parse_lattice(_merge(args, cfg, "x", str, default="0:10:0.5"))
+def _cmd_kernel(args) -> int:
+    profile = _profile(args)
+    lo, step, count = pio.parse_lattice(args.x)
     vals = lattice_kernel(profile, lo, step, count)
     xs = [lo + i * step for i in range(count)]
     rows = []
@@ -144,115 +121,100 @@ def _cmd_kernel(args, cfg) -> int:
         else:
             env = decay_envelope(profile, float(x))
         rows.append([float(x), float(v), env])
-    out = _out_path(args, cfg, "kernel.csv")
-    pio.write_csv(out, ["x", "kernel", "envelope"], rows)
-    _say(f"kernel: {len(rows)} points, p={profile.p:g} ({profile.regime}), "
-         f"f(x0)={float(vals[0])!r} -> {out}")
+    pio.write_csv(args.out, ["x", "kernel", "envelope"], rows)
+    print(f"kernel: {len(rows)} points, p={profile.p:g} ({profile.regime}), "
+          f"f(x0)={float(vals[0])!r} -> {args.out}")
     return 0
 
 
-def _cmd_simulate_fourier(args, cfg) -> int:
-    profile = _profile(args, cfg)
-    eps = _merge(args, cfg, "eps", float, required=True)
-    seed = _merge(args, cfg, "seed", int, default=0)
-    dec = hermitian_eig(_fourier_matrix(args, cfg, profile, seed))
+def _cmd_simulate_fourier(args) -> int:
+    profile = _profile(args)
+    eps = _required(args, "eps")
+    dec = hermitian_eig(_fourier_matrix(args))
     plan = fourier.plan_fourier(profile, dec.norm, eps)
     approx = fourier.assemble_fourier_approx(plan, dec)
     oracle = fourier.evolution_oracle(profile, dec)
     err = float(np.linalg.norm(approx - oracle, 2))
     budget = fourier.error_bounds(plan, dec.norm)
-    out = _out_path(args, cfg, "simulate_fourier.json")
     report = {"plan": pio.fourier_plan_json(plan), "size": dec.matrix.shape[0],
               "h_norm": dec.norm, "error_measured": err,
               "truncation_bound": budget.truncation,
               "aliasing_bound": budget.aliasing}
-    pio.write_json(out, report)
-    _say(f"simulate-fourier: error={err!r} bound={budget.total!r} "
-         f"K={plan.K} a={plan.a!r} -> {out}")
+    pio.write_json(args.out, report)
+    print(f"simulate-fourier: error={err!r} bound={budget.total!r} "
+          f"K={plan.K} a={plan.a!r} -> {args.out}")
     return 0
 
 
-def _cmd_simulate_contour(args, cfg) -> int:
-    spec = pio.parse_function_spec(_merge(args, cfg, "f", str, required=True))
-    eps = _merge(args, cfg, "eps", float, default=1e-8)
-    dec, r1, r2, psi, f_psi = _contour_setup(args, cfg, spec)
+def _cmd_simulate_contour(args) -> int:
+    spec = pio.parse_function_spec(_required(args, "f"))
+    dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
     rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
-    plan = contour.plan_lattice(spec.fn, eps, rho, dec.kappa_s,
+    plan = contour.plan_lattice(spec.fn, args.eps, rho, dec.kappa_s,
                                 float(np.linalg.norm(f_psi)), psi_norm, r1=r1, r2=r2,
-                                m=_merge(args, cfg, "m", int))
+                                m=args.m)
     approx = contour.discrete_sum_apply(dec, spec.fn, plan, psi)
     err = float(np.linalg.norm(approx - f_psi))
     bound = plan.error_bounds(rho, psi_norm).total
-    out = _out_path(args, cfg, "simulate_contour.json")
     report = {"plan": pio.contour_plan_json(plan), "size": dec.matrix.shape[0],
               "f": spec.label, "spectral_radius": rho,
               "error_measured": err, "error_bound": bound}
-    pio.write_json(out, report)
-    _say(f"simulate-contour: error={err!r} bound={bound!r} m={plan.m} -> {out}")
+    pio.write_json(args.out, report)
+    print(f"simulate-contour: error={err!r} bound={bound!r} m={plan.m} -> {args.out}")
     return 0
 
 
-def _cmd_app(args, cfg) -> int:
-    name = _merge(args, cfg, "name", str, required=True)
-    d = _merge(args, cfg, "d", int, required=True)
-    n = _merge(args, cfg, "n", int, required=True)
-    h = _merge(args, cfg, "h", float, default=1.0)
-    T = _merge(args, cfg, "T", float, required=True)
-    eps = _merge(args, cfg, "eps", float, required=True)
-    seed = _merge(args, cfg, "seed", int, default=0)
-    m = _merge(args, cfg, "m", int)
-    coeffs_str = _merge(args, cfg, "coeffs", str)
+def _cmd_app(args) -> int:
+    name = _required(args, "name")
+    d = _required(args, "d")
+    n = _required(args, "n")
+    T = _required(args, "T")
+    eps = _required(args, "eps")
     coeffs = None
-    if coeffs_str is not None:
+    if args.coeffs is not None:
         try:
-            coeffs = [float(t) for t in coeffs_str.split(",")]
+            coeffs = [float(t) for t in args.coeffs.split(",")]
         except ValueError as exc:
             raise PrecondError(f"--coeffs must be numbers a0,a1,...: {exc}")
-    rec = operators.run_application(name, operators.GridSpec(d, n, h), T, eps,
-                                    seed=seed, coeffs=coeffs, m=m)
-    out = _out_path(args, cfg, "app.csv")
-    pio.write_csv(out, pio.RECORD_HEADER, [pio.record_row(rec)])
-    _say(f"app {name}: error={rec.error_measured!r} bound={rec.error_bound!r} "
-         f"params {rec.params} -> {out}")
+    rec = operators.run_application(name, operators.GridSpec(d, n, args.h), T, eps,
+                                    seed=args.seed, coeffs=coeffs, m=args.m)
+    pio.write_csv(args.out, pio.RECORD_HEADER, [pio.record_row(rec)])
+    print(f"app {name}: error={rec.error_measured!r} bound={rec.error_bound!r} "
+          f"params {rec.params} -> {args.out}")
     return 0
 
 
-def _cmd_cost(args, cfg) -> int:
-    which = _merge(args, cfg, "path", str, default="both").lower()
+def _cmd_cost(args) -> int:
+    which = args.path.lower()
     if which not in ("a", "b", "both"):
         raise PrecondError(f"--path must be a, b, or both, got {which!r}")
-    eps = _merge(args, cfg, "eps", float, required=True)
-    T = _merge(args, cfg, "T", float, default=1.0)
-    anorm = _merge(args, cfg, "anorm", float, default=1.0)
-    ur = _merge(args, cfg, "ur", float, default=1.0)
-    alpha = _merge(args, cfg, "alpha", float)
-    mode = _merge(args, cfg, "mode", str, default="root")
-    fspec_str = _merge(args, cfg, "f", str)
+    eps = _required(args, "eps")
     profile = None
-    if alpha is not None:
-        profile = SpectralProfile(alpha=alpha, T=T, mode=mode)
-    fspec = pio.parse_function_spec(fspec_str) if fspec_str else None
+    if args.alpha is not None:
+        profile = SpectralProfile(alpha=args.alpha, T=args.T, mode=args.mode)
+    fspec = pio.parse_function_spec(args.f) if args.f else None
 
     if which == "a":
         if profile is None:
             raise PrecondError("cost --path a needs --alpha (and --T, --mode)")
-        rep = costmodel.path_a_cost(profile, anorm, T, eps, ur)
+        rep = costmodel.path_a_cost(profile, args.anorm, args.T, eps, args.ur)
     else:
         if which == "b" and fspec is None:
             raise PrecondError("cost --path b needs --f")
         cmp = costmodel.compare_paths(costmodel.ProblemSpec(
-            eps=eps, a_norm=anorm, spectral_radius=_merge(args, cfg, "rho", float, default=0.5),
+            eps=eps, a_norm=args.anorm, spectral_radius=args.rho,
             profile=profile if which == "both" else None,
             f=fspec.fn if fspec else None, f_label=fspec.label if fspec else "",
-            T=T, u_r=ur, gamma=_merge(args, cfg, "gamma", float, default=1.0),
-            psi_norm=_merge(args, cfg, "psinorm", float, default=1.0),
-            f_psi_norm=_merge(args, cfg, "fpsi", float, default=1.0)))
+            T=args.T, u_r=args.ur, gamma=args.gamma, psi_norm=args.psinorm,
+            f_psi_norm=args.fpsi))
+        if fspec and cmp.plan_b is not None:
+            _refuse_pole(fspec, cmp.plan_b.r2)
         rep = cmp.report_b
     if which != "both":
-        out = _out_path(args, cfg, "cost.json")
+        out = args.out or "cost.json"
         pio.write_json(out, pio.cost_report_json(rep))
-        _say(f"cost path-{which}: matrix_queries={rep.matrix_queries!r} "
-             f"lcu_terms={rep.lcu_terms!r} -> {out}")
+        print(f"cost path-{which}: matrix_queries={rep.matrix_queries!r} "
+              f"lcu_terms={rep.lcu_terms!r} -> {out}")
         return 0
     fields = ["matrix_queries", "state_queries", "lcu_terms",
               "amplification", "l1_norm", "u_r"]
@@ -261,22 +223,19 @@ def _cmd_cost(args, cfg) -> int:
         ra = getattr(cmp.report_a, name) if cmp.report_a else ""
         rb = getattr(cmp.report_b, name) if cmp.report_b else ""
         rows.append([name, ra, rb])
-    out = _out_path(args, cfg, "cost.csv")
+    out = args.out or "cost.csv"
     pio.write_csv(out, ["metric", "path-a", "path-b"], rows)
-    _say(f"recommendation: {cmp.recommendation} ({cmp.reason}) -> {out}")
+    print(f"recommendation: {cmp.recommendation} ({cmp.reason}) -> {out}")
     return 0
 
 
-def _cmd_sweep(args, cfg) -> int:
-    which = _merge(args, cfg, "path", str, required=True).lower()
-    seed = _merge(args, cfg, "seed", int, default=0)
-    out = _out_path(args, cfg, "sweep.csv")
+def _cmd_sweep(args) -> int:
+    which = _required(args, "path").lower()
     if which == "fourier":
-        profile = _profile(args, cfg)
-        eps = _merge(args, cfg, "eps", float, default=1e-8)
-        ks = pio.parse_range(_merge(args, cfg, "K", str, required=True), integer=True)
-        dec = hermitian_eig(_fourier_matrix(args, cfg, profile, seed))
-        plan = fourier.plan_fourier(profile, dec.norm, eps)
+        profile = _profile(args)
+        ks = pio.parse_range(_required(args, "K"), integer=True)
+        dec = hermitian_eig(_fourier_matrix(args))
+        plan = fourier.plan_fourier(profile, dec.norm, args.eps)
         oracle = fourier.evolution_oracle(profile, dec)
         # One coefficient sample at the largest cutoff serves every row.
         wide = replace(plan, K=int(ks.max()), coefficients=None)
@@ -287,13 +246,13 @@ def _cmd_sweep(args, cfg) -> int:
             err = float(np.linalg.norm(approx - oracle, 2))
             bound = fourier.error_bounds(replace(plan, K=int(K)), dec.norm).total
             rows.append([int(K), err, bound])
-        pio.write_csv(out, ["K", "error_measured", "error_bound"], rows)
-        _say(f"sweep fourier: {len(rows)} points, a={plan.a!r} -> {out}")
+        pio.write_csv(args.out, ["K", "error_measured", "error_bound"], rows)
+        print(f"sweep fourier: {len(rows)} points, a={plan.a!r} -> {args.out}")
         return 0
     if which == "contour":
-        spec = pio.parse_function_spec(_merge(args, cfg, "f", str, required=True))
-        ms = pio.parse_range(_merge(args, cfg, "m", str, required=True), integer=True)
-        dec, r1, r2, psi, f_psi = _contour_setup(args, cfg, spec)
+        spec = pio.parse_function_spec(_required(args, "f"))
+        ms = pio.parse_range(_required(args, "m"), integer=True)
+        dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
         rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
         rows = []
         for m in ms:
@@ -302,8 +261,8 @@ def _cmd_sweep(args, cfg) -> int:
             err = float(np.linalg.norm(approx - f_psi))
             budget = plan.error_bounds(rho, psi_norm)
             rows.append([int(m), err, budget.aliasing, budget.truncation])
-        pio.write_csv(out, ["m", "error", "aliasing_bound", "truncation_bound"], rows)
-        _say(f"sweep contour: {len(rows)} points, R1={r1!r} R2={r2!r} -> {out}")
+        pio.write_csv(args.out, ["m", "error", "aliasing_bound", "truncation_bound"], rows)
+        print(f"sweep contour: {len(rows)} points, R1={r1!r} R2={r2!r} -> {args.out}")
         return 0
     raise PrecondError(f"--path must be fourier or contour, got {which!r}")
 
@@ -321,92 +280,100 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and the subparser of each command."""
     ap = argparse.ArgumentParser(
         prog="psf-matfunc",
         description="Spectral-aliasing laboratory: cosine-series and contour "
                     "evaluation of matrix functions, planners, and cost models.")
     sub = ap.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p):
+    def command(name, help, out):
+        p = sub.add_parser(name, help=help,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", help="flat key = value parameter file")
-        p.add_argument("--out", help="output file (CSV or JSON per command)")
-        p.add_argument("--seed", type=int, help="RNG seed for generated instances")
+        p.add_argument("--out", default=out, help="output file")
+        p.add_argument("--seed", type=int, default=0,
+                       help="RNG seed for generated instances")
+        commands[name] = p
+        return p
 
-    def profile_flags(p):
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--T", type=float)
-        p.add_argument("--mode", choices=["root", "direct"])
+    def profile_flags(p, T=None):
+        p.add_argument("--alpha", type=float, help="decay order")
+        p.add_argument("--T", type=float, default=T, help="evolution time")
+        p.add_argument("--mode", choices=["root", "direct"], default="root",
+                       help="operator access mode")
 
-    p = sub.add_parser("plan", help="Fourier-path planner: (a, K) and bounds")
-    common(p)
+    p = command("plan", "Fourier-path planner: (a, K) and bounds", "plan.json")
     profile_flags(p)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--hnorm", type=float)
+    p.add_argument("--eps", type=float, help="target accuracy")
+    p.add_argument("--hnorm", type=float, help="operator norm ||H||")
 
-    p = sub.add_parser("kernel", help="tabulate the time-domain kernel")
-    common(p)
+    p = command("kernel", "tabulate the time-domain kernel", "kernel.csv")
     profile_flags(p)
-    p.add_argument("--x", help="lo:hi:step sample range")
+    p.add_argument("--x", default="0:10:0.5", help="lo:hi:step sample range")
 
-    p = sub.add_parser("simulate-fourier", help="end-to-end cosine-series run")
-    common(p)
+    p = command("simulate-fourier", "end-to-end cosine-series run",
+                "simulate_fourier.json")
     profile_flags(p)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--hnorm", type=float)
+    p.add_argument("--eps", type=float, help="target accuracy")
+    p.add_argument("--hnorm", type=float, default=1.0,
+                   help="norm of the generated instance")
     p.add_argument("--matrix", help="operator file (.json or Matrix Market)")
-    p.add_argument("--size", type=int, help="generated instance size")
+    p.add_argument("--size", type=int, default=8, help="generated instance size")
 
-    p = sub.add_parser("simulate-contour", help="end-to-end contour run")
-    common(p)
+    p = command("simulate-contour", "end-to-end contour run", "simulate_contour.json")
     p.add_argument("--f", help="exp-neg | exp-neg-i | poly:a0,a1,... | inv-shift:c")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--R1", type=float)
-    p.add_argument("--R2", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--matrix")
-    p.add_argument("--size", type=int)
-    p.add_argument("--rho", type=float, help="spectral radius of the generated instance")
+    p.add_argument("--eps", type=float, default=1e-8, help="target relative accuracy")
+    p.add_argument("--R1", type=float, help="lattice radius; unset means 1.1 rho(A)")
+    p.add_argument("--R2", type=float, help="outer radius; unset means 2 R1")
+    p.add_argument("--m", type=int, help="node count; unset means planned from --eps")
+    p.add_argument("--matrix", help="operator file (.json or Matrix Market)")
+    p.add_argument("--size", type=int, default=8, help="generated instance size")
+    p.add_argument("--rho", type=float, default=0.5,
+                   help="spectral radius of the generated instance")
 
-    p = sub.add_parser("app", help="named application driver")
-    common(p)
-    p.add_argument("--name", choices=list(operators._APPS))
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--h", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--eps", type=float)
+    p = command("app", "named application driver", "app.csv")
+    p.add_argument("--name", choices=list(operators._APPS), help="application")
+    p.add_argument("--d", type=int, help="grid dimension")
+    p.add_argument("--n", type=int, help="sites per axis")
+    p.add_argument("--h", type=float, default=1.0, help="mesh size")
+    p.add_argument("--T", type=float, help="evolution time")
+    p.add_argument("--eps", type=float, help="target accuracy")
     p.add_argument("--m", type=int, help="node-count override (matrix_poly)")
     p.add_argument("--coeffs", help="polynomial coefficients a0,a1,...")
 
-    p = sub.add_parser("cost", help="query-count models and path comparison")
-    common(p)
-    p.add_argument("--path", choices=["a", "b", "both"])
-    profile_flags(p)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--anorm", type=float)
-    p.add_argument("--ur", type=float)
-    p.add_argument("--f")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--fpsi", type=float)
-    p.add_argument("--psinorm", type=float)
+    p = command("cost", "query-count models and path comparison", None)
+    p.add_argument("--path", choices=["a", "b", "both"], default="both",
+                   help="path to model; unset --out means cost.json, or "
+                        "cost.csv for both")
+    profile_flags(p, T=1.0)
+    p.add_argument("--eps", type=float, help="target accuracy")
+    p.add_argument("--anorm", type=float, default=1.0, help="operator norm ||A||")
+    p.add_argument("--ur", type=float, default=1.0, help="||u0|| / ||uT||")
+    p.add_argument("--f", help="exp-neg | exp-neg-i | poly:a0,a1,... | inv-shift:c")
+    p.add_argument("--rho", type=float, default=0.5, help="spectral radius of A")
+    p.add_argument("--gamma", type=float, default=1.0, help="block-encoding factor")
+    p.add_argument("--fpsi", type=float, default=1.0, help="||f(A) psi||")
+    p.add_argument("--psinorm", type=float, default=1.0, help="||psi||")
 
-    p = sub.add_parser("sweep", help="convergence sweeps (CSV)")
-    common(p)
-    p.add_argument("--path", choices=["fourier", "contour"])
+    p = command("sweep", "convergence sweeps (CSV)", "sweep.csv")
+    p.add_argument("--path", choices=["fourier", "contour"], help="path to sweep")
     profile_flags(p)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--hnorm", type=float)
+    p.add_argument("--eps", type=float, default=1e-8, help="accuracy the plan targets")
+    p.add_argument("--hnorm", type=float, default=1.0,
+                   help="norm of the generated instance")
     p.add_argument("--K", help="lo:hi:step cutoff sweep")
-    p.add_argument("--f")
+    p.add_argument("--f", help="exp-neg | exp-neg-i | poly:a0,a1,... | inv-shift:c")
     p.add_argument("--m", help="lo:hi:step node sweep")
-    p.add_argument("--R1", type=float)
-    p.add_argument("--R2", type=float)
-    p.add_argument("--matrix")
-    p.add_argument("--size", type=int)
-    p.add_argument("--rho", type=float)
-    return ap
+    p.add_argument("--R1", type=float, help="lattice radius; unset means 1.1 rho(A)")
+    p.add_argument("--R2", type=float, help="outer radius; unset means 2 R1")
+    p.add_argument("--matrix", help="operator file (.json or Matrix Market)")
+    p.add_argument("--size", type=int, default=8, help="generated instance size")
+    p.add_argument("--rho", type=float, default=0.5,
+                   help="spectral radius of the generated instance")
+    return ap, commands
 
 
 def _join_negative_ranges(argv: list[str]) -> list[str]:
@@ -422,17 +389,25 @@ def _join_negative_ranges(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(_join_negative_ranges(sys.argv[1:] if argv is None else argv))
+    argv = _join_negative_ranges(sys.argv[1:] if argv is None else argv)
+    ap, commands = _build_parser()
+    args = ap.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, _load_config(args.config))
+        if args.config is not None:
+            # Config values become the command's defaults, so argparse casts
+            # them like flags and a flag given on the command line wins.
+            cfg = _load_config(args.config)
+            commands[args.command].set_defaults(**{
+                k: v for k, v in cfg.items()
+                if k in vars(args) and k not in ("config", "command")})
+            args = ap.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except PrecondError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical: {exc}", file=sys.stderr)
         return 3
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -176,8 +176,10 @@ def plan_m(eps: float, r1: float, r2: float, b2: float, kappa_s: float,
         raise PrecondError(f"eps must lie in (0, 1), got {eps}")
     if not (0.0 <= rho < r1 < r2):
         raise PrecondError(f"need 0 <= rho < R1 < R2, got {rho}, {r1}, {r2}")
-    if f_psi_norm <= 0 or psi_norm <= 0 or b2 <= 0 or kappa_s < 1.0:
-        raise PrecondError("norms and B2 must be positive, kappa_s >= 1")
+    if not (all(0.0 < v < math.inf for v in (f_psi_norm, psi_norm, b2))
+            and 1.0 <= kappa_s < math.inf):
+        raise PrecondError("norms and B2 must be finite and positive, "
+                           "kappa_s finite and >= 1")
 
     def smallest(ratio: float, target: float) -> int:
         # ratio^m / (1 - ratio^m) <= target  <=>  ratio^m <= target/(1+target)

@@ -47,26 +47,6 @@ class CostReport:
                 raise PrecondError(f"{name} must be finite and nonnegative, got {v}")
 
 
-def qsvt_cos_degree(tau: float, eps: float) -> int:
-    """Polynomial degree model for cos(tau x) to accuracy eps:
-    ceil(tau) + ceil(log2(1/eps))."""
-    if tau < 0:
-        raise PrecondError(f"tau must be nonnegative, got {tau}")
-    if not (0.0 < eps < 1.0):
-        raise PrecondError(f"eps must lie in (0, 1), got {eps}")
-    return math.ceil(tau) + math.ceil(math.log2(1.0 / eps))
-
-
-def qsvt_inverse_degree(gamma: float, alpha_a: float, r1: float, eps: float) -> int:
-    """Degree model for the shifted-resolvent inversion:
-    ceil(gamma (alpha_A + R1) ln(1/eps))."""
-    if min(gamma, alpha_a, r1) < 0:
-        raise PrecondError("gamma, alpha_A and R1 must be nonnegative")
-    if not (0.0 < eps < 1.0):
-        raise PrecondError(f"eps must lie in (0, 1), got {eps}")
-    return math.ceil(gamma * (alpha_a + r1) * math.log(1.0 / eps))
-
-
 def l1_norm_model(profile: SpectralProfile) -> float:
     """Coefficient 1-norm model: exactly 1 in the stable band (p <= 2),
     logarithmic (4/pi^2) ln(p/2) + 1 beyond it."""
@@ -181,6 +161,7 @@ class PathComparison:
     reason: str
     report_a: CostReport | None
     report_b: CostReport | None
+    plan_b: contour.ContourPlan | None = None   # the plan behind report_b
 
 
 def _contour_plan_for(problem: ProblemSpec, f: Callable) -> contour.ContourPlan:
@@ -203,7 +184,6 @@ def compare_paths(problem: ProblemSpec) -> PathComparison:
     prof = problem.profile
     f = problem.f
     report_a = None
-    report_b = None
     if prof is not None:
         report_a = path_a_cost(prof, problem.a_norm, problem.T, problem.eps,
                                problem.u_r)
@@ -218,18 +198,17 @@ def compare_paths(problem: ProblemSpec) -> PathComparison:
         p_int = int(round(prof.p))
         T = problem.T
         f = lambda z: np.exp(-T * z ** p_int)
-    if f is not None:
-        report_b = path_b_cost(_contour_plan_for(problem, f), problem.gamma,
-                               problem.f_psi_norm, problem.psi_norm,
-                               problem.eps)
+    plan_b = _contour_plan_for(problem, f)
+    report_b = path_b_cost(plan_b, problem.gamma, problem.f_psi_norm,
+                           problem.psi_norm, problem.eps)
     if prof is None:
         return PathComparison(
             recommendation="path-b",
             reason="f is holomorphic on a disk enclosing the spectrum; "
                    "geometric convergence applies",
-            report_a=None, report_b=report_b)
+            report_a=None, report_b=report_b, plan_b=plan_b)
     return PathComparison(
         recommendation="either",
         reason="entire target function: both representations converge "
                "(cosine series and contour lattice)",
-        report_a=report_a, report_b=report_b)
+        report_a=report_a, report_b=report_b, plan_b=plan_b)

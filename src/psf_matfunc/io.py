@@ -36,12 +36,16 @@ def load_matrix(path: str) -> np.ndarray:
         try:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
-            rows, cols = int(obj["rows"]), int(obj["cols"])
+            dims = float(obj["rows"]), float(obj["cols"])
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj["im"], dtype=float)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise PrecondError(f"cannot read matrix JSON {path} "
                                f"(needs rows/cols/re/im): {exc}")
+        if not all(d.is_integer() for d in dims):
+            raise PrecondError(f"matrix JSON in {path}: rows and cols must be "
+                               f"integers, got {obj['rows']!r} x {obj['cols']!r}")
+        rows, cols = (int(d) for d in dims)
         if min(rows, cols) < 0 or re.size != rows * cols or im.size != rows * cols:
             raise PrecondError(
                 f"matrix JSON in {path}: {rows}x{cols} declared but "

@@ -201,6 +201,18 @@ def test_contour_commands_refuse_outer_radius_at_pole(tmp_path, capsys):
         assert rc == 2 and "singularity" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--path", "b", "--f", "inv-shift:0.1"],
+    ["--path", "both", "--alpha", "1", "--f", "inv-shift:0.3"],
+], ids=["path-b", "path-both"])
+def test_cost_refuses_outer_radius_at_pole(tmp_path, capsys, argv):
+    """The cost plan's R2 = 1.1 (rho = 0.5) encloses the pole of 1/(z+c) at
+    |z| = c < 1.1: cost refuses it as the contour commands do."""
+    rc, _, err = run(["cost", "--eps", "1e-6", *argv, "--out", str(tmp_path / "out")],
+                     capsys)
+    assert rc == 2 and "singularity" in err
+
+
 def test_sweep_fourier_row_at_plan_cutoff_matches_simulate(tmp_path, capsys):
     """The sweep and simulate-fourier share one series evaluator and one
     bound; the sweep samples its coefficients at its largest K."""
@@ -243,6 +255,23 @@ def test_config_merge_and_override(tmp_path, capsys):
     assert run(["plan", "--config", str(cfg), "--eps", "1e-3",
                 "--out", out3], capsys)[0] == 0
     assert json.loads(read_bytes(out3))["K"] < json.loads(read_bytes(out1))["K"]
+    # a config value is cast like its flag, and a key no flag names is ignored
+    sim = tmp_path / "sim.cfg"
+    sim.write_text("seed = 7\nthreads = 4\n")
+    common = ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6"]
+    out4 = str(tmp_path / "s4.json")
+    out5 = str(tmp_path / "s5.json")
+    assert run(common + ["--config", str(sim), "--out", out4], capsys)[0] == 0
+    assert run(common + ["--seed", "7", "--out", out5], capsys)[0] == 0
+    assert read_bytes(out4) == read_bytes(out5)
+    # a config value that fails its type is a usage error, as a bad flag is
+    bad = tmp_path / "bad-eps.cfg"
+    bad.write_text("eps = abc\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["plan", "--config", str(bad), "--alpha", "1", "--T", "1",
+                  "--hnorm", "1", "--out", str(tmp_path / "p6.json")])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_config_malformed_line(tmp_path, capsys):
@@ -286,16 +315,23 @@ def test_exit_code_precondition(capsys):
     ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:16:8",
      "--matrix", "{tmp}/im-x.json"],
     ["simulate-contour", "--f", "exp-neg", "--matrix", "{tmp}/negative.json"],
+    ["simulate-contour", "--f", "exp-neg", "--matrix", "{tmp}/rows-2.5.json"],
+    ["cost", "--path", "b", "--f", "exp-neg", "--eps", "1e-6", "--psinorm", "nan"],
+    ["cost", "--path", "b", "--f", "exp-neg", "--eps", "1e-6", "--fpsi", "inf"],
 ], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x",
         "heat-d4-n8", "heat-d2-n64", "contour-size-0", "sweep-contour-size-0",
         "contour-rho-negative", "matrix-missing", "matrix-malformed",
-        "matrix-im-x", "matrix-negative-dims"])
+        "matrix-im-x", "matrix-negative-dims", "matrix-rows-2.5",
+        "cost-psinorm-nan", "cost-fpsi-inf"])
 def test_exit_code_admission(tmp_path, capsys, argv):
     (tmp_path / "malformed.json").write_text('{"rows": 1,')
     (tmp_path / "im-x.json").write_text(
         json.dumps({"rows": 1, "cols": 1, "re": [1.0], "im": "x"}))
     (tmp_path / "negative.json").write_text(
         json.dumps({"rows": -2, "cols": -2, "re": [1.0] * 4, "im": [0.0] * 4}))
+    (tmp_path / "rows-2.5.json").write_text(
+        json.dumps({"rows": 2.5, "cols": 2, "re": [0.5, 0.0, 0.0, 0.25],
+                    "im": [0.0] * 4}))
     argv = [a.format(tmp=tmp_path) for a in argv]
     t0 = time.perf_counter()
     rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)

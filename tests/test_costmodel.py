@@ -5,29 +5,9 @@ import pytest
 
 from psf_matfunc.contour import ContourPlan, make_plan, plan_m
 from psf_matfunc.costmodel import (CostReport, ProblemSpec, compare_paths,
-                                   l1_norm_model, path_a_cost, path_b_cost,
-                                   qsvt_cos_degree, qsvt_inverse_degree)
+                                   l1_norm_model, path_a_cost, path_b_cost)
 from psf_matfunc.errors import PrecondError
 from psf_matfunc.kernels import SpectralProfile
-
-
-def test_qsvt_cos_degree():
-    assert qsvt_cos_degree(0.0, 0.5) == 1
-    # doubling tau by an integer amount shifts the degree by the same amount
-    assert qsvt_cos_degree(14.0, 1e-3) - qsvt_cos_degree(7.0, 1e-3) == 7
-    # each factor 1000 of accuracy costs ~10 doublings
-    assert qsvt_cos_degree(1.0, 1e-6) - qsvt_cos_degree(1.0, 1e-3) == 10
-    with pytest.raises(PrecondError):
-        qsvt_cos_degree(-1.0, 0.5)
-    with pytest.raises(PrecondError):
-        qsvt_cos_degree(1.0, 2.0)
-
-
-def test_qsvt_inverse_degree():
-    assert qsvt_inverse_degree(0.0, 1.0, 1.0, 1e-6) == 0
-    assert qsvt_inverse_degree(1.0, 1.0, 1.0, 1e-6) == 28
-    with pytest.raises(PrecondError):
-        qsvt_inverse_degree(-1.0, 1.0, 1.0, 1e-6)
 
 
 def test_l1_norm_model_bands():
