@@ -15,9 +15,9 @@ from .kernels import (L1Estimate, SpectralProfile, TimeKernel,
                       kernel_value, kernel_values, l1_norm_estimate,
                       lattice_kernel, saddle_rate)
 from .fourier import (FourierPlan, aliasing_bound, assemble_fourier_approx,
-                      cosine_series, error_bounds, evolution_oracle,
-                      lcu_coefficients, plan_fourier, scalar_psf_residual,
-                      spectral_scale, truncation_bound, truncation_ratio)
+                      cosine_series, error_bounds, lcu_coefficients,
+                      plan_fourier, scalar_psf_residual, spectral_scale,
+                      truncation_bound, truncation_ratio)
 from .contour import (Amplification, ContourPlan, RadiusResult,
                       aliasing_norm_ratio, aliasing_term,
                       amplification_factor, circle_sup, discrete_sum_apply,
@@ -45,7 +45,7 @@ __all__ = [
     "aliasing_term", "amplification_factor", "assemble_fourier_approx",
     "circle_sup", "compare_paths", "cosine_series", "decay_envelope",
     "difference_operator", "dirac_operator", "discrete_sum_apply", "eig",
-    "envelope_rate", "error_bounds", "evolution_matrix", "evolution_oracle",
+    "envelope_rate", "error_bounds", "evolution_matrix",
     "gradient_stack", "kernel_value", "kernel_values", "l1_norm_estimate",
     "laplacian", "lattice_kernel", "lattice_radii", "lcu_coefficients",
     "make_nodes", "make_plan", "matfun", "optimize_radius", "path_a_cost",

@@ -29,7 +29,7 @@ from . import contour, costmodel, fourier, io as pio, operators
 from .errors import NumericalError, PrecondError
 from .instances import random_normal_matrix, random_psd, random_state
 from .kernels import SpectralProfile, decay_envelope, lattice_kernel
-from .linalg import eig, hermitian_eig, matfun
+from .linalg import eig, evolution_matrix, hermitian_eig, matfun
 
 
 def _load_config(path: str) -> dict:
@@ -133,7 +133,7 @@ def _cmd_simulate_fourier(args) -> int:
     dec = hermitian_eig(_fourier_matrix(args))
     plan = fourier.plan_fourier(profile, dec.norm, eps)
     approx = fourier.assemble_fourier_approx(plan, dec)
-    oracle = fourier.evolution_oracle(profile, dec)
+    oracle = evolution_matrix(dec, profile.alpha, profile.T)
     err = float(np.linalg.norm(approx - oracle, 2))
     budget = fourier.error_bounds(plan, dec.norm)
     report = {"plan": pio.fourier_plan_json(plan), "size": dec.matrix.shape[0],
@@ -233,16 +233,15 @@ def _cmd_sweep(args) -> int:
     which = _required(args, "path").lower()
     if which == "fourier":
         profile = _profile(args)
-        ks = pio.parse_range(_required(args, "K"), integer=True)
+        ks = pio.parse_range(_required(args, "K"))
         dec = hermitian_eig(_fourier_matrix(args))
         plan = fourier.plan_fourier(profile, dec.norm, args.eps)
-        oracle = fourier.evolution_oracle(profile, dec)
+        oracle = evolution_matrix(dec, profile.alpha, profile.T)
         # One coefficient sample at the largest cutoff serves every row.
         wide = replace(plan, K=int(ks.max()), coefficients=None)
-        lam, V = dec.eigenvalues.real, dec.basis
         rows = []
         for K in ks:
-            approx = (V * fourier.cosine_series(wide, lam, int(K))) @ V.conj().T
+            approx = matfun(dec, lambda lam: fourier.cosine_series(wide, lam.real, K))
             err = float(np.linalg.norm(approx - oracle, 2))
             bound = fourier.error_bounds(replace(plan, K=int(K)), dec.norm).total
             rows.append([int(K), err, bound])
@@ -251,7 +250,7 @@ def _cmd_sweep(args) -> int:
         return 0
     if which == "contour":
         spec = pio.parse_function_spec(_required(args, "f"))
-        ms = pio.parse_range(_required(args, "m"), integer=True)
+        ms = pio.parse_range(_required(args, "m"))
         dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
         rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
         rows = []

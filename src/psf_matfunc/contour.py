@@ -34,6 +34,7 @@ from .linalg import (Operator, SpectralDecomposition, as_decomposition, matfun,
 _SUP_SAMPLES = 4096
 _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(_SUP_SAMPLES) / _SUP_SAMPLES)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_RADIUS_REL_TOL = 1e-6   # golden-section bracket width, relative to R2
 
 
 def make_nodes(r1: float, m: int) -> np.ndarray:
@@ -62,7 +63,6 @@ class ContourPlan:
     r1: float
     r2: float
     m: int
-    quad_n: int
     b1: float           # sup |f| on |z| = R1
     b2: float           # sup |f| on |z| = R2
     kappa_s: float = 1.0
@@ -73,15 +73,17 @@ class ContourPlan:
                 f"radii must satisfy 0 < R1 < R2, got R1={self.r1}, R2={self.r2}")
         if self.m < 1:
             raise PrecondError(f"node count must be >= 1, got {self.m}")
-        if self.quad_n < 8 * self.m:
-            raise PrecondError(
-                f"outer quadrature needs quad_n >= 8m, got {self.quad_n} < {8 * self.m}")
         if self.kappa_s < 1.0:
             raise PrecondError(f"kappa_s must be >= 1, got {self.kappa_s}")
 
     @property
     def mu(self) -> float:
         return self.r1 / self.r2
+
+    @property
+    def quad_n(self) -> int:
+        """Nodes of the outer-circle trapezoid rule: max(8m, 256)."""
+        return max(8 * self.m, 256)
 
     def error_bounds(self, rho: float, psi_norm: float) -> ErrorBudget:
         """Bound on ||S_m psi - f(A) psi|| for spectral radius rho: the outer
@@ -92,10 +94,9 @@ class ContourPlan:
 
 
 def make_plan(f: Callable[[np.ndarray], np.ndarray], r1: float, r2: float,
-              m: int, quad_n: int | None = None, kappa_s: float = 1.0) -> ContourPlan:
+              m: int, kappa_s: float = 1.0) -> ContourPlan:
     """Assemble a plan with given radii and node count (`plan_lattice`)."""
-    return plan_lattice(f, None, 0.0, kappa_s, None, None,
-                        r1=r1, r2=r2, m=m, quad_n=quad_n)
+    return plan_lattice(f, None, 0.0, kappa_s, None, None, r1=r1, r2=r2, m=m)
 
 
 def _check_enclosure(A: Operator, radius: float, label: str) -> SpectralDecomposition:
@@ -138,7 +139,7 @@ def truncation_integral(A: Operator, f: Callable[[np.ndarray], np.ndarray],
     """Trapezoid evaluation of the outer-circle remainder term.
 
     (1/(2 pi i)) oint_{|z|=R2} R1^m/(z^m - R1^m) f(z) (zI-A)^{-1} psi dz,
-    with quad_n uniform nodes (quad_n >= 8m enforced by the plan).
+    with plan.quad_n = max(8m, 256) uniform nodes.
     """
     dec = _check_enclosure(A, plan.r2, "R2")
     n = plan.quad_n
@@ -209,12 +210,12 @@ class RadiusResult(NamedTuple):
     at_boundary: bool
 
 
-def _golden_section(phi: Callable[[float], float], lo: float, hi: float,
-                    rel_tol: float) -> tuple[float, float]:
+def _golden_section(phi: Callable[[float], float], lo: float,
+                    hi: float) -> tuple[float, float]:
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = phi(c), phi(d)
-    while (hi - lo) > rel_tol * max(abs(hi), 1.0):
+    while (hi - lo) > _RADIUS_REL_TOL * max(abs(hi), 1.0):
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -227,8 +228,8 @@ def _golden_section(phi: Callable[[float], float], lo: float, hi: float,
     return x, phi(x)
 
 
-def optimize_radius(f_sup: Callable[[float], float], r1: float, r2_cap: float,
-                    rel_tol: float = 1e-6) -> RadiusResult:
+def optimize_radius(f_sup: Callable[[float], float], r1: float,
+                    r2_cap: float) -> RadiusResult:
     """Minimize f_sup(R2) * R2 / (R2 - R1)^2 over (R1, r2_cap].
 
     Golden-section search restarted on three geometric sub-brackets of the
@@ -249,11 +250,11 @@ def optimize_radius(f_sup: Callable[[float], float], r1: float, r2_cap: float,
     best_x, best_val = r2_cap, phi(r2_cap)
     boundary = True
     for lo_f, hi_f in zip(cuts[:-1], cuts[1:]):
-        x, val = _golden_section(phi, r1 + lo_f * span, r1 + hi_f * span, rel_tol)
+        x, val = _golden_section(phi, r1 + lo_f * span, r1 + hi_f * span)
         if val < best_val:
             best_x, best_val = x, val
             boundary = False
-    if boundary or best_x >= r2_cap * (1.0 - 2.0 * rel_tol):
+    if boundary or best_x >= r2_cap * (1.0 - 2.0 * _RADIUS_REL_TOL):
         # interior searches never beat the cap: report the boundary
         if phi(r2_cap) <= best_val:
             return RadiusResult(r2_cap, True)
@@ -299,26 +300,22 @@ def lattice_radii(rho: float, r1: float | None = None,
 def plan_lattice(f: Callable[[np.ndarray], np.ndarray], eps: float | None,
                  rho: float, kappa_s: float, f_psi_norm: float | None,
                  psi_norm: float | None, r1: float | None = None,
-                 r2: float | None = None, m: int | None = None,
-                 quad_n: int | None = None) -> ContourPlan:
-    """The contour planner: radii (`lattice_radii`), circle suprema, m and
-    quad_n = max(8m, 256). m defaults to `plan_m` at relative accuracy eps
-    against ||f(A) psi||; only then are eps and the two norms read."""
+                 r2: float | None = None, m: int | None = None) -> ContourPlan:
+    """The contour planner: radii (`lattice_radii`), circle suprema and m.
+    m defaults to `plan_m` at relative accuracy eps against ||f(A) psi||;
+    only then are eps and the two norms read."""
     r1, r2 = lattice_radii(rho, r1, r2)
     b2 = circle_sup(f, r2)
     if m is None:
         m = plan_m(eps, r1, r2, b2, kappa_s, f_psi_norm, psi_norm, rho=rho)
-    if quad_n is None:
-        quad_n = max(8 * m, 256)
-    return ContourPlan(r1=r1, r2=r2, m=m, quad_n=quad_n,
-                       b1=circle_sup(f, r1), b2=b2, kappa_s=kappa_s)
+    return ContourPlan(r1=r1, r2=r2, m=m, b1=circle_sup(f, r1), b2=b2,
+                       kappa_s=kappa_s)
 
 
 def plan_contour(A: Operator, f: Callable[[np.ndarray], np.ndarray],
                  psi: np.ndarray, eps: float,
                  r1: float | None = None, r2: float | None = None,
-                 optimize: bool = False, r2_cap_factor: float = 16.0,
-                 quad_n: int | None = None) -> ContourPlan:
+                 optimize: bool = False, r2_cap_factor: float = 16.0) -> ContourPlan:
     """End-to-end plan for f(A) psi: eig, f(A) psi, then `plan_lattice`.
 
     With optimize=True and no R2, R2 is the golden-section optimum of the
@@ -333,4 +330,4 @@ def plan_contour(A: Operator, f: Callable[[np.ndarray], np.ndarray],
         r2 = optimize_radius(lambda r: circle_sup(f, r), r1, r2_cap_factor * r1).r2
     f_psi_norm = float(np.linalg.norm(matfun(dec, f) @ psi))
     return plan_lattice(f, eps, rho, dec.kappa_s, f_psi_norm,
-                        float(np.linalg.norm(psi)), r1=r1, r2=r2, quad_n=quad_n)
+                        float(np.linalg.norm(psi)), r1=r1, r2=r2)

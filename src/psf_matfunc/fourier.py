@@ -20,8 +20,10 @@ exist and are planned for separately:
 The planner picks the period a and the cutoff K so each reported bound is at
 most eps_internal / 2. One evaluator, `cosine_series`, sums the series on
 the spectrum of H for any cutoff up to the plan's; `assemble_fourier_approx`
-wraps it in the eigenbasis of H, and `evolution_oracle` is the dense
-reference every run is measured against; both also take H's decomposition.
+maps it to a matrix through `linalg.matfun`, and also takes H's
+decomposition. Every run is measured against the one dense reference,
+`linalg.evolution_matrix(H, alpha, T)`: the target is e^{-T H^alpha} in both
+modes, since direct mode has p = alpha.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import ErrorBudget, NumericalError, PrecondError
 from .kernels import (_LOG_FLOAT_MAX, SpectralProfile, TimeKernel,
                       algebraic_envelope_constant, lattice_kernel, saddle_rate)
-from .linalg import Operator, evolution_matrix, hermitian_eig, matfun
+from .linalg import Operator, clamp_psd, hermitian_eig, matfun
 
 _GROWTH = 1.05
 _MAX_GROWTH_STEPS = 200
@@ -117,7 +119,6 @@ class FourierPlan:
     a: float                     # lattice period
     K: int                       # cosine cutoff, terms |k| <= K
     eps_internal: float
-    regime: str
     spectral_scale: float        # scale the aliasing gap was planned against
     coefficients: np.ndarray | None = field(default=None, repr=False)
 
@@ -126,8 +127,8 @@ class FourierPlan:
         return self.K / self.a
 
     @property
-    def gap(self) -> float:
-        return self.a - self.spectral_scale
+    def regime(self) -> str:
+        return self.profile.regime
 
 
 def plan_fourier(profile: SpectralProfile, h_norm: float,
@@ -166,7 +167,7 @@ def plan_fourier(profile: SpectralProfile, h_norm: float,
 
     K = max(1, int(math.ceil(ratio * a)))
     return FourierPlan(profile=profile, a=a, K=K, eps_internal=eps_internal,
-                       regime=profile.regime, spectral_scale=scale)
+                       spectral_scale=scale)
 
 
 def error_bounds(plan: FourierPlan, h_norm: float) -> ErrorBudget:
@@ -196,18 +197,13 @@ def cosine_series(plan: FourierPlan, lam: np.ndarray,
                   K: int | None = None) -> np.ndarray:
     """c_0 + 2 sum_{k=1}^K c_k cos(2 pi k theta / a), K <= plan.K (default),
     at each eigenvalue lam of a Hermitian H: theta = sqrt(lam) in root mode,
-    which requires lam >= 0 up to a clamp window, and lam in direct mode.
-    Every theta must stay below the period a."""
+    which requires lam >= 0 up to the `clamp_psd` window, and lam in direct
+    mode. Every theta must stay below the period a."""
     K = plan.K if K is None else K
     if not 0 <= K <= plan.K:
         raise PrecondError(f"cutoff {K} outside the plan's 0..{plan.K}")
     c = lcu_coefficients(plan)
-    grid = lam
-    if plan.profile.mode == "root":
-        if lam.size and lam.min() < -1e-12 * max(float(np.abs(lam).max()), 1.0):
-            raise PrecondError(
-                f"root mode requires PSD input: eigenvalue {lam.min():.3e}")
-        grid = np.sqrt(np.maximum(lam, 0.0))
+    grid = np.sqrt(clamp_psd(lam)) if plan.profile.mode == "root" else lam
     scale = float(np.abs(grid).max()) if grid.size else 0.0
     if scale >= plan.a:
         raise PrecondError(
@@ -220,21 +216,8 @@ def cosine_series(plan: FourierPlan, lam: np.ndarray,
 
 def assemble_fourier_approx(plan: FourierPlan, H: Operator) -> np.ndarray:
     """Evaluate the cosine combination of the plan on a Hermitian H:
-    `cosine_series` on the spectrum, then the eigenbasis."""
-    dec = hermitian_eig(H)
-    return (dec.basis * cosine_series(plan, dec.eigenvalues.real)) @ dec.basis.conj().T
-
-
-def evolution_oracle(profile: SpectralProfile, H: Operator) -> np.ndarray:
-    """Dense e^{-T H^alpha} (root mode) or e^{-T H^p} (direct mode) of a
-    Hermitian H; even integer p in direct mode accepts indefinite H."""
-    dec = hermitian_eig(H)
-    p = profile.p
-    if profile.mode == "direct" and profile.regime == "analytic":
-        k = int(round(p))
-        return matfun(dec, lambda lam: np.exp(-profile.T * lam ** k))
-    return evolution_matrix(dec, profile.alpha if profile.mode == "root" else p,
-                            profile.T)
+    `cosine_series` on the spectrum, mapped through `matfun`."""
+    return matfun(hermitian_eig(H), lambda lam: cosine_series(plan, lam.real))
 
 
 def scalar_psf_residual(kern: TimeKernel, a: float, delta: float, K: int,

@@ -80,12 +80,10 @@ def random_normal_matrix(seed: int | np.random.Generator, n: int,
     return (U * lam) @ U.conj().T
 
 
-def random_state(seed: int | np.random.Generator, n: int, normalized: bool = True) -> np.ndarray:
-    rng = _rng(seed)
-    v = complex_gaussian(rng, (n,))
-    if normalized:
-        v = v / np.linalg.norm(v)
-    return v
+def random_state(seed: int | np.random.Generator, n: int) -> np.ndarray:
+    """Unit-norm complex Gaussian vector."""
+    v = complex_gaussian(_rng(seed), (n,))
+    return v / np.linalg.norm(v)
 
 
 def random_diagonalizable(seed: int | np.random.Generator, n: int,

@@ -105,10 +105,18 @@ RECORD_HEADER = ["app", "d", "n", "h", "T", "eps", "params",
                  "error_measured", "error_bound", "wall_time_ms"]
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written (a missing
+    directory, no permission) is a precondition failure, not a crash."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PrecondError(f"cannot write {path}: {exc}")
+
+
 def write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +142,7 @@ def csv_text(header: list, rows: list) -> str:
 
 
 def write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text(header, rows))
+    _write_text(path, csv_text(header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +202,12 @@ def parse_lattice(spec: str) -> tuple[float, float, int]:
     return lo, step, count
 
 
-def parse_range(spec: str, integer: bool = False) -> np.ndarray:
-    """The points lo + i*step of `parse_lattice(spec)`; with integer=True
-    every point must be an integer."""
+def parse_range(spec: str) -> np.ndarray:
+    """The points lo + i*step of `parse_lattice(spec)`, each of which must
+    be an integer (cutoff and node-count sweeps)."""
     lo, step, count = parse_lattice(spec)
     vals = [lo + i * step for i in range(count)]
-    if integer:
-        out = np.array([int(round(v)) for v in vals], dtype=int)
-        if np.any(np.abs(out - np.asarray(vals)) > 1e-9):
-            raise PrecondError(f"range {spec!r} must contain integers")
-        return out
-    return np.asarray(vals, dtype=float)
+    out = np.array([int(round(v)) for v in vals], dtype=int)
+    if np.any(np.abs(out - np.asarray(vals)) > 1e-9):
+        raise PrecondError(f"range {spec!r} must contain integers")
+    return out

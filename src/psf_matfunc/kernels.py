@@ -37,6 +37,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import NumericalError, PrecondError
+from .linalg import is_even_integer
 
 # xi beyond which e^{-T xi^p} < 1e-18: contributes nothing at double precision.
 _TAIL_LOG = math.log(1e18)
@@ -82,10 +83,7 @@ class SpectralProfile:
     @property
     def regime(self) -> str:
         """'analytic' iff p is an even positive integer, else 'fractional'."""
-        p = self.p
-        if abs(p - round(p)) < 1e-12 and round(p) > 0 and round(p) % 2 == 0:
-            return "analytic"
-        return "fractional"
+        return "analytic" if is_even_integer(self.p) else "fractional"
 
     @property
     def tail_cutoff(self) -> float:

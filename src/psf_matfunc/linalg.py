@@ -6,11 +6,14 @@ dense numpy eigendecompositions, with explicit residual checks against the
 matrix itself instead of silent trust in the factorization.
 
 One reduction serves every function of a matrix (Higham, *Functions of
-Matrices*, SIAM 2008, ch. 4): each command computes `eig` once and passes the
-`SpectralDecomposition`, which carries the matrix and its 2-norm, down to
-every dense consumer; no per-call amortization keywords remain. The same
-reduction serves every shift of a contour sum: `resolvent_apply` takes a
-vector of shifts and solves them all in one vectorized pass.
+Matrices*, SIAM 2008, ch. 1 and 4): each command computes `eig` once and
+passes the `SpectralDecomposition`, which carries the matrix and its 2-norm,
+down to every dense consumer, and `matfun` alone forms V f(Lambda) V^{-1}:
+the Fourier series, its sweeps and the one oracle `evolution_matrix` go
+through it. Which spectra a real power admits is decided here too: an even
+integer power (`is_even_integer`) any, any other power a PSD one
+(`clamp_psd`). The same reduction serves every shift of a contour sum:
+`resolvent_apply` takes a vector of shifts and solves them all at once.
 """
 
 from __future__ import annotations
@@ -41,10 +44,26 @@ def as_matrix(M: np.ndarray) -> np.ndarray:
     return np.asarray(M, dtype=complex)
 
 
-def is_hermitian(M: np.ndarray, tol: float = _HERM_TOL) -> bool:
+def is_hermitian(M: np.ndarray) -> bool:
     M = np.asarray(M, dtype=complex)
     scale = max(1.0, float(np.abs(M).max()))
-    return float(np.abs(M - M.conj().T).max()) <= tol * scale
+    return float(np.abs(M - M.conj().T).max()) <= _HERM_TOL * scale
+
+
+def is_even_integer(x: float) -> bool:
+    """True iff x is a positive even integer to 1e-12: then t^x is a
+    polynomial, defined on every real t."""
+    return abs(x - round(x)) < 1e-12 and round(x) > 0 and round(x) % 2 == 0
+
+
+def clamp_psd(lam: np.ndarray) -> np.ndarray:
+    """The real spectrum lam of a Hermitian PSD operator with entries in
+    [-1e-12*max(max|lam|, 1), 0) clamped to zero; anything more negative
+    is a genuine precondition failure."""
+    if lam.size and lam.min() < -_PSD_CLAMP * max(float(np.abs(lam).max()), 1.0):
+        raise PrecondError(
+            f"operator is not PSD: eigenvalue {lam.min():.6e} below the clamp window")
+    return np.maximum(lam, 0.0)
 
 
 @dataclass
@@ -197,19 +216,19 @@ def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.n
 
 
 def evolution_matrix(H: Operator, alpha: float, T: float) -> np.ndarray:
-    """Reference dense e^{-T H^alpha} for Hermitian PSD H.
+    """Reference dense e^{-T H^alpha} of a Hermitian H, the one oracle of
+    the Fourier path.
 
-    Eigenvalues in [-1e-12*||H||, 0) are clamped to zero; anything more
-    negative is a genuine precondition failure.
+    An even integer alpha is an integer power, defined on any Hermitian H
+    (heat and biharmonic on the indefinite Dirac root). Any other alpha
+    needs H PSD up to the `clamp_psd` window.
     """
     if alpha <= 0:
         raise PrecondError(f"alpha must be positive, got {alpha}")
     if T < 0:
         raise PrecondError(f"T must be non-negative, got {T}")
     dec = hermitian_eig(H)
-    lam, V = dec.eigenvalues.real, dec.basis
-    if np.any(lam < -_PSD_CLAMP * max(dec.norm, 1.0)):
-        raise PrecondError(
-            f"matrix is not PSD: eigenvalue {lam.min():.6e} below the clamp window")
-    lam = np.clip(lam, 0.0, None)
-    return (V * np.exp(-T * lam ** alpha)) @ V.conj().T
+    if is_even_integer(alpha):
+        k = int(round(alpha))
+        return matfun(dec, lambda lam: np.exp(-T * lam ** k))
+    return matfun(dec, lambda lam: np.exp(-T * clamp_psd(lam.real) ** alpha))

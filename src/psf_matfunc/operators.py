@@ -23,7 +23,7 @@ from . import contour, fourier
 from .errors import NumericalError, PrecondError
 from .instances import random_state
 from .kernels import SpectralProfile
-from .linalg import eig, hermitian_eig, matfun
+from .linalg import eig, evolution_matrix, hermitian_eig, matfun
 
 _MAX_SITES = 4096
 _DIRAC_TOL = 1e-12
@@ -199,7 +199,7 @@ def _fourier_app(app: str, g: GridSpec, T: float, eps: float) -> tuple[dict, flo
     profile = SpectralProfile(alpha=alpha, T=T, mode=mode)
     # levy evolves L'L itself; only heat and biharmonic need the Dirac root H
     dec = hermitian_eig((L.conj().T @ L).real if app == "levy" else dirac_operator(L).H)
-    oracle = fourier.evolution_oracle(profile, dec)
+    oracle = evolution_matrix(dec, alpha, T)
     plan = fourier.plan_fourier(profile, dec.norm, eps)
     approx = fourier.assemble_fourier_approx(plan, dec)
     err = float(np.linalg.norm(approx - oracle, 2))
@@ -209,11 +209,13 @@ def _fourier_app(app: str, g: GridSpec, T: float, eps: float) -> tuple[dict, flo
     return params, err, bound
 
 
-def _poly_app(g: GridSpec, eps: float, psi: np.ndarray,
+def _poly_app(g: GridSpec, eps: float, seed: int,
               coeffs, m: int | None) -> tuple[dict, float, float]:
-    """Contour evaluation of a polynomial of the shifted encoding, measured
-    against the exact lattice identity f(A) R1^m (R1^m I - A^m)^{-1} psi."""
+    """Contour evaluation of a polynomial of the shifted encoding on a random
+    state psi drawn from `seed`, measured against the exact lattice identity
+    f(A) R1^m (R1^m I - A^m)^{-1} psi."""
     A = shifted_encoding(laplacian(g), g)
+    psi = random_state(np.random.default_rng(seed), g.size)
     coeffs = np.asarray(coeffs, dtype=complex)
     f = lambda z: np.polynomial.polynomial.polyval(z, coeffs)
     dec = eig(A)
@@ -235,8 +237,8 @@ def _poly_app(g: GridSpec, eps: float, psi: np.ndarray,
 
 
 def run_application(app: str, g: GridSpec, T: float, eps: float,
-                    u0: np.ndarray | None = None, seed: int = 0,
-                    coeffs=None, m: int | None = None) -> ConvergenceRecord:
+                    seed: int = 0, coeffs=None,
+                    m: int | None = None) -> ConvergenceRecord:
     """Run one end-to-end experiment and report errors vs its oracle.
 
     heat/biharmonic evolve e^{-T H^p} on the block root operator (p = 2, 4,
@@ -256,16 +258,11 @@ def run_application(app: str, g: GridSpec, T: float, eps: float,
     dim = g.size if app in ("levy", "matrix_poly") else g.size + g.d * g.n ** (g.d - 1) * (g.n + 1)
     if dim > _MAX_SITES:
         raise PrecondError(f"dense dimension {dim} is beyond the desk-scale cap {_MAX_SITES}")
-    if u0 is None:
-        u0 = random_state(np.random.default_rng(seed), dim)
-    u0 = np.asarray(u0, dtype=complex)
-    if u0.shape != (dim,):
-        raise PrecondError(f"state has shape {u0.shape}, operator expects ({dim},)")
 
     t0 = time.perf_counter()
     if app == "matrix_poly":
         params, err, bound = _poly_app(
-            g, eps, u0, _DEFAULT_COEFFS if coeffs is None else coeffs, m)
+            g, eps, seed, _DEFAULT_COEFFS if coeffs is None else coeffs, m)
     else:
         params, err, bound = _fourier_app(app, g, T, eps)
     ms = (time.perf_counter() - t0) * 1e3

@@ -131,7 +131,7 @@ def test_criterion_07_resolvent_sum_closure():
     psi = random_state(rng, 6)
 
     def residual(f, r2, m):
-        plan = make_plan(f, 1.0, r2, m, quad_n=2048)
+        plan = make_plan(f, 1.0, r2, m)
         out = (discrete_sum_apply(A, f, plan, psi)
                - matfun(A, f) @ psi
                + aliasing_term(A, f, plan, psi)

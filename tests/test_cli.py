@@ -339,6 +339,24 @@ def test_exit_code_admission(tmp_path, capsys, argv):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "--alpha", "1", "--T", "1", "--eps", "1e-6", "--hnorm", "1"],
+    ["kernel", "--alpha", "1", "--T", "1", "--x", "0:1:0.5"],
+    ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6", "--size", "4"],
+    ["simulate-contour", "--f", "exp-neg", "--size", "4"],
+    ["app", "--name", "heat", "--d", "1", "--n", "4", "--T", "0.5", "--eps", "1e-4"],
+    ["cost", "--path", "both", "--alpha", "1", "--T", "1", "--eps", "1e-6"],
+    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:16:8", "--size", "4"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_two(tmp_path, capsys, argv):
+    """An --out in a missing directory is a precondition failure, not a
+    traceback."""
+    out = str(tmp_path / "missing" / "out")
+    rc, _, err = run(argv + ["--out", out], capsys)
+    assert rc == 2 and err.startswith("precondition:") and out in err
+    assert not os.path.exists(tmp_path / "missing")
+
+
 def test_exit_code_numerical(tmp_path, capsys):
     mpath = str(tmp_path / "jordan.json")
     save_matrix(mpath, np.array([[0.5, 1.0], [0.0, 0.5]]))
@@ -398,6 +416,13 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_public_names_resolve_once():
+    names = psf_matfunc.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(psf_matfunc, name) is not None
 
 
 def test_console_script_smoke(tmp_path):

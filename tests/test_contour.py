@@ -52,17 +52,15 @@ def test_circle_sup():
 
 def test_plan_validation():
     with pytest.raises(PrecondError):
-        ContourPlan(r1=2.0, r2=1.0, m=4, quad_n=256, b1=1.0, b2=1.0)
+        ContourPlan(r1=2.0, r2=1.0, m=4, b1=1.0, b2=1.0)
     with pytest.raises(PrecondError):
-        ContourPlan(r1=1.0, r2=2.0, m=0, quad_n=256, b1=1.0, b2=1.0)
+        ContourPlan(r1=1.0, r2=2.0, m=0, b1=1.0, b2=1.0)
     with pytest.raises(PrecondError):
-        ContourPlan(r1=1.0, r2=2.0, m=40, quad_n=256, b1=1.0, b2=1.0)
-    with pytest.raises(PrecondError):
-        ContourPlan(r1=1.0, r2=2.0, m=4, quad_n=256, b1=1.0, b2=1.0,
-                    kappa_s=0.5)
+        ContourPlan(r1=1.0, r2=2.0, m=4, b1=1.0, b2=1.0, kappa_s=0.5)
     plan = make_plan(one, 1.0, 2.0, 4)
     assert plan.mu == 0.5
-    assert plan.quad_n >= 8 * plan.m
+    assert plan.quad_n == 256
+    assert make_plan(one, 1.0, 2.0, 40).quad_n == 320
 
 
 def test_discrete_sum_scalar_geometric():
@@ -79,7 +77,7 @@ def test_discrete_sum_zero_operator_is_identity():
 
 
 def test_discrete_sum_converged_diagonal():
-    plan = make_plan(exp_neg, 1.0, 2.0, 40, quad_n=512)
+    plan = make_plan(exp_neg, 1.0, 2.0, 40)
     D = np.diag([0.1, 0.4])
     psi = np.array([1.0, 1.0])
     out = discrete_sum_apply(D, exp_neg, plan, psi)
@@ -154,7 +152,7 @@ def test_truncation_vanishes_for_low_degree_at_large_radius():
 def test_truncation_within_norm_bound():
     A = random_normal_matrix(default_rng(5), 6, spectral_radius=0.5)
     psi = random_state(default_rng(6), 6)
-    plan = make_plan(exp_neg, 1.0, 2.0, 8, quad_n=2048)
+    plan = make_plan(exp_neg, 1.0, 2.0, 8)
     rem = truncation_integral(A, psi=psi, f=exp_neg, plan=plan)
     assert np.linalg.norm(rem) <= truncation_norm_bound(
         plan, float(np.linalg.norm(psi)))
@@ -202,8 +200,8 @@ def test_contour_sums_make_one_batched_solve(monkeypatch):
     assert not hasattr(contour, "ordered_map")
 
 
-def _closure_residual(A, psi, f, r2, m, quad_n=2048):
-    plan = make_plan(f, 1.0, r2, m, quad_n=quad_n)
+def _closure_residual(A, psi, f, r2, m):
+    plan = make_plan(f, 1.0, r2, m)
     S = discrete_sum_apply(A, f, plan, psi)
     f_psi = matfun(A, f) @ psi
     alias = aliasing_term(A, f, plan, psi)
@@ -313,8 +311,8 @@ def test_plan_lattice_defaults():
                             1.0, 1.0, 1.0, rho=0.5)
     assert plan.quad_n == max(8 * plan.m, 256)
     assert plan.b1 == circle_sup(exp_neg, plan.r1)
-    fixed = plan_lattice(exp_neg, None, 0.5, 1.0, None, None, m=40, quad_n=400)
-    assert (fixed.m, fixed.quad_n) == (40, 400)
+    fixed = plan_lattice(exp_neg, None, 0.5, 1.0, None, None, m=40)
+    assert (fixed.m, fixed.quad_n) == (40, 320)
     assert make_plan(exp_neg, 1.0, 2.0, 8) == plan_lattice(
         exp_neg, None, 0.0, 1.0, None, None, r1=1.0, r2=2.0, m=8)
 

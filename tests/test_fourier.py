@@ -6,8 +6,8 @@ import pytest
 
 from psf_matfunc.errors import PrecondError
 from psf_matfunc.fourier import (aliasing_bound, assemble_fourier_approx,
-                                 cosine_series, evolution_oracle,
-                                 error_bounds, lcu_coefficients, plan_fourier,
+                                 cosine_series, error_bounds,
+                                 lcu_coefficients, plan_fourier,
                                  scalar_psf_residual, spectral_scale,
                                  truncation_bound, truncation_ratio)
 from psf_matfunc.instances import (random_diagonalizable, random_hermitian,
@@ -136,10 +136,7 @@ def test_assemble_measured_error_below_reported_budget():
         assert profile.regime == "analytic" or plan.K == 2422
         budget = error_bounds(plan, 1.0)
         H = random_psd(np.random.default_rng(31), 8, norm=1.0)
-        if profile.mode == "root":
-            oracle = evolution_matrix(H, profile.alpha, profile.T)
-        else:
-            oracle = matfun(H, lambda lam: np.exp(-profile.T * lam**2))
+        oracle = evolution_matrix(H, profile.alpha, profile.T)
         err = np.linalg.norm(assemble_fourier_approx(plan, H) - oracle, 2)
         assert err <= budget.total
 
@@ -170,14 +167,20 @@ def test_cosine_series_cutoffs_share_one_sample():
 
 
 def test_evolution_oracle_modes():
+    """The one oracle evolution_matrix(H, alpha, T) serves both modes, since
+    direct mode has p = alpha: an even power of an indefinite H, and
+    fractional powers of a PSD H."""
     H = random_hermitian(5, 6, norm=1.0)
-    direct = evolution_oracle(SpectralProfile(4.0, 0.5, "direct"), H)
-    np.testing.assert_array_equal(direct, matfun(H, lambda lam: np.exp(-0.5 * lam ** 4)))
+    direct = SpectralProfile(4.0, 0.5, "direct")
+    np.testing.assert_array_equal(evolution_matrix(H, direct.alpha, direct.T),
+                                  matfun(H, lambda lam: np.exp(-0.5 * lam ** 4)))
     P = random_psd(5, 6, norm=1.0)
-    np.testing.assert_array_equal(evolution_oracle(SpectralProfile(0.75, 0.5, "root"), P),
-                                  evolution_matrix(P, 0.75, 0.5))
-    np.testing.assert_array_equal(evolution_oracle(SpectralProfile(1.5, 0.5, "direct"), P),
-                                  evolution_matrix(P, 1.5, 0.5))
+    for profile in (SpectralProfile(0.75, 0.5, "root"),
+                    SpectralProfile(1.5, 0.5, "direct")):
+        np.testing.assert_array_equal(
+            evolution_matrix(P, profile.alpha, profile.T),
+            matfun(P, lambda lam: np.exp(
+                -0.5 * np.maximum(lam.real, 0.0) ** profile.alpha)))
 
 
 @pytest.mark.parametrize("profile", [SpectralProfile(0.75, 0.5, "root"),
@@ -190,14 +193,14 @@ def test_decomposition_stands_in_for_its_operator(profile):
     plan = plan_fourier(profile, dec.norm, 1e-6)
     np.testing.assert_array_equal(assemble_fourier_approx(plan, dec),
                                   assemble_fourier_approx(plan, H))
-    np.testing.assert_array_equal(evolution_oracle(profile, dec),
-                                  evolution_oracle(profile, H))
+    np.testing.assert_array_equal(evolution_matrix(dec, profile.alpha, profile.T),
+                                  evolution_matrix(H, profile.alpha, profile.T))
     A = random_diagonalizable(9, 6, spectral_radius=0.5)
     for op in (A, eig(A)):
         with pytest.raises(PrecondError):
             assemble_fourier_approx(plan, op)
         with pytest.raises(PrecondError):
-            evolution_oracle(profile, op)
+            evolution_matrix(op, profile.alpha, profile.T)
 
 
 def test_scalar_psf_identity_gaussian():

@@ -152,14 +152,12 @@ def test_function_spec_inv_shift():
 
 
 def test_parse_range():
-    np.testing.assert_array_equal(parse_range("4:48:4", integer=True),
-                                  np.arange(4, 49, 4))
-    np.testing.assert_allclose(parse_range("0:1:0.25"),
-                               [0.0, 0.25, 0.5, 0.75, 1.0])
-    np.testing.assert_array_equal(parse_range("7"), [7.0])
+    np.testing.assert_array_equal(parse_range("4:48:4"), np.arange(4, 49, 4))
+    np.testing.assert_array_equal(parse_range("7"), [7])
     with pytest.raises(PrecondError):
         parse_range("1:0:1")
-    with pytest.raises(PrecondError):
-        parse_range("0:1:0.3", integer=True)
+    for spec in ("0:1:0.3", "0:1:0.25"):
+        with pytest.raises(PrecondError):
+            parse_range(spec)
     with pytest.raises(PrecondError):
         parse_range("a:b:c")

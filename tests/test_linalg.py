@@ -194,6 +194,17 @@ def test_evolution_psd_clamp_window():
         evolution_matrix(Hbad, 1.0, 1.0)
 
 
+def test_evolution_even_power_admits_indefinite():
+    """An even integer alpha is an integer power, defined on any Hermitian
+    H; any other alpha still needs H PSD."""
+    H = random_hermitian(np.random.default_rng(3), 6)
+    assert np.linalg.eigvalsh(H).min() < -0.1
+    np.testing.assert_array_equal(evolution_matrix(H, 4.0, 0.5),
+                                  matfun(H, lambda lam: np.exp(-0.5 * lam ** 4)))
+    with pytest.raises(PrecondError):
+        evolution_matrix(H, 1.5, 0.5)
+
+
 def test_evolution_rejects_non_hermitian():
     A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(PrecondError):

@@ -188,8 +188,6 @@ def test_run_application_guards():
         run_application("heat", g, 1.0, -1e-5)
     with pytest.raises(PrecondError):
         run_application("heat", g, -1.0, 1e-5)
-    with pytest.raises(PrecondError):
-        run_application("heat", g, 1.0, 1e-5, u0=np.ones(5))
 
 
 def test_record_fields_round_out():
