@@ -14,6 +14,15 @@ through it. Which spectra a real power admits is decided here too: an even
 integer power (`is_even_integer`) any, any other power a PSD one
 (`clamp_psd`). The same reduction serves every shift of a contour sum:
 `resolvent_apply` takes a vector of shifts and solves them all at once.
+
+The Dirac root H = [[0, -iL'], [iL, 0]] of a real factor L has a structured
+decomposition, `dirac_eig`: H^2 = blockdiag(L'L, LL'), so an even function
+phi of H is blockdiag(phi(sqrt(L'L)), phi(sqrt(LL'))) (Higham, ch. 1), and
+one real `eigh` of the n x n matrix L'L, under the reconstruction check of
+`eig`, serves it. `matfun`, `hermitian_eig` and `evolution_matrix` accept
+that decomposition like any other, so the heat and biharmonic evolutions
+never form or decompose H; `matfun` refuses a function that is not even on
+its spectrum.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ _HERM_TOL = 1e-12        # relative Hermiticity test
 _RECON_TOL = 1e-10       # eigendecomposition must reconstruct M to this
 _RESOLVENT_DIST = 1e-13  # z must keep this relative distance from spectrum
 _PSD_CLAMP = 1e-12       # eigenvalues in [-tol*||H||, 0) are clamped to 0
+_EVEN_TOL = 1e-12        # relative |f(s) - f(-s)| for an even function
 
 
 def as_matrix(M: np.ndarray) -> np.ndarray:
@@ -66,6 +76,25 @@ def clamp_psd(lam: np.ndarray) -> np.ndarray:
     return np.maximum(lam, 0.0)
 
 
+def _check_reconstruction(recon: np.ndarray, M: np.ndarray, nrm: float) -> None:
+    """The reconstruction contract of every decomposition: a Frobenius
+    (>= 2-norm) residual above 1e-10*||M||_2 raises NumericalError."""
+    resid = float(np.linalg.norm(recon - M))
+    if resid > _RECON_TOL * max(nrm, 1e-300):
+        raise NumericalError(
+            f"eigendecomposition does not reconstruct the matrix: "
+            f"residual {resid:.3e} > {_RECON_TOL:.0e}*||M|| (matrix may be defective)")
+
+
+def _eigh_checked(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(lam, V, ||M||_2) of a Hermitian M by `eigh`, in M's own field (real
+    symmetric M stays real), under the reconstruction contract."""
+    lam, V = np.linalg.eigh(M)
+    nrm = float(np.abs(lam).max())
+    _check_reconstruction((V * lam) @ V.conj().T, M, nrm)
+    return lam, V, nrm
+
+
 @dataclass
 class SpectralDecomposition:
     """A validated matrix, its eigenpairs, basis condition number and 2-norm."""
@@ -82,7 +111,20 @@ class SpectralDecomposition:
         return float(np.abs(self.eigenvalues).max())
 
 
-Operator = np.ndarray | SpectralDecomposition   # a matrix or its decomposition
+@dataclass
+class DiracDecomposition:
+    """The Dirac root H = [[0, -iL'], [iL, 0]] of a real m x n factor L, held
+    as L and the real eigenpairs L'L = W diag(lam) W' of its n x n block."""
+
+    factor: np.ndarray           # L, real m x n
+    gram_eigenvalues: np.ndarray  # lam, shape (n,), real, >= 0
+    gram_basis: np.ndarray       # W, real orthogonal n x n
+    norm: float                  # ||H||_2 = sqrt(max lam)
+    hermitian = True             # H is Hermitian by construction
+
+
+Decomposition = SpectralDecomposition | DiracDecomposition
+Operator = np.ndarray | Decomposition   # a matrix or its decomposition
 
 
 def eig(M: np.ndarray) -> SpectralDecomposition:
@@ -97,57 +139,110 @@ def eig(M: np.ndarray) -> SpectralDecomposition:
     M = as_matrix(M)
     herm = is_hermitian(M)
     if herm:
-        lam, V = np.linalg.eigh(M)
-        nrm = float(np.abs(lam).max())
+        lam, V, nrm = _eigh_checked(M)
         lam = lam.astype(complex)
         kappa = 1.0
-        recon = (V * lam) @ V.conj().T
     else:
         try:
             lam, V = np.linalg.eig(M)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise NumericalError(f"eigendecomposition failed to converge: {exc}")
         kappa = float(np.linalg.cond(V, 2))
-        recon = (V * lam) @ np.linalg.inv(V)
         nrm = float(np.linalg.norm(M, 2))
-    resid = float(np.linalg.norm(recon - M))
-    if resid > _RECON_TOL * max(nrm, 1e-300):
-        raise NumericalError(
-            f"eigendecomposition does not reconstruct the matrix: "
-            f"residual {resid:.3e} > {_RECON_TOL:.0e}*||M|| (matrix may be defective)")
+        _check_reconstruction((V * lam) @ np.linalg.inv(V), M, nrm)
     return SpectralDecomposition(matrix=M, eigenvalues=lam, basis=V, kappa_s=kappa,
                                  hermitian=herm, norm=nrm)
 
 
-def as_decomposition(M: Operator) -> SpectralDecomposition:
+def dirac_eig(L: np.ndarray) -> DiracDecomposition:
+    """Decompose the Dirac root of a real factor L through L'L alone.
+
+    One real `eigh` of the n x n matrix L'L under the reconstruction
+    contract of `eig`; neither H nor any complex matrix is formed. L'L is
+    PSD, so eigenvalues that rounding puts below zero are taken as zero.
+    """
+    L = np.asarray(L)
+    if L.ndim != 2 or L.size == 0:
+        raise PrecondError(f"gradient factor must be a non-empty matrix, got shape {L.shape}")
+    if np.iscomplexobj(L) or not np.all(np.isfinite(L)):
+        raise PrecondError("gradient factor entries must be real and finite")
+    L = np.asarray(L, dtype=float)
+    lam, W, nrm = _eigh_checked(L.T @ L)
+    return DiracDecomposition(factor=L, gram_eigenvalues=np.maximum(lam, 0.0),
+                              gram_basis=W, norm=float(np.sqrt(nrm)))
+
+
+def as_decomposition(M: Operator) -> Decomposition:
     """M itself when the caller already holds its decomposition, else eig(M)."""
-    return M if isinstance(M, SpectralDecomposition) else eig(M)
+    return M if isinstance(M, Decomposition) else eig(M)
 
 
-def hermitian_eig(H: Operator) -> SpectralDecomposition:
+def hermitian_eig(H: Operator) -> Decomposition:
     """`as_decomposition` of a Hermitian H. Any other H is refused before it
     is decomposed, so a defective H is a PrecondError, not a NumericalError."""
-    if not (H.hermitian if isinstance(H, SpectralDecomposition)
+    if not (H.hermitian if isinstance(H, Decomposition)
             else is_hermitian(as_matrix(H))):
         raise PrecondError("operator must be Hermitian")
     return as_decomposition(H)
+
+
+def _values_on(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    """fn on a vector of spectral points; it must map them elementwise to
+    finite values, and a non-finite one aborts with its point named."""
+    vals = np.asarray(fn(points))
+    if vals.shape != points.shape:
+        raise PrecondError("fn must map the eigenvalue vector elementwise")
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericalError(f"fn returned a non-finite value at eigenvalue {points[k]}")
+    return vals
+
+
+def _dirac_matfun(dec: DiracDecomposition, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """phi(H) = blockdiag(W phi(sigma) W', phi(0) I + LW diag((phi(sigma) -
+    phi(0)) / lam) (LW)') with sigma = sqrt(lam), for fn = phi even.
+
+    fn is evaluated once on [sigma, -sigma, 0], the spectrum of H with 0
+    standing in for the null space of L'; it is refused unless it is even
+    there to rounding. A column of LW has norm sqrt(lam), so the columns with
+    lam at the eigh rounding floor carry nothing and are dropped; the floor
+    also keeps the rounding of phi(sigma) - phi(0) from being divided by a
+    lam that is itself rounding. Each lam carries an absolute error of about
+    u*||L'L||, so a small singular value of an ill-conditioned L keeps fewer
+    digits here than in eigh of H.
+    """
+    lam, W, L = dec.gram_eigenvalues, dec.gram_basis, dec.factor
+    (m, n), sigma = L.shape, np.sqrt(lam)
+    phi = _values_on(fn, np.concatenate([sigma, -sigma, [0.0]]))
+    odd = float(np.abs(phi[:n] - phi[n:2 * n]).max())
+    if odd > _EVEN_TOL * float(np.abs(phi).max()):
+        raise PrecondError(
+            f"fn is not even on the spectrum of the Dirac root (|f(s) - f(-s)| "
+            f"up to {odd:.3e}); only even functions are evaluated through L'L")
+    phi_s, phi_0 = phi[:n], phi[2 * n]
+    keep = lam > n * np.finfo(float).eps * lam.max()
+    LW = L @ W[:, keep]
+    bottom = (LW * ((phi_s[keep] - phi_0) / lam[keep])) @ LW.T
+    bottom[np.diag_indices(m)] += phi_0
+    out = np.zeros((n + m, n + m), dtype=bottom.dtype)
+    out[:n, :n] = (W * phi_s) @ W.T
+    out[n:, n:] = bottom
+    return out
 
 
 def matfun(M: Operator, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to M through its eigendecomposition.
 
     fn receives the eigenvalue vector and must return finite values; any
-    non-finite f(lambda) aborts with the offending eigenvalue named.
+    non-finite f(lambda) aborts with the offending eigenvalue named. A
+    `DiracDecomposition` takes the structured route of `_dirac_matfun`,
+    which stays real for real fn and admits even fn only.
     """
     dec = as_decomposition(M)
-    flam = np.asarray(fn(dec.eigenvalues), dtype=complex)
-    if flam.shape != dec.eigenvalues.shape:
-        raise PrecondError("fn must map the eigenvalue vector elementwise")
-    bad = ~np.isfinite(flam)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise NumericalError(
-            f"fn returned a non-finite value at eigenvalue {dec.eigenvalues[k]}")
+    if isinstance(dec, DiracDecomposition):
+        return _dirac_matfun(dec, fn)
+    flam = np.asarray(_values_on(fn, dec.eigenvalues), dtype=complex)
     V = dec.basis
     if dec.hermitian:
         out = (V * flam) @ V.conj().T
@@ -230,5 +325,5 @@ def evolution_matrix(H: Operator, alpha: float, T: float) -> np.ndarray:
     dec = hermitian_eig(H)
     if is_even_integer(alpha):
         k = int(round(alpha))
-        return matfun(dec, lambda lam: np.exp(-T * lam ** k))
+        return matfun(dec, lambda lam: np.exp(-T * lam.real ** k))
     return matfun(dec, lambda lam: np.exp(-T * clamp_psd(lam.real) ** alpha))

@@ -318,11 +318,19 @@ def test_exit_code_precondition(capsys):
     ["simulate-contour", "--f", "exp-neg", "--matrix", "{tmp}/rows-2.5.json"],
     ["cost", "--path", "b", "--f", "exp-neg", "--eps", "1e-6", "--psinorm", "nan"],
     ["cost", "--path", "b", "--f", "exp-neg", "--eps", "1e-6", "--fpsi", "inf"],
+    # A mesh size that is not finite, or at which 4d/h^2 overflows.
+    ["app", "--name", "heat", "--d", "1", "--n", "8", "--T", "0.5", "--eps", "1e-4",
+     "--h", "inf"],
+    ["app", "--name", "heat", "--d", "1", "--n", "8", "--T", "0.5", "--eps", "1e-4",
+     "--h", "nan"],
+    ["app", "--name", "heat", "--d", "1", "--n", "8", "--T", "0.5", "--eps", "1e-4",
+     "--h", "1e-200"],
 ], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x",
         "heat-d4-n8", "heat-d2-n64", "contour-size-0", "sweep-contour-size-0",
         "contour-rho-negative", "matrix-missing", "matrix-malformed",
         "matrix-im-x", "matrix-negative-dims", "matrix-rows-2.5",
-        "cost-psinorm-nan", "cost-fpsi-inf"])
+        "cost-psinorm-nan", "cost-fpsi-inf", "app-h-inf", "app-h-nan",
+        "app-h-1e-200"])
 def test_exit_code_admission(tmp_path, capsys, argv):
     (tmp_path / "malformed.json").write_text('{"rows": 1,')
     (tmp_path / "im-x.json").write_text(

@@ -2,13 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psf_matfunc.errors import NumericalError, PrecondError
 from psf_matfunc.instances import (random_diagonalizable, random_hermitian,
                                    random_normal_matrix, random_psd,
                                    random_state, random_unitary)
-from psf_matfunc.linalg import (eig, evolution_matrix, is_hermitian, matfun,
-                                resolvent_apply)
+from psf_matfunc.linalg import (dirac_eig, eig, evolution_matrix, hermitian_eig,
+                                is_hermitian, matfun, resolvent_apply)
+from psf_matfunc.operators import dirac_operator
 
 
 def test_eig_hermitian_unitary_basis():
@@ -200,7 +203,7 @@ def test_evolution_even_power_admits_indefinite():
     H = random_hermitian(np.random.default_rng(3), 6)
     assert np.linalg.eigvalsh(H).min() < -0.1
     np.testing.assert_array_equal(evolution_matrix(H, 4.0, 0.5),
-                                  matfun(H, lambda lam: np.exp(-0.5 * lam ** 4)))
+                                  matfun(H, lambda lam: np.exp(-0.5 * lam.real ** 4)))
     with pytest.raises(PrecondError):
         evolution_matrix(H, 1.5, 0.5)
 
@@ -216,3 +219,47 @@ def test_hermitian_and_normal_predicates():
     assert is_hermitian(H)
     A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     assert not is_hermitian(A)
+
+
+_EVEN_FNS = {"cos": np.cos, "gauss": lambda x: np.exp(-x ** 2), "quartic": lambda x: x ** 4}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(m=st.integers(1, 9), n=st.integers(1, 9), rank=st.integers(0, 9),
+       seed=st.integers(0, 2 ** 32 - 1), fn=st.sampled_from(sorted(_EVEN_FNS)))
+def test_dirac_matfun_matches_eigh_of_the_block_root(m, n, rank, seed, fn):
+    """An even function of H = [[0, -iL'], [iL, 0]] evaluated from the real
+    eigendecomposition of L'L equals the one from eigh of H itself, for
+    square, tall and wide L, and for rank-deficient L with L'L singular."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, m, n)
+    L = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    dec = dirac_eig(L)
+    H = dirac_operator(L).H
+    assert dec.norm == pytest.approx(np.linalg.norm(H, 2), rel=1e-12, abs=1e-12)
+    f = _EVEN_FNS[fn]
+    ref = matfun(hermitian_eig(H), f)
+    got = matfun(dec, f)
+    assert got.dtype == np.float64 and got.shape == ref.shape
+    assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
+def test_dirac_matfun_refuses_what_is_not_even():
+    """Odd functions, and non-even powers (which need a PSD operator), are
+    refused on the Dirac root; even integer powers are served."""
+    dec = dirac_eig(np.random.default_rng(1).standard_normal((5, 3)))
+    with pytest.raises(PrecondError, match="not even"):
+        matfun(dec, lambda x: x)
+    with pytest.raises(PrecondError):
+        evolution_matrix(dec, 1.5, 0.5)
+    top = evolution_matrix(dec, 2.0, 0.5)[:3, :3]
+    L = dec.factor
+    np.testing.assert_allclose(top, matfun(L.T @ L, lambda lam: np.exp(-0.5 * lam.real)).real,
+                               rtol=0, atol=1e-14)
+
+
+def test_dirac_eig_admission():
+    for L in (np.zeros(4), np.zeros((0, 3)), np.array([[1.0, np.inf]]),
+              np.array([[1.0j, 0.0]])):
+        with pytest.raises(PrecondError):
+            dirac_eig(L)
