@@ -2,13 +2,14 @@
 
 Commands: plan, kernel, simulate-fourier, simulate-contour, app, cost,
 sweep. The parser declares each parameter once, with its type and default;
-``psf-matfunc <command> --help`` lists the defaults. A flat ``key = value``
-config file (--config) seeds a command's defaults: its values are cast and
-checked like flags, a flag on the command line wins, and keys that name no
-flag of the command are ignored. Tables land in --out as RFC-4180 CSV,
-structured results as JSON; a one-line summary goes to stdout. Exit
-status: 0 success, 2 precondition violation (including malformed input),
-3 numerical failure.
+``psf-matfunc <command> --help`` lists the defaults. Only the named
+command's flags are built; ``--help`` without a command still lists every
+command. A flat ``key = value`` config file (--config) seeds a command's
+defaults: its values are cast and checked like flags, a flag on the command
+line wins, and keys that name no flag of the command are ignored. Tables
+land in --out as RFC-4180 CSV, structured results as JSON; a one-line
+summary goes to stdout. Exit status: 0 success, 2 precondition violation
+(including malformed input), 3 numerical failure.
 
 Identical config + seed produce byte-identical output files; the one
 exception is the wall_time_ms column of app records, which reports real
@@ -22,13 +23,14 @@ import math
 import re
 import sys
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import contour, costmodel, fourier, io as pio, operators
 from .errors import NumericalError, PrecondError
 from .instances import random_normal_matrix, random_psd, random_state
-from .kernels import SpectralProfile, decay_envelope, lattice_kernel
+from .kernels import SpectralProfile, envelope_function, lattice_kernel
 from .linalg import eig, evolution_matrix, hermitian_eig, matfun
 
 
@@ -114,12 +116,17 @@ def _cmd_kernel(args) -> int:
     lo, step, count = pio.parse_lattice(args.x)
     vals = lattice_kernel(profile, lo, step, count)
     xs = [lo + i * step for i in range(count)]
+    fractional = profile.regime == "fractional"
+    # Built at the first point that needs it: at large p the algebraic
+    # constant overflows, which a table of x = 0 alone never asks for.
+    envelope = None
     rows = []
     for x, v in zip(xs, vals):
-        if x == 0.0 and profile.regime == "fractional":
+        if x == 0.0 and fractional:
             env = math.inf
         else:
-            env = decay_envelope(profile, float(x))
+            envelope = envelope or envelope_function(profile)
+            env = envelope(float(x))
         rows.append([float(x), float(v), env])
     pio.write_csv(args.out, ["x", "kernel", "envelope"], rows)
     print(f"kernel: {len(rows)} points, p={profile.p:g} ({profile.regime}), "
@@ -268,61 +275,34 @@ def _cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "plan": _cmd_plan,
-    "kernel": _cmd_kernel,
-    "simulate-fourier": _cmd_simulate_fourier,
-    "simulate-contour": _cmd_simulate_contour,
-    "app": _cmd_app,
-    "cost": _cmd_cost,
-    "sweep": _cmd_sweep,
-}
+def _profile_flags(p, T=None):
+    p.add_argument("--alpha", type=float, help="decay order")
+    p.add_argument("--T", type=float, default=T, help="evolution time")
+    p.add_argument("--mode", choices=["root", "direct"], default="root",
+                   help="operator access mode")
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and the subparser of each command."""
-    ap = argparse.ArgumentParser(
-        prog="psf-matfunc",
-        description="Spectral-aliasing laboratory: cosine-series and contour "
-                    "evaluation of matrix functions, planners, and cost models.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    commands = {}
-
-    def command(name, help, out):
-        p = sub.add_parser(name, help=help,
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        p.add_argument("--config", help="flat key = value parameter file")
-        p.add_argument("--out", default=out, help="output file")
-        p.add_argument("--seed", type=int, default=0,
-                       help="RNG seed for generated instances")
-        commands[name] = p
-        return p
-
-    def profile_flags(p, T=None):
-        p.add_argument("--alpha", type=float, help="decay order")
-        p.add_argument("--T", type=float, default=T, help="evolution time")
-        p.add_argument("--mode", choices=["root", "direct"], default="root",
-                       help="operator access mode")
-
-    p = command("plan", "Fourier-path planner: (a, K) and bounds", "plan.json")
-    profile_flags(p)
+def _plan_flags(p):
+    _profile_flags(p)
     p.add_argument("--eps", type=float, help="target accuracy")
     p.add_argument("--hnorm", type=float, help="operator norm ||H||")
 
-    p = command("kernel", "tabulate the time-domain kernel", "kernel.csv")
-    profile_flags(p)
+
+def _kernel_flags(p):
+    _profile_flags(p)
     p.add_argument("--x", default="0:10:0.5", help="lo:hi:step sample range")
 
-    p = command("simulate-fourier", "end-to-end cosine-series run",
-                "simulate_fourier.json")
-    profile_flags(p)
+
+def _simulate_fourier_flags(p):
+    _profile_flags(p)
     p.add_argument("--eps", type=float, help="target accuracy")
     p.add_argument("--hnorm", type=float, default=1.0,
                    help="norm of the generated instance")
     p.add_argument("--matrix", help="operator file (.json or Matrix Market)")
     p.add_argument("--size", type=int, default=8, help="generated instance size")
 
-    p = command("simulate-contour", "end-to-end contour run", "simulate_contour.json")
+
+def _simulate_contour_flags(p):
     p.add_argument("--f", help="exp-neg | exp-neg-i | poly:a0,a1,... | inv-shift:c")
     p.add_argument("--eps", type=float, default=1e-8, help="target relative accuracy")
     p.add_argument("--R1", type=float, help="lattice radius; unset means 1.1 rho(A)")
@@ -333,7 +313,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--rho", type=float, default=0.5,
                    help="spectral radius of the generated instance")
 
-    p = command("app", "named application driver", "app.csv")
+
+def _app_flags(p):
     p.add_argument("--name", choices=list(operators._APPS), help="application")
     p.add_argument("--d", type=int, help="grid dimension")
     p.add_argument("--n", type=int, help="sites per axis")
@@ -343,11 +324,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--m", type=int, help="node-count override (matrix_poly)")
     p.add_argument("--coeffs", help="polynomial coefficients a0,a1,...")
 
-    p = command("cost", "query-count models and path comparison", None)
+
+def _cost_flags(p):
     p.add_argument("--path", choices=["a", "b", "both"], default="both",
                    help="path to model; unset --out means cost.json, or "
                         "cost.csv for both")
-    profile_flags(p, T=1.0)
+    _profile_flags(p, T=1.0)
     p.add_argument("--eps", type=float, help="target accuracy")
     p.add_argument("--anorm", type=float, default=1.0, help="operator norm ||A||")
     p.add_argument("--ur", type=float, default=1.0, help="||u0|| / ||uT||")
@@ -357,9 +339,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--fpsi", type=float, default=1.0, help="||f(A) psi||")
     p.add_argument("--psinorm", type=float, default=1.0, help="||psi||")
 
-    p = command("sweep", "convergence sweeps (CSV)", "sweep.csv")
+
+def _sweep_flags(p):
     p.add_argument("--path", choices=["fourier", "contour"], help="path to sweep")
-    profile_flags(p)
+    _profile_flags(p)
     p.add_argument("--eps", type=float, default=1e-8, help="accuracy the plan targets")
     p.add_argument("--hnorm", type=float, default=1.0,
                    help="norm of the generated instance")
@@ -372,6 +355,59 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--size", type=int, default=8, help="generated instance size")
     p.add_argument("--rho", type=float, default=0.5,
                    help="spectral radius of the generated instance")
+
+
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    out: str | None          # default --out
+    flags: Callable[[argparse.ArgumentParser], None]   # the command's own flags
+
+
+_COMMANDS = {
+    "plan": _Command(_cmd_plan, "Fourier-path planner: (a, K) and bounds",
+                     "plan.json", _plan_flags),
+    "kernel": _Command(_cmd_kernel, "tabulate the time-domain kernel", "kernel.csv",
+                       _kernel_flags),
+    "simulate-fourier": _Command(_cmd_simulate_fourier, "end-to-end cosine-series run",
+                                 "simulate_fourier.json", _simulate_fourier_flags),
+    "simulate-contour": _Command(_cmd_simulate_contour, "end-to-end contour run",
+                                 "simulate_contour.json", _simulate_contour_flags),
+    "app": _Command(_cmd_app, "named application driver", "app.csv", _app_flags),
+    "cost": _Command(_cmd_cost, "query-count models and path comparison", None,
+                     _cost_flags),
+    "sweep": _Command(_cmd_sweep, "convergence sweeps (CSV)", "sweep.csv", _sweep_flags),
+}
+
+
+def _build_parser(argv: list[str]) -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and the subparser of each command it registers.
+
+    Only the command that argv[0] names is registered, since only it runs;
+    when argv[0] names none (no argv, -h, an unknown word) all are, so help
+    and usage errors list every command.
+    """
+    names = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    ap = argparse.ArgumentParser(
+        prog="psf-matfunc",
+        description="Spectral-aliasing laboratory: cosine-series and contour "
+                    "evaluation of matrix functions, planners, and cost models.")
+    # A one-command build still names every command in its usage line. The
+    # full build keeps the default metavar: its errors name the dest, "command".
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar=None if len(names) > 1 else "{" + ",".join(_COMMANDS) + "}")
+    commands = {}
+    for name in names:
+        cmd = _COMMANDS[name]
+        p = sub.add_parser(name, help=cmd.help,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--config", help="flat key = value parameter file")
+        p.add_argument("--out", default=cmd.out, help="output file")
+        p.add_argument("--seed", type=int, default=0,
+                       help="RNG seed for generated instances")
+        cmd.flags(p)
+        commands[name] = p
     return ap, commands
 
 
@@ -389,7 +425,7 @@ def _join_negative_ranges(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _join_negative_ranges(sys.argv[1:] if argv is None else argv)
-    ap, commands = _build_parser()
+    ap, commands = _build_parser(argv)
     args = ap.parse_args(argv)
     try:
         if args.config is not None:
@@ -400,7 +436,7 @@ def main(argv=None) -> int:
                 k: v for k, v in cfg.items()
                 if k in vars(args) and k not in ("config", "command")})
             args = ap.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except PrecondError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return 2

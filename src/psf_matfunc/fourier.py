@@ -40,6 +40,9 @@ from .linalg import Operator, clamp_psd, hermitian_eig, matfun
 
 _GROWTH = 1.05
 _MAX_GROWTH_STEPS = 200
+# Largest cos(k theta) table `cosine_series` builds: 2^27 floats, 1 GiB (its
+# outer-product argument takes as much again).
+_MAX_TABLE_ENTRIES = 1 << 27
 
 
 def spectral_scale(profile: SpectralProfile, h_norm: float) -> float:
@@ -202,13 +205,17 @@ def cosine_series(plan: FourierPlan, lam: np.ndarray,
     K = plan.K if K is None else K
     if not 0 <= K <= plan.K:
         raise PrecondError(f"cutoff {K} outside the plan's 0..{plan.K}")
-    c = lcu_coefficients(plan)
     grid = np.sqrt(clamp_psd(lam)) if plan.profile.mode == "root" else lam
     scale = float(np.abs(grid).max()) if grid.size else 0.0
     if scale >= plan.a:
         raise PrecondError(
             "operator exceeds the spectral scale the plan was built for "
             f"(scale {scale:.6g} >= period {plan.a:.6g})")
+    if K * grid.size > _MAX_TABLE_ENTRIES:
+        raise PrecondError(
+            f"cosine table of {K} terms on {grid.size} eigenvalues exceeds "
+            f"{_MAX_TABLE_ENTRIES} entries")
+    c = lcu_coefficients(plan)
     theta = (2.0 * np.pi / plan.a) * grid
     ks = np.arange(1, K + 1, dtype=float)
     return c[0] + 2.0 * (c[1:K + 1] @ np.cos(np.outer(ks, theta)))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -204,21 +204,31 @@ def saddle_rate(profile: SpectralProfile) -> tuple[float, float]:
     return lam * math.sin(math.pi / (2.0 * (p - 1.0))), beta
 
 
+def envelope_function(profile: SpectralProfile) -> Callable[[float], float]:
+    """x -> decay_envelope(profile, x), with the profile's constants computed
+    once for a whole table of points."""
+    if profile.regime == "analytic":
+        lam, beta = envelope_rate(profile)
+
+        def analytic(x: float) -> float:
+            return 1.0 if x == 0 else math.exp(-lam * abs(x) ** beta)
+        return analytic
+    p1 = profile.p + 1.0
+    C = algebraic_envelope_constant(profile.p, profile.T)
+
+    def algebraic(x: float) -> float:
+        if x == 0:
+            raise PrecondError("algebraic envelope has a pole at x = 0")
+        if p1 * math.log(abs(x)) > _LOG_FLOAT_MAX:   # |x|^{p+1} overflows
+            return math.exp(math.log(C) - p1 * math.log(abs(x)))
+        return C / abs(x) ** p1
+    return algebraic
+
+
 def decay_envelope(profile: SpectralProfile, x: float) -> float:
     """Model envelope of |f(x)|: super-exponential in the analytic regime
     (even integer p), algebraic C/|x|^{p+1} in the fractional regime."""
-    p, T = profile.p, profile.T
-    if profile.regime == "analytic":
-        if x == 0:
-            return 1.0
-        lam, beta = envelope_rate(profile)
-        return math.exp(-lam * abs(x) ** beta)
-    if x == 0:
-        raise PrecondError("algebraic envelope has a pole at x = 0")
-    C = algebraic_envelope_constant(p, T)
-    if (p + 1.0) * math.log(abs(x)) > _LOG_FLOAT_MAX:   # |x|^{p+1} overflows
-        return math.exp(math.log(C) - (p + 1.0) * math.log(abs(x)))
-    return C / abs(x) ** (p + 1.0)
+    return envelope_function(profile)(x)
 
 
 def _tail_series_terms(p: float, T: float, n_max: int = 24):

@@ -241,6 +241,18 @@ def test_large_fractional_p_exits_zero_or_two(tmp_path, capsys, argv):
     assert rc in (0, 2), err
 
 
+def test_kernel_origin_alone_needs_no_envelope_constant(tmp_path, capsys):
+    """At p = 180.5 the algebraic envelope constant overflows: a table that
+    holds x = 0 alone (envelope inf) never computes it, one more point does."""
+    out = str(tmp_path / "k.csv")
+    rc, _, _ = run(["kernel", "--alpha", "90.25", "--T", "1", "--x", "0:0:1",
+                    "--out", out], capsys)
+    assert rc == 0 and read_bytes(out).decode().splitlines()[1].endswith(",inf")
+    rc, _, err = run(["kernel", "--alpha", "90.25", "--T", "1", "--x", "0:1:1",
+                      "--out", out], capsys)
+    assert rc == 2 and "float range" in err
+
+
 def test_config_merge_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# planner inputs\nalpha = 1\nT = 1\n\neps = 1e-6\nhnorm = 1\n")
@@ -325,12 +337,15 @@ def test_exit_code_precondition(capsys):
      "--h", "nan"],
     ["app", "--name", "heat", "--d", "1", "--n", "8", "--T", "0.5", "--eps", "1e-4",
      "--h", "1e-200"],
+    # K = 1,988,827 terms on 289 eigenvalues: a 4.6 GB cosine table.
+    ["app", "--name", "heat", "--d", "2", "--n", "12", "--h", "1e-6", "--T", "0.5",
+     "--eps", "1e-4"],
 ], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x",
         "heat-d4-n8", "heat-d2-n64", "contour-size-0", "sweep-contour-size-0",
         "contour-rho-negative", "matrix-missing", "matrix-malformed",
         "matrix-im-x", "matrix-negative-dims", "matrix-rows-2.5",
         "cost-psinorm-nan", "cost-fpsi-inf", "app-h-inf", "app-h-nan",
-        "app-h-1e-200"])
+        "app-h-1e-200", "app-h-1e-6-table"])
 def test_exit_code_admission(tmp_path, capsys, argv):
     (tmp_path / "malformed.json").write_text('{"rows": 1,')
     (tmp_path / "im-x.json").write_text(
@@ -406,6 +421,47 @@ def test_each_command_decomposes_its_operator_once(tmp_path, capsys, monkeypatch
     rc, _, _ = run(argv + ["--out", str(tmp_path / "out")], capsys)
     assert rc == 0
     assert len(calls) == 1
+
+
+def _action_fields(parser):
+    return [(a.option_strings, a.dest, a.type, a.default, a.choices, a.help)
+            for a in parser._actions]
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_one_command_build_matches_full_build(name):
+    """The parser built for one command declares exactly the flags that
+    command has in the parser of all seven."""
+    _, full = cli._build_parser([])
+    _, one = cli._build_parser([name, "--help"])
+    assert list(one) == [name]
+    assert _action_fields(one[name]) == _action_fields(full[name])
+
+
+def _parse_outcome(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["transmogrify"], ["kernel", "--bogus"], ["kernel", "--alpha", "x"],
+    ["kernel", "--help"],
+], ids=lambda argv: " ".join(argv) or "no-args")
+def test_one_command_build_reports_as_full_build(argv, capsys):
+    """Usage errors and help read the same from the parser main() builds as
+    from the parser of all seven commands."""
+    full = _parse_outcome(cli._build_parser([])[0], argv, capsys)
+    built = _parse_outcome(cli._build_parser(argv)[0], argv, capsys)
+    assert built == full
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert (exc.value.code, capsys.readouterr()) == full
+
+
+def test_one_command_build_usage_names_every_command():
+    usage = cli._build_parser(["kernel"])[0].format_usage()
+    assert "{" + ",".join(cli._COMMANDS) + "}" in usage
 
 
 def test_unknown_command_rejected(capsys):

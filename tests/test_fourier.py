@@ -166,6 +166,16 @@ def test_cosine_series_cutoffs_share_one_sample():
         cosine_series(plan, lam, plan.K + 1)
 
 
+def test_cosine_series_refuses_oversized_table():
+    """A cutoff times eigenvalue count beyond the table cap is refused before
+    the coefficients are sampled or the cosine table is allocated."""
+    plan = plan_fourier(SpectralProfile(1.0, 1.0, "direct"), 1.0, 1e-6)
+    wide = replace(plan, K=1 << 26, coefficients=None)
+    with pytest.raises(PrecondError, match="cosine table"):
+        cosine_series(wide, np.array([0.25, 0.5, 0.75]))
+    assert wide.coefficients is None
+
+
 def test_evolution_oracle_modes():
     """The one oracle evolution_matrix(H, alpha, T) serves both modes, since
     direct mode has p = alpha: an even power of an indefinite H, and
