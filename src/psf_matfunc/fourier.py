@@ -19,11 +19,12 @@ exist and are planned for separately:
 
 The planner picks the period a and the cutoff K so each reported bound is at
 most eps_internal / 2. One evaluator, `cosine_series`, sums the series on
-the spectrum of H for any cutoff up to the plan's; `assemble_fourier_approx`
-maps it to a matrix through `linalg.matfun`, and also takes H's
-decomposition. Every run is measured against the one dense reference,
-`linalg.evolution_matrix(H, alpha, T)`: the target is e^{-T H^alpha} in both
-modes, since direct mode has p = alpha.
+the spectrum of H for any cutoff up to the plan's. Every run is measured on
+that spectrum against the one reference, `linalg.evolution_function(alpha,
+T)`, through `linalg.distance_from`: the target is e^{-T H^alpha} in both
+modes, since direct mode has p = alpha. `assemble_fourier_approx` maps the
+series to a matrix through `linalg.matfun`, and also takes H's
+decomposition; no command needs the matrix.
 """
 
 from __future__ import annotations

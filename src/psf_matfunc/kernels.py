@@ -211,7 +211,12 @@ def envelope_function(profile: SpectralProfile) -> Callable[[float], float]:
         lam, beta = envelope_rate(profile)
 
         def analytic(x: float) -> float:
-            return 1.0 if x == 0 else math.exp(-lam * abs(x) ** beta)
+            if x == 0:
+                return 1.0
+            if beta * math.log(abs(x)) > _LOG_FLOAT_MAX:   # |x|^beta overflows
+                log_rate = math.log(lam) + beta * math.log(abs(x))
+                return 0.0 if log_rate > _LOG_FLOAT_MAX else math.exp(-math.exp(log_rate))
+            return math.exp(-lam * abs(x) ** beta)
         return analytic
     p1 = profile.p + 1.0
     C = algebraic_envelope_constant(profile.p, profile.T)
@@ -219,8 +224,10 @@ def envelope_function(profile: SpectralProfile) -> Callable[[float], float]:
     def algebraic(x: float) -> float:
         if x == 0:
             raise PrecondError("algebraic envelope has a pole at x = 0")
-        if p1 * math.log(abs(x)) > _LOG_FLOAT_MAX:   # |x|^{p+1} overflows
-            return math.exp(math.log(C) - p1 * math.log(abs(x)))
+        log_pow = p1 * math.log(abs(x))
+        if abs(log_pow) > _LOG_FLOAT_MAX:   # |x|^{p+1} overflows or underflows
+            log_env = math.log(C) - log_pow
+            return math.exp(log_env) if log_env <= _LOG_FLOAT_MAX else math.inf
         return C / abs(x) ** p1
     return algebraic
 

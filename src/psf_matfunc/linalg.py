@@ -8,21 +8,23 @@ matrix itself instead of silent trust in the factorization.
 One reduction serves every function of a matrix (Higham, *Functions of
 Matrices*, SIAM 2008, ch. 1 and 4): each command computes `eig` once and
 passes the `SpectralDecomposition`, which carries the matrix and its 2-norm,
-down to every dense consumer, and `matfun` alone forms V f(Lambda) V^{-1}:
-the Fourier series, its sweeps and the one oracle `evolution_matrix` go
-through it. Which spectra a real power admits is decided here too: an even
-integer power (`is_even_integer`) any, any other power a PSD one
-(`clamp_psd`). The same reduction serves every shift of a contour sum:
+down to every consumer, and `matfun` alone forms V f(Lambda) V^{-1}. For a
+Hermitian H, ||f(H) - g(H)||_2 is max |f - g| over the real spectrum, so
+`distance_from` measures the Fourier series against the one oracle,
+`evolution_function`, without forming either; `evolution_matrix` is that
+oracle as a dense matrix. Which spectra a real power admits is decided here
+too: an even integer power (`is_even_integer`) any, any other power a PSD
+one (`clamp_psd`). The same reduction serves every shift of a contour sum:
 `resolvent_apply` takes a vector of shifts and solves them all at once.
 
 The Dirac root H = [[0, -iL'], [iL, 0]] of a real factor L has a structured
 decomposition, `dirac_eig`: H^2 = blockdiag(L'L, LL'), so an even function
 phi of H is blockdiag(phi(sqrt(L'L)), phi(sqrt(LL'))) (Higham, ch. 1), and
 one real `eigh` of the n x n matrix L'L, under the reconstruction check of
-`eig`, serves it. `matfun`, `hermitian_eig` and `evolution_matrix` accept
-that decomposition like any other, so the heat and biharmonic evolutions
-never form or decompose H; `matfun` refuses a function that is not even on
-its spectrum.
+`eig`, serves it. `matfun`, `distance_from`, `hermitian_eig` and
+`evolution_matrix` accept that decomposition like any other, so the heat
+and biharmonic evolutions never form or decompose H; both refuse a function
+that is not even on its spectrum.
 """
 
 from __future__ import annotations
@@ -199,29 +201,46 @@ def _values_on(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np
     return vals
 
 
-def _dirac_matfun(dec: DiracDecomposition, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """phi(H) = blockdiag(W phi(sigma) W', phi(0) I + LW diag((phi(sigma) -
-    phi(0)) / lam) (LW)') with sigma = sqrt(lam), for fn = phi even.
+def _dirac_kept(dec: DiracDecomposition) -> np.ndarray:
+    """Mask of the lam above the eigh rounding floor n*u*max(lam): their
+    columns of LW span the range of LL'; the rest carry nothing."""
+    lam = dec.gram_eigenvalues
+    return lam > lam.size * np.finfo(float).eps * lam.max()
 
-    fn is evaluated once on [sigma, -sigma, 0], the spectrum of H with 0
-    standing in for the null space of L'; it is refused unless it is even
-    there to rounding. A column of LW has norm sqrt(lam), so the columns with
-    lam at the eigh rounding floor carry nothing and are dropped; the floor
-    also keeps the rounding of phi(sigma) - phi(0) from being divided by a
-    lam that is itself rounding. Each lam carries an absolute error of about
-    u*||L'L||, so a small singular value of an ill-conditioned L keeps fewer
-    digits here than in eigh of H.
-    """
-    lam, W, L = dec.gram_eigenvalues, dec.gram_basis, dec.factor
-    (m, n), sigma = L.shape, np.sqrt(lam)
+
+def _dirac_values(dec: DiracDecomposition,
+                  fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """fn = phi on [sigma, 0], sigma = sqrt(lam), with 0 standing in for the
+    null space of L'. fn is evaluated once on [sigma, -sigma, 0], the
+    spectrum of H, and refused unless it is even there to rounding."""
+    sigma = np.sqrt(dec.gram_eigenvalues)
+    n = sigma.size
     phi = _values_on(fn, np.concatenate([sigma, -sigma, [0.0]]))
     odd = float(np.abs(phi[:n] - phi[n:2 * n]).max())
     if odd > _EVEN_TOL * float(np.abs(phi).max()):
         raise PrecondError(
             f"fn is not even on the spectrum of the Dirac root (|f(s) - f(-s)| "
             f"up to {odd:.3e}); only even functions are evaluated through L'L")
-    phi_s, phi_0 = phi[:n], phi[2 * n]
-    keep = lam > n * np.finfo(float).eps * lam.max()
+    return np.append(phi[:n], phi[2 * n])
+
+
+def _dirac_matfun(dec: DiracDecomposition, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """phi(H) = blockdiag(W phi(sigma) W', phi(0) I + LW diag((phi(sigma) -
+    phi(0)) / lam) (LW)') with sigma = sqrt(lam), for fn = phi even
+    (`_dirac_values`).
+
+    A column of LW has norm sqrt(lam), so the columns with lam at the eigh
+    rounding floor carry nothing and are dropped (`_dirac_kept`); the floor
+    also keeps the rounding of phi(sigma) - phi(0) from being divided by a
+    lam that is itself rounding. Each lam carries an absolute error of about
+    u*||L'L||, so a small singular value of an ill-conditioned L keeps fewer
+    digits here than in eigh of H.
+    """
+    lam, W, L = dec.gram_eigenvalues, dec.gram_basis, dec.factor
+    m, n = L.shape
+    phi = _dirac_values(dec, fn)
+    phi_s, phi_0 = phi[:n], phi[n]
+    keep = _dirac_kept(dec)
     LW = L @ W[:, keep]
     bottom = (LW * ((phi_s[keep] - phi_0) / lam[keep])) @ LW.T
     bottom[np.diag_indices(m)] += phi_0
@@ -310,9 +329,33 @@ def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.n
     return X[0] if np.ndim(z) == 0 else X
 
 
-def evolution_matrix(H: Operator, alpha: float, T: float) -> np.ndarray:
-    """Reference dense e^{-T H^alpha} of a Hermitian H, the one oracle of
-    the Fourier path.
+def distance_from(H: Operator, g: Callable[[np.ndarray], np.ndarray]
+                  ) -> Callable[[Callable[[np.ndarray], np.ndarray]], float]:
+    """f -> ||f(H) - g(H)||_2 of a Hermitian H, with g evaluated once.
+
+    For Hermitian H the 2-norm of f(H) - g(H) is max |f - g| over the real
+    spectrum of H (Higham, ch. 1), so no matrix is formed. f and g receive
+    the real spectrum: eigenvalues.real of a `SpectralDecomposition`, and of
+    a `DiracDecomposition` the points where `matfun` evaluates phi: all n
+    sigma = sqrt(lam), plus 0 when LL' has a null space (m exceeds the count
+    of kept columns). Each function passes the checks `matfun` applies: its
+    values must be finite, and on the Dirac root even.
+    """
+    dec = hermitian_eig(H)
+    if isinstance(dec, DiracDecomposition):
+        m, n = dec.factor.shape
+        points = n + 1 if m > np.count_nonzero(_dirac_kept(dec)) else n
+        values = lambda fn: _dirac_values(dec, fn)[:points]
+    else:
+        lam = dec.eigenvalues.real
+        values = lambda fn: _values_on(fn, lam)
+    ref = values(g)
+    return lambda f: float(np.abs(values(f) - ref).max())
+
+
+def evolution_function(alpha: float, T: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The scalar map lam -> e^{-T lam^alpha} on a real spectrum, the one
+    oracle of the Fourier path.
 
     An even integer alpha is an integer power, defined on any Hermitian H
     (heat and biharmonic on the indefinite Dirac root). Any other alpha
@@ -322,8 +365,14 @@ def evolution_matrix(H: Operator, alpha: float, T: float) -> np.ndarray:
         raise PrecondError(f"alpha must be positive, got {alpha}")
     if T < 0:
         raise PrecondError(f"T must be non-negative, got {T}")
-    dec = hermitian_eig(H)
     if is_even_integer(alpha):
         k = int(round(alpha))
-        return matfun(dec, lambda lam: np.exp(-T * lam.real ** k))
-    return matfun(dec, lambda lam: np.exp(-T * clamp_psd(lam.real) ** alpha))
+        return lambda lam: np.exp(-T * lam ** k)
+    return lambda lam: np.exp(-T * clamp_psd(lam) ** alpha)
+
+
+def evolution_matrix(H: Operator, alpha: float, T: float) -> np.ndarray:
+    """Reference dense e^{-T H^alpha} of a Hermitian H: `evolution_function`
+    mapped through `matfun`."""
+    fn = evolution_function(alpha, T)
+    return matfun(hermitian_eig(H), lambda lam: fn(lam.real))

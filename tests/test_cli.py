@@ -6,9 +6,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import psf_matfunc
-from psf_matfunc import cli
+from psf_matfunc import cli, contour, fourier, linalg, operators
 from psf_matfunc.io import RECORD_HEADER, save_matrix
 
 
@@ -378,6 +380,59 @@ def test_unwritable_out_exits_two(tmp_path, capsys, argv):
     rc, _, err = run(argv + ["--out", out], capsys)
     assert rc == 2 and err.startswith("precondition:") and out in err
     assert not os.path.exists(tmp_path / "missing")
+
+
+_X_EXPONENTS = {"near 1e-300": (-308.0, -290.0), "near 0": (-6.0, 0.0),
+                "near 1e300": (290.0, 307.0)}
+
+
+@st.composite
+def _kernel_ranges(draw):
+    """lo:hi:step of one to five points at |x| near 1e-300, 0 or 1e300."""
+    lo_exp, hi_exp = _X_EXPONENTS[draw(st.sampled_from(sorted(_X_EXPONENTS)))]
+    x = 10.0 ** draw(st.floats(lo_exp, hi_exp))
+    step = draw(st.sampled_from([x / 4, 1.0]))
+    lo = draw(st.sampled_from([-x, x]))
+    return f"{lo!r}:{lo + draw(st.integers(0, 4)) * step!r}:{step!r}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(alpha=st.floats(0.3, 90.0), T=st.floats(1e-3, 10.0),
+       mode=st.sampled_from(["root", "direct"]), x=_kernel_ranges())
+@example(alpha=60.25, T=1.0, mode="root", x="0.001:0.002:0.001")
+def test_kernel_exit_code_fuzz(tmp_path_factory, alpha, T, mode, x):
+    """A kernel table returns (exit 0) or refuses (exit 2 or 3), never a
+    traceback: at p = 120.5 and x = 1e-3, |x|^{p+1} underflows and the
+    envelope reads inf."""
+    out = str(tmp_path_factory.getbasetemp() / "fuzz.csv")
+    rc = cli.main(["kernel", "--alpha", repr(alpha), "--T", repr(T), "--mode", mode,
+                   "--x", x, "--out", out])
+    assert rc in (0, 2, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6"],
+    ["simulate-fourier", "--alpha", "2", "--mode", "direct", "--T", "0.5",
+     "--eps", "1e-8"],
+    ["sweep", "--path", "fourier", "--alpha", "1", "--T", "1", "--K", "4:24:4"],
+    ["app", "--name", "heat", "--d", "2", "--n", "4", "--T", "0.5", "--eps", "1e-6"],
+    ["app", "--name", "biharmonic", "--d", "1", "--n", "8", "--T", "0.5",
+     "--eps", "1e-6"],
+    ["app", "--name", "levy", "--d", "1", "--n", "8", "--T", "0.5", "--eps", "1e-2"],
+], ids=["simulate-fourier-root", "simulate-fourier-direct", "sweep-fourier", "app-heat",
+        "app-biharmonic", "app-levy"])
+def test_fourier_commands_never_form_a_dense_function(tmp_path, capsys, monkeypatch, argv):
+    """The Fourier commands measure their error on the spectrum: neither the
+    series, nor the oracle, nor any function of the operator is formed."""
+    def unused(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError(f"{argv[0]} formed a dense function of its operator")
+
+    for module in (linalg, fourier, contour, operators, cli):
+        for name in ("matfun", "evolution_matrix", "assemble_fourier_approx"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unused)
+    rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert rc == 0, err
 
 
 def test_exit_code_numerical(tmp_path, capsys):

@@ -175,6 +175,24 @@ def test_fractional_envelope_is_constant_times_power():
         decay_envelope(prof, 0.0)
 
 
+def test_envelope_beyond_the_float_range():
+    """Where |x|^{p+1} or |x|^beta leaves the float range the envelope is
+    read through logarithms: inf above the largest float, 0.0 below the
+    smallest, and the exact value where it fits."""
+    frac = SpectralProfile(60.25, 1.0, "root")     # p = 120.5
+    assert decay_envelope(frac, 1e-3) == math.inf
+    assert decay_envelope(frac, -1e-300) == math.inf
+    assert decay_envelope(frac, 1e300) == 0.0
+    tiny_t = SpectralProfile(60.25, 1e-300, "root")
+    C = algebraic_envelope_constant(120.5, 1e-300)
+    assert decay_envelope(tiny_t, 1e-3) == pytest.approx(
+        math.exp(math.log(C) + 121.5 * math.log(1e3)), rel=1e-12)
+    gauss = SpectralProfile(1.0, 0.7, "root")       # p = 2
+    assert decay_envelope(gauss, 1e300) == 0.0
+    assert decay_envelope(gauss, -1e300) == 0.0
+    assert decay_envelope(gauss, 1e-300) == 1.0
+
+
 def test_tail_series_tracks_kernel():
     """The asymptotic series for the tail agrees with quadrature at large x."""
     kern = TimeKernel(SpectralProfile(0.75, 1.0, "root"))

@@ -2,15 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psf_matfunc.errors import NumericalError, PrecondError
 from psf_matfunc.instances import (random_diagonalizable, random_hermitian,
                                    random_normal_matrix, random_psd,
                                    random_state, random_unitary)
-from psf_matfunc.linalg import (dirac_eig, eig, evolution_matrix, hermitian_eig,
-                                is_hermitian, matfun, resolvent_apply)
+from psf_matfunc.linalg import (dirac_eig, distance_from, eig, evolution_function,
+                                evolution_matrix, hermitian_eig, is_hermitian, matfun,
+                                resolvent_apply)
 from psf_matfunc.operators import dirac_operator
 
 
@@ -212,6 +213,8 @@ def test_evolution_rejects_non_hermitian():
     A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(PrecondError):
         evolution_matrix(A, 1.0, 1.0)
+    with pytest.raises(PrecondError, match="Hermitian"):
+        distance_from(A, np.cos)
 
 
 def test_hermitian_and_normal_predicates():
@@ -252,10 +255,47 @@ def test_dirac_matfun_refuses_what_is_not_even():
         matfun(dec, lambda x: x)
     with pytest.raises(PrecondError):
         evolution_matrix(dec, 1.5, 0.5)
+    with pytest.raises(PrecondError, match="not even"):
+        distance_from(dec, np.cos)(lambda x: x)
+    with pytest.raises(PrecondError):
+        distance_from(dec, evolution_function(1.5, 0.5))
     top = evolution_matrix(dec, 2.0, 0.5)[:3, :3]
     L = dec.factor
     np.testing.assert_allclose(top, matfun(L.T @ L, lambda lam: np.exp(-0.5 * lam.real)).real,
                                rtol=0, atol=1e-14)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(kind=st.sampled_from(["hermitian", "psd", "dirac"]), m=st.integers(1, 9),
+       n=st.integers(1, 9), rank=st.integers(0, 9), log_scale=st.floats(-3.0, 0.5),
+       seed=st.integers(0, 2 ** 32 - 1), f=st.sampled_from(sorted(_EVEN_FNS)),
+       g=st.sampled_from(sorted(_EVEN_FNS)))
+@example(kind="dirac", m=2, n=1, rank=1, log_scale=-3.0, seed=0, f="quartic", g="gauss")
+@example(kind="dirac", m=2, n=2, rank=2, log_scale=-3.0, seed=0, f="quartic", g="gauss")
+def test_distance_from_matches_the_dense_norm(kind, m, n, rank, log_scale, seed, f, g):
+    """The spectral distance equals the 2-norm of the difference of the two
+    dense functions: on random Hermitian and PSD matrices, and on the Dirac
+    root of square, tall, wide and rank-deficient real L. Small operators
+    make the point 0 of a singular LL' decide the distance."""
+    rng, scale = np.random.default_rng(seed), 10.0 ** log_scale
+    if kind == "dirac":
+        rank = min(rank, m, n)
+        dec = dirac_eig(scale * rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)))
+        dim = m + n
+    else:
+        dec = eig((random_hermitian if kind == "hermitian" else random_psd)(rng, n, norm=scale))
+        dim = n
+    F, G = matfun(dec, _EVEN_FNS[f]), matfun(dec, _EVEN_FNS[g])
+    dense = np.linalg.norm(F - G, 2)
+    got = distance_from(dec, _EVEN_FNS[g])(_EVEN_FNS[f])
+    floor = 64 * dim * np.finfo(float).eps * max(np.linalg.norm(F, 2), np.linalg.norm(G, 2))
+    assert abs(got - dense) <= max(1e-12 * dense, floor)
+
+
+def test_distance_from_refuses_non_finite_values():
+    dec = eig(random_psd(np.random.default_rng(2), 4))
+    with pytest.raises(NumericalError, match="non-finite"):
+        distance_from(dec, np.cos)(lambda lam: np.full_like(lam, np.inf))
 
 
 def test_dirac_eig_admission():
