@@ -11,16 +11,14 @@ into oracle-query counts, and `cli` wraps everything for the shell.
 from .errors import ErrorBudget, NumericalError, PrecondError
 from .kernels import (L1Estimate, SpectralProfile, TimeKernel,
                       algebraic_envelope_constant, algebraic_tail_integral,
-                      algebraic_tail_value, decay_envelope, envelope_rate,
-                      kernel_value, kernel_values, l1_norm_estimate,
+                      envelope_rate, kernel_values, l1_norm_estimate,
                       lattice_kernel, saddle_rate)
 from .fourier import (FourierPlan, aliasing_bound, assemble_fourier_approx,
                       cosine_series, error_bounds, lcu_coefficients,
                       plan_fourier, scalar_psf_residual, spectral_scale,
                       truncation_bound, truncation_ratio)
-from .contour import (Amplification, ContourPlan, RadiusResult,
-                      aliasing_norm_ratio, aliasing_term,
-                      amplification_factor, circle_sup, discrete_sum_apply,
+from .contour import (ContourPlan, RadiusResult, aliasing_norm_ratio,
+                      aliasing_term, circle_sup, discrete_sum_apply,
                       lattice_radii, make_nodes, make_plan, optimize_radius,
                       plan_contour, plan_lattice, plan_m, sup_poly_abs,
                       truncation_integral, truncation_norm_bound)
@@ -36,17 +34,16 @@ from .costmodel import (CostReport, PathComparison, ProblemSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Amplification", "ContourPlan", "ConvergenceRecord", "CostReport",
+    "ContourPlan", "ConvergenceRecord", "CostReport",
     "DiracOperator", "ErrorBudget", "FourierPlan", "GridSpec", "L1Estimate",
     "NumericalError", "PathComparison", "PrecondError", "ProblemSpec",
     "RadiusResult", "SpectralDecomposition", "SpectralProfile", "TimeKernel",
     "algebraic_envelope_constant", "algebraic_tail_integral",
-    "algebraic_tail_value", "aliasing_bound", "aliasing_norm_ratio",
-    "aliasing_term", "amplification_factor", "assemble_fourier_approx",
-    "circle_sup", "compare_paths", "cosine_series", "decay_envelope",
+    "aliasing_bound", "aliasing_norm_ratio", "aliasing_term",
+    "assemble_fourier_approx", "circle_sup", "compare_paths", "cosine_series",
     "difference_operator", "dirac_operator", "discrete_sum_apply", "eig",
     "envelope_rate", "error_bounds", "evolution_matrix",
-    "gradient_stack", "kernel_value", "kernel_values", "l1_norm_estimate",
+    "gradient_stack", "kernel_values", "l1_norm_estimate",
     "laplacian", "lattice_kernel", "lattice_radii", "lcu_coefficients",
     "make_nodes", "make_plan", "matfun", "optimize_radius", "path_a_cost",
     "path_b_cost", "plan_contour", "plan_fourier", "plan_lattice", "plan_m",

@@ -139,7 +139,8 @@ def _cmd_simulate_fourier(args) -> int:
     eps = _required(args, "eps")
     dec = hermitian_eig(_fourier_matrix(args))
     plan = fourier.plan_fourier(profile, dec.norm, eps)
-    distance = distance_from(dec, evolution_function(profile.alpha, profile.T))
+    distance = distance_from(dec.eigenvalues.real,
+                             evolution_function(profile.alpha, profile.T))
     err = distance(lambda lam: fourier.cosine_series(plan, lam))
     budget = fourier.error_bounds(plan, dec.norm)
     report = {"plan": pio.fourier_plan_json(plan), "size": dec.matrix.shape[0],
@@ -242,7 +243,8 @@ def _cmd_sweep(args) -> int:
         ks = pio.parse_range(_required(args, "K"))
         dec = hermitian_eig(_fourier_matrix(args))
         plan = fourier.plan_fourier(profile, dec.norm, args.eps)
-        distance = distance_from(dec, evolution_function(profile.alpha, profile.T))
+        distance = distance_from(dec.eigenvalues.real,
+                                 evolution_function(profile.alpha, profile.T))
         # One coefficient sample at the largest cutoff serves every row.
         wide = replace(plan, K=int(ks.max()), coefficients=None)
         rows = []

@@ -15,8 +15,8 @@ where the remainder E_m is a contour integral over a larger circle |z| = R2
 (evaluated here by a periodic trapezoid rule, spectrally accurate). The
 module provides the node set, the discrete sum, both correction terms, the
 one planner `plan_lattice` (radius defaults in `lattice_radii`, m from the
-two decay ratios in `plan_m`), the one bound `ContourPlan.error_bounds`, a
-golden-section optimizer for R2, and the sampling-amplification diagnostic.
+two decay ratios in `plan_m`), the one bound `ContourPlan.error_bounds`,
+and a golden-section optimizer for R2.
 """
 
 from __future__ import annotations
@@ -259,28 +259,6 @@ def optimize_radius(f_sup: Callable[[float], float], r1: float,
         if phi(r2_cap) <= best_val:
             return RadiusResult(r2_cap, True)
     return RadiusResult(best_x, False)
-
-
-class Amplification(NamedTuple):
-    value: float        # gamma * (1/m) sum |w_k f(w_k)| / ||f(A) psi||
-    upper_bound: float  # gamma * R1 * B1 / ||f(A) psi||
-
-
-def amplification_factor(plan: ContourPlan, f: Callable[[np.ndarray], np.ndarray],
-                         gamma: float, f_psi_norm: float) -> Amplification:
-    """Sampling overhead of the discrete sum relative to the target norm.
-
-    Returns the actual lattice value and the R1*B1 coarse bound; value <=
-    bound always (each |w_k f(w_k)| <= R1 B1).
-    """
-    if f_psi_norm <= 0:
-        raise PrecondError(f"target norm must be positive, got {f_psi_norm}")
-    if gamma <= 0:
-        raise PrecondError(f"gamma must be positive, got {gamma}")
-    nodes = make_nodes(plan.r1, plan.m)
-    lattice = float(np.mean(np.abs(nodes * np.asarray(f(nodes), dtype=complex))))
-    return Amplification(gamma * lattice / f_psi_norm,
-                         gamma * plan.r1 * plan.b1 / f_psi_norm)
 
 
 def lattice_radii(rho: float, r1: float | None = None,

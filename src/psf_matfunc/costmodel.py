@@ -98,15 +98,14 @@ def path_a_cost(profile: SpectralProfile, a_norm: float, T: float, eps: float,
 
 
 def path_b_cost(plan: contour.ContourPlan, gamma: float, f_psi_norm: float,
-                psi_norm: float, eps: float,
-                f: Callable | None = None) -> CostReport:
+                psi_norm: float, eps: float) -> CostReport:
     """Contour path model from a concrete plan.
 
     matrix_queries = gamma^2 alpha_A^2 B1 / ||f(A)psi|| *
     ln(gamma alpha_A B1 / (||f(A)psi|| eps)); the block-encoding factor
     alpha_A is modeled as R1 (the enclosing radius dominates the spectral
-    norm at desk scale). Amplification is the measured lattice value when f
-    is supplied, otherwise the R1 B1 envelope.
+    norm at desk scale). Amplification is that envelope, the core factor
+    gamma R1 B1 / ||f(A)psi||.
     """
     if gamma <= 0 or f_psi_norm <= 0 or psi_norm <= 0:
         raise PrecondError("gamma and the state norms must be positive")
@@ -115,21 +114,16 @@ def path_b_cost(plan: contour.ContourPlan, gamma: float, f_psi_norm: float,
     alpha_a = plan.r1
     core = gamma * alpha_a * plan.b1 / f_psi_norm
     mq = gamma * alpha_a * core * math.log(core / eps)
-    if f is not None:
-        amp = contour.amplification_factor(plan, f, gamma, f_psi_norm).value
-        amp_note = "amplification from the actual node lattice"
-    else:
-        amp = core
-        amp_note = "amplification from the R1*B1 envelope (no f supplied)"
     return CostReport(path="B", matrix_queries=mq, state_queries=core,
-                      lcu_terms=float(plan.m), amplification=amp,
+                      lcu_terms=float(plan.m), amplification=core,
                       l1_norm=plan.r1 * plan.b1,
                       u_r=psi_norm / f_psi_norm,
                       assumptions=[_UNIT_NOTE,
                                    "block-encoding factor alpha_A modeled as R1",
                                    "coefficient 1-norm modeled as R1*B1",
                                    "u_r reported as ||psi||/||f(A)psi||",
-                                   amp_note])
+                                   "amplification from the R1*B1 envelope "
+                                   "(no f supplied)"])
 
 
 @dataclass

@@ -23,8 +23,7 @@ the spectrum of H for any cutoff up to the plan's. Every run is measured on
 that spectrum against the one reference, `linalg.evolution_function(alpha,
 T)`, through `linalg.distance_from`: the target is e^{-T H^alpha} in both
 modes, since direct mode has p = alpha. `assemble_fourier_approx` maps the
-series to a matrix through `linalg.matfun`, and also takes H's
-decomposition; no command needs the matrix.
+series to a dense matrix through `linalg.matfun`; no command needs it.
 """
 
 from __future__ import annotations
@@ -71,9 +70,11 @@ def truncation_ratio(profile: SpectralProfile, eps_internal: float) -> float:
             f"fractional planning needs p >= 1 (profile has p = {p}); "
             "use root mode with alpha >= 0.5")
     C = algebraic_envelope_constant(p, T)
-    target = 2.0 * C / (a_eff * eps_internal)
+    denom = a_eff * eps_internal     # 0 when eps' is near the smallest float
+    target = 2.0 * C / denom if denom else math.inf
     if math.isinf(target):
-        return math.exp((math.log(2.0 * C / a_eff) - math.log(eps_internal)) / p)
+        log_ratio = (math.log(2.0 * C / a_eff) - math.log(eps_internal)) / p
+        return math.exp(log_ratio) if log_ratio <= _LOG_FLOAT_MAX else math.inf
     return target ** (1.0 / p)
 
 
@@ -94,7 +95,7 @@ def truncation_bound(profile: SpectralProfile, ratio: float) -> float:
         lam, beta = saddle_rate(profile)
         return 4.0 * math.exp(-lam * ratio ** beta) / (lam * beta * ratio ** (beta - 1.0))
     C = algebraic_envelope_constant(p, T)
-    if p * math.log(ratio) > _LOG_FLOAT_MAX:   # ratio^p overflows
+    if p * math.log(ratio) + math.log(p) > _LOG_FLOAT_MAX:   # (p/2) ratio^p overflows
         return math.exp(math.log(C / (p / 2.0)) - p * math.log(ratio))
     return C / ((p / 2.0) * ratio ** p)
 
@@ -103,12 +104,13 @@ def aliasing_bound(profile: SpectralProfile, gap: float, eps_internal: float) ->
     """Reported bound on the spectral-copy overlap at lattice gap D = a - scale.
 
     Analytic: 2 e^{-T D^p}; fractional: C_a e^{-T D^p} with the slightly
-    larger constant C_a = 2 (1 + 1/(p log(1/eps'))).
+    larger constant C_a = 2 (1 + 1/(p log(1/eps'))). e^{-T D^p} is 0 where
+    D^p exceeds the float range.
     """
     if gap <= 0:
         raise PrecondError(f"aliasing gap must be positive, got {gap}")
     p, T = profile.p, profile.T
-    base = math.exp(-T * gap ** p)
+    base = 0.0 if p * math.log(gap) > _LOG_FLOAT_MAX else math.exp(-T * gap ** p)
     if profile.regime == "analytic":
         return 2.0 * base
     c_a = 2.0 * (1.0 + 1.0 / (p * math.log(1.0 / eps_internal)))
@@ -152,7 +154,9 @@ def plan_fourier(profile: SpectralProfile, h_norm: float,
     # relative slack keeps rounding from triggering a spurious growth step.
     budget = (eps_internal / 2.0) * (1.0 + 1e-9)
 
-    gap = (math.log(4.0 / eps_internal) / T) ** (1.0 / p)
+    # A seed, ratio or K beyond the float range is inf, and K refuses it.
+    seed = math.log(4.0 / eps_internal) / T
+    gap = math.inf if math.log(seed) / p > _LOG_FLOAT_MAX else seed ** (1.0 / p)
     for _ in range(_MAX_GROWTH_STEPS):
         if aliasing_bound(profile, gap, eps_internal) <= budget:
             break
@@ -169,6 +173,8 @@ def plan_fourier(profile: SpectralProfile, h_norm: float,
     else:  # pragma: no cover
         raise NumericalError("truncation cutoff failed to reach its budget")
 
+    if not math.isfinite(ratio * a):
+        raise PrecondError(f"cutoff K = {ratio!r} * period {a!r} exceeds the float range")
     K = max(1, int(math.ceil(ratio * a)))
     return FourierPlan(profile=profile, a=a, K=K, eps_internal=eps_internal,
                        spectral_scale=scale)

@@ -152,11 +152,6 @@ def kernel_values(kern: TimeKernel, xs: np.ndarray) -> np.ndarray:
         f"tolerance {kern.panel_tolerance:.3e}")
 
 
-def kernel_value(kern: TimeKernel, x: float) -> float:
-    """Kernel f(x) = 2 int_0^Xi e^{-T xi^p} cos(2 pi x xi) d xi."""
-    return float(kernel_values(kern, np.array([float(x)]))[0])
-
-
 def algebraic_envelope_constant(p: float, T: float) -> float:
     """Magnitude constant of the algebraic envelope C/|x|^{p+1}.
 
@@ -171,7 +166,10 @@ def algebraic_envelope_constant(p: float, T: float) -> float:
     if log_gamma + math.log(T) - math.log(math.pi) > _LOG_FLOAT_MAX:
         raise PrecondError(
             f"algebraic envelope constant of p={p:g}, T={T:g} exceeds the float range")
-    return (T / math.pi) * math.exp(log_gamma) * abs(math.sin(math.pi * p / 2.0))
+    sine = abs(math.sin(math.pi * p / 2.0))
+    if log_gamma > _LOG_FLOAT_MAX:   # Gamma(p+1) overflows, C (small T) need not
+        return math.exp(log_gamma + math.log(T / math.pi)) * sine
+    return (T / math.pi) * math.exp(log_gamma) * sine
 
 
 def envelope_rate(profile: SpectralProfile) -> tuple[float, float]:
@@ -205,8 +203,9 @@ def saddle_rate(profile: SpectralProfile) -> tuple[float, float]:
 
 
 def envelope_function(profile: SpectralProfile) -> Callable[[float], float]:
-    """x -> decay_envelope(profile, x), with the profile's constants computed
-    once for a whole table of points."""
+    """x -> model envelope of |f(x)|: super-exponential in the analytic
+    regime (even integer p), algebraic C/|x|^{p+1} in the fractional regime.
+    The profile's constants are computed once for a whole table of points."""
     if profile.regime == "analytic":
         lam, beta = envelope_rate(profile)
 
@@ -230,12 +229,6 @@ def envelope_function(profile: SpectralProfile) -> Callable[[float], float]:
             return math.exp(log_env) if log_env <= _LOG_FLOAT_MAX else math.inf
         return C / abs(x) ** p1
     return algebraic
-
-
-def decay_envelope(profile: SpectralProfile, x: float) -> float:
-    """Model envelope of |f(x)|: super-exponential in the analytic regime
-    (even integer p), algebraic C/|x|^{p+1} in the fractional regime."""
-    return envelope_function(profile)(x)
 
 
 def _tail_series_terms(p: float, T: float, n_max: int = 24):
@@ -269,32 +262,21 @@ def _series_term(c: float, log_c: float, e: float, x: float) -> float:
     return math.copysign(math.exp(log_t) if log_t < _LOG_FLOAT_MAX else math.inf, c)
 
 
-def _tail_sum(p: float, T: float, x: float, integral: bool) -> float:
-    """Series terms c_n x^{-(n p + 1)}, or their integrals from x, summed
-    while they keep shrinking (asymptotic truncation)."""
+def algebraic_tail_integral(p: float, T: float, X: float) -> float:
+    """Signed int_X^inf f(x) dx for large X (fractional p): the integrals
+    c_n X^{-n p} / (n p) of the series terms, summed while they keep
+    shrinking (asymptotic truncation). The caller is responsible for X
+    being deep enough in the tail."""
     total, last = 0.0, math.inf
     for n, c, log_c in _tail_series_terms(p, T):
         if c == 0.0:
             continue
-        term = _series_term(c, log_c, n * p + (0.0 if integral else 1.0), x)
-        if integral:
-            term /= n * p
+        term = _series_term(c, log_c, n * p, X) / (n * p)
         if abs(term) >= last:
             break
         total += term
         last = abs(term)
     return total
-
-
-def algebraic_tail_value(p: float, T: float, x: float) -> float:
-    """Signed asymptotic value of f(x) for large x (fractional p); the
-    caller is responsible for x being deep enough in the tail."""
-    return _tail_sum(p, T, x, False)
-
-
-def algebraic_tail_integral(p: float, T: float, X: float) -> float:
-    """Signed int_X^inf f(x) dx from the same asymptotic expansion."""
-    return _tail_sum(p, T, X, True)
 
 
 # Aliases the lattice sampler leaves uncorrected stay below this, and its FFT

@@ -17,14 +17,12 @@ too: an even integer power (`is_even_integer`) any, any other power a PSD
 one (`clamp_psd`). The same reduction serves every shift of a contour sum:
 `resolvent_apply` takes a vector of shifts and solves them all at once.
 
-The Dirac root H = [[0, -iL'], [iL, 0]] of a real factor L has a structured
-decomposition, `dirac_eig`: H^2 = blockdiag(L'L, LL'), so an even function
-phi of H is blockdiag(phi(sqrt(L'L)), phi(sqrt(LL'))) (Higham, ch. 1), and
-one real `eigh` of the n x n matrix L'L, under the reconstruction check of
-`eig`, serves it. `matfun`, `distance_from`, `hermitian_eig` and
-`evolution_matrix` accept that decomposition like any other, so the heat
-and biharmonic evolutions never form or decompose H; both refuse a function
-that is not even on its spectrum.
+The Dirac root H = [[0, -iL'], [iL, 0]] of a real m x n factor L has the
+spectrum +-sigma_i(L), plus 0 when LL' is singular (Golub & Van Loan,
+*Matrix Computations*, 4th ed., 8.6). `dirac_spectrum` reads it off one real
+`eigh` of the n x n matrix L'L, under the reconstruction check of `eig`, so
+the heat and biharmonic evolutions measure their error without forming or
+decomposing H.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ _HERM_TOL = 1e-12        # relative Hermiticity test
 _RECON_TOL = 1e-10       # eigendecomposition must reconstruct M to this
 _RESOLVENT_DIST = 1e-13  # z must keep this relative distance from spectrum
 _PSD_CLAMP = 1e-12       # eigenvalues in [-tol*||H||, 0) are clamped to 0
-_EVEN_TOL = 1e-12        # relative |f(s) - f(-s)| for an even function
 
 
 def as_matrix(M: np.ndarray) -> np.ndarray:
@@ -113,20 +110,7 @@ class SpectralDecomposition:
         return float(np.abs(self.eigenvalues).max())
 
 
-@dataclass
-class DiracDecomposition:
-    """The Dirac root H = [[0, -iL'], [iL, 0]] of a real m x n factor L, held
-    as L and the real eigenpairs L'L = W diag(lam) W' of its n x n block."""
-
-    factor: np.ndarray           # L, real m x n
-    gram_eigenvalues: np.ndarray  # lam, shape (n,), real, >= 0
-    gram_basis: np.ndarray       # W, real orthogonal n x n
-    norm: float                  # ||H||_2 = sqrt(max lam)
-    hermitian = True             # H is Hermitian by construction
-
-
-Decomposition = SpectralDecomposition | DiracDecomposition
-Operator = np.ndarray | Decomposition   # a matrix or its decomposition
+Operator = np.ndarray | SpectralDecomposition   # a matrix or its decomposition
 
 
 def eig(M: np.ndarray) -> SpectralDecomposition:
@@ -156,12 +140,17 @@ def eig(M: np.ndarray) -> SpectralDecomposition:
                                  hermitian=herm, norm=nrm)
 
 
-def dirac_eig(L: np.ndarray) -> DiracDecomposition:
-    """Decompose the Dirac root of a real factor L through L'L alone.
+def dirac_spectrum(L: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of the Dirac root H = [[0, -iL'], [iL, 0]] of a real
+    m x n factor L, without multiplicity: [sigma, -sigma], and 0 when m
+    exceeds the rank of L.
 
-    One real `eigh` of the n x n matrix L'L under the reconstruction
-    contract of `eig`; neither H nor any complex matrix is formed. L'L is
-    PSD, so eigenvalues that rounding puts below zero are taken as zero.
+    sigma = sqrt(lam) from one real `eigh` of L'L under the reconstruction
+    contract of `eig`; H is never formed. The rank counts the lam above the
+    eigh rounding floor n*u*max(lam). A lam carries an absolute error of
+    about u*||L||^2, so a sigma near 0 carries up to about sqrt(n*u)*||L||:
+    only functions of sigma^2 (the even ones, all that heat and biharmonic
+    evaluate) keep the accuracy of eigh there.
     """
     L = np.asarray(L)
     if L.ndim != 2 or L.size == 0:
@@ -169,20 +158,21 @@ def dirac_eig(L: np.ndarray) -> DiracDecomposition:
     if np.iscomplexobj(L) or not np.all(np.isfinite(L)):
         raise PrecondError("gradient factor entries must be real and finite")
     L = np.asarray(L, dtype=float)
-    lam, W, nrm = _eigh_checked(L.T @ L)
-    return DiracDecomposition(factor=L, gram_eigenvalues=np.maximum(lam, 0.0),
-                              gram_basis=W, norm=float(np.sqrt(nrm)))
+    lam = np.maximum(_eigh_checked(L.T @ L)[0], 0.0)   # PSD up to rounding
+    sigma = np.sqrt(lam)
+    rank = np.count_nonzero(lam > lam.size * np.finfo(float).eps * lam.max())
+    return np.concatenate([sigma, -sigma, [0.0] if L.shape[0] > rank else []])
 
 
-def as_decomposition(M: Operator) -> Decomposition:
+def as_decomposition(M: Operator) -> SpectralDecomposition:
     """M itself when the caller already holds its decomposition, else eig(M)."""
-    return M if isinstance(M, Decomposition) else eig(M)
+    return M if isinstance(M, SpectralDecomposition) else eig(M)
 
 
-def hermitian_eig(H: Operator) -> Decomposition:
+def hermitian_eig(H: Operator) -> SpectralDecomposition:
     """`as_decomposition` of a Hermitian H. Any other H is refused before it
     is decomposed, so a defective H is a PrecondError, not a NumericalError."""
-    if not (H.hermitian if isinstance(H, Decomposition)
+    if not (H.hermitian if isinstance(H, SpectralDecomposition)
             else is_hermitian(as_matrix(H))):
         raise PrecondError("operator must be Hermitian")
     return as_decomposition(H)
@@ -201,66 +191,13 @@ def _values_on(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np
     return vals
 
 
-def _dirac_kept(dec: DiracDecomposition) -> np.ndarray:
-    """Mask of the lam above the eigh rounding floor n*u*max(lam): their
-    columns of LW span the range of LL'; the rest carry nothing."""
-    lam = dec.gram_eigenvalues
-    return lam > lam.size * np.finfo(float).eps * lam.max()
-
-
-def _dirac_values(dec: DiracDecomposition,
-                  fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """fn = phi on [sigma, 0], sigma = sqrt(lam), with 0 standing in for the
-    null space of L'. fn is evaluated once on [sigma, -sigma, 0], the
-    spectrum of H, and refused unless it is even there to rounding."""
-    sigma = np.sqrt(dec.gram_eigenvalues)
-    n = sigma.size
-    phi = _values_on(fn, np.concatenate([sigma, -sigma, [0.0]]))
-    odd = float(np.abs(phi[:n] - phi[n:2 * n]).max())
-    if odd > _EVEN_TOL * float(np.abs(phi).max()):
-        raise PrecondError(
-            f"fn is not even on the spectrum of the Dirac root (|f(s) - f(-s)| "
-            f"up to {odd:.3e}); only even functions are evaluated through L'L")
-    return np.append(phi[:n], phi[2 * n])
-
-
-def _dirac_matfun(dec: DiracDecomposition, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """phi(H) = blockdiag(W phi(sigma) W', phi(0) I + LW diag((phi(sigma) -
-    phi(0)) / lam) (LW)') with sigma = sqrt(lam), for fn = phi even
-    (`_dirac_values`).
-
-    A column of LW has norm sqrt(lam), so the columns with lam at the eigh
-    rounding floor carry nothing and are dropped (`_dirac_kept`); the floor
-    also keeps the rounding of phi(sigma) - phi(0) from being divided by a
-    lam that is itself rounding. Each lam carries an absolute error of about
-    u*||L'L||, so a small singular value of an ill-conditioned L keeps fewer
-    digits here than in eigh of H.
-    """
-    lam, W, L = dec.gram_eigenvalues, dec.gram_basis, dec.factor
-    m, n = L.shape
-    phi = _dirac_values(dec, fn)
-    phi_s, phi_0 = phi[:n], phi[n]
-    keep = _dirac_kept(dec)
-    LW = L @ W[:, keep]
-    bottom = (LW * ((phi_s[keep] - phi_0) / lam[keep])) @ LW.T
-    bottom[np.diag_indices(m)] += phi_0
-    out = np.zeros((n + m, n + m), dtype=bottom.dtype)
-    out[:n, :n] = (W * phi_s) @ W.T
-    out[n:, n:] = bottom
-    return out
-
-
 def matfun(M: Operator, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to M through its eigendecomposition.
 
     fn receives the eigenvalue vector and must return finite values; any
-    non-finite f(lambda) aborts with the offending eigenvalue named. A
-    `DiracDecomposition` takes the structured route of `_dirac_matfun`,
-    which stays real for real fn and admits even fn only.
+    non-finite f(lambda) aborts with the offending eigenvalue named.
     """
     dec = as_decomposition(M)
-    if isinstance(dec, DiracDecomposition):
-        return _dirac_matfun(dec, fn)
     flam = np.asarray(_values_on(fn, dec.eigenvalues), dtype=complex)
     V = dec.basis
     if dec.hermitian:
@@ -329,28 +266,22 @@ def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.n
     return X[0] if np.ndim(z) == 0 else X
 
 
-def distance_from(H: Operator, g: Callable[[np.ndarray], np.ndarray]
+def distance_from(spectrum: np.ndarray, g: Callable[[np.ndarray], np.ndarray]
                   ) -> Callable[[Callable[[np.ndarray], np.ndarray]], float]:
     """f -> ||f(H) - g(H)||_2 of a Hermitian H, with g evaluated once.
 
-    For Hermitian H the 2-norm of f(H) - g(H) is max |f - g| over the real
-    spectrum of H (Higham, ch. 1), so no matrix is formed. f and g receive
-    the real spectrum: eigenvalues.real of a `SpectralDecomposition`, and of
-    a `DiracDecomposition` the points where `matfun` evaluates phi: all n
-    sigma = sqrt(lam), plus 0 when LL' has a null space (m exceeds the count
-    of kept columns). Each function passes the checks `matfun` applies: its
-    values must be finite, and on the Dirac root even.
+    That norm is max |f - g| over the real spectrum of H (Higham, ch. 1), so
+    no matrix is formed: `spectrum` is a real vector holding every
+    eigenvalue of H, such as `hermitian_eig(H).eigenvalues.real` or
+    `dirac_spectrum(L)`. f and g must map it to finite values, as in `matfun`.
     """
-    dec = hermitian_eig(H)
-    if isinstance(dec, DiracDecomposition):
-        m, n = dec.factor.shape
-        points = n + 1 if m > np.count_nonzero(_dirac_kept(dec)) else n
-        values = lambda fn: _dirac_values(dec, fn)[:points]
-    else:
-        lam = dec.eigenvalues.real
-        values = lambda fn: _values_on(fn, lam)
-    ref = values(g)
-    return lambda f: float(np.abs(values(f) - ref).max())
+    lam = np.asarray(spectrum)
+    if lam.ndim != 1 or lam.size == 0 or np.iscomplexobj(lam) or not np.all(np.isfinite(lam)):
+        raise PrecondError(
+            "distance_from takes the spectrum of a Hermitian operator as a non-empty "
+            f"real finite vector, got shape {lam.shape} of {lam.dtype}")
+    ref = _values_on(g, lam)
+    return lambda f: float(np.abs(_values_on(f, lam) - ref).max())
 
 
 def evolution_function(alpha: float, T: float) -> Callable[[np.ndarray], np.ndarray]:

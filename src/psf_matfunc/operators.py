@@ -8,12 +8,13 @@ spectrally shifted encoding A = 2H/(4d/h^2) - I with vanishing diagonal.
 evolution of e^{-T H^2}), biharmonic (e^{-T H^4}), levy (fractional
 e^{-T (L'L)^{3/4}} driven through the operator L'L itself, never through a
 materialized fractional power), and matrix_poly (contour evaluation of a
-polynomial, checked against its exact lattice identity). Heat and
-biharmonic evaluate even functions of H, so they go through one real
-eigendecomposition of L'L (`linalg.dirac_eig`) and never form H;
-`dirac_operator` builds H explicitly for checking its identities. The three
+polynomial, checked against its exact lattice identity). The three
 Fourier experiments measure their error on the spectrum of the operator
-(`linalg.distance_from`), with no dense series or oracle.
+(`linalg.distance_from`), with no dense series or oracle. For heat and
+biharmonic that is the spectrum of H, +-sigma(L) and 0 when LL' is
+singular, read off one real eigendecomposition of L'L
+(`linalg.dirac_spectrum`), so H is never formed; `dirac_operator` builds H
+explicitly for checking its identities.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import contour, fourier
 from .errors import NumericalError, PrecondError
 from .instances import random_state
 from .kernels import SpectralProfile
-from .linalg import (dirac_eig, distance_from, eig, evolution_function,
+from .linalg import (dirac_spectrum, distance_from, eig, evolution_function,
                      hermitian_eig, matfun)
 
 _MAX_SITES = 4096
@@ -208,13 +209,14 @@ def _fourier_app(app: str, g: GridSpec, T: float, eps: float) -> tuple[dict, flo
     alpha, mode = {"heat": (2.0, "direct"), "biharmonic": (4.0, "direct"),
                    "levy": (0.75, "root")}[app]
     profile = SpectralProfile(alpha=alpha, T=T, mode=mode)
-    # levy evolves L'L itself; heat and biharmonic evolve even functions of
-    # the Dirac root H, which its decomposition evaluates from L'L alone
-    dec = hermitian_eig(L.T @ L) if app == "levy" else dirac_eig(L)
-    distance = distance_from(dec, evolution_function(alpha, T))
-    plan = fourier.plan_fourier(profile, dec.norm, eps)
+    # levy evolves L'L itself; heat and biharmonic evolve the Dirac root H
+    spectrum = (hermitian_eig(L.T @ L).eigenvalues.real if app == "levy"
+                else dirac_spectrum(L))
+    norm = float(np.abs(spectrum).max())
+    distance = distance_from(spectrum, evolution_function(alpha, T))
+    plan = fourier.plan_fourier(profile, norm, eps)
     err = distance(lambda lam: fourier.cosine_series(plan, lam))
-    bound = fourier.error_bounds(plan, dec.norm).total
+    bound = fourier.error_bounds(plan, norm).total
     params = {"mode": profile.mode, "alpha": profile.alpha, "regime": plan.regime,
               "a": plan.a, "K": plan.K}
     return params, err, bound
@@ -253,12 +255,12 @@ def run_application(app: str, g: GridSpec, T: float, eps: float,
     """Run one end-to-end experiment and report errors vs its oracle.
 
     heat/biharmonic evolve e^{-T H^p} on the block root operator (p = 2, 4,
-    direct mode) through the real eigendecomposition of L'L, without forming
-    H; levy evolves e^{-T (L'L)^{3/4}} (root mode, alpha = 3/4). All three
+    direct mode) on its spectrum from the real eigendecomposition of L'L,
+    without forming H; levy evolves e^{-T (L'L)^{3/4}} (root mode, alpha = 3/4). All three
     report the operator-norm deviation from the spectral oracle next to the
     planner's a-priori bound, measured as the largest deviation on the
-    spectrum (for heat and biharmonic, that of H: the square roots of the
-    eigenvalues of L'L, and 0 when LL' is singular). matrix_poly runs the
+    spectrum (for heat and biharmonic, that of H: plus and minus the square
+    roots of the eigenvalues of L'L, and 0 when LL' is singular). matrix_poly runs the
     contour path on the shifted encoding with an optimized outer radius and
     reports the deviation from the exact polynomial lattice identity; its
     bound column is the planned deviation from f(A) psi itself.

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -407,6 +408,49 @@ def test_kernel_exit_code_fuzz(tmp_path_factory, alpha, T, mode, x):
     out = str(tmp_path_factory.getbasetemp() / "fuzz.csv")
     rc = cli.main(["kernel", "--alpha", repr(alpha), "--T", repr(T), "--mode", mode,
                    "--x", x, "--out", out])
+    assert rc in (0, 2, 3)
+
+
+# Fourier planner overflows that exited 1: gap^p in the aliasing bound at
+# p = 16000.5 and p = 2e300, and K = (K/a) * a beyond the float range.
+_PLAN_OVERFLOWS = [
+    (["plan", "--alpha", "8000.25", "--T", "1", "--eps", "1e-6", "--hnorm", "1"], 2),
+    (["plan", "--alpha", "0.5", "--T", "1e300", "--eps", "0.5", "--hnorm", "1e300"], 2),
+    (["simulate-fourier", "--alpha", "1e300", "--T", "1", "--eps", "1e-6"], 3),
+    (["sweep", "--path", "fourier", "--alpha", "1e300", "--T", "1", "--K", "4:8:4"], 3),
+]
+
+
+@pytest.mark.parametrize("argv,code", _PLAN_OVERFLOWS,
+                         ids=["plan-p16000.5", "plan-K-inf", "simulate-fourier-p1e300",
+                              "sweep-fourier-p1e300"])
+def test_fourier_planner_overflow_exit_code(tmp_path, capsys, argv, code):
+    """A plan beyond the float range is refused (exit 2) or reported as not
+    reaching its budget (exit 3), never a traceback."""
+    rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert rc == code, err
+
+
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(alpha=_log_uniform(math.log10(0.3), 6.0), T=_log_uniform(-300.0, 300.0),
+       eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       hnorm=_log_uniform(-300.0, 300.0), mode=st.sampled_from(["root", "direct"]))
+@example(alpha=8000.25, T=1.0, eps=1e-6, hnorm=1.0, mode="root")
+@example(alpha=0.5, T=1e300, eps=0.5, hnorm=1e300, mode="root")
+@example(alpha=1.0, T=1.0, eps=5e-324, hnorm=1.0, mode="direct")
+@example(alpha=0.31622776601683794, T=1e-98, eps=0.5, hnorm=1.0, mode="direct")
+@example(alpha=115.47819846894582, T=1e-139, eps=0.5, hnorm=1.0, mode="root")
+def test_plan_exit_code_fuzz(tmp_path_factory, alpha, T, eps, hnorm, mode):
+    """A plan returns (exit 0) or refuses (exit 2 or 3), never a traceback:
+    not when eps' is subnormal, nor when the gap seed, Gamma(p + 1) or K
+    leaves the float range."""
+    out = str(tmp_path_factory.getbasetemp() / "fuzz.json")
+    rc = cli.main(["plan", "--alpha", repr(alpha), "--T", repr(T), "--eps", repr(eps),
+                   "--hnorm", repr(hnorm), "--mode", mode, "--out", out])
     assert rc in (0, 2, 3)
 
 

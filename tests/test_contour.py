@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from psf_matfunc import contour, util
-from psf_matfunc.contour import (Amplification, ContourPlan,
-                                 aliasing_norm_ratio, aliasing_term,
-                                 amplification_factor, circle_sup,
-                                 discrete_sum_apply, lattice_radii, make_nodes,
-                                 make_plan, optimize_radius, plan_contour,
-                                 plan_lattice, plan_m, sup_poly_abs,
-                                 truncation_integral, truncation_norm_bound)
+from psf_matfunc.contour import (ContourPlan, aliasing_norm_ratio,
+                                 aliasing_term, circle_sup, discrete_sum_apply,
+                                 lattice_radii, make_nodes, make_plan,
+                                 optimize_radius, plan_contour, plan_lattice,
+                                 plan_m, sup_poly_abs, truncation_integral,
+                                 truncation_norm_bound)
 from psf_matfunc.errors import ErrorBudget, PrecondError
 from psf_matfunc.instances import (random_diagonalizable, random_hermitian,
                                    random_normal_matrix, random_state)
@@ -379,19 +378,3 @@ def test_optimize_radius_constant_hits_cap():
 
 def test_sup_helpers():
     assert sup_poly_abs([1.0, -2.0, 3.0])(2.0) == pytest.approx(17.0)
-
-
-def test_amplification_examples():
-    plan = make_plan(one, 1.5, 3.0, 8)
-    amp = amplification_factor(plan, one, 1.0, 1.0)
-    assert amp == Amplification(1.5, 1.5)
-    plan_e = make_plan(exp_neg, 1.0, 2.0, 16)
-    amp_e = amplification_factor(plan_e, exp_neg, 1.0, 1.0)
-    # lattice mean of |e^{-w}| on the unit circle is the Bessel value I_0(1)
-    assert amp_e.value == pytest.approx(1.2660658777520082, abs=1e-9)
-    assert amp_e.upper_bound == pytest.approx(math.e, rel=1e-12)
-    assert amp_e.value <= amp_e.upper_bound
-    with pytest.raises(PrecondError):
-        amplification_factor(plan, one, 1.0, 0.0)
-    with pytest.raises(PrecondError):
-        amplification_factor(plan, one, -1.0, 1.0)

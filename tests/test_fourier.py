@@ -12,7 +12,8 @@ from psf_matfunc.fourier import (aliasing_bound, assemble_fourier_approx,
                                  truncation_bound, truncation_ratio)
 from psf_matfunc.instances import (random_diagonalizable, random_hermitian,
                                    random_psd)
-from psf_matfunc.kernels import SpectralProfile, TimeKernel
+from psf_matfunc.kernels import (SpectralProfile, TimeKernel,
+                                 algebraic_envelope_constant)
 from psf_matfunc.linalg import eig, evolution_matrix, matfun
 
 
@@ -63,6 +64,17 @@ def test_bounds_monotone():
     gaps = [2.0, 3.0, 4.0, 6.0]
     ab = [aliasing_bound(prof, g, 1e-6) for g in gaps]
     assert all(b < a for a, b in zip(ab, ab[1:]))
+
+
+def test_truncation_bound_beyond_the_float_range():
+    """At T = 1e-139 and p = 231 the constant C stays finite while (p/2) X^p
+    overflows: the bound is read through logarithms, not as C / inf = 0."""
+    prof = SpectralProfile(115.47819846894582, 1e-139, "root")
+    p, X = prof.p, 21.300066713021625
+    C = algebraic_envelope_constant(p, prof.T)
+    expected = math.exp(math.log(C) - math.log(p / 2.0) - p * math.log(X))
+    assert truncation_bound(prof, X) == pytest.approx(expected, rel=1e-12)
+    assert 0.0 < expected < 1.0
 
 
 def test_fractional_needs_p_at_least_one():

@@ -10,10 +10,9 @@ from psf_matfunc import kernels
 from psf_matfunc.errors import NumericalError, PrecondError
 from psf_matfunc.kernels import (SpectralProfile, TimeKernel, _hurwitz,
                                  algebraic_envelope_constant,
-                                 algebraic_tail_integral,
-                                 algebraic_tail_value, decay_envelope,
-                                 envelope_rate, kernel_value, kernel_values,
-                                 l1_norm_estimate, lattice_kernel, saddle_rate)
+                                 algebraic_tail_integral, envelope_function,
+                                 envelope_rate, kernel_values, l1_norm_estimate,
+                                 lattice_kernel, saddle_rate)
 from psf_matfunc.util import fit_loglog_slope
 
 
@@ -135,11 +134,13 @@ def test_kernel_values_unconverged_raises():
 
 
 def test_kernel_value_scalar_matches_batch():
+    """One point alone, whose panels are sized by that point, agrees with
+    the batch, whose panels are sized by its largest point."""
     kern = TimeKernel(SpectralProfile(0.75, 1.0, "root"))
     xs = np.array([0.0, 0.5, 3.0])
     batch = kernel_values(kern, xs)
     for x, v in zip(xs, batch):
-        assert kernel_value(kern, float(x)) == pytest.approx(v, abs=1e-14)
+        assert kernel_values(kern, np.array([x]))[0] == pytest.approx(v, abs=1e-14)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -169,46 +170,49 @@ def test_envelope_constant_value():
 def test_fractional_envelope_is_constant_times_power():
     prof = SpectralProfile(0.75, 1.0, "root")
     C = algebraic_envelope_constant(1.5, 1.0)
+    envelope = envelope_function(prof)
     for x in (0.5, 2.0, 7.0):
-        assert decay_envelope(prof, x) == pytest.approx(C / x**2.5, rel=1e-12)
+        assert envelope(x) == pytest.approx(C / x**2.5, rel=1e-12)
     with pytest.raises(PrecondError):
-        decay_envelope(prof, 0.0)
+        envelope(0.0)
 
 
 def test_envelope_beyond_the_float_range():
     """Where |x|^{p+1} or |x|^beta leaves the float range the envelope is
     read through logarithms: inf above the largest float, 0.0 below the
     smallest, and the exact value where it fits."""
-    frac = SpectralProfile(60.25, 1.0, "root")     # p = 120.5
-    assert decay_envelope(frac, 1e-3) == math.inf
-    assert decay_envelope(frac, -1e-300) == math.inf
-    assert decay_envelope(frac, 1e300) == 0.0
-    tiny_t = SpectralProfile(60.25, 1e-300, "root")
+    frac = envelope_function(SpectralProfile(60.25, 1.0, "root"))     # p = 120.5
+    assert frac(1e-3) == math.inf
+    assert frac(-1e-300) == math.inf
+    assert frac(1e300) == 0.0
+    tiny_t = envelope_function(SpectralProfile(60.25, 1e-300, "root"))
     C = algebraic_envelope_constant(120.5, 1e-300)
-    assert decay_envelope(tiny_t, 1e-3) == pytest.approx(
+    assert tiny_t(1e-3) == pytest.approx(
         math.exp(math.log(C) + 121.5 * math.log(1e3)), rel=1e-12)
-    gauss = SpectralProfile(1.0, 0.7, "root")       # p = 2
-    assert decay_envelope(gauss, 1e300) == 0.0
-    assert decay_envelope(gauss, -1e300) == 0.0
-    assert decay_envelope(gauss, 1e-300) == 1.0
+    gauss = envelope_function(SpectralProfile(1.0, 0.7, "root"))       # p = 2
+    assert gauss(1e300) == 0.0
+    assert gauss(-1e300) == 0.0
+    assert gauss(1e-300) == 1.0
 
 
 def test_tail_series_tracks_kernel():
-    """The asymptotic series for the tail agrees with quadrature at large x."""
+    """The asymptotic series for the tail agrees with quadrature at large x:
+    the derivative of its integral from x, -f(x), by a central difference."""
     kern = TimeKernel(SpectralProfile(0.75, 1.0, "root"))
-    for x in (30.0, 60.0):
-        exact = kernel_value(kern, x)
-        series = algebraic_tail_value(1.5, 1.0, x)
-        assert series == pytest.approx(exact, rel=1e-4)
+    xs, step = np.array([30.0, 60.0]), 1e-2
+    for x, exact in zip(xs, kernel_values(kern, xs)):
+        series = (algebraic_tail_integral(1.5, 1.0, x + step)
+                  - algebraic_tail_integral(1.5, 1.0, x - step)) / (2.0 * step)
+        assert series == pytest.approx(-exact, rel=1e-4)
 
 
 def test_gaussian_envelope_is_exact_modulus():
     prof = gaussian_profile()
     lam, beta = envelope_rate(prof)
     assert (lam, beta) == pytest.approx((math.pi**2, 2.0), rel=1e-14)
+    envelope = envelope_function(prof)
     for x in (0.3, 1.0, 2.5):
-        assert decay_envelope(prof, x) == pytest.approx(math.exp(-math.pi**2 * x**2),
-                                                        rel=1e-12)
+        assert envelope(x) == pytest.approx(math.exp(-math.pi**2 * x**2), rel=1e-12)
 
 
 def test_saddle_rate_matches_envelope_at_p2():
@@ -268,7 +272,7 @@ def _l1_root_split_reference(p: float, X: float = 10.0) -> float:
     kern = TimeKernel(SpectralProfile(p, 1.0, "direct"))
     grid = np.linspace(0.0, X, 401)
     vals = kernel_values(kern, grid)
-    roots = [brentq(lambda x: kernel_value(kern, x), a, b, xtol=1e-15)
+    roots = [brentq(lambda x: kernel_values(kern, np.array([x]))[0], a, b, xtol=1e-15)
              for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:])
              if fa * fb < 0.0]
     edges = np.array([0.0] + roots + [X])
@@ -308,7 +312,6 @@ def test_tail_series_vanishes_at_even_p():
     """Every term carries sin(n pi p / 2), which is 0 at even p; at p = 256
     the rounded sine passed the old 1e-12 zero test and the terms overflowed."""
     assert algebraic_tail_integral(256, 1, 40) == 0.0
-    assert algebraic_tail_value(256, 1, 40) == 0.0
 
 
 def test_tail_series_coefficients_beyond_float_range():
@@ -327,7 +330,7 @@ def test_envelope_constant_beyond_float_range_is_refused():
     with pytest.raises(PrecondError):
         algebraic_envelope_constant(255.0, 1.0)
     prof = SpectralProfile(50.25, 1.0, "root")           # |x|^{p+1} overflows
-    env = decay_envelope(prof, 1e4)
+    env = envelope_function(prof)(1e4)
     C = algebraic_envelope_constant(100.5, 1.0)
     assert 0.0 < env == pytest.approx(C / 1e4 ** 50 / 1e4 ** 51.5, rel=1e-9)
 

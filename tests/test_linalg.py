@@ -9,7 +9,7 @@ from psf_matfunc.errors import NumericalError, PrecondError
 from psf_matfunc.instances import (random_diagonalizable, random_hermitian,
                                    random_normal_matrix, random_psd,
                                    random_state, random_unitary)
-from psf_matfunc.linalg import (dirac_eig, distance_from, eig, evolution_function,
+from psf_matfunc.linalg import (dirac_spectrum, distance_from, eig,
                                 evolution_matrix, hermitian_eig, is_hermitian, matfun,
                                 resolvent_apply)
 from psf_matfunc.operators import dirac_operator
@@ -229,40 +229,25 @@ _EVEN_FNS = {"cos": np.cos, "gauss": lambda x: np.exp(-x ** 2), "quartic": lambd
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(m=st.integers(1, 9), n=st.integers(1, 9), rank=st.integers(0, 9),
-       seed=st.integers(0, 2 ** 32 - 1), fn=st.sampled_from(sorted(_EVEN_FNS)))
-def test_dirac_matfun_matches_eigh_of_the_block_root(m, n, rank, seed, fn):
-    """An even function of H = [[0, -iL'], [iL, 0]] evaluated from the real
-    eigendecomposition of L'L equals the one from eigh of H itself, for
-    square, tall and wide L, and for rank-deficient L with L'L singular."""
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dirac_spectrum_matches_eigh_of_the_block_root(m, n, rank, seed):
+    """The spectrum of H = [[0, -iL'], [iL, 0]] read off the real
+    eigendecomposition of L'L holds the points of eigvalsh of H itself, for
+    square, tall and wide L, and for rank-deficient L with L'L singular.
+    The points are symmetric about 0, and the two lists differ in length
+    (H repeats 0), so each square must lie within rounding of a square of
+    the other; squares, because a sigma near 0 is only as accurate as the
+    square root of its rounding."""
     rng = np.random.default_rng(seed)
     rank = min(rank, m, n)
     L = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
-    dec = dirac_eig(L)
-    H = dirac_operator(L).H
-    assert dec.norm == pytest.approx(np.linalg.norm(H, 2), rel=1e-12, abs=1e-12)
-    f = _EVEN_FNS[fn]
-    ref = matfun(hermitian_eig(H), f)
-    got = matfun(dec, f)
-    assert got.dtype == np.float64 and got.shape == ref.shape
-    assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
-
-
-def test_dirac_matfun_refuses_what_is_not_even():
-    """Odd functions, and non-even powers (which need a PSD operator), are
-    refused on the Dirac root; even integer powers are served."""
-    dec = dirac_eig(np.random.default_rng(1).standard_normal((5, 3)))
-    with pytest.raises(PrecondError, match="not even"):
-        matfun(dec, lambda x: x)
-    with pytest.raises(PrecondError):
-        evolution_matrix(dec, 1.5, 0.5)
-    with pytest.raises(PrecondError, match="not even"):
-        distance_from(dec, np.cos)(lambda x: x)
-    with pytest.raises(PrecondError):
-        distance_from(dec, evolution_function(1.5, 0.5))
-    top = evolution_matrix(dec, 2.0, 0.5)[:3, :3]
-    L = dec.factor
-    np.testing.assert_allclose(top, matfun(L.T @ L, lambda lam: np.exp(-0.5 * lam.real)).real,
-                               rtol=0, atol=1e-14)
+    spectrum, eigs = dirac_spectrum(L), np.linalg.eigvalsh(dirac_operator(L).H)
+    assert np.abs(spectrum).max() == pytest.approx(np.abs(eigs).max(), rel=1e-12, abs=1e-12)
+    np.testing.assert_array_equal(np.sort(spectrum), -np.sort(spectrum)[::-1])
+    got, ref = np.sort(spectrum ** 2), np.sort(eigs ** 2)
+    tol = 64 * (m + n) * np.finfo(float).eps * np.linalg.norm(L, 2) ** 2
+    for xs, ys in ((got, ref), (ref, got)):
+        assert np.abs(xs[:, None] - ys[None, :]).min(axis=1).max() <= tol
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
@@ -275,19 +260,21 @@ def test_dirac_matfun_refuses_what_is_not_even():
 def test_distance_from_matches_the_dense_norm(kind, m, n, rank, log_scale, seed, f, g):
     """The spectral distance equals the 2-norm of the difference of the two
     dense functions: on random Hermitian and PSD matrices, and on the Dirac
-    root of square, tall, wide and rank-deficient real L. Small operators
-    make the point 0 of a singular LL' decide the distance."""
+    root of square, tall, wide and rank-deficient real L, whose dense
+    functions come from eigh of H itself. Small operators make the point 0
+    of a singular LL' decide the distance."""
     rng, scale = np.random.default_rng(seed), 10.0 ** log_scale
     if kind == "dirac":
         rank = min(rank, m, n)
-        dec = dirac_eig(scale * rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)))
+        L = scale * rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        dec, spectrum = hermitian_eig(dirac_operator(L).H), dirac_spectrum(L)
         dim = m + n
     else:
         dec = eig((random_hermitian if kind == "hermitian" else random_psd)(rng, n, norm=scale))
-        dim = n
+        spectrum, dim = dec.eigenvalues.real, n
     F, G = matfun(dec, _EVEN_FNS[f]), matfun(dec, _EVEN_FNS[g])
     dense = np.linalg.norm(F - G, 2)
-    got = distance_from(dec, _EVEN_FNS[g])(_EVEN_FNS[f])
+    got = distance_from(spectrum, _EVEN_FNS[g])(_EVEN_FNS[f])
     floor = 64 * dim * np.finfo(float).eps * max(np.linalg.norm(F, 2), np.linalg.norm(G, 2))
     assert abs(got - dense) <= max(1e-12 * dense, floor)
 
@@ -295,11 +282,20 @@ def test_distance_from_matches_the_dense_norm(kind, m, n, rank, log_scale, seed,
 def test_distance_from_refuses_non_finite_values():
     dec = eig(random_psd(np.random.default_rng(2), 4))
     with pytest.raises(NumericalError, match="non-finite"):
-        distance_from(dec, np.cos)(lambda lam: np.full_like(lam, np.inf))
+        distance_from(dec.eigenvalues.real, np.cos)(lambda lam: np.full_like(lam, np.inf))
 
 
-def test_dirac_eig_admission():
+def test_distance_from_takes_a_real_spectrum():
+    """Anything but a non-empty real finite vector is refused: a matrix, a
+    decomposition, complex eigenvalues."""
+    dec = eig(random_psd(np.random.default_rng(2), 4))
+    for bad in (dec.matrix, dec, dec.eigenvalues, np.zeros(0), np.array([0.0, np.nan])):
+        with pytest.raises(PrecondError, match="spectrum"):
+            distance_from(bad, np.cos)
+
+
+def test_dirac_spectrum_admission():
     for L in (np.zeros(4), np.zeros((0, 3)), np.array([[1.0, np.inf]]),
               np.array([[1.0j, 0.0]])):
         with pytest.raises(PrecondError):
-            dirac_eig(L)
+            dirac_spectrum(L)

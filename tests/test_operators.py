@@ -7,7 +7,7 @@ from psf_matfunc import contour, fourier, operators
 from psf_matfunc.errors import PrecondError
 from psf_matfunc.instances import random_state
 from psf_matfunc.kernels import SpectralProfile
-from psf_matfunc.linalg import dirac_eig, eig, evolution_matrix, hermitian_eig, matfun
+from psf_matfunc.linalg import eig, evolution_matrix, hermitian_eig, matfun
 from psf_matfunc.operators import (_DEFAULT_COEFFS, GridSpec, difference_operator,
                                    dirac_operator, gradient_stack, laplacian,
                                    run_application, shifted_encoding,
@@ -164,31 +164,24 @@ def test_heat_and_biharmonic_never_build_the_dirac_operator(app, monkeypatch):
     assert rec.error_measured <= rec.error_bound
 
 
-def _fourier_matrices(dec, alpha, T, eps):
-    """(plan, approx, oracle) of the Fourier run on one decomposition."""
-    plan = fourier.plan_fourier(SpectralProfile(alpha=alpha, T=T, mode="direct"),
-                                dec.norm, eps)
-    return plan, fourier.assemble_fourier_approx(plan, dec), evolution_matrix(dec, alpha, T)
-
-
 @pytest.mark.parametrize("app,alpha", [("heat", 2.0), ("biharmonic", 4.0)])
 @pytest.mark.parametrize("d,n", [(1, 8), (1, 48), (2, 6), (2, 12), (3, 4)])
 def test_structured_route_matches_eigh_of_the_dirac_root(app, alpha, d, n):
-    """The L'L route reproduces eigh of the block root H: the series and the
-    oracle to 1e-13 relative, the same K, and the error column to
-    1e-12*||oracle|| measured against the dense H route."""
+    """The spectrum route of heat and biharmonic reproduces the dense route
+    through eigh of the block root H: the same lattice, and the error column
+    to 1e-12*||oracle|| of the 2-norm of the dense series minus the dense
+    oracle."""
     g, T, eps = GridSpec(d, n, 1.0), 0.5, 1e-6
-    L = gradient_stack(g)
-    plan, approx, oracle = _fourier_matrices(dirac_eig(L), alpha, T, eps)
-    ref_plan, ref_approx, ref_oracle = _fourier_matrices(
-        hermitian_eig(dirac_operator(L).H), alpha, T, eps)
-    assert plan.K == ref_plan.K
-    for got, ref in ((approx, ref_approx), (oracle, ref_oracle)):
-        assert np.linalg.norm(got - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2)
+    dec = hermitian_eig(dirac_operator(gradient_stack(g)).H)
+    plan = fourier.plan_fourier(SpectralProfile(alpha=alpha, T=T, mode="direct"),
+                                dec.norm, eps)
+    approx = fourier.assemble_fourier_approx(plan, dec)
+    oracle = evolution_matrix(dec, alpha, T)
     rec = run_application(app, g, T, eps)
-    assert rec.params["K"] == ref_plan.K
-    ref_err = np.linalg.norm(ref_approx - ref_oracle, 2)
-    assert abs(rec.error_measured - ref_err) <= 1e-12 * np.linalg.norm(ref_oracle, 2)
+    assert rec.params["K"] == plan.K
+    assert rec.params["a"] == pytest.approx(plan.a, rel=1e-13)
+    ref_err = np.linalg.norm(approx - oracle, 2)
+    assert abs(rec.error_measured - ref_err) <= 1e-12 * np.linalg.norm(oracle, 2)
     assert rec.error_measured <= rec.error_bound
 
 
