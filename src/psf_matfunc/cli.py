@@ -31,7 +31,8 @@ from . import contour, costmodel, fourier, io as pio, operators
 from .errors import NumericalError, PrecondError
 from .instances import random_normal_matrix, random_psd, random_state
 from .kernels import SpectralProfile, envelope_function, lattice_kernel
-from .linalg import distance_from, eig, evolution_function, hermitian_eig, matfun
+from .linalg import (distance_from, eig, evolution_function, frobenius, hermitian_eig,
+                     matfun)
 
 
 def _load_config(path: str) -> dict:
@@ -71,6 +72,12 @@ def _fourier_matrix(args) -> np.ndarray:
     if args.size < 1:
         raise PrecondError(f"--size must be >= 1, got {args.size}")
     return random_psd(np.random.default_rng(args.seed), args.size, norm=args.hnorm)
+
+
+def _relative(err: float, f_psi_norm: float) -> float | None:
+    """err relative to ||f(A) psi||, the norm the planner's eps is relative
+    to; None (JSON null, an empty CSV cell) when f(A) psi = 0."""
+    return err / f_psi_norm if f_psi_norm > 0.0 else None
 
 
 def _refuse_pole(spec: pio.FunctionSpec, r2: float) -> None:
@@ -157,15 +164,17 @@ def _cmd_simulate_contour(args) -> int:
     spec = pio.parse_function_spec(_required(args, "f"))
     dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
     rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
-    plan = contour.plan_lattice(spec.fn, args.eps, rho, dec.kappa_s,
-                                float(np.linalg.norm(f_psi)), psi_norm, r1=r1, r2=r2,
-                                m=args.m)
+    f_psi_norm = frobenius(f_psi)
+    plan = contour.plan_lattice(spec.fn, args.eps, rho, dec.kappa_s, f_psi_norm,
+                                psi_norm, r1=r1, r2=r2, m=args.m)
     approx = contour.discrete_sum_apply(dec, spec.fn, plan, psi)
-    err = float(np.linalg.norm(approx - f_psi))
+    err = frobenius(approx - f_psi)
     bound = plan.error_bounds(rho, psi_norm).total
     report = {"plan": pio.contour_plan_json(plan), "size": dec.matrix.shape[0],
               "f": spec.label, "spectral_radius": rho,
-              "error_measured": err, "error_bound": bound}
+              "error_measured": err, "error_bound": bound,
+              "f_psi_norm": f_psi_norm, "eps": args.eps,
+              "error_relative": _relative(err, f_psi_norm)}
     pio.write_json(args.out, report)
     print(f"simulate-contour: error={err!r} bound={bound!r} m={plan.m} -> {args.out}")
     return 0
@@ -260,14 +269,17 @@ def _cmd_sweep(args) -> int:
         ms = pio.parse_range(_required(args, "m"))
         dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
         rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
+        f_psi_norm = frobenius(f_psi)
         rows = []
         for m in ms:
             plan = contour.make_plan(spec.fn, r1, r2, int(m), kappa_s=dec.kappa_s)
             approx = contour.discrete_sum_apply(dec, spec.fn, plan, psi)
-            err = float(np.linalg.norm(approx - f_psi))
+            err = frobenius(approx - f_psi)
             budget = plan.error_bounds(rho, psi_norm)
-            rows.append([int(m), err, budget.aliasing, budget.truncation])
-        pio.write_csv(args.out, ["m", "error", "aliasing_bound", "truncation_bound"], rows)
+            rows.append([int(m), err, budget.aliasing, budget.truncation,
+                         _relative(err, f_psi_norm)])
+        pio.write_csv(args.out, ["m", "error", "aliasing_bound", "truncation_bound",
+                                 "error_relative"], rows)
         print(f"sweep contour: {len(rows)} points, R1={r1!r} R2={r2!r} -> {args.out}")
         return 0
     raise PrecondError(f"--path must be fourier or contour, got {which!r}")

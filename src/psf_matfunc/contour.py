@@ -35,6 +35,9 @@ _SUP_SAMPLES = 4096
 _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(_SUP_SAMPLES) / _SUP_SAMPLES)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _RADIUS_REL_TOL = 1e-6   # golden-section bracket width, relative to R2
+# Largest node count of a plan; the remainder rule takes 8 times as many
+# nodes, and `resolvent_apply` caps the shifts times the dimension.
+_MAX_NODES = 1 << 19
 
 
 def make_nodes(r1: float, m: int) -> np.ndarray:
@@ -50,7 +53,8 @@ def make_nodes(r1: float, m: int) -> np.ndarray:
 def circle_sup(f: Callable[[np.ndarray], np.ndarray], radius: float) -> float:
     """max |f| over a dense uniform sample of the circle |z| = radius."""
     z = radius * _UNIT_CIRCLE
-    vals = np.abs(np.asarray(f(z), dtype=complex))
+    with np.errstate(all="ignore"):    # a non-finite value is refused below
+        vals = np.abs(np.asarray(f(z), dtype=complex))
     if not np.all(np.isfinite(vals)):
         raise PrecondError(f"f is not finite on the circle |z| = {radius}")
     return float(vals.max())
@@ -71,8 +75,8 @@ class ContourPlan:
         if not (0.0 < self.r1 < self.r2):
             raise PrecondError(
                 f"radii must satisfy 0 < R1 < R2, got R1={self.r1}, R2={self.r2}")
-        if self.m < 1:
-            raise PrecondError(f"node count must be >= 1, got {self.m}")
+        if not 1 <= self.m <= _MAX_NODES:
+            raise PrecondError(f"node count must lie in [1, {_MAX_NODES}], got {self.m}")
         if self.kappa_s < 1.0:
             raise PrecondError(f"kappa_s must be >= 1, got {self.kappa_s}")
 
@@ -182,16 +186,19 @@ def plan_m(eps: float, r1: float, r2: float, b2: float, kappa_s: float,
         raise PrecondError("norms and B2 must be finite and positive, "
                            "kappa_s finite and >= 1")
 
-    def smallest(ratio: float, target: float) -> int:
-        # ratio^m / (1 - ratio^m) <= target  <=>  ratio^m <= target/(1+target)
+    def smallest(ratio: float, log_target: float) -> int:
+        # ratio^m / (1 - ratio^m) <= t  <=>  m log(1/ratio) >= log(1 + 1/t),
+        # in logarithms: t may underflow (a subnormal eps) or overflow
         if ratio == 0.0:
             return 1
-        return max(1, math.ceil(math.log((1.0 + target) / target)
-                                / math.log(1.0 / ratio)))
+        need = (math.log1p(math.exp(log_target)) - log_target if log_target < 0.0
+                else math.log1p(math.exp(-log_target)))
+        return max(1, math.ceil(need / -math.log(ratio)))
 
-    m1 = smallest(rho / r1, eps / 4.0)
-    t2 = eps * f_psi_norm * (r2 - r1) / (4.0 * r2 * b2 * kappa_s * psi_norm)
-    m2 = smallest(r1 / r2, t2)
+    m1 = smallest(rho / r1, math.log(eps) - math.log(4.0))
+    log_t2 = (math.log(eps) + math.log(f_psi_norm) + math.log(r2 - r1) - math.log(4.0)
+              - math.log(r2) - math.log(b2) - math.log(kappa_s) - math.log(psi_norm))
+    m2 = smallest(r1 / r2, log_t2)
     return max(m1, m2)
 
 
@@ -264,7 +271,7 @@ def optimize_radius(f_sup: Callable[[float], float], r1: float,
 def lattice_radii(rho: float, r1: float | None = None,
                   r2: float | None = None) -> tuple[float, float]:
     """(R1, R2) for spectral radius rho: R1 defaults to 1.1 rho and must
-    enclose the spectrum, R2 defaults to 2 R1."""
+    enclose the spectrum, R2 defaults to 2 R1; both must be finite."""
     if r1 is None:
         if rho == 0.0:
             raise PrecondError("cannot choose R1 automatically for a nilpotent A")
@@ -272,7 +279,10 @@ def lattice_radii(rho: float, r1: float | None = None,
     if rho >= r1:
         raise PrecondError(
             f"spectral radius {rho:.6g} is not enclosed by R1 = {r1:.6g}")
-    return r1, 2.0 * r1 if r2 is None else r2
+    r2 = 2.0 * r1 if r2 is None else r2
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise PrecondError(f"radii must be finite, got R1={r1}, R2={r2}")
+    return r1, r2
 
 
 def plan_lattice(f: Callable[[np.ndarray], np.ndarray], eps: float | None,

@@ -45,6 +45,12 @@ _MAX_GROWTH_STEPS = 200
 _MAX_TABLE_ENTRIES = 1 << 27
 
 
+def _log_over(c: float, eps: float) -> float:
+    """log(c / eps), kept finite where c / eps overflows (a subnormal eps)."""
+    q = c / eps
+    return math.log(q) if q < math.inf else math.log(c) - math.log(eps)
+
+
 def spectral_scale(profile: SpectralProfile, h_norm: float) -> float:
     """Frequency extent of the operator under the profile's access mode."""
     if not (0 <= h_norm < math.inf):
@@ -64,7 +70,7 @@ def truncation_ratio(profile: SpectralProfile, eps_internal: float) -> float:
     a_eff = p / 2.0
     if profile.regime == "analytic":
         return (a_eff / math.pi) * T ** (1.0 / p) * (
-            math.log(2.0 / eps_internal) / (p - 1.0)) ** (1.0 - 1.0 / p)
+            _log_over(2.0, eps_internal) / (p - 1.0)) ** (1.0 - 1.0 / p)
     if p < 1.0:
         raise PrecondError(
             f"fractional planning needs p >= 1 (profile has p = {p}); "
@@ -113,7 +119,7 @@ def aliasing_bound(profile: SpectralProfile, gap: float, eps_internal: float) ->
     base = 0.0 if p * math.log(gap) > _LOG_FLOAT_MAX else math.exp(-T * gap ** p)
     if profile.regime == "analytic":
         return 2.0 * base
-    c_a = 2.0 * (1.0 + 1.0 / (p * math.log(1.0 / eps_internal)))
+    c_a = 2.0 * (1.0 + 1.0 / (p * _log_over(1.0, eps_internal)))
     return c_a * base
 
 
@@ -155,7 +161,7 @@ def plan_fourier(profile: SpectralProfile, h_norm: float,
     budget = (eps_internal / 2.0) * (1.0 + 1e-9)
 
     # A seed, ratio or K beyond the float range is inf, and K refuses it.
-    seed = math.log(4.0 / eps_internal) / T
+    seed = _log_over(4.0, eps_internal) / T
     gap = math.inf if math.log(seed) / p > _LOG_FLOAT_MAX else seed ** (1.0 / p)
     for _ in range(_MAX_GROWTH_STEPS):
         if aliasing_bound(profile, gap, eps_internal) <= budget:

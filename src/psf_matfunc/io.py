@@ -123,6 +123,8 @@ def write_json(path: str, obj: dict) -> None:
 # CSV (RFC 4180: CRLF records, minimal quoting)
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if type(v) is float:
         return repr(v)
     # np.float64 subclasses float, so cast before repr to keep the plain

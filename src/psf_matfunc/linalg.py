@@ -5,6 +5,26 @@ drivers) is verified against these routines, so they are deliberately plain:
 dense numpy eigendecompositions, with explicit residual checks against the
 matrix itself instead of silent trust in the factorization.
 
+`eig` takes one of three routes, and every route answers to the same
+reconstruction contract (Frobenius residual <= 1e-10*||M||_2):
+
+- Hermitian M: `eigh`. The basis is unitary, so kappa_s = 1 exactly and
+  ||M||_2 = max |lambda|.
+- normal M (||MM^H - M^H M||_F <= 1e-10*||M||_F^2): `eigh` of the Hermitian
+  mix (M + M^H)/2 + c (M - M^H)/(2i) at a fixed irrational c. The Hermitian
+  and skew parts of a normal M commute, so one unitary basis diagonalizes
+  both, and a generic combination of them finds it (Bunse-Gerstner, Byers &
+  Mehrmann, SIAM J. Matrix Anal. Appl. 14, 1993); the eigenvalues are the
+  Rayleigh quotients v^H M v. The basis is unitary, so kappa_s = 1 exactly
+  and ||M||_2 = max |lambda|. When two eigenvalues collide under the mix,
+  the basis mixes their eigenvectors, the reconstruction misses, and M falls
+  through to the general route.
+- any other M: LAPACK `zgeev`, with kappa_s = cond(V) and ||M||_2 from an
+  SVD.
+
+A unitary basis (`SpectralDecomposition.unitary`) lets `matfun` and
+`resolvent_apply` apply V^{-1} as V^H instead of solving with V.
+
 One reduction serves every function of a matrix (Higham, *Functions of
 Matrices*, SIAM 2008, ch. 1 and 4): each command computes `eig` once and
 passes the `SpectralDecomposition`, which carries the matrix and its 2-norm,
@@ -27,6 +47,7 @@ decomposing H.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +60,14 @@ _HERM_TOL = 1e-12        # relative Hermiticity test
 _RECON_TOL = 1e-10       # eigendecomposition must reconstruct M to this
 _RESOLVENT_DIST = 1e-13  # z must keep this relative distance from spectrum
 _PSD_CLAMP = 1e-12       # eigenvalues in [-tol*||H||, 0) are clamped to 0
+_SQUARES_FIT = 2.0 ** 500  # below this max |x|, 2^20 squares sum to a finite float
+# Largest shifts x dimension of one `resolvent_apply`: its few temporaries of
+# that many complex entries stay at 64 MiB each.
+_MAX_SOLVE_ENTRIES = 1 << 22
+# Weight of the skew part in the Hermitian mix of a normal matrix: fixed and
+# irrational, so eigenvalues on a rational lattice or at roots of unity do
+# not collide under it.
+_NORMAL_MIX = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def as_matrix(M: np.ndarray) -> np.ndarray:
@@ -75,10 +104,21 @@ def clamp_psd(lam: np.ndarray) -> np.ndarray:
     return np.maximum(lam, 0.0)
 
 
+def frobenius(X: np.ndarray) -> float:
+    """||X||_F (the 2-norm of a vector) as `np.linalg.norm`, but without
+    overflow: beyond max |x| = 2^500 the squares are taken of X scaled by
+    a power of two, exactly, so the result keeps its last bit."""
+    top = float(np.abs(X).max())
+    if not _SQUARES_FIT < top < math.inf:
+        return float(np.linalg.norm(X))
+    exp = math.frexp(top)[1]
+    return math.ldexp(float(np.linalg.norm(X * math.ldexp(1.0, -exp))), exp)
+
+
 def _check_reconstruction(recon: np.ndarray, M: np.ndarray, nrm: float) -> None:
     """The reconstruction contract of every decomposition: a Frobenius
     (>= 2-norm) residual above 1e-10*||M||_2 raises NumericalError."""
-    resid = float(np.linalg.norm(recon - M))
+    resid = frobenius(recon - M)
     if resid > _RECON_TOL * max(nrm, 1e-300):
         raise NumericalError(
             f"eigendecomposition does not reconstruct the matrix: "
@@ -91,6 +131,26 @@ def _eigh_checked(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     lam, V = np.linalg.eigh(M)
     nrm = float(np.abs(lam).max())
     _check_reconstruction((V * lam) @ V.conj().T, M, nrm)
+    return lam, V, nrm
+
+
+def _normal_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(lam, V, ||M||_2) of a normal M from one `eigh` of its Hermitian mix
+    H = (M + M^H)/2 + c (M - M^H)/(2i) = W + W^H with W = (1 - ic)/2 M,
+    under the reconstruction contract; None when M is not normal, or when
+    two of its eigenvalues collide under the mix."""
+    S = M / frobenius(M)              # unit Frobenius norm: no overflow below
+    SH = S.conj().T
+    if not np.linalg.norm(S @ SH - SH @ S) <= _RECON_TOL:
+        return None
+    W = (0.5 - 0.5j * _NORMAL_MIX) * M
+    _, V = np.linalg.eigh(W + W.conj().T)
+    lam = np.einsum("ij,ij->j", V.conj(), M @ V)      # Rayleigh quotients
+    nrm = float(np.abs(lam).max())
+    try:
+        _check_reconstruction((V * lam) @ V.conj().T, M, nrm)
+    except NumericalError:
+        return None
     return lam, V, nrm
 
 
@@ -109,6 +169,12 @@ class SpectralDecomposition:
     def spectral_radius(self) -> float:
         return float(np.abs(self.eigenvalues).max())
 
+    @property
+    def unitary(self) -> bool:
+        """True when V^{-1} = V^H: both `eigh` routes of `eig` certify a
+        unitary basis by setting kappa_s to exactly 1."""
+        return self.kappa_s == 1.0
+
 
 Operator = np.ndarray | SpectralDecomposition   # a matrix or its decomposition
 
@@ -116,17 +182,25 @@ Operator = np.ndarray | SpectralDecomposition   # a matrix or its decomposition
 def eig(M: np.ndarray) -> SpectralDecomposition:
     """Diagonalize M, verifying that the factors reconstruct it.
 
-    Hermitian input is detected and routed to the unitary (eigh) path, in
-    which case kappa_s is exactly 1 and ||M||_2 = max |lambda|. A Frobenius
-    (>= 2-norm) reconstruction residual above 1e-10*||M||_2 (defective or
-    badly conditioned eigenbasis) raises NumericalError rather than
-    returning unusable factors.
+    Three routes, tried in order. Hermitian M goes to `eigh`; normal M
+    (||MM^H - M^H M||_F <= 1e-10*||M||_F^2) to `eigh` of a Hermitian mix of
+    its Hermitian and skew parts. Both give a unitary basis, so kappa_s is
+    exactly 1 and ||M||_2 = max |lambda|. Any other M, and a normal M whose
+    eigenvalues collide under the mix (its reconstruction misses), goes to
+    the general `zgeev`, with kappa_s = cond(V) and ||M||_2 from an SVD. On
+    every route a Frobenius (>= 2-norm) reconstruction residual above
+    1e-10*||M||_2 raises NumericalError rather than returning unusable
+    factors; on the general route that means a defective or badly
+    conditioned eigenbasis.
     """
     M = as_matrix(M)
-    herm = is_hermitian(M)
-    if herm:
+    if is_hermitian(M):
         lam, V, nrm = _eigh_checked(M)
-        lam = lam.astype(complex)
+        return SpectralDecomposition(matrix=M, eigenvalues=lam.astype(complex), basis=V,
+                                     kappa_s=1.0, hermitian=True, norm=nrm)
+    normal = _normal_eig(M)
+    if normal is not None:
+        lam, V, nrm = normal
         kappa = 1.0
     else:
         try:
@@ -137,7 +211,7 @@ def eig(M: np.ndarray) -> SpectralDecomposition:
         nrm = float(np.linalg.norm(M, 2))
         _check_reconstruction((V * lam) @ np.linalg.inv(V), M, nrm)
     return SpectralDecomposition(matrix=M, eigenvalues=lam, basis=V, kappa_s=kappa,
-                                 hermitian=herm, norm=nrm)
+                                 hermitian=False, norm=nrm)
 
 
 def dirac_spectrum(L: np.ndarray) -> np.ndarray:
@@ -181,7 +255,8 @@ def hermitian_eig(H: Operator) -> SpectralDecomposition:
 def _values_on(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
     """fn on a vector of spectral points; it must map them elementwise to
     finite values, and a non-finite one aborts with its point named."""
-    vals = np.asarray(fn(points))
+    with np.errstate(all="ignore"):    # a non-finite value is refused below
+        vals = np.asarray(fn(points))
     if vals.shape != points.shape:
         raise PrecondError("fn must map the eigenvalue vector elementwise")
     bad = ~np.isfinite(vals)
@@ -200,7 +275,7 @@ def matfun(M: Operator, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     dec = as_decomposition(M)
     flam = np.asarray(_values_on(fn, dec.eigenvalues), dtype=complex)
     V = dec.basis
-    if dec.hermitian:
+    if dec.unitary:
         out = (V * flam) @ V.conj().T
     else:
         out = np.linalg.solve(V.conj().T, ((V * flam).conj().T)).conj().T
@@ -217,7 +292,8 @@ def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.n
     residual against A itself below 1e-10*||b||; a row that misses the
     residual bound gets one step of fixed-precision iterative refinement
     through the same solve (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 12) before it is refused. Temporaries are O(s n).
+    Algorithms*, ch. 12) before it is refused. Temporaries are O(s n), and s n
+    above 2^22 is refused.
     """
     dec = as_decomposition(A)
     b = np.asarray(b, dtype=complex)
@@ -230,6 +306,9 @@ def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.n
     zs = zs.reshape(-1)
     if not np.all(np.isfinite(zs)):
         raise PrecondError("shifts must be finite")
+    if zs.size * n > _MAX_SOLVE_ENTRIES:
+        raise PrecondError(f"{zs.size} shifts at dimension {n} exceed "
+                           f"{_MAX_SOLVE_ENTRIES} resolvent entries")
     lam, V = dec.eigenvalues, dec.basis
     gaps = zs[:, None] - lam[None, :]
     dist = np.abs(gaps).min(axis=1)
@@ -242,7 +321,7 @@ def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.n
 
     def solve(gap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Rows (z_i I - A)^{-1} rhs_i, gap = z_i - lambda; rhs (n,) or (k, n)."""
-        c = rhs @ V.conj() if dec.hermitian else np.linalg.solve(V, rhs.T).T
+        c = rhs @ V.conj() if dec.unitary else np.linalg.solve(V, rhs.T).T
         return (c / gap) @ V.T
 
     def residual(w: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -250,19 +329,21 @@ def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.n
         return w[:, None] * X - X @ dec.matrix.T - b
 
     tol = 1e-10 * max(float(np.linalg.norm(b)), 1e-300)
-    X = solve(gaps, b)
-    R = residual(zs, X)
-    bad = np.flatnonzero(~(np.linalg.norm(R, axis=1) <= tol))
-    if bad.size:
-        # one refinement step: x <- x - (zI - A)^{-1} ((zI - A) x - b)
-        X[bad] -= solve(gaps[bad], R[bad])
-        resid = np.linalg.norm(residual(zs[bad], X[bad]), axis=1)
-        fail = ~(resid <= tol)
-        if np.any(fail):
-            k = int(np.argmax(fail))
-            raise NumericalError(
-                f"resolvent solve residual {resid[k]:.3e} exceeds 1e-10*||b|| "
-                f"at shift z={zs[bad[k]]} after one refinement step")
+    # A row that overflows is not finite, and so it fails tol.
+    with np.errstate(all="ignore"):
+        X = solve(gaps, b)
+        R = residual(zs, X)
+        bad = np.flatnonzero(~(np.linalg.norm(R, axis=1) <= tol))
+        if bad.size:
+            # one refinement step: x <- x - (zI - A)^{-1} ((zI - A) x - b)
+            X[bad] -= solve(gaps[bad], R[bad])
+            resid = np.linalg.norm(residual(zs[bad], X[bad]), axis=1)
+            fail = ~(resid <= tol)
+            if np.any(fail):
+                k = int(np.argmax(fail))
+                raise NumericalError(
+                    f"resolvent solve residual {resid[k]:.3e} exceeds 1e-10*||b|| "
+                    f"at shift z={zs[bad[k]]} after one refinement step")
     return X[0] if np.ndim(z) == 0 else X
 
 

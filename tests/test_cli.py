@@ -94,6 +94,24 @@ def test_simulate_contour_report(tmp_path, capsys):
     assert obj["f"] == "exp-neg"
     assert obj["plan"]["m"] >= 1
     assert obj["plan"]["quad_n"] >= 8 * obj["plan"]["m"]
+    assert obj["plan"]["kappa_S"] == 1.0
+    assert obj["eps"] == 1e-8 and obj["f_psi_norm"] > 0.0
+    assert obj["error_relative"] == obj["error_measured"] / obj["f_psi_norm"]
+    assert obj["error_relative"] <= obj["eps"]
+
+
+def test_contour_relative_error_of_a_zero_target(tmp_path, capsys):
+    """f(A) psi = 0 has no relative error: JSON null, an empty CSV cell."""
+    out = str(tmp_path / "sc.json")
+    rc, _, _ = run(["simulate-contour", "--f", "poly:0", "--m", "8", "--out", out], capsys)
+    obj = json.loads(read_bytes(out))
+    assert rc == 0 and obj["f_psi_norm"] == 0.0 and obj["error_relative"] is None
+    out = str(tmp_path / "sw.csv")
+    rc, _, _ = run(["sweep", "--path", "contour", "--f", "poly:0,0", "--m", "8:16:8",
+                    "--out", out], capsys)
+    assert rc == 0
+    rows = read_bytes(out).decode().splitlines()[1:]
+    assert [ln.split(",")[-1] for ln in rows] == ["", ""]
 
 
 def test_app_heat_record(tmp_path, capsys):
@@ -185,9 +203,12 @@ def test_sweep_contour(tmp_path, capsys):
     rc, _, _ = run(argv, capsys)
     assert rc == 0
     lines = read_bytes(out).decode().splitlines()
-    assert lines[0] == "m,error,aliasing_bound,truncation_bound"
-    errs = [float(ln.split(",")[1]) for ln in lines[1:]]
+    assert lines[0] == "m,error,aliasing_bound,truncation_bound,error_relative"
+    rows = [[float(t) for t in ln.split(",")] for ln in lines[1:]]
+    errs = [r[1] for r in rows]
     assert errs[-1] < errs[0]
+    ratios = [r[1] / r[4] for r in rows]      # ||f(A) psi||, one per sweep
+    assert max(ratios) == pytest.approx(min(ratios), rel=1e-14)
     first = read_bytes(out)
     run(argv, capsys)
     assert read_bytes(out) == first
@@ -520,6 +541,58 @@ def test_each_command_decomposes_its_operator_once(tmp_path, capsys, monkeypatch
     rc, _, _ = run(argv + ["--out", str(tmp_path / "out")], capsys)
     assert rc == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-contour", "--f", "exp-neg"],
+    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:24:8"],
+], ids=["simulate-contour", "sweep-contour"])
+def test_contour_commands_never_take_the_general_eig(tmp_path, capsys, monkeypatch, argv):
+    """The generated contour instance is normal: one eigh of its Hermitian
+    mix decomposes it, and LAPACK's general eig is never called."""
+    def general(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError(f"{argv[0]} took the general eig route")
+
+    monkeypatch.setattr(np.linalg, "eig", general)
+    rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert rc == 0, err
+
+
+_EXTREME_RHO = [0.0, 1e-300, 5e-324, 1e300, math.nan, math.inf]
+_EXTREME_RADIUS = [0.0, -1.0, 5e-324, 1e-300, 1e300, math.nan, math.inf]
+_EXTREME_EPS = [0.0, 1.0, -1e-8, 5e-324, 1e-300, math.nan, math.inf]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(command=st.sampled_from(["simulate-contour", "sweep"]), size=st.integers(1, 70),
+       rho=st.one_of(st.sampled_from(_EXTREME_RHO), _log_uniform(-3.0, 3.0)),
+       r1=st.one_of(st.none(), st.sampled_from(_EXTREME_RADIUS), _log_uniform(-3.0, 3.0)),
+       r2=st.one_of(st.none(), st.sampled_from(_EXTREME_RADIUS), _log_uniform(-3.0, 3.0)),
+       m=st.one_of(st.none(), st.integers(-2, 400), st.sampled_from([2 ** 19 + 1, 10 ** 9])),
+       eps=st.one_of(st.sampled_from(_EXTREME_EPS), _log_uniform(-16.0, 0.0)),
+       f=st.sampled_from(["exp-neg", "exp-neg-i", "poly:1,2,0,3", "inv-shift:2"]),
+       seed=st.integers(0, 1000))
+@example(command="simulate-contour", size=1, rho=1e-300, r1=None, r2=None, m=None,
+         eps=5e-324, f="exp-neg", seed=0)
+@example(command="simulate-contour", size=52, rho=226.4, r1=None, r2=None, m=10 ** 9,
+         eps=1e-8, f="exp-neg", seed=416)
+@example(command="sweep", size=64, rho=0.5, r1=0.5000001, r2=None, m=None,
+         eps=1e-8, f="exp-neg", seed=1)
+def test_contour_exit_code_fuzz(tmp_path_factory, command, size, rho, r1, r2, m, eps, f,
+                                seed):
+    """A contour run returns (exit 0) or refuses (exit 2 or 3), never a
+    traceback: not at a subnormal eps, whose planner target underflows, nor
+    at a node count whose shift solves would not fit in memory. Values go
+    as --flag=value, so argparse reads a negative one as a value."""
+    argv = [command, "--f", f, "--size", str(size), f"--rho={rho!r}", f"--eps={eps!r}",
+            "--seed", str(seed), "--out", str(tmp_path_factory.getbasetemp() / "fuzz")]
+    argv += [f"{flag}={v!r}" for flag, v in (("--R1", r1), ("--R2", r2)) if v is not None]
+    if command == "sweep":
+        lo = 8 if m is None else m
+        argv[1:1] = ["--path", "contour", f"--m={lo}:{lo + 16}:8"]
+    elif m is not None:
+        argv.append(f"--m={m}")
+    assert cli.main(argv) in (0, 2, 3)
 
 
 def _action_fields(parser):

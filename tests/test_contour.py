@@ -56,6 +56,10 @@ def test_plan_validation():
         ContourPlan(r1=1.0, r2=2.0, m=0, b1=1.0, b2=1.0)
     with pytest.raises(PrecondError):
         ContourPlan(r1=1.0, r2=2.0, m=4, b1=1.0, b2=1.0, kappa_s=0.5)
+    ContourPlan(r1=1.0, r2=2.0, m=2 ** 19, b1=1.0, b2=1.0)
+    for m in (2 ** 19 + 1, 10 ** 15):        # node and quadrature tables too large
+        with pytest.raises(PrecondError, match="node count"):
+            ContourPlan(r1=1.0, r2=2.0, m=m, b1=1.0, b2=1.0)
     plan = make_plan(one, 1.0, 2.0, 4)
     assert plan.mu == 0.5
     assert plan.quad_n == 256
@@ -296,6 +300,14 @@ def test_error_bounds_channels():
         plan.error_bounds(1.0, 2.0)          # rho on the lattice circle
 
 
+def test_plan_m_takes_a_subnormal_eps():
+    """eps/4 underflows to 0 at the smallest eps, and the remainder target
+    may overflow: the node count is found in logarithms, finite both ways."""
+    m = plan_m(5e-324, 0.55, 1.1, 3.0, 1.0, 1.0, 1.0, rho=0.5)
+    assert m == math.ceil((math.log(4.0) - math.log(5e-324)) / math.log(1.1))
+    assert plan_m(0.5, 1.0, 2.0, 1e-300, 1.0, 1e300, 1.0) == 1
+
+
 def test_plan_lattice_defaults():
     assert lattice_radii(0.5) == (1.1 * 0.5, 2.0 * 1.1 * 0.5)
     assert lattice_radii(0.5, 0.8) == (0.8, 1.6)
@@ -304,6 +316,9 @@ def test_plan_lattice_defaults():
         lattice_radii(0.0)                   # nilpotent: no automatic R1
     with pytest.raises(PrecondError):
         lattice_radii(0.5, 0.5)              # R1 must enclose the spectrum
+    for r1, r2 in ((math.inf, None), (math.nan, None), (1.0, math.inf), (1e308, None)):
+        with pytest.raises(PrecondError, match="finite"):
+            lattice_radii(0.5, r1, r2)       # 2 R1 overflows at R1 = 1e308
     plan = plan_lattice(exp_neg, 1e-8, 0.5, 1.0, 1.0, 1.0)
     assert (plan.r1, plan.r2) == lattice_radii(0.5)
     assert plan.m == plan_m(1e-8, plan.r1, plan.r2, circle_sup(exp_neg, plan.r2),

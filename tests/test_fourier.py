@@ -77,6 +77,17 @@ def test_truncation_bound_beyond_the_float_range():
     assert 0.0 < expected < 1.0
 
 
+@pytest.mark.parametrize("eps, K", [(1e-300, 229), (1e-310, 237), (5e-324, 246)])
+def test_planner_takes_a_subnormal_eps(eps, K):
+    """log(c / eps') is about 745 at the smallest float although c / eps'
+    overflows: the analytic plan stays finite and K keeps growing with
+    log(1/eps'), and the fractional aliasing constant keeps its 1/log term."""
+    plan = plan_fourier(SpectralProfile(2.0, 1.0, "direct"), 1.0, eps)
+    assert plan.K == K and math.isfinite(plan.a)
+    c_a = aliasing_bound(SpectralProfile(0.75, 1.0, "root"), 1.0, eps) / math.exp(-1.0)
+    assert c_a == pytest.approx(2.0 * (1.0 + 1.0 / (1.5 * -math.log(eps))), rel=1e-12)
+
+
 def test_fractional_needs_p_at_least_one():
     prof = SpectralProfile(0.8, 1.0, "direct")  # p = 0.8 < 1
     with pytest.raises(PrecondError):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from psf_matfunc import linalg
 from psf_matfunc.errors import NumericalError, PrecondError
 from psf_matfunc.instances import (random_diagonalizable, random_hermitian,
                                    random_normal_matrix, random_psd,
                                    random_state, random_unitary)
-from psf_matfunc.linalg import (dirac_spectrum, distance_from, eig,
+from psf_matfunc.linalg import (dirac_spectrum, distance_from, eig, frobenius,
                                 evolution_matrix, hermitian_eig, is_hermitian, matfun,
                                 resolvent_apply)
 from psf_matfunc.operators import dirac_operator
@@ -39,6 +40,85 @@ def test_decomposition_serves_resolvent_and_evolution():
     P = random_psd(np.random.default_rng(6), 5)
     np.testing.assert_array_equal(evolution_matrix(eig(P), 0.75, 1.0),
                                   evolution_matrix(P, 0.75, 1.0))
+
+
+def _general_eig_forbidden(*args, **kwargs):  # pragma: no cover - must not run
+    raise AssertionError("a normal matrix took the general eig route")
+
+
+_SPECTRA = ("disk", "repeated", "clustered")
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(n=st.integers(1, 64), kind=st.sampled_from(_SPECTRA),
+       log_radius=st.floats(-3.0, 3.0), log_spread=st.floats(-14.0, -4.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=64, kind="repeated", log_radius=0.0, log_spread=-8.0, seed=0)
+@example(n=64, kind="clustered", log_radius=0.0, log_spread=-14.0, seed=1)
+def test_eig_normal_route(n, kind, log_radius, log_spread, seed):
+    """A normal matrix is decomposed by one eigh, never by the general eig:
+    unitary basis (kappa_s exactly 1), M reconstructed to the contract, and
+    every eigenvalue within 1e-12*||M|| of eigvals, also when eigenvalues
+    repeat or sit in clusters of spread 1e-14 to 1e-4 of the radius."""
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(seed)
+    radius = 10.0 ** log_radius
+
+    def disk(k):
+        return np.sqrt(rng.uniform(0.0, 1.0, k)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, k))
+
+    if kind == "disk":
+        lam = disk(n)
+    else:
+        centers = disk(int(rng.integers(1, max(n // 4, 1) + 1)))
+        lam = centers[rng.integers(0, centers.size, n)]
+        if kind == "clustered":
+            lam = lam + 10.0 ** log_spread * disk(n)
+    lam = radius * lam / max(np.abs(lam).max(), 1e-300)
+    U = random_unitary(rng, n)
+    M = (U * lam) @ U.conj().T
+    ref = np.linalg.eigvals(M)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eig", _general_eig_forbidden)
+        dec = eig(M)
+    assert dec.kappa_s == 1.0 and dec.unitary
+    V = dec.basis
+    assert np.linalg.norm(V.conj().T @ V - np.eye(n)) <= 1e-12 * n
+    recon = (V * dec.eigenvalues) @ V.conj().T
+    assert np.linalg.norm(recon - M) <= 1e-10 * dec.norm
+    assert dec.norm == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
+    cost = np.abs(dec.eigenvalues[:, None] - ref[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-12 * dec.norm
+
+
+def test_eig_normal_collision_falls_back_to_the_general_route(monkeypatch):
+    """Two eigenvalues x + iy with equal x + c y are one eigenvalue of the
+    Hermitian mix: its eigenvectors mix theirs, the reconstruction misses,
+    and the matrix is decomposed by the general eig after all."""
+    c = linalg._NORMAL_MIX
+    lam = np.array([0.2 + 0.1j, 0.2 + 0.4 * c - 0.3j,       # 0.2 + 0.1 c both
+                    -0.4 + 0.25j, 0.1 - 0.45j, 0.35 + 0.3j])
+    U = random_unitary(np.random.default_rng(0), 5)
+    M = (U * lam) @ U.conj().T
+    calls = []
+    general = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda A: calls.append(A) or general(A))
+    dec = eig(M)
+    assert len(calls) == 1 and not dec.unitary and dec.kappa_s > 1.0
+    recon = (dec.basis * dec.eigenvalues) @ np.linalg.inv(dec.basis)
+    assert np.linalg.norm(recon - M) <= 1e-10 * dec.norm
+    np.testing.assert_allclose(np.sort_complex(dec.eigenvalues), np.sort_complex(lam),
+                               rtol=0, atol=1e-14)
+
+
+def test_eig_non_normal_keeps_the_general_route():
+    for seed in range(4):
+        A = random_diagonalizable(np.random.default_rng(seed), 12)
+        dec = eig(A)
+        assert dec.kappa_s > 1.0 and not dec.unitary
+        assert dec.norm == np.linalg.norm(A, 2)
 
 
 def test_eig_defective_matrix_refused():
@@ -121,6 +201,22 @@ def test_batched_resolvent_matches_per_shift_solve(make, rtol):
         assert np.linalg.norm(x - ref) <= rtol * np.linalg.norm(ref)
     assert resolvent_apply(dec, z[5], b).shape == (12,)
     np.testing.assert_allclose(resolvent_apply(dec, z[5], b), X[5], rtol=0, atol=1e-14)
+
+
+def test_resolvent_refuses_an_oversized_batch():
+    A = np.diag([0.1, 0.2]).astype(complex)
+    b = np.ones(2, dtype=complex)
+    with pytest.raises(PrecondError, match="entries"):
+        resolvent_apply(A, np.full(2 ** 21 + 1, 1.0), b)
+
+
+def test_frobenius_norm_does_not_overflow():
+    X = random_state(np.random.default_rng(1), 64)
+    for scale in (1.0, 2.0 ** 400, 1e-300):
+        assert frobenius(scale * X) == np.linalg.norm(scale * X)
+    for scale in (1e160, 1e300):
+        assert frobenius(scale * X) == pytest.approx(scale, rel=1e-14)
+    assert frobenius(np.array([np.inf, 1.0])) == np.inf
 
 
 def test_resolvent_shift_vector_names_the_shift_on_the_spectrum():
