@@ -35,8 +35,8 @@ _SUP_SAMPLES = 4096
 _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(_SUP_SAMPLES) / _SUP_SAMPLES)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _RADIUS_REL_TOL = 1e-6   # golden-section bracket width, relative to R2
-# Largest node count of a plan; the remainder rule takes 8 times as many
-# nodes, and `resolvent_apply` caps the shifts times the dimension.
+# Largest node count of a plan (the remainder rule takes 8 times as many):
+# it keeps a node count like 1e9 from allocating its nodes and solutions.
 _MAX_NODES = 1 << 19
 
 

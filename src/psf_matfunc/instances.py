@@ -76,7 +76,10 @@ def random_normal_matrix(seed: int | np.random.Generator, n: int,
     r = np.sqrt(rng.uniform(0.0, 1.0, n))
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     lam = r * np.exp(1j * theta)
-    lam = lam * (spectral_radius / np.abs(lam).max())
+    scale = spectral_radius / float(np.abs(lam).max())
+    if not math.isfinite(scale):
+        raise PrecondError(f"spectral radius {spectral_radius} overflows the rescaled spectrum")
+    lam = lam * scale
     return (U * lam) @ U.conj().T
 
 

@@ -10,15 +10,16 @@ reconstruction contract (Frobenius residual <= 1e-10*||M||_2):
 
 - Hermitian M: `eigh`. The basis is unitary, so kappa_s = 1 exactly and
   ||M||_2 = max |lambda|.
-- normal M (||MM^H - M^H M||_F <= 1e-10*||M||_F^2): `eigh` of the Hermitian
-  mix (M + M^H)/2 + c (M - M^H)/(2i) at a fixed irrational c. The Hermitian
-  and skew parts of a normal M commute, so one unitary basis diagonalizes
-  both, and a generic combination of them finds it (Bunse-Gerstner, Byers &
-  Mehrmann, SIAM J. Matrix Anal. Appl. 14, 1993); the eigenvalues are the
-  Rayleigh quotients v^H M v. The basis is unitary, so kappa_s = 1 exactly
-  and ||M||_2 = max |lambda|. When two eigenvalues collide under the mix,
-  the basis mixes their eigenvectors, the reconstruction misses, and M falls
-  through to the general route.
+- normal M: `eigh` of the Hermitian mix (M + M^H)/2 + c (M - M^H)/(2i) at
+  a fixed irrational c. The Hermitian and skew parts of a normal M commute,
+  so one unitary basis diagonalizes both, and a generic combination of them
+  finds it (Bunse-Gerstner, Byers & Mehrmann, SIAM J. Matrix Anal. Appl. 14,
+  1993); the eigenvalues are the Rayleigh quotients v^H M v. The route is
+  taken when that basis reconstructs M: then the basis is unitary, kappa_s =
+  1 exactly and ||M||_2 = max |lambda|. A matrix that is not normal, or a
+  normal one whose eigenvalues collide under the mix (the basis then mixes
+  their eigenvectors), misses the reconstruction and falls through to the
+  general route.
 - any other M: LAPACK `zgeev`, with kappa_s = cond(V) and ||M||_2 from an
   SVD.
 
@@ -60,10 +61,9 @@ _HERM_TOL = 1e-12        # relative Hermiticity test
 _RECON_TOL = 1e-10       # eigendecomposition must reconstruct M to this
 _RESOLVENT_DIST = 1e-13  # z must keep this relative distance from spectrum
 _PSD_CLAMP = 1e-12       # eigenvalues in [-tol*||H||, 0) are clamped to 0
-_SQUARES_FIT = 2.0 ** 500  # below this max |x|, 2^20 squares sum to a finite float
-# Largest shifts x dimension of one `resolvent_apply`: its few temporaries of
-# that many complex entries stay at 64 MiB each.
-_MAX_SOLVE_ENTRIES = 1 << 22
+# Shifts x dimension of one block of `resolvent_apply`: its few temporaries
+# of that many complex entries stay at 64 MiB each.
+_SOLVE_BLOCK = 1 << 22
 # Weight of the skew part in the Hermitian mix of a normal matrix: fixed and
 # irrational, so eigenvalues on a rational lattice or at roots of unity do
 # not collide under it.
@@ -85,7 +85,8 @@ def as_matrix(M: np.ndarray) -> np.ndarray:
 def is_hermitian(M: np.ndarray) -> bool:
     M = np.asarray(M, dtype=complex)
     scale = max(1.0, float(np.abs(M).max()))
-    return float(np.abs(M - M.conj().T).max()) <= _HERM_TOL * scale
+    with np.errstate(over="ignore"):   # a difference beyond the largest float is not Hermitian
+        return float(np.abs(M - M.conj().T).max()) <= _HERM_TOL * scale
 
 
 def is_even_integer(x: float) -> bool:
@@ -105,21 +106,29 @@ def clamp_psd(lam: np.ndarray) -> np.ndarray:
 
 
 def frobenius(X: np.ndarray) -> float:
-    """||X||_F (the 2-norm of a vector) as `np.linalg.norm`, but without
-    overflow: beyond max |x| = 2^500 the squares are taken of X scaled by
-    a power of two, exactly, so the result keeps its last bit."""
+    """||X||_F (the 2-norm of a vector): `np.linalg.norm` whenever its sum
+    of squares stays finite, else the squares of X scaled by a power of
+    two, exactly. A norm beyond the largest float is inf."""
+    with np.errstate(over="ignore"):   # an overflow is redone below
+        nrm = float(np.linalg.norm(X))
+    if nrm != math.inf:                # no square overflowed, or X holds a NaN
+        return nrm
     top = float(np.abs(X).max())
-    if not _SQUARES_FIT < top < math.inf:
-        return float(np.linalg.norm(X))
+    if top == math.inf:
+        return math.inf
     exp = math.frexp(top)[1]
-    return math.ldexp(float(np.linalg.norm(X * math.ldexp(1.0, -exp))), exp)
+    try:
+        return math.ldexp(float(np.linalg.norm(X * math.ldexp(1.0, -exp))), exp)
+    except OverflowError:
+        return math.inf
 
 
 def _check_reconstruction(recon: np.ndarray, M: np.ndarray, nrm: float) -> None:
     """The reconstruction contract of every decomposition: a Frobenius
-    (>= 2-norm) residual above 1e-10*||M||_2 raises NumericalError."""
+    (>= 2-norm) residual above 1e-10*||M||_2, or a NaN one, raises
+    NumericalError."""
     resid = frobenius(recon - M)
-    if resid > _RECON_TOL * max(nrm, 1e-300):
+    if not resid <= _RECON_TOL * max(nrm, 1e-300):
         raise NumericalError(
             f"eigendecomposition does not reconstruct the matrix: "
             f"residual {resid:.3e} > {_RECON_TOL:.0e}*||M|| (matrix may be defective)")
@@ -137,20 +146,23 @@ def _eigh_checked(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 def _normal_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
     """(lam, V, ||M||_2) of a normal M from one `eigh` of its Hermitian mix
     H = (M + M^H)/2 + c (M - M^H)/(2i) = W + W^H with W = (1 - ic)/2 M,
-    under the reconstruction contract; None when M is not normal, or when
-    two of its eigenvalues collide under the mix."""
-    S = M / frobenius(M)              # unit Frobenius norm: no overflow below
-    SH = S.conj().T
-    if not np.linalg.norm(S @ SH - SH @ S) <= _RECON_TOL:
-        return None
-    W = (0.5 - 0.5j * _NORMAL_MIX) * M
-    _, V = np.linalg.eigh(W + W.conj().T)
-    lam = np.einsum("ij,ij->j", V.conj(), M @ V)      # Rayleigh quotients
-    nrm = float(np.abs(lam).max())
-    try:
-        _check_reconstruction((V * lam) @ V.conj().T, M, nrm)
-    except NumericalError:
-        return None
+    under the reconstruction contract; None when the basis misses it (M is
+    not normal, or two of its eigenvalues collide under the mix) or when
+    the mix or the Rayleigh quotients overflow."""
+    with np.errstate(all="ignore"):    # an overflow is refused below
+        W = (0.5 - 0.5j * _NORMAL_MIX) * M
+        H = W + W.conj().T
+        if not np.all(np.isfinite(H)):
+            return None
+        _, V = np.linalg.eigh(H)
+        lam = np.einsum("ij,ij->j", V.conj(), M @ V)      # Rayleigh quotients
+        nrm = float(np.abs(lam).max())
+        if not math.isfinite(nrm):
+            return None
+        try:
+            _check_reconstruction((V * lam) @ V.conj().T, M, nrm)
+        except NumericalError:
+            return None
     return lam, V, nrm
 
 
@@ -182,11 +194,12 @@ Operator = np.ndarray | SpectralDecomposition   # a matrix or its decomposition
 def eig(M: np.ndarray) -> SpectralDecomposition:
     """Diagonalize M, verifying that the factors reconstruct it.
 
-    Three routes, tried in order. Hermitian M goes to `eigh`; normal M
-    (||MM^H - M^H M||_F <= 1e-10*||M||_F^2) to `eigh` of a Hermitian mix of
-    its Hermitian and skew parts. Both give a unitary basis, so kappa_s is
-    exactly 1 and ||M||_2 = max |lambda|. Any other M, and a normal M whose
-    eigenvalues collide under the mix (its reconstruction misses), goes to
+    Three routes, tried in order. Hermitian M goes to `eigh`. Any other M
+    goes to `eigh` of a Hermitian mix of its Hermitian and skew parts, and
+    that route is taken when the basis it gives reconstructs M, as it does
+    for a normal M. Both give a unitary basis, so kappa_s is exactly 1 and
+    ||M||_2 = max |lambda|. A matrix the mix basis misses (one that is not
+    normal, or a normal one whose eigenvalues collide under the mix) goes to
     the general `zgeev`, with kappa_s = cond(V) and ||M||_2 from an SVD. On
     every route a Frobenius (>= 2-norm) reconstruction residual above
     1e-10*||M||_2 raises NumericalError rather than returning unusable
@@ -292,8 +305,9 @@ def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.n
     residual against A itself below 1e-10*||b||; a row that misses the
     residual bound gets one step of fixed-precision iterative refinement
     through the same solve (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 12) before it is refused. Temporaries are O(s n), and s n
-    above 2^22 is refused.
+    Algorithms*, ch. 12) before it is refused. The shifts are admitted and
+    solved in blocks of at most 2^22/n, so each temporary stays within 2^22
+    entries; the result itself has s n.
     """
     dec = as_decomposition(A)
     b = np.asarray(b, dtype=complex)
@@ -306,44 +320,45 @@ def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.n
     zs = zs.reshape(-1)
     if not np.all(np.isfinite(zs)):
         raise PrecondError("shifts must be finite")
-    if zs.size * n > _MAX_SOLVE_ENTRIES:
-        raise PrecondError(f"{zs.size} shifts at dimension {n} exceed "
-                           f"{_MAX_SOLVE_ENTRIES} resolvent entries")
     lam, V = dec.eigenvalues, dec.basis
-    gaps = zs[:, None] - lam[None, :]
-    dist = np.abs(gaps).min(axis=1)
-    near = (dist <= _RESOLVENT_DIST * dec.norm) | (dist == 0.0)
-    if np.any(near):
-        k = int(np.argmax(near))
-        raise PrecondError(
-            f"shift z={zs[k]} is within {_RESOLVENT_DIST:.0e}*||A|| of the spectrum "
-            f"(distance {dist[k]:.3e}); resolvent solve refused")
 
-    def solve(gap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def solve(gap: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Rows (z_i I - A)^{-1} rhs_i, gap = z_i - lambda; rhs (n,) or (k, n)."""
         c = rhs @ V.conj() if dec.unitary else np.linalg.solve(V, rhs.T).T
-        return (c / gap) @ V.T
+        return np.matmul(c / gap, V.T, out=out)
 
     def residual(w: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Rows (w_i I - A) x_i - b, formed with A itself, not its factors."""
         return w[:, None] * X - X @ dec.matrix.T - b
 
     tol = 1e-10 * max(float(np.linalg.norm(b)), 1e-300)
+    X = np.empty((zs.size, n), dtype=complex)
+    rows = max(1, _SOLVE_BLOCK // n)
     # A row that overflows is not finite, and so it fails tol.
     with np.errstate(all="ignore"):
-        X = solve(gaps, b)
-        R = residual(zs, X)
-        bad = np.flatnonzero(~(np.linalg.norm(R, axis=1) <= tol))
-        if bad.size:
-            # one refinement step: x <- x - (zI - A)^{-1} ((zI - A) x - b)
-            X[bad] -= solve(gaps[bad], R[bad])
-            resid = np.linalg.norm(residual(zs[bad], X[bad]), axis=1)
-            fail = ~(resid <= tol)
-            if np.any(fail):
-                k = int(np.argmax(fail))
-                raise NumericalError(
-                    f"resolvent solve residual {resid[k]:.3e} exceeds 1e-10*||b|| "
-                    f"at shift z={zs[bad[k]]} after one refinement step")
+        for i in range(0, zs.size, rows):
+            w = zs[i:i + rows]
+            gaps = w[:, None] - lam[None, :]
+            dist = np.abs(gaps).min(axis=1)
+            near = (dist <= _RESOLVENT_DIST * dec.norm) | (dist == 0.0)
+            if np.any(near):
+                k = int(np.argmax(near))
+                raise PrecondError(
+                    f"shift z={w[k]} is within {_RESOLVENT_DIST:.0e}*||A|| of the "
+                    f"spectrum (distance {dist[k]:.3e}); resolvent solve refused")
+            Xb = solve(gaps, b, out=X[i:i + rows])
+            R = residual(w, Xb)
+            bad = np.flatnonzero(~(np.linalg.norm(R, axis=1) <= tol))
+            if bad.size:
+                # one refinement step: x <- x - (zI - A)^{-1} ((zI - A) x - b)
+                Xb[bad] -= solve(gaps[bad], R[bad])
+                resid = np.linalg.norm(residual(w[bad], Xb[bad]), axis=1)
+                fail = ~(resid <= tol)
+                if np.any(fail):
+                    k = int(np.argmax(fail))
+                    raise NumericalError(
+                        f"resolvent solve residual {resid[k]:.3e} exceeds 1e-10*||b|| "
+                        f"at shift z={w[bad[k]]} after one refinement step")
     return X[0] if np.ndim(z) == 0 else X
 
 

@@ -558,7 +558,7 @@ def test_contour_commands_never_take_the_general_eig(tmp_path, capsys, monkeypat
     assert rc == 0, err
 
 
-_EXTREME_RHO = [0.0, 1e-300, 5e-324, 1e300, math.nan, math.inf]
+_EXTREME_RHO = [0.0, 1e-300, 5e-324, 1e300, 1e308, math.nan, math.inf]
 _EXTREME_RADIUS = [0.0, -1.0, 5e-324, 1e-300, 1e300, math.nan, math.inf]
 _EXTREME_EPS = [0.0, 1.0, -1e-8, 5e-324, 1e-300, math.nan, math.inf]
 
@@ -578,10 +578,13 @@ _EXTREME_EPS = [0.0, 1.0, -1e-8, 5e-324, 1e-300, math.nan, math.inf]
          eps=1e-8, f="exp-neg", seed=416)
 @example(command="sweep", size=64, rho=0.5, r1=0.5000001, r2=None, m=None,
          eps=1e-8, f="exp-neg", seed=1)
+@example(command="simulate-contour", size=8, rho=1e308, r1=None, r2=None, m=None,
+         eps=1e-8, f="exp-neg", seed=0)
 def test_contour_exit_code_fuzz(tmp_path_factory, command, size, rho, r1, r2, m, eps, f,
                                 seed):
     """A contour run returns (exit 0) or refuses (exit 2 or 3), never a
-    traceback: not at a subnormal eps, whose planner target underflows, nor
+    traceback: not at a subnormal eps, whose planner target underflows, not
+    at a spectral radius near the largest float, whose norms overflow, nor
     at a node count whose shift solves would not fit in memory. Values go
     as --flag=value, so argparse reads a negative one as a value."""
     argv = [command, "--f", f, "--size", str(size), f"--rho={rho!r}", f"--eps={eps!r}",

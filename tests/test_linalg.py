@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -203,11 +204,22 @@ def test_batched_resolvent_matches_per_shift_solve(make, rtol):
     np.testing.assert_allclose(resolvent_apply(dec, z[5], b), X[5], rtol=0, atol=1e-14)
 
 
-def test_resolvent_refuses_an_oversized_batch():
-    A = np.diag([0.1, 0.2]).astype(complex)
-    b = np.ones(2, dtype=complex)
-    with pytest.raises(PrecondError, match="entries"):
-        resolvent_apply(A, np.full(2 ** 21 + 1, 1.0), b)
+def test_resolvent_solves_a_large_batch_in_blocks(monkeypatch):
+    """Shifts beyond one block are solved block by block, each row as in one
+    batch, and a shift on the spectrum in a later block is named."""
+    b = random_state(np.random.default_rng(2), 5)
+    z = 0.8 * np.exp(2j * np.pi * np.arange(1, 24) / 23)
+    for A in (random_normal_matrix(np.random.default_rng(1), 5, spectral_radius=0.5),
+              _conditioned_diagonalizable(1, 5, 1e3)):
+        dec = eig(A)
+        ref = resolvent_apply(dec, z, b)
+        monkeypatch.setattr(linalg, "_SOLVE_BLOCK", 3 * 5)     # blocks of 3 shifts
+        X = resolvent_apply(dec, z, b)
+        np.testing.assert_allclose(X, ref, rtol=1e-14, atol=0)
+        lam = dec.eigenvalues[2]
+        with pytest.raises(PrecondError, match=re.escape(f"z={lam}")):
+            resolvent_apply(dec, np.concatenate([z, [lam]]), b)
+        monkeypatch.undo()
 
 
 def test_frobenius_norm_does_not_overflow():
@@ -217,6 +229,24 @@ def test_frobenius_norm_does_not_overflow():
     for scale in (1e160, 1e300):
         assert frobenius(scale * X) == pytest.approx(scale, rel=1e-14)
     assert frobenius(np.array([np.inf, 1.0])) == np.inf
+    assert frobenius(np.full(4, 1e308)) == np.inf        # finite entries, norm 2e308
+
+
+def test_eig_decomposes_entries_near_the_largest_float():
+    """A normal matrix whose Frobenius norm exceeds the largest float is
+    still decomposed exactly; a Hermitian mix that overflows falls through
+    to the general route."""
+    M = np.diag([1e308j] * 3)
+    dec = eig(M)
+    assert dec.kappa_s == 1.0
+    np.testing.assert_array_equal(dec.eigenvalues, M.diagonal())
+    np.testing.assert_array_equal((dec.basis * dec.eigenvalues) @ dec.basis.conj().T, M)
+    x = 1.2e308 * (1.0 + 1.0j)
+    N = np.array([[0.0, x], [x, 0.0]])       # normal, but W + W^H overflows
+    assert linalg._normal_eig(N) is None
+    dec = eig(N)
+    assert not dec.unitary
+    np.testing.assert_allclose(np.sort_complex(dec.eigenvalues), [-x, x], rtol=1e-15)
 
 
 def test_resolvent_shift_vector_names_the_shift_on_the_spectrum():
