@@ -270,9 +270,11 @@ def _cmd_sweep(args) -> int:
         dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
         rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
         f_psi_norm = frobenius(f_psi)
+        # The radii and circle suprema do not depend on m: one plan serves every row.
+        base = contour.make_plan(spec.fn, r1, r2, int(ms[0]), kappa_s=dec.kappa_s)
         rows = []
         for m in ms:
-            plan = contour.make_plan(spec.fn, r1, r2, int(m), kappa_s=dec.kappa_s)
+            plan = replace(base, m=int(m))
             approx = contour.discrete_sum_apply(dec, spec.fn, plan, psi)
             err = frobenius(approx - f_psi)
             budget = plan.error_bounds(rho, psi_norm)
@@ -423,20 +425,21 @@ def _build_parser(argv: list[str]) -> tuple[argparse.ArgumentParser, dict]:
     return ap, commands
 
 
-def _join_negative_ranges(argv: list[str]) -> list[str]:
-    """Join `--x -1:1:0.25` into `--x=-1:1:0.25`: argparse takes a value
-    that starts with '-' for a flag unless it is a plain negative number."""
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join `--eps -1e-8` into `--eps=-1e-8` and `--x -1:1:0.25` into
+    `--x=-1:1:0.25`: argparse takes a value that starts with '-' for a flag
+    unless it is a plain negative number, and every flag takes a value."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--x" and re.match(r"-[\d.]", arg):
-            out[-1] = f"--x={arg}"
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-[\d.]", arg):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
 
 
 def main(argv=None) -> int:
-    argv = _join_negative_ranges(sys.argv[1:] if argv is None else argv)
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     ap, commands = _build_parser(argv)
     args = ap.parse_args(argv)
     try:

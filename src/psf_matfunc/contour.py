@@ -13,10 +13,11 @@ differs from f(A) by two terms with clean geometric decay in m:
 
 where the remainder E_m is a contour integral over a larger circle |z| = R2
 (evaluated here by a periodic trapezoid rule, spectrally accurate). The
-module provides the node set, the discrete sum, both correction terms, the
-one planner `plan_lattice` (radius defaults in `lattice_radii`, m from the
-two decay ratios in `plan_m`), the one bound `ContourPlan.error_bounds`,
-and a golden-section optimizer for R2.
+module provides the node set, one circle rule for the discrete sum and the
+remainder, the aliasing term, the one planner `plan_lattice` (radius
+defaults in `lattice_radii`, m from the two decay ratios in `plan_m`), the
+one bound `ContourPlan.error_bounds`, and one golden-section search for R2
+(`optimize_radius`; unimodal by the three-circles theorem).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .linalg import (Operator, SpectralDecomposition, as_decomposition, matfun,
 _SUP_SAMPLES = 4096
 _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(_SUP_SAMPLES) / _SUP_SAMPLES)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_RADIUS_REL_TOL = 1e-6   # golden-section bracket width, relative to R2
+_RADIUS_REL_TOL = 1e-6   # width of the final R2 bracket, relative to R2
 # Largest node count of a plan (the remainder rule takes 8 times as many):
 # it keeps a node count like 1e9 from allocating its nodes and solutions.
 _MAX_NODES = 1 << 19
@@ -113,29 +114,33 @@ def _check_enclosure(A: Operator, radius: float, label: str) -> SpectralDecompos
     return dec
 
 
-def discrete_sum_apply(A: Operator, f: Callable[[np.ndarray], np.ndarray],
-                       plan: ContourPlan, psi: np.ndarray) -> np.ndarray:
-    """(1/m) sum_k w_k f(w_k) (w_k I - A)^{-1} psi, summed in ascending k.
+def _circle_rule(A: Operator, g: Callable[[np.ndarray], np.ndarray], radius: float,
+                 n: int, psi: np.ndarray, label: str) -> np.ndarray:
+    """(1/n) sum_k z_k g(z_k) (z_k I - A)^{-1} psi on z = make_nodes(radius, n),
+    summed in ascending k, for a spectrum enclosed by the circle.
 
-    All m node solves are one batched `resolvent_apply` call on A's
+    All n node solves are one batched `resolvent_apply` call on A's
     decomposition; the reduction runs in a fixed order without threads, so
     results are bitwise reproducible.
     """
-    dec = _check_enclosure(A, plan.r1, "R1")
-    nodes = make_nodes(plan.r1, plan.m)
-    weights = nodes * np.asarray(f(nodes), dtype=complex) / plan.m
-    return np.sum(weights[:, None] * resolvent_apply(dec, nodes, psi), axis=0)
+    dec = _check_enclosure(A, radius, label)
+    z = make_nodes(radius, n)
+    weights = z * np.asarray(g(z), dtype=complex) / n
+    return np.sum(weights[:, None] * resolvent_apply(dec, z, psi), axis=0)
+
+
+def discrete_sum_apply(A: Operator, f: Callable[[np.ndarray], np.ndarray],
+                       plan: ContourPlan, psi: np.ndarray) -> np.ndarray:
+    """S_m psi = (1/m) sum_k w_k f(w_k) (w_k I - A)^{-1} psi on the lattice."""
+    return _circle_rule(A, f, plan.r1, plan.m, psi, "R1")
 
 
 def aliasing_term(A: Operator, f: Callable[[np.ndarray], np.ndarray],
                   plan: ContourPlan, psi: np.ndarray) -> np.ndarray:
-    """f(A) g(A) psi with g(z) = z^m / (z^m - R1^m), both factors spectral."""
+    """f(A) g(A) psi with g(z) = z^m / (z^m - R1^m), as one spectral function."""
     dec = _check_enclosure(A, plan.r1, "R1")
-    psi = np.asarray(psi, dtype=complex)
     m, r1m = plan.m, plan.r1 ** plan.m
-    fA = matfun(dec, f)
-    gA = matfun(dec, lambda z: z ** m / (z ** m - r1m))
-    return fA @ (gA @ psi)
+    return matfun(dec, lambda z: f(z) * z ** m / (z ** m - r1m)) @ psi
 
 
 def truncation_integral(A: Operator, f: Callable[[np.ndarray], np.ndarray],
@@ -145,12 +150,9 @@ def truncation_integral(A: Operator, f: Callable[[np.ndarray], np.ndarray],
     (1/(2 pi i)) oint_{|z|=R2} R1^m/(z^m - R1^m) f(z) (zI-A)^{-1} psi dz,
     with plan.quad_n = max(8m, 256) uniform nodes.
     """
-    dec = _check_enclosure(A, plan.r2, "R2")
-    n = plan.quad_n
-    z = plan.r2 * np.exp(2j * np.pi * np.arange(1, n + 1) / n)
-    r1m = plan.r1 ** plan.m
-    pref = z * np.asarray(f(z), dtype=complex) * r1m / (z ** plan.m - r1m) / n
-    return np.sum(pref[:, None] * resolvent_apply(dec, z, psi), axis=0)
+    m, r1m = plan.m, plan.r1 ** plan.m
+    return _circle_rule(A, lambda z: f(z) * r1m / (z ** m - r1m), plan.r2,
+                        plan.quad_n, psi, "R2")
 
 
 def truncation_norm_bound(plan: ContourPlan, psi_norm: float) -> float:
@@ -217,12 +219,32 @@ class RadiusResult(NamedTuple):
     at_boundary: bool
 
 
-def _golden_section(phi: Callable[[float], float], lo: float,
-                    hi: float) -> tuple[float, float]:
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
+def optimize_radius(f_sup: Callable[[float], float], r1: float,
+                    r2_cap: float) -> RadiusResult:
+    """Minimize phi(R2) = f_sup(R2) R2 / (R2 - R1)^2 over (R1, r2_cap].
+
+    One golden-section search over t = log(R2 - R1) on [log(1e-9 span),
+    log(span)], span = r2_cap - R1, until R2 is known to 1e-6 R2. One bracket
+    is enough: for the supremum M(R) of |f| on |z| = R, log M is convex in
+    log R (Hadamard's three-circles theorem), so d log phi / d log R2 =
+    R2 M'/M + 1 - 2 R2/(R2 - R1) increases and phi has a single minimum. A
+    search that never moves its upper end returns the cap, as a boundary result.
+    """
+    if not (r1 > 0 and r2_cap > r1):
+        raise PrecondError(f"need 0 < R1 < r2_cap, got R1={r1}, cap={r2_cap}")
+
+    def phi(t: float) -> float:
+        offset = math.exp(t)
+        val = f_sup(r1 + offset) * (r1 + offset) / offset ** 2
+        if not np.isfinite(val):
+            raise PrecondError(f"radius objective is not finite at R2={r1 + offset}")
+        return float(val)
+
+    span = r2_cap - r1
+    lo, hi = math.log(1e-9 * span), math.log(span)
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     fc, fd = phi(c), phi(d)
-    while (hi - lo) > _RADIUS_REL_TOL * max(abs(hi), 1.0):
+    while math.exp(hi) - math.exp(lo) > _RADIUS_REL_TOL * (r1 + math.exp(lo)):
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -231,41 +253,9 @@ def _golden_section(phi: Callable[[float], float], lo: float,
             lo, c, fc = c, d, fd
             d = lo + _GOLDEN * (hi - lo)
             fd = phi(d)
-    x = 0.5 * (lo + hi)
-    return x, phi(x)
-
-
-def optimize_radius(f_sup: Callable[[float], float], r1: float,
-                    r2_cap: float) -> RadiusResult:
-    """Minimize f_sup(R2) * R2 / (R2 - R1)^2 over (R1, r2_cap].
-
-    Golden-section search restarted on three geometric sub-brackets of the
-    offset R2 - R1 (the objective blows up at R1 and may decrease all the way
-    to the cap); a minimizer at the cap is flagged as a boundary result.
-    """
-    if not (r1 > 0 and r2_cap > r1):
-        raise PrecondError(f"need 0 < R1 < r2_cap, got R1={r1}, cap={r2_cap}")
-
-    def phi(r2: float) -> float:
-        val = f_sup(r2) * r2 / (r2 - r1) ** 2
-        if not np.isfinite(val):
-            raise PrecondError(f"radius objective is not finite at R2={r2}")
-        return float(val)
-
-    span = r2_cap - r1
-    cuts = [1e-9, 0.03, 0.3, 1.0]
-    best_x, best_val = r2_cap, phi(r2_cap)
-    boundary = True
-    for lo_f, hi_f in zip(cuts[:-1], cuts[1:]):
-        x, val = _golden_section(phi, r1 + lo_f * span, r1 + hi_f * span)
-        if val < best_val:
-            best_x, best_val = x, val
-            boundary = False
-    if boundary or best_x >= r2_cap * (1.0 - 2.0 * _RADIUS_REL_TOL):
-        # interior searches never beat the cap: report the boundary
-        if phi(r2_cap) <= best_val:
-            return RadiusResult(r2_cap, True)
-    return RadiusResult(best_x, False)
+    if hi == math.log(span):
+        return RadiusResult(r2_cap, True)
+    return RadiusResult(r1 + math.exp(0.5 * (lo + hi)), False)
 
 
 def lattice_radii(rho: float, r1: float | None = None,

@@ -167,7 +167,7 @@ def plan_fourier(profile: SpectralProfile, h_norm: float,
         if aliasing_bound(profile, gap, eps_internal) <= budget:
             break
         gap *= _GROWTH
-    else:  # pragma: no cover - bound decreases monotonically in gap
+    else:
         raise NumericalError("aliasing gap failed to reach its budget")
     a = scale + gap
 
@@ -176,7 +176,7 @@ def plan_fourier(profile: SpectralProfile, h_norm: float,
         if truncation_bound(profile, ratio) <= budget:
             break
         ratio *= _GROWTH
-    else:  # pragma: no cover
+    else:
         raise NumericalError("truncation cutoff failed to reach its budget")
 
     if not math.isfinite(ratio * a):

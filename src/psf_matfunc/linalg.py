@@ -77,16 +77,18 @@ def as_matrix(M: np.ndarray) -> np.ndarray:
         raise PrecondError(f"matrix must be square, got shape {M.shape}")
     if M.size == 0:
         raise PrecondError("matrix must be non-empty")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(np.asarray(M, dtype=complex).imag)):
-        raise PrecondError("matrix entries must be finite")
-    return np.asarray(M, dtype=complex)
+    M = np.asarray(M, dtype=complex)
+    with np.errstate(over="ignore"):   # a modulus beyond the largest float is refused
+        if not np.all(np.isfinite(np.abs(M))):
+            raise PrecondError("matrix entries must be finite, and so must their moduli")
+    return M
 
 
 def is_hermitian(M: np.ndarray) -> bool:
+    """|M - M^H| <= 1e-12 max |M| entrywise, on the scale of M itself."""
     M = np.asarray(M, dtype=complex)
-    scale = max(1.0, float(np.abs(M).max()))
     with np.errstate(over="ignore"):   # a difference beyond the largest float is not Hermitian
-        return float(np.abs(M - M.conj().T).max()) <= _HERM_TOL * scale
+        return float(np.abs(M - M.conj().T).max()) <= _HERM_TOL * float(np.abs(M).max())
 
 
 def is_even_integer(x: float) -> bool:

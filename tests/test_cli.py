@@ -100,6 +100,17 @@ def test_simulate_contour_report(tmp_path, capsys):
     assert obj["error_relative"] <= obj["eps"]
 
 
+def test_simulate_contour_on_a_tiny_normal_operator(tmp_path, capsys):
+    """At rho = 1e-13 the generated operator is normal, not Hermitian: it is
+    decomposed, and its error stays within the reported bound."""
+    out = str(tmp_path / "sc.json")
+    rc, _, err = run(["simulate-contour", "--f", "exp-neg", "--rho", "1e-13",
+                      "--out", out], capsys)
+    assert rc == 0, err
+    obj = json.loads(read_bytes(out))
+    assert obj["error_measured"] <= obj["error_bound"]
+
+
 def test_contour_relative_error_of_a_zero_target(tmp_path, capsys):
     """f(A) psi = 0 has no relative error: JSON null, an empty CSV cell."""
     out = str(tmp_path / "sc.json")
@@ -212,6 +223,17 @@ def test_sweep_contour(tmp_path, capsys):
     first = read_bytes(out)
     run(argv, capsys)
     assert read_bytes(out) == first
+
+
+def test_sweep_contour_plans_its_radii_once(tmp_path, capsys, monkeypatch):
+    """Every row shares the radii, so B1 and B2 are sampled once per sweep."""
+    radii = []
+    real = contour.circle_sup
+    monkeypatch.setattr(contour, "circle_sup", lambda f, r: radii.append(r) or real(f, r))
+    rc, _, err = run(["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:48:8",
+                      "--R1", "1", "--R2", "2", "--out", str(tmp_path / "sw.csv")], capsys)
+    assert rc == 0, err
+    assert sorted(radii) == [1.0, 2.0]
 
 
 def test_contour_commands_refuse_outer_radius_at_pole(tmp_path, capsys):
@@ -386,6 +408,14 @@ def test_exit_code_admission(tmp_path, capsys, argv):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("flag", ["--eps", "--R1", "--rho"])
+def test_negative_exponent_value_reaches_the_command(tmp_path, capsys, flag):
+    """argparse takes -1e-8 for a flag; the command's own admission sees it."""
+    rc, _, err = run(["simulate-contour", "--f", "exp-neg", flag, "-1e-8",
+                      "--out", str(tmp_path / "out")], capsys)
+    assert rc == 2 and err.startswith("precondition:") and "-1e-08" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["plan", "--alpha", "1", "--T", "1", "--eps", "1e-6", "--hnorm", "1"],
     ["kernel", "--alpha", "1", "--T", "1", "--x", "0:1:0.5"],
@@ -473,6 +503,32 @@ def test_plan_exit_code_fuzz(tmp_path_factory, alpha, T, eps, hnorm, mode):
     rc = cli.main(["plan", "--alpha", repr(alpha), "--T", repr(T), "--eps", repr(eps),
                    "--hnorm", repr(hnorm), "--mode", mode, "--out", out])
     assert rc in (0, 2, 3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(command=st.sampled_from(["simulate-fourier", "sweep"]),
+       alpha=_log_uniform(math.log10(0.3), 6.0), T=_log_uniform(-300.0, 300.0),
+       eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       hnorm=_log_uniform(-300.0, 300.0), mode=st.sampled_from(["root", "direct"]),
+       size=st.integers(1, 8), seed=st.integers(0, 1000))
+@example(command="simulate-fourier", alpha=1e300, T=1.0, eps=1e-6, hnorm=1.0,
+         mode="root", size=8, seed=0)
+@example(command="sweep", alpha=1e300, T=1.0, eps=1e-6, hnorm=1.0,
+         mode="root", size=8, seed=0)
+def test_fourier_exit_code_fuzz(tmp_path_factory, command, alpha, T, eps, hnorm, mode,
+                                size, seed):
+    """A Fourier run returns (exit 0) or refuses (exit 2 or 3), never a
+    traceback: at alpha = 1e300 the truncation cutoff never meets its budget
+    within the growth steps, and the run exits 3."""
+    argv = [command, "--alpha", repr(alpha), f"--T={T!r}", f"--eps={eps!r}",
+            f"--hnorm={hnorm!r}", "--mode", mode, "--size", str(size),
+            "--seed", str(seed), "--out", str(tmp_path_factory.getbasetemp() / "fuzz")]
+    if command == "sweep":
+        argv[1:1] = ["--path", "fourier", "--K", "4:12:4"]
+    rc = cli.main(argv)
+    assert rc in (0, 2, 3)
+    if alpha == 1e300:
+        assert rc == 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -391,5 +391,47 @@ def test_optimize_radius_constant_hits_cap():
         optimize_radius(lambda r: r ** 2, 2.0, 1.0)
 
 
+def _grid_argmin(f_sup, r1, cap):
+    """argmin of f_sup(R2) R2 / (R2 - R1)^2 on a log-offset grid over
+    (R1, cap], refined three times around the best point."""
+    lo, hi = math.log(1e-9 * (cap - r1)), math.log(cap - r1)
+    for _ in range(4):
+        t = np.linspace(lo, hi, 401)
+        phi = [f_sup(r1 + math.exp(s)) * (r1 + math.exp(s)) / math.exp(2 * s) for s in t]
+        k = int(np.argmin(phi))
+        lo, hi = t[max(k - 2, 0)], t[min(k + 2, t.size - 1)]
+    return r1 + math.exp(t[k])
+
+
+_MIXED = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
+_SUPS = {
+    "exp-neg": (lambda r: circle_sup(exp_neg, r), 16.0),
+    "exp-neg-i": (lambda r: circle_sup(lambda z: np.exp(-1j * z), r), 16.0),
+    "mixed-poly": (lambda r: circle_sup(
+        lambda z: np.polynomial.polynomial.polyval(z, _MIXED), r), 16.0),
+    "inv-shift": (lambda r: circle_sup(lambda z: 1.0 / (z + 2.0), r), 3.0),
+    "sup-poly-abs": (sup_poly_abs(_MIXED), 16.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUPS))
+def test_optimize_radius_matches_a_dense_grid(name):
+    """The one golden-section search finds the minimum a dense scan finds:
+    the remainder prefactor has a single minimum on (R1, cap]."""
+    f_sup, cap_factor = _SUPS[name]
+    r1 = 0.55
+    res = optimize_radius(f_sup, r1, cap_factor * r1)
+    assert res.r2 == pytest.approx(_grid_argmin(f_sup, r1, cap_factor * r1), rel=1e-3)
+
+
+@pytest.mark.parametrize("f_sup", [lambda r: r ** 3, lambda r: 1.0,
+                                   lambda r: math.exp(r)], ids=["cube", "const", "exp"])
+def test_optimize_radius_is_one_search(f_sup):
+    """One bracket, with R2 to 1e-6 R2, takes at most 50 evaluations."""
+    calls = []
+    optimize_radius(lambda r: calls.append(r) or f_sup(r), 0.55, 16.0 * 0.55)
+    assert len(calls) <= 50
+
+
 def test_sup_helpers():
     assert sup_poly_abs([1.0, -2.0, 3.0])(2.0) == pytest.approx(17.0)

@@ -350,6 +350,26 @@ def test_hermitian_and_normal_predicates():
     assert not is_hermitian(A)
 
 
+def test_hermitian_test_is_relative():
+    """A tiny normal matrix is judged on its own scale: it is not Hermitian,
+    and its basis comes from the normal route rather than one triangle."""
+    A = random_normal_matrix(np.random.default_rng(2), 8, spectral_radius=1e-13)
+    assert not is_hermitian(A)
+    assert is_hermitian(1e-300 * random_hermitian(np.random.default_rng(1), 5))
+    assert is_hermitian(np.zeros((3, 3)))
+    dec = eig(A)
+    assert not dec.hermitian and dec.kappa_s == 1.0
+    np.testing.assert_allclose(np.sort_complex(dec.eigenvalues),
+                               np.sort_complex(np.linalg.eigvals(A)), atol=1e-26)
+
+
+def test_entry_whose_modulus_overflows_is_refused():
+    """|x| is beyond the largest float although re x and im x are finite."""
+    x = 1.7e308 * (1.0 + 1.0j)
+    with pytest.raises(PrecondError, match="moduli"):
+        eig(np.array([[0.0, x], [x, 0.0]]))
+
+
 _EVEN_FNS = {"cos": np.cos, "gauss": lambda x: np.exp(-x ** 2), "quartic": lambda x: x ** 4}
 
 
