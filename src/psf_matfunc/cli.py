@@ -220,9 +220,8 @@ def _cmd_cost(args) -> int:
         cmp = costmodel.compare_paths(costmodel.ProblemSpec(
             eps=eps, a_norm=args.anorm, spectral_radius=args.rho,
             profile=profile if which == "both" else None,
-            f=fspec.fn if fspec else None, f_label=fspec.label if fspec else "",
-            T=args.T, u_r=args.ur, gamma=args.gamma, psi_norm=args.psinorm,
-            f_psi_norm=args.fpsi))
+            f=fspec.fn if fspec else None, T=args.T, u_r=args.ur, gamma=args.gamma,
+            psi_norm=args.psinorm, f_psi_norm=args.fpsi))
         if fspec and cmp.plan_b is not None:
             _refuse_pole(fspec, cmp.plan_b.r2)
         rep = cmp.report_b

@@ -29,8 +29,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ErrorBudget, PrecondError
-from .linalg import (Operator, SpectralDecomposition, as_decomposition, matfun,
-                     resolvent_apply)
+from .linalg import (Operator, SpectralDecomposition, as_decomposition, frobenius,
+                     matfun, resolvent_apply)
 
 _SUP_SAMPLES = 4096
 _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(_SUP_SAMPLES) / _SUP_SAMPLES)
@@ -306,6 +306,5 @@ def plan_contour(A: Operator, f: Callable[[np.ndarray], np.ndarray],
     if r2 is None and optimize:
         r1, _ = lattice_radii(rho, r1)
         r2 = optimize_radius(lambda r: circle_sup(f, r), r1, r2_cap_factor * r1).r2
-    f_psi_norm = float(np.linalg.norm(matfun(dec, f) @ psi))
-    return plan_lattice(f, eps, rho, dec.kappa_s, f_psi_norm,
-                        float(np.linalg.norm(psi)), r1=r1, r2=r2)
+    return plan_lattice(f, eps, rho, dec.kappa_s, frobenius(matfun(dec, f) @ psi),
+                        frobenius(psi), r1=r1, r2=r2)

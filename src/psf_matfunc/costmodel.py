@@ -113,6 +113,8 @@ def path_b_cost(plan: contour.ContourPlan, gamma: float, f_psi_norm: float,
         raise PrecondError(f"eps must lie in (0, 1), got {eps}")
     alpha_a = plan.r1
     core = gamma * alpha_a * plan.b1 / f_psi_norm
+    if not 0.0 < core < math.inf:
+        raise PrecondError(f"amplification gamma R1 B1 / ||f psi|| = {core} is 0 or inf")
     mq = gamma * alpha_a * core * math.log(core / eps)
     return CostReport(path="B", matrix_queries=mq, state_queries=core,
                       lcu_terms=float(plan.m), amplification=core,
@@ -135,7 +137,6 @@ class ProblemSpec:
     spectral_radius: float = 0.0   # rho(A), for contour enclosure
     profile: SpectralProfile | None = None   # set when f = e^{-T H^alpha}
     f: Callable | None = None      # holomorphic candidate for the contour path
-    f_label: str = ""
     T: float = 1.0
     u_r: float = 1.0
     gamma: float = 1.0

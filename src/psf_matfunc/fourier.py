@@ -18,9 +18,9 @@ exist and are planned for separately:
   the lattice period a and the spectral scale of H.
 
 The planner picks the period a and the cutoff K so each reported bound is at
-most eps_internal / 2. One evaluator, `cosine_series`, sums the series on
-the spectrum of H for any cutoff up to the plan's. Every run is measured on
-that spectrum against the one reference, `linalg.evolution_function(alpha,
+most eps_internal / 2. One evaluator, `cosine_series`, sums the series at
+real points for any cutoff up to the plan's. Every run is measured on the
+spectrum of H against the one reference, `linalg.evolution_function(alpha,
 T)`, through `linalg.distance_from`: the target is e^{-T H^alpha} in both
 modes, since direct mode has p = alpha. `assemble_fourier_approx` maps the
 series to a dense matrix through `linalg.matfun`; no command needs it.
@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ErrorBudget, NumericalError, PrecondError
-from .kernels import (_LOG_FLOAT_MAX, SpectralProfile, TimeKernel,
-                      algebraic_envelope_constant, lattice_kernel, saddle_rate)
+from .kernels import (_LOG_FLOAT_MAX, SpectralProfile, algebraic_envelope_constant,
+                      lattice_kernel, saddle_rate)
 from .linalg import Operator, clamp_psd, hermitian_eig, matfun
 
 _GROWTH = 1.05
@@ -76,6 +76,8 @@ def truncation_ratio(profile: SpectralProfile, eps_internal: float) -> float:
             f"fractional planning needs p >= 1 (profile has p = {p}); "
             "use root mode with alpha >= 0.5")
     C = algebraic_envelope_constant(p, T)
+    if C == 0.0:
+        raise PrecondError(f"algebraic envelope constant of p={p:g}, T={T:g} underflows to 0")
     denom = a_eff * eps_internal     # 0 when eps' is near the smallest float
     target = 2.0 * C / denom if denom else math.inf
     if math.isinf(target):
@@ -99,7 +101,10 @@ def truncation_bound(profile: SpectralProfile, ratio: float) -> float:
     p, T = profile.p, profile.T
     if profile.regime == "analytic":
         lam, beta = saddle_rate(profile)
-        return 4.0 * math.exp(-lam * ratio ** beta) / (lam * beta * ratio ** (beta - 1.0))
+        try:
+            return 4.0 * math.exp(-lam * ratio ** beta) / (lam * beta * ratio ** (beta - 1.0))
+        except OverflowError:
+            raise PrecondError(f"truncation bound of p={p:g}, T={T:g} exceeds the float range")
     C = algebraic_envelope_constant(p, T)
     if p * math.log(ratio) + math.log(p) > _LOG_FLOAT_MAX:   # (p/2) ratio^p overflows
         return math.exp(math.log(C / (p / 2.0)) - p * math.log(ratio))
@@ -238,25 +243,3 @@ def assemble_fourier_approx(plan: FourierPlan, H: Operator) -> np.ndarray:
     """Evaluate the cosine combination of the plan on a Hermitian H:
     `cosine_series` on the spectrum, mapped through `matfun`."""
     return matfun(hermitian_eig(H), lambda lam: cosine_series(plan, lam.real))
-
-
-def scalar_psf_residual(kern: TimeKernel, a: float, delta: float, K: int,
-                        n_alias: int) -> float:
-    """|finite lattice sum - windowed spectral-copy sum| at offset delta.
-
-    Left side: (1/a) sum_{|k|<=K} f(k/a) e^{-i 2 pi k delta / a} (real by
-    evenness). Right side: sum_{|n|<=n_alias} e^{-T |a n + delta|^p}. The
-    residual collapses to truncation + aliasing leakage, which the bound
-    functions above must dominate.
-    """
-    if a <= 0:
-        raise PrecondError(f"lattice period must be positive, got {a}")
-    if K < 0 or n_alias < 0:
-        raise PrecondError("K and n_alias must be non-negative")
-    p, T = kern.profile.p, kern.profile.T
-    ks = np.arange(0, K + 1, dtype=float)
-    fk = lattice_kernel(kern.profile, 0.0, 1.0 / a, K + 1)
-    lhs = (fk[0] + 2.0 * np.sum(fk[1:] * np.cos(2.0 * np.pi * ks[1:] * delta / a))) / a
-    ns = np.arange(-n_alias, n_alias + 1, dtype=float)
-    rhs = float(np.sum(np.exp(-T * np.abs(a * ns + delta) ** p)))
-    return abs(float(lhs) - rhs)

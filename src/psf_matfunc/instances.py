@@ -1,12 +1,14 @@
-"""Seeded random test instances.
+"""Seeded random instances for the commands that generate their operator.
 
 All randomness in the package flows through numpy.random.default_rng with a
-caller-supplied integer seed, so every experiment is reproducible from its
-config line. Generators are documented here once:
+caller-supplied integer seed (a Generator passes through unchanged), so every
+experiment is reproducible from its config line. Generators are documented
+here once:
 
 - complex Gaussian entries: (standard_normal + 1j*standard_normal)/sqrt(2)
 - unitaries: QR of a complex Gaussian matrix with the R-diagonal phase fixed
-- Hermitian/PSD matrices are rescaled to a requested spectral norm
+- PSD matrices are rescaled to a requested spectral norm, normal matrices
+  to a requested spectral radius
 """
 
 from __future__ import annotations
@@ -18,32 +20,17 @@ import numpy as np
 from .errors import PrecondError
 
 
-def _rng(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def complex_gaussian(seed: int | np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def random_unitary(seed: int | np.random.Generator, n: int) -> np.ndarray:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     Q, R = np.linalg.qr(complex_gaussian(rng, (n, n)))
     # Fix the phase so the distribution is Haar and the output deterministic.
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
-
-
-def random_hermitian(seed: int | np.random.Generator, n: int, norm: float = 1.0) -> np.ndarray:
-    """Hermitian matrix with spectral norm exactly `norm`."""
-    rng = _rng(seed)
-    G = complex_gaussian(rng, (n, n))
-    H = (G + G.conj().T) / 2.0
-    nrm = float(np.linalg.norm(H, 2))
-    return H * (norm / nrm)
 
 
 def random_psd(seed: int | np.random.Generator, n: int, norm: float = 1.0) -> np.ndarray:
@@ -52,7 +39,7 @@ def random_psd(seed: int | np.random.Generator, n: int, norm: float = 1.0) -> np
         raise PrecondError(f"matrix size must be >= 1, got {n}")
     if not (0 <= norm < math.inf):
         raise PrecondError(f"norm must be finite and non-negative, got {norm}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     G = complex_gaussian(rng, (n, n))
     H = G @ G.conj().T
     nrm = float(np.linalg.norm(H, 2))
@@ -71,7 +58,7 @@ def random_normal_matrix(seed: int | np.random.Generator, n: int,
     if not (0 <= spectral_radius < math.inf):
         raise PrecondError(
             f"spectral radius must be finite and non-negative, got {spectral_radius}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     U = random_unitary(rng, n)
     r = np.sqrt(rng.uniform(0.0, 1.0, n))
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -85,23 +72,6 @@ def random_normal_matrix(seed: int | np.random.Generator, n: int,
 
 def random_state(seed: int | np.random.Generator, n: int) -> np.ndarray:
     """Unit-norm complex Gaussian vector."""
-    v = complex_gaussian(_rng(seed), (n,))
+    v = complex_gaussian(np.random.default_rng(seed), (n,))
     return v / np.linalg.norm(v)
 
-
-def random_diagonalizable(seed: int | np.random.Generator, n: int,
-                          spectral_radius: float = 0.5,
-                          basis_spread: float = 0.3) -> np.ndarray:
-    """Mildly non-normal diagonalizable matrix V diag(lam) V^{-1}.
-
-    basis_spread controls how far V sits from unitary (0 gives a normal
-    matrix); kept small so the eigenbasis stays well conditioned.
-    """
-    rng = _rng(seed)
-    U = random_unitary(rng, n)
-    V = U + basis_spread * complex_gaussian(rng, (n, n))
-    r = np.sqrt(rng.uniform(0.0, 1.0, n))
-    theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    lam = r * np.exp(1j * theta)
-    lam = lam * (spectral_radius / np.abs(lam).max())
-    return (V * lam) @ np.linalg.inv(V)

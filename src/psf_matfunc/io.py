@@ -1,11 +1,10 @@
 """File formats: matrices, plans, reports, and RFC-4180 CSV.
 
 Plans and reports are written, never read back: plan JSON is an output.
-
-Dense matrices travel as JSON ({rows, cols, re[], im[]}, row-major) or
-Matrix Market coordinate files. Floats are rendered with repr() everywhere
-so identical inputs produce byte-identical outputs (the determinism
-contract for sweeps).
+Matrices are only read: `--matrix` takes JSON ({rows, cols, re[], im[]},
+row-major) or a Matrix Market coordinate file. Floats are rendered with
+repr() everywhere so identical inputs produce byte-identical outputs (the
+determinism contract for sweeps).
 """
 
 from __future__ import annotations
@@ -61,14 +60,6 @@ def load_matrix(path: str) -> np.ndarray:
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise PrecondError(f"matrix in {path} contains non-finite entries")
     return M
-
-
-def save_matrix(path: str, M: np.ndarray) -> None:
-    M = np.asarray(M, dtype=complex)
-    obj = {"rows": M.shape[0], "cols": M.shape[1],
-           "re": M.real.ravel().tolist(), "im": M.imag.ravel().tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
 
 
 # ---------------------------------------------------------------------------

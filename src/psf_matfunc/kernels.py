@@ -46,6 +46,9 @@ _LOG_FLOAT_MAX = 709.0
 
 _GL15_NODES, _GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MIN_PANELS = 32   # panels of the first quadrature pass
+# `kernel_values` doubles its panels until two passes agree to this tolerance.
+_PANEL_TOLERANCE = 1e-13
+_MAX_REFINEMENTS = 8
 
 # Keep cos(2 pi x xi) matrices below ~128 MB per chunk.
 _MAX_CHUNK_ELEMS = 16_777_216
@@ -74,6 +77,8 @@ class SpectralProfile:
             raise PrecondError(f"T must be positive and finite, got {self.T}")
         if self.mode == "root" and self.alpha < 0.5:
             raise PrecondError(f"root mode requires alpha >= 0.5, got {self.alpha}")
+        if not math.isfinite(self.p):
+            raise PrecondError(f"p = 2 alpha exceeds the float range at alpha = {self.alpha}")
 
     @property
     def p(self) -> float:
@@ -96,11 +101,9 @@ class SpectralProfile:
 
 @dataclass(frozen=True)
 class TimeKernel:
-    """Quadrature configuration for evaluating the kernel of a profile."""
+    """The time-domain kernel of a profile, evaluated by quadrature."""
 
     profile: SpectralProfile
-    panel_tolerance: float = 1e-13
-    max_refinements: int = 8
 
 
 def _composite_cosine(kern: TimeKernel, n_panels: int, xs: np.ndarray) -> np.ndarray:
@@ -126,8 +129,8 @@ def kernel_values(kern: TimeKernel, xs: np.ndarray) -> np.ndarray:
 
     The shared width satisfies the oscillation cap of every requested point
     (the cap shrinks with |x|); refinement doubles the panel count until two
-    successive composites agree to panel_tolerance in the sup norm, and
-    raises NumericalError if max_refinements doublings do not get there.
+    successive composites agree to _PANEL_TOLERANCE in the sup norm, and
+    raises NumericalError if _MAX_REFINEMENTS doublings do not get there.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
@@ -139,17 +142,17 @@ def kernel_values(kern: TimeKernel, xs: np.ndarray) -> np.ndarray:
     n = max(_MIN_PANELS, int(math.ceil(cut / cap)))
     prev = _composite_cosine(kern, n, xs)
     change = math.inf
-    for _ in range(kern.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         n *= 2
         cur = _composite_cosine(kern, n, xs)
         change = float(np.abs(cur - prev).max())
-        if change <= kern.panel_tolerance:
+        if change <= _PANEL_TOLERANCE:
             return cur
         prev = cur
     raise NumericalError(
-        f"kernel quadrature not converged after {kern.max_refinements} "
+        f"kernel quadrature not converged after {_MAX_REFINEMENTS} "
         f"refinements ({n} panels): last change {change:.3e} > "
-        f"tolerance {kern.panel_tolerance:.3e}")
+        f"tolerance {_PANEL_TOLERANCE:.3e}")
 
 
 def algebraic_envelope_constant(p: float, T: float) -> float:
@@ -183,7 +186,10 @@ def envelope_rate(profile: SpectralProfile) -> tuple[float, float]:
         raise PrecondError(f"super-exponential envelope needs p > 1, got p={p}")
     beta = p / (p - 1.0)
     a_eff = p / 2.0
-    lam = (p - 1.0) * (math.pi / (a_eff * T ** (1.0 / p))) ** beta
+    try:
+        lam = (p - 1.0) * (math.pi / (a_eff * T ** (1.0 / p))) ** beta
+    except OverflowError:
+        raise PrecondError(f"envelope rate of p={p:g}, T={T:g} exceeds the float range")
     return lam, beta
 
 
@@ -199,7 +205,7 @@ def saddle_rate(profile: SpectralProfile) -> tuple[float, float]:
     """
     lam, beta = envelope_rate(profile)
     p = profile.p
-    return lam * math.sin(math.pi / (2.0 * (p - 1.0))), beta
+    return lam * math.sin(0.5 * math.pi / (p - 1.0)), beta   # 2 (p - 1) may overflow
 
 
 def envelope_function(profile: SpectralProfile) -> Callable[[float], float]:
@@ -326,9 +332,12 @@ def _alias_series(profile: SpectralProfile) -> tuple[float, list]:
         d_saddle = (math.log(4e15) / lam) ** (1.0 / beta)
     if profile.regime == "analytic":
         return d_saddle, []
-    D = max(30.0 * max(1.0, T ** (1.0 / p)), d_saddle)
+    try:
+        D = max(30.0 * max(1.0, T ** (1.0 / p)), d_saddle)
+    except OverflowError:
+        raise PrecondError(f"alias distance of p={p:g}, T={T:g} exceeds the float range")
     for _ in range(_MAX_ALIAS_DOUBLINGS + 1):
-        terms, last = [], math.inf
+        terms, last, size = [], math.inf, 0.0   # every coefficient may underflow to 0
         for n, c, log_c in _tail_series_terms(p, T):
             if c == 0.0:
                 continue

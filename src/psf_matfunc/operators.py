@@ -20,9 +20,9 @@ explicitly for checking its identities.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import NumericalError, PrecondError
 from .instances import random_state
 from .kernels import SpectralProfile
 from .linalg import (dirac_spectrum, distance_from, eig, evolution_function,
-                     hermitian_eig, matfun)
+                     frobenius, hermitian_eig, matfun)
 
 _MAX_SITES = 4096
 _DIRAC_TOL = 1e-12
@@ -147,39 +147,14 @@ def shifted_encoding(h_lap: np.ndarray, g: GridSpec) -> np.ndarray:
     """A = 2 h_lap / (4d/h^2) - I, the zero-diagonal contraction of -Delta.
 
     Uses the nominal norm proxy 4d/h^2 (not the exact sin^2 extreme), which
-    is what makes the diagonal vanish identically.
+    is what makes the diagonal vanish identically. Rows of interior sites
+    (coordinates in [1, n-2]) have 1-norm exactly 1, boundary rows less.
     """
     h_lap = np.asarray(h_lap, dtype=float)
     if h_lap.shape != (g.size, g.size):
         raise PrecondError(
             f"operator is {h_lap.shape}, grid expects {(g.size, g.size)}")
     return 2.0 * h_lap / (4.0 * g.d / g.h ** 2) - np.eye(g.size)
-
-
-class ShiftStats(NamedTuple):
-    diag_max: float
-    interior_row_l1: float   # nan when the grid has no interior sites
-    interior_count: int
-
-
-def shifted_encoding_stats(h_lap: np.ndarray, g: GridSpec) -> ShiftStats:
-    """Structure report for the shifted encoding of a grid Laplacian.
-
-    Interior sites have all coordinates in [1, n-2]; their rows of A carry
-    the full stencil, so their 1-norm is exactly 1 while boundary rows fall
-    short (the lost neighbors are the Dirichlet boundary).
-    """
-    A = shifted_encoding(h_lap, g)
-    diag_max = float(np.abs(np.diag(A)).max())
-    coords = np.unravel_index(np.arange(g.size), (g.n,) * g.d)
-    interior = np.ones(g.size, dtype=bool)
-    for c in coords:
-        interior &= (c >= 1) & (c <= g.n - 2)
-    count = int(interior.sum())
-    if count == 0:
-        return ShiftStats(diag_max, float("nan"), 0)
-    row_l1 = np.abs(A[interior]).sum(axis=1)
-    return ShiftStats(diag_max, float(row_l1.max()), count)
 
 
 @dataclass
@@ -236,14 +211,22 @@ def _poly_app(g: GridSpec, eps: float, seed: int,
     r1, _ = contour.lattice_radii(rho)
     r2 = contour.optimize_radius(contour.sup_poly_abs(coeffs), r1, 16.0 * r1).r2
     fA = matfun(dec, f)
-    psi_norm = float(np.linalg.norm(psi))
-    plan = contour.plan_lattice(f, eps, rho, dec.kappa_s, float(np.linalg.norm(fA @ psi)),
+    psi_norm = frobenius(psi)
+    plan = contour.plan_lattice(f, eps, rho, dec.kappa_s, frobenius(fA @ psi),
                                 psi_norm, r1=r1, r2=r2, m=m)
+    try:
+        r1m = plan.r1 ** plan.m
+    except OverflowError:
+        r1m = math.inf
+    if not sys.float_info.min <= r1m < math.inf:   # subnormal: psi / R1^m is inf
+        raise PrecondError(f"R1^m = {plan.r1!r}^{plan.m} leaves the normal floats")
     disc = contour.discrete_sum_apply(dec, f, plan, psi)
-    r1m = plan.r1 ** plan.m
-    target = fA @ (r1m * np.linalg.solve(
-        r1m * np.eye(A.shape[0]) - np.linalg.matrix_power(A, plan.m), psi))
-    err = float(np.linalg.norm(disc - target))
+    try:
+        target = fA @ (r1m * np.linalg.solve(
+            r1m * np.eye(A.shape[0]) - np.linalg.matrix_power(A, plan.m), psi))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"lattice identity solve failed: {exc}")
+    err = frobenius(disc - target)
     bound = plan.error_bounds(rho, psi_norm).total
     params = {"R1": plan.r1, "R2": plan.r2, "m": plan.m, "quad_n": plan.quad_n}
     return params, err, bound

@@ -1,12 +1,10 @@
-"""Small shared helpers: thread budget, deterministic parallel map, fits."""
+"""Small shared helpers: thread budget and deterministic parallel map."""
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-import numpy as np
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -36,14 +34,3 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=n) as ex:
         return list(ex.map(fn, items))
-
-
-def fit_loglog_slope(x: Sequence[float], y: Sequence[float],
-                     floor: float = 0.0) -> float:
-    """Least-squares slope of log10(y) against log10(x), ignoring y <= floor."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    keep = y > floor
-    if keep.sum() < 2:
-        raise ValueError("need at least two points above the floor to fit")
-    return float(np.polyfit(np.log10(x[keep]), np.log10(y[keep]), 1)[0])

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import psf_matfunc
 from psf_matfunc import cli, contour, fourier, linalg, operators
-from psf_matfunc.io import RECORD_HEADER, save_matrix
+from psf_matfunc.io import RECORD_HEADER
+
+from helpers import save_matrix
 
 
 def run(argv, capsys):
@@ -448,14 +450,22 @@ def _kernel_ranges(draw):
     return f"{lo!r}:{lo + draw(st.integers(0, 4)) * step!r}:{step!r}"
 
 
+# An alpha whose p = 2 alpha overflows, and times at the ends of the floats.
+_EXTREME_ALPHA = [1e308]
+_EXTREME_T = [5e-324, 1e308]
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
-@given(alpha=st.floats(0.3, 90.0), T=st.floats(1e-3, 10.0),
+@given(alpha=st.one_of(st.floats(0.3, 90.0), st.sampled_from(_EXTREME_ALPHA)),
+       T=st.one_of(st.floats(1e-3, 10.0), st.sampled_from(_EXTREME_T)),
        mode=st.sampled_from(["root", "direct"]), x=_kernel_ranges())
 @example(alpha=60.25, T=1.0, mode="root", x="0.001:0.002:0.001")
+@example(alpha=1e308, T=1.0, mode="root", x="0:10:0.5")
+@example(alpha=1.0, T=5e-324, mode="root", x="0:1:0.5")
 def test_kernel_exit_code_fuzz(tmp_path_factory, alpha, T, mode, x):
     """A kernel table returns (exit 0) or refuses (exit 2 or 3), never a
     traceback: at p = 120.5 and x = 1e-3, |x|^{p+1} underflows and the
-    envelope reads inf."""
+    envelope reads inf; at T = 5e-324 the envelope rate overflows."""
     out = str(tmp_path_factory.getbasetemp() / "fuzz.csv")
     rc = cli.main(["kernel", "--alpha", repr(alpha), "--T", repr(T), "--mode", mode,
                    "--x", x, "--out", out])
@@ -487,18 +497,22 @@ def _log_uniform(lo_exp: float, hi_exp: float):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(alpha=_log_uniform(math.log10(0.3), 6.0), T=_log_uniform(-300.0, 300.0),
+@given(alpha=st.one_of(_log_uniform(math.log10(0.3), 6.0), st.sampled_from(_EXTREME_ALPHA)),
+       T=st.one_of(_log_uniform(-300.0, 300.0), st.sampled_from(_EXTREME_T)),
        eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        hnorm=_log_uniform(-300.0, 300.0), mode=st.sampled_from(["root", "direct"]))
 @example(alpha=8000.25, T=1.0, eps=1e-6, hnorm=1.0, mode="root")
+@example(alpha=1e308, T=1.0, eps=1e-6, hnorm=1.0, mode="root")
+@example(alpha=1.0, T=1e308, eps=1e-16, hnorm=1.0, mode="root")
+@example(alpha=2.0, T=5e-324, eps=1e-8, hnorm=1.0, mode="direct")
 @example(alpha=0.5, T=1e300, eps=0.5, hnorm=1e300, mode="root")
 @example(alpha=1.0, T=1.0, eps=5e-324, hnorm=1.0, mode="direct")
 @example(alpha=0.31622776601683794, T=1e-98, eps=0.5, hnorm=1.0, mode="direct")
 @example(alpha=115.47819846894582, T=1e-139, eps=0.5, hnorm=1.0, mode="root")
 def test_plan_exit_code_fuzz(tmp_path_factory, alpha, T, eps, hnorm, mode):
     """A plan returns (exit 0) or refuses (exit 2 or 3), never a traceback:
-    not when eps' is subnormal, nor when the gap seed, Gamma(p + 1) or K
-    leaves the float range."""
+    not when eps' is subnormal, nor when p, the gap seed, Gamma(p + 1), the
+    envelope rate, the truncation bound or K leaves the float range."""
     out = str(tmp_path_factory.getbasetemp() / "fuzz.json")
     rc = cli.main(["plan", "--alpha", repr(alpha), "--T", repr(T), "--eps", repr(eps),
                    "--hnorm", repr(hnorm), "--mode", mode, "--out", out])
@@ -507,13 +521,16 @@ def test_plan_exit_code_fuzz(tmp_path_factory, alpha, T, eps, hnorm, mode):
 
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(command=st.sampled_from(["simulate-fourier", "sweep"]),
-       alpha=_log_uniform(math.log10(0.3), 6.0), T=_log_uniform(-300.0, 300.0),
+       alpha=st.one_of(_log_uniform(math.log10(0.3), 6.0), st.sampled_from(_EXTREME_ALPHA)),
+       T=st.one_of(_log_uniform(-300.0, 300.0), st.sampled_from(_EXTREME_T)),
        eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        hnorm=_log_uniform(-300.0, 300.0), mode=st.sampled_from(["root", "direct"]),
        size=st.integers(1, 8), seed=st.integers(0, 1000))
 @example(command="simulate-fourier", alpha=1e300, T=1.0, eps=1e-6, hnorm=1.0,
          mode="root", size=8, seed=0)
 @example(command="sweep", alpha=1e300, T=1.0, eps=1e-6, hnorm=1.0,
+         mode="root", size=8, seed=0)
+@example(command="simulate-fourier", alpha=1e308, T=1.0, eps=1e-6, hnorm=1.0,
          mode="root", size=8, seed=0)
 def test_fourier_exit_code_fuzz(tmp_path_factory, command, alpha, T, eps, hnorm, mode,
                                 size, seed):
@@ -529,6 +546,79 @@ def test_fourier_exit_code_fuzz(tmp_path_factory, command, alpha, T, eps, hnorm,
     assert rc in (0, 2, 3)
     if alpha == 1e300:
         assert rc == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--eps", "1e-6", "--hnorm", "1"],
+    ["kernel"],
+    ["simulate-fourier", "--eps", "1e-6"],
+    ["cost", "--path", "a", "--eps", "1e-6"],
+], ids=lambda argv: argv[0])
+def test_overflowing_p_exits_two(tmp_path, capsys, argv):
+    """At alpha = 1e308 root mode has p = 2 alpha = inf: the profile refuses
+    it (exit 2) before anything rounds p."""
+    rc, _, err = run(argv + ["--alpha", "1e308", "--T", "1",
+                             "--out", str(tmp_path / "out")], capsys)
+    assert rc == 2 and "p = 2 alpha" in err
+
+
+_EXTREME_VALUES = [0.0, -1.0, 1e-300, 5e-324, 1e300, 1e308, math.nan, math.inf]
+
+
+def _extreme_or(strategy):
+    return st.one_of(st.sampled_from(_EXTREME_VALUES), strategy)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(name=st.sampled_from(list(operators._APPS)), d=st.integers(-1, 3),
+       n=st.integers(-1, 8), h=_extreme_or(_log_uniform(-2.0, 2.0)),
+       T=_extreme_or(_log_uniform(-3.0, 3.0)), eps=_extreme_or(_log_uniform(-16.0, 0.0)),
+       m=st.one_of(st.none(), st.integers(-2, 400), st.sampled_from([2 ** 19 + 1, 10 ** 9])),
+       coeffs=st.one_of(st.none(), st.sampled_from(["1,2,0,3", "0,0,0,1e200", "1e200"])),
+       seed=st.integers(0, 1000))
+@example(name="heat", d=1, n=8, h=1.0, T=1e308, eps=1e-16, m=None, coeffs=None, seed=0)
+@example(name="matrix_poly", d=1, n=2, h=1.0, T=1.0, eps=1e-6, m=2, coeffs="0,0,0,1e200",
+         seed=0)
+@example(name="matrix_poly", d=2, n=2, h=1.0, T=2.0, eps=1e-200, m=None, coeffs=None,
+         seed=0)
+@example(name="matrix_poly", d=1, n=2, h=1.0, T=1.0, eps=1e-6, m=1200, coeffs=None, seed=0)
+def test_app_exit_code_fuzz(tmp_path_factory, name, d, n, h, T, eps, m, coeffs, seed):
+    """An application returns a finite error (exit 0) or refuses (exit 2 or
+    3), never a traceback: not at T = 1e308, whose truncation bound leaves
+    the float range, nor at eps = 1e-200 or m = 1200, whose R1^m underflows
+    to 0 or to a subnormal, nor with a coefficient 1e200, whose norms
+    overflow a plain sum of squares."""
+    out = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    argv = ["app", "--name", name, f"--d={d}", f"--n={n}", f"--h={h!r}", f"--T={T!r}",
+            f"--eps={eps!r}", "--seed", str(seed), "--out", str(out)]
+    argv += [f"--m={m}"] if m is not None else []
+    argv += [f"--coeffs={coeffs}"] if coeffs is not None else []
+    rc = cli.main(argv)
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        row = read_bytes(out).decode().splitlines()[1].split(",")
+        assert math.isfinite(float(row[RECORD_HEADER.index("error_measured")]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(path=st.sampled_from(["a", "b", "both"]),
+       alpha=st.one_of(st.none(), _extreme_or(_log_uniform(math.log10(0.3), 3.0))),
+       T=_extreme_or(_log_uniform(-3.0, 3.0)), mode=st.sampled_from(["root", "direct"]),
+       eps=_extreme_or(_log_uniform(-16.0, 0.0)),
+       f=st.sampled_from(["exp-neg", "exp-neg-i", "poly:1,2,0,3", "inv-shift:2", None]),
+       norms=st.lists(_extreme_or(_log_uniform(-3.0, 3.0)), min_size=6, max_size=6))
+@example(path="a", alpha=1e308, T=1.0, mode="root", eps=1e-6, f=None,
+         norms=[1.0] * 6)
+def test_cost_exit_code_fuzz(tmp_path_factory, path, alpha, T, mode, eps, f, norms):
+    """A cost model returns (exit 0) or refuses (exit 2 or 3), never a
+    traceback: not when alpha overflows p, nor at any extreme norm."""
+    argv = ["cost", "--path", path, f"--T={T!r}", "--mode", mode, f"--eps={eps!r}",
+            "--out", str(tmp_path_factory.getbasetemp() / "fuzz")]
+    argv += [f"--alpha={alpha!r}"] if alpha is not None else []
+    argv += [f"--f={f}"] if f is not None else []
+    argv += [f"{flag}={v!r}" for flag, v in zip(
+        ("--anorm", "--ur", "--rho", "--gamma", "--fpsi", "--psinorm"), norms)]
+    assert cli.main(argv) in (0, 2, 3)
 
 
 @pytest.mark.parametrize("argv", [
@@ -711,13 +801,6 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
-
-
-def test_public_names_resolve_once():
-    names = psf_matfunc.__all__
-    assert len(names) == len(set(names))
-    for name in names:
-        assert getattr(psf_matfunc, name) is not None
 
 
 def test_console_script_smoke(tmp_path):

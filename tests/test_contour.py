@@ -14,9 +14,10 @@ from psf_matfunc.contour import (ContourPlan, aliasing_norm_ratio,
                                  plan_m, sup_poly_abs, truncation_integral,
                                  truncation_norm_bound)
 from psf_matfunc.errors import ErrorBudget, PrecondError
-from psf_matfunc.instances import (random_diagonalizable, random_hermitian,
-                                   random_normal_matrix, random_state)
+from psf_matfunc.instances import random_normal_matrix, random_state
 from psf_matfunc.linalg import eig, matfun
+
+from helpers import random_diagonalizable, random_hermitian
 
 
 def one(z):

@@ -8,13 +8,13 @@ from psf_matfunc.errors import PrecondError
 from psf_matfunc.fourier import (aliasing_bound, assemble_fourier_approx,
                                  cosine_series, error_bounds,
                                  lcu_coefficients, plan_fourier,
-                                 scalar_psf_residual, spectral_scale,
-                                 truncation_bound, truncation_ratio)
-from psf_matfunc.instances import (random_diagonalizable, random_hermitian,
-                                   random_psd)
-from psf_matfunc.kernels import (SpectralProfile, TimeKernel,
-                                 algebraic_envelope_constant)
+                                 spectral_scale, truncation_bound,
+                                 truncation_ratio)
+from psf_matfunc.instances import random_psd
+from psf_matfunc.kernels import SpectralProfile, algebraic_envelope_constant
 from psf_matfunc.linalg import eig, evolution_matrix, matfun
+
+from helpers import psf_residual, random_diagonalizable, random_hermitian
 
 
 def test_planner_worked_example():
@@ -237,19 +237,15 @@ def test_decomposition_stands_in_for_its_operator(profile):
 
 
 def test_scalar_psf_identity_gaussian():
-    kern = TimeKernel(SpectralProfile(1.0, 1.0, "root"))
-    assert scalar_psf_residual(kern, 6.0, 0.3, 64, 4) <= 1e-10
+    assert psf_residual(6.0, 0.3, 64, 4) <= 1e-10
 
 
 def test_scalar_psf_even_at_zero_offset():
-    kern = TimeKernel(SpectralProfile(1.0, 1.0, "root"))
-    assert scalar_psf_residual(kern, 6.0, 0.0, 64, 4) <= 1e-12
+    assert psf_residual(6.0, 0.0, 64, 4) <= 1e-12
 
 
 def test_scalar_psf_monotone_beyond_knee():
-    kern = TimeKernel(SpectralProfile(1.0, 1.0, "root"))
-    rs = [scalar_psf_residual(kern, 6.0, 0.3, K, 6)
-          for K in (8, 12, 16, 24, 32, 48, 64)]
+    rs = [psf_residual(6.0, 0.3, K, 6) for K in (8, 12, 16, 24, 32, 48, 64)]
     # non-increasing up to the double-precision floor of the two sums
     assert all(b <= a + 1e-14 for a, b in zip(rs, rs[1:]))
 
@@ -257,13 +253,12 @@ def test_scalar_psf_monotone_beyond_knee():
 def test_scalar_psf_dominated_by_bounds():
     """Residual <= truncation bound + aliasing bound wherever the bounds sit
     above the roundoff floor of the O(1) sums being differenced."""
-    kern = TimeKernel(SpectralProfile(1.0, 1.0, "root"))
-    prof = kern.profile
+    prof = SpectralProfile(1.0, 1.0, "root")
     floor = 1e-13
     for a in (4.0, 6.0, 8.0):
         for K in (8, 16, 32):
             for delta in (0.0, 0.3, 1.1):
-                res = scalar_psf_residual(kern, a, delta, K, 6)
+                res = psf_residual(a, delta, K, 6)
                 bound = (truncation_bound(prof, K / a)
                          + aliasing_bound(prof, 7.0 * a - delta, 1e-6))
                 assert res <= bound + floor

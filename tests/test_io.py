@@ -12,9 +12,11 @@ from psf_matfunc.fourier import lcu_coefficients, plan_fourier
 from psf_matfunc.io import (RECORD_HEADER, contour_plan_json,
                             cost_report_json, csv_text, fourier_plan_json,
                             load_matrix, parse_function_spec, parse_range,
-                            record_row, save_matrix, write_csv, write_json)
+                            record_row, write_csv, write_json)
 from psf_matfunc.kernels import SpectralProfile
 from psf_matfunc.operators import GridSpec, run_application
+
+from helpers import save_matrix
 
 
 def test_matrix_json_roundtrip_exact(tmp_path):
