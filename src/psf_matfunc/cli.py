@@ -184,7 +184,7 @@ def _cmd_app(args) -> int:
     name = _required(args, "name")
     d = _required(args, "d")
     n = _required(args, "n")
-    T = _required(args, "T")
+    T = args.T if name == "matrix_poly" else _required(args, "T")   # matrix_poly has no T
     eps = _required(args, "eps")
     coeffs = None
     if args.coeffs is not None:
@@ -332,7 +332,8 @@ def _app_flags(p):
     p.add_argument("--d", type=int, help="grid dimension")
     p.add_argument("--n", type=int, help="sites per axis")
     p.add_argument("--h", type=float, default=1.0, help="mesh size")
-    p.add_argument("--T", type=float, help="evolution time")
+    p.add_argument("--T", type=float,
+                   help="evolution time (matrix_poly only records it)")
     p.add_argument("--eps", type=float, help="target accuracy")
     p.add_argument("--m", type=int, help="node-count override (matrix_poly)")
     p.add_argument("--coeffs", help="polynomial coefficients a0,a1,...")

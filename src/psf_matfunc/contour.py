@@ -292,19 +292,20 @@ def plan_lattice(f: Callable[[np.ndarray], np.ndarray], eps: float | None,
 
 def plan_contour(A: Operator, f: Callable[[np.ndarray], np.ndarray],
                  psi: np.ndarray, eps: float,
-                 r1: float | None = None, r2: float | None = None,
                  optimize: bool = False, r2_cap_factor: float = 16.0) -> ContourPlan:
-    """End-to-end plan for f(A) psi: eig, f(A) psi, then `plan_lattice`.
+    """End-to-end plan for f(A) psi: eig, f(A) psi, then `plan_lattice` at
+    the default radii of `lattice_radii`.
 
-    With optimize=True and no R2, R2 is the golden-section optimum of the
-    remainder prefactor on (R1, r2_cap_factor R1]. The reference norm
-    ||f(A) psi|| is computed spectrally (desk scale).
+    With optimize=True, R2 is the golden-section optimum of the remainder
+    prefactor on (R1, r2_cap_factor R1]. The reference norm ||f(A) psi|| is
+    computed spectrally (desk scale).
     """
     dec = as_decomposition(A)
     psi = np.asarray(psi, dtype=complex)
     rho = dec.spectral_radius
-    if r2 is None and optimize:
-        r1, _ = lattice_radii(rho, r1)
+    r2 = None
+    if optimize:
+        r1, _ = lattice_radii(rho)
         r2 = optimize_radius(lambda r: circle_sup(f, r), r1, r2_cap_factor * r1).r2
     return plan_lattice(f, eps, rho, dec.kappa_s, frobenius(matfun(dec, f) @ psi),
-                        frobenius(psi), r1=r1, r2=r2)
+                        frobenius(psi), r2=r2)

@@ -23,13 +23,20 @@ reconstruction contract (Frobenius residual <= 1e-10*||M||_2):
 - any other M: LAPACK `zgeev`, with kappa_s = cond(V) and ||M||_2 from an
   SVD.
 
-A unitary basis (`SpectralDecomposition.unitary`) lets `matfun` and
+Both `eigh` routes build their decomposition through
+`unitary_decomposition`, which checks the contract and certifies the unitary
+basis. A caller that knows an orthonormal eigenbasis in closed form (the
+grid applications, `operators.laplacian_eigenpairs`) hands it to the same
+function instead of calling `eig`. A unitary basis
+(`SpectralDecomposition.unitary`) lets `matfun`, `matfun_apply` and
 `resolvent_apply` apply V^{-1} as V^H instead of solving with V.
 
 One reduction serves every function of a matrix (Higham, *Functions of
-Matrices*, SIAM 2008, ch. 1 and 4): each command computes `eig` once and
+Matrices*, SIAM 2008, ch. 1 and 4): each command decomposes its operator
+once, by `eig` or from a closed form, and
 passes the `SpectralDecomposition`, which carries the matrix and its 2-norm,
-down to every consumer, and `matfun` alone forms V f(Lambda) V^{-1}. For a
+down to every consumer, and `matfun` alone forms V f(Lambda) V^{-1};
+`matfun_apply` applies it to one vector without forming it. For a
 Hermitian H, ||f(H) - g(H)||_2 is max |f - g| over the real spectrum, so
 `distance_from` measures the Fourier series against the one oracle,
 `evolution_function`, without forming either; `evolution_matrix` is that
@@ -37,13 +44,6 @@ oracle as a dense matrix. Which spectra a real power admits is decided here
 too: an even integer power (`is_even_integer`) any, any other power a PSD
 one (`clamp_psd`). The same reduction serves every shift of a contour sum:
 `resolvent_apply` takes a vector of shifts and solves them all at once.
-
-The Dirac root H = [[0, -iL'], [iL, 0]] of a real m x n factor L has the
-spectrum +-sigma_i(L), plus 0 when LL' is singular (Golub & Van Loan,
-*Matrix Computations*, 4th ed., 8.6). `dirac_spectrum` reads it off one real
-`eigh` of the n x n matrix L'L, under the reconstruction check of `eig`, so
-the heat and biharmonic evolutions measure their error without forming or
-decomposing H.
 """
 
 from __future__ import annotations
@@ -125,10 +125,10 @@ def frobenius(X: np.ndarray) -> float:
         return math.inf
 
 
-def _check_reconstruction(recon: np.ndarray, M: np.ndarray, nrm: float) -> None:
+def check_reconstruction(recon: np.ndarray, M: np.ndarray, nrm: float) -> None:
     """The reconstruction contract of every decomposition: a Frobenius
-    (>= 2-norm) residual above 1e-10*||M||_2, or a NaN one, raises
-    NumericalError."""
+    (>= 2-norm) residual ||recon - M|| above 1e-10*nrm, nrm = ||M||_2, or a
+    NaN one, raises NumericalError."""
     resid = frobenius(recon - M)
     if not resid <= _RECON_TOL * max(nrm, 1e-300):
         raise NumericalError(
@@ -136,43 +136,11 @@ def _check_reconstruction(recon: np.ndarray, M: np.ndarray, nrm: float) -> None:
             f"residual {resid:.3e} > {_RECON_TOL:.0e}*||M|| (matrix may be defective)")
 
 
-def _eigh_checked(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(lam, V, ||M||_2) of a Hermitian M by `eigh`, in M's own field (real
-    symmetric M stays real), under the reconstruction contract."""
-    lam, V = np.linalg.eigh(M)
-    nrm = float(np.abs(lam).max())
-    _check_reconstruction((V * lam) @ V.conj().T, M, nrm)
-    return lam, V, nrm
-
-
-def _normal_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """(lam, V, ||M||_2) of a normal M from one `eigh` of its Hermitian mix
-    H = (M + M^H)/2 + c (M - M^H)/(2i) = W + W^H with W = (1 - ic)/2 M,
-    under the reconstruction contract; None when the basis misses it (M is
-    not normal, or two of its eigenvalues collide under the mix) or when
-    the mix or the Rayleigh quotients overflow."""
-    with np.errstate(all="ignore"):    # an overflow is refused below
-        W = (0.5 - 0.5j * _NORMAL_MIX) * M
-        H = W + W.conj().T
-        if not np.all(np.isfinite(H)):
-            return None
-        _, V = np.linalg.eigh(H)
-        lam = np.einsum("ij,ij->j", V.conj(), M @ V)      # Rayleigh quotients
-        nrm = float(np.abs(lam).max())
-        if not math.isfinite(nrm):
-            return None
-        try:
-            _check_reconstruction((V * lam) @ V.conj().T, M, nrm)
-        except NumericalError:
-            return None
-    return lam, V, nrm
-
-
 @dataclass
 class SpectralDecomposition:
     """A validated matrix, its eigenpairs, basis condition number and 2-norm."""
 
-    matrix: np.ndarray           # the matrix, square complex (as_matrix)
+    matrix: np.ndarray           # the matrix: complex from `eig`, or real symmetric
     eigenvalues: np.ndarray      # shape (n,), complex
     basis: np.ndarray            # columns are eigenvectors
     kappa_s: float               # 2-norm condition number of the basis
@@ -185,12 +153,45 @@ class SpectralDecomposition:
 
     @property
     def unitary(self) -> bool:
-        """True when V^{-1} = V^H: both `eigh` routes of `eig` certify a
-        unitary basis by setting kappa_s to exactly 1."""
+        """True when V^{-1} = V^H: `unitary_decomposition`, which both
+        `eigh` routes of `eig` go through, certifies a unitary basis by
+        setting kappa_s to exactly 1."""
         return self.kappa_s == 1.0
 
 
 Operator = np.ndarray | SpectralDecomposition   # a matrix or its decomposition
+
+
+def unitary_decomposition(M: np.ndarray, lam: np.ndarray, V: np.ndarray,
+                          hermitian: bool) -> SpectralDecomposition:
+    """M = V diag(lam) V^H for a unitary V, under the reconstruction
+    contract: kappa_s is exactly 1 and ||M||_2 = max |lam|. M and V keep
+    their own field, so a real symmetric M stays real."""
+    nrm = float(np.abs(lam).max())
+    check_reconstruction((V * lam) @ V.conj().T, M, nrm)
+    return SpectralDecomposition(matrix=M, eigenvalues=np.asarray(lam, dtype=complex),
+                                 basis=V, kappa_s=1.0, hermitian=hermitian, norm=nrm)
+
+
+def _normal_eig(M: np.ndarray) -> SpectralDecomposition | None:
+    """The decomposition of a normal M from one `eigh` of its Hermitian mix
+    H = (M + M^H)/2 + c (M - M^H)/(2i) = W + W^H with W = (1 - ic)/2 M,
+    under the reconstruction contract; None when the basis misses it (M is
+    not normal, or two of its eigenvalues collide under the mix) or when
+    the mix or the Rayleigh quotients overflow."""
+    with np.errstate(all="ignore"):    # an overflow is refused below
+        W = (0.5 - 0.5j * _NORMAL_MIX) * M
+        H = W + W.conj().T
+        if not np.all(np.isfinite(H)):
+            return None
+        _, V = np.linalg.eigh(H)
+        lam = np.einsum("ij,ij->j", V.conj(), M @ V)      # Rayleigh quotients
+        if not math.isfinite(float(np.abs(lam).max())):
+            return None
+        try:
+            return unitary_decomposition(M, lam, V, hermitian=False)
+        except NumericalError:
+            return None
 
 
 def eig(M: np.ndarray) -> SpectralDecomposition:
@@ -210,47 +211,19 @@ def eig(M: np.ndarray) -> SpectralDecomposition:
     """
     M = as_matrix(M)
     if is_hermitian(M):
-        lam, V, nrm = _eigh_checked(M)
-        return SpectralDecomposition(matrix=M, eigenvalues=lam.astype(complex), basis=V,
-                                     kappa_s=1.0, hermitian=True, norm=nrm)
+        return unitary_decomposition(M, *np.linalg.eigh(M), hermitian=True)
     normal = _normal_eig(M)
     if normal is not None:
-        lam, V, nrm = normal
-        kappa = 1.0
-    else:
-        try:
-            lam, V = np.linalg.eig(M)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise NumericalError(f"eigendecomposition failed to converge: {exc}")
-        kappa = float(np.linalg.cond(V, 2))
-        nrm = float(np.linalg.norm(M, 2))
-        _check_reconstruction((V * lam) @ np.linalg.inv(V), M, nrm)
-    return SpectralDecomposition(matrix=M, eigenvalues=lam, basis=V, kappa_s=kappa,
-                                 hermitian=False, norm=nrm)
-
-
-def dirac_spectrum(L: np.ndarray) -> np.ndarray:
-    """Every eigenvalue of the Dirac root H = [[0, -iL'], [iL, 0]] of a real
-    m x n factor L, without multiplicity: [sigma, -sigma], and 0 when m
-    exceeds the rank of L.
-
-    sigma = sqrt(lam) from one real `eigh` of L'L under the reconstruction
-    contract of `eig`; H is never formed. The rank counts the lam above the
-    eigh rounding floor n*u*max(lam). A lam carries an absolute error of
-    about u*||L||^2, so a sigma near 0 carries up to about sqrt(n*u)*||L||:
-    only functions of sigma^2 (the even ones, all that heat and biharmonic
-    evaluate) keep the accuracy of eigh there.
-    """
-    L = np.asarray(L)
-    if L.ndim != 2 or L.size == 0:
-        raise PrecondError(f"gradient factor must be a non-empty matrix, got shape {L.shape}")
-    if np.iscomplexobj(L) or not np.all(np.isfinite(L)):
-        raise PrecondError("gradient factor entries must be real and finite")
-    L = np.asarray(L, dtype=float)
-    lam = np.maximum(_eigh_checked(L.T @ L)[0], 0.0)   # PSD up to rounding
-    sigma = np.sqrt(lam)
-    rank = np.count_nonzero(lam > lam.size * np.finfo(float).eps * lam.max())
-    return np.concatenate([sigma, -sigma, [0.0] if L.shape[0] > rank else []])
+        return normal
+    try:
+        lam, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise NumericalError(f"eigendecomposition failed to converge: {exc}")
+    nrm = float(np.linalg.norm(M, 2))
+    check_reconstruction((V * lam) @ np.linalg.inv(V), M, nrm)
+    return SpectralDecomposition(matrix=M, eigenvalues=lam, basis=V,
+                                 kappa_s=float(np.linalg.cond(V, 2)), hermitian=False,
+                                 norm=nrm)
 
 
 def as_decomposition(M: Operator) -> SpectralDecomposition:
@@ -295,6 +268,18 @@ def matfun(M: Operator, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     else:
         out = np.linalg.solve(V.conj().T, ((V * flam).conj().T)).conj().T
     return out
+
+
+def matfun_apply(M: Operator, fn: Callable[[np.ndarray], np.ndarray],
+                 b: np.ndarray) -> np.ndarray:
+    """f(M) b = V f(Lambda) V^{-1} b through the eigendecomposition, without
+    forming f(M): O(n^2) on a decomposition the caller already holds. fn is
+    checked as in `matfun`."""
+    dec = as_decomposition(M)
+    flam = np.asarray(_values_on(fn, dec.eigenvalues), dtype=complex)
+    V = dec.basis
+    c = V.conj().T @ b if dec.unitary else np.linalg.solve(V, b)
+    return V @ (flam * c)
 
 
 def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -370,8 +355,9 @@ def distance_from(spectrum: np.ndarray, g: Callable[[np.ndarray], np.ndarray]
 
     That norm is max |f - g| over the real spectrum of H (Higham, ch. 1), so
     no matrix is formed: `spectrum` is a real vector holding every
-    eigenvalue of H, such as `hermitian_eig(H).eigenvalues.real` or
-    `dirac_spectrum(L)`. f and g must map it to finite values, as in `matfun`.
+    eigenvalue of H, such as `hermitian_eig(H).eigenvalues.real` or a
+    spectrum known in closed form (`operators.laplacian_eigenpairs`). f and
+    g must map it to finite values, as in `matfun`.
     """
     lam = np.asarray(spectrum)
     if lam.ndim != 1 or lam.size == 0 or np.iscomplexobj(lam) or not np.all(np.isfinite(lam)):

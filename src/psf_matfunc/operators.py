@@ -2,19 +2,25 @@
 
 Builds the staggered first-order difference stencil, its d-dimensional
 Kronecker gradient stack L, the Hermitian block root operator
-H = [[0, -iL'], [iL, 0]] whose square is blockdiag(L'L, LL'), and the
-spectrally shifted encoding A = 2H/(4d/h^2) - I with vanishing diagonal.
-`run_application` wires these into four experiments: heat (cosine-series
-evolution of e^{-T H^2}), biharmonic (e^{-T H^4}), levy (fractional
-e^{-T (L'L)^{3/4}} driven through the operator L'L itself, never through a
-materialized fractional power), and matrix_poly (contour evaluation of a
-polynomial, checked against its exact lattice identity). The three
-Fourier experiments measure their error on the spectrum of the operator
-(`linalg.distance_from`), with no dense series or oracle. For heat and
-biharmonic that is the spectrum of H, +-sigma(L) and 0 when LL' is
-singular, read off one real eigendecomposition of L'L
-(`linalg.dirac_spectrum`), so H is never formed; `dirac_operator` builds H
-explicitly for checking its identities.
+H = [[0, -iL'], [iL, 0]] whose square is blockdiag(L'L, LL'), the Dirichlet
+Laplacian -Delta = L'L, and the spectrally shifted encoding
+A = 2(-Delta)/(4d/h^2) - I with vanishing diagonal. `run_application` wires
+these into four experiments: heat (cosine-series evolution of e^{-T H^2}),
+biharmonic (e^{-T H^4}), levy (fractional e^{-T (L'L)^{3/4}} driven through
+the operator L'L itself, never through a materialized fractional power), and
+matrix_poly (contour evaluation of a polynomial, checked against its exact
+lattice identity).
+
+No experiment calls a dense eigensolver. The discrete sine transform
+diagonalizes -Delta exactly, and `laplacian_eigenpairs` returns its
+eigenvalues and the 1-D DST-I basis in closed form, checked against the
+stencil. The three Fourier experiments measure their error on the spectrum
+of the operator (`linalg.distance_from`), with no dense series or oracle:
+for levy the eigenvalues lam of -Delta, for heat and biharmonic those of H,
++-sqrt(lam) and 0 (L has more rows than columns, so LL' is singular). H is
+never formed there; `dirac_operator` builds it explicitly for checking its
+identities. matrix_poly decomposes A in the Kronecker product of the DST-I
+basis, under the reconstruction contract of `linalg.eig`.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -30,8 +37,8 @@ from . import contour, fourier
 from .errors import NumericalError, PrecondError
 from .instances import random_state
 from .kernels import SpectralProfile
-from .linalg import (dirac_spectrum, distance_from, eig, evolution_function,
-                     frobenius, hermitian_eig, matfun)
+from .linalg import (check_reconstruction, distance_from, evolution_function,
+                     frobenius, matfun_apply, unitary_decomposition)
 
 _MAX_SITES = 4096
 _DIRAC_TOL = 1e-12
@@ -97,13 +104,45 @@ def gradient_stack(g: GridSpec) -> np.ndarray:
 def laplacian(g: GridSpec) -> np.ndarray:
     """Dirichlet Laplacian (-Delta) as a Kronecker sum of 1-D stencils."""
     one = (np.diag(2.0 * np.ones(g.n)) + np.diag(-np.ones(g.n - 1), 1)
-           + np.diag(-np.ones(g.n - 1), -1)) / g.h ** 2
+           + np.diag(-np.ones(g.n - 1), -1)) / g.h / g.h
     out = np.zeros((g.size, g.size))
     for k in range(g.d):
         left = np.eye(g.n ** k)
         right = np.eye(g.n ** (g.d - 1 - k))
         out += np.kron(np.kron(left, one), right)
     return out
+
+
+def laplacian_eigenpairs(g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of `laplacian(g)` in closed form, in its site order,
+    and the 1-D eigenbasis S; the d-dimensional basis is S (x) ... (x) S.
+
+    In 1-D, mu_j = (4/h^2) sin^2(j pi/(2(n+1))) with eigenvector column j of
+    S_ij = sqrt(2/(n+1)) sin(i j pi/(n+1)), the DST-I basis: real,
+    orthogonal and symmetric (Strang, SIAM Review 41, 1999; Van Loan,
+    *Computational Frameworks for the FFT*, 1992, 4.5). mu is evaluated as
+    (2/h^2)(1 - c_j) with c_j = cos(j pi/(n+1)) = sin((n+1-2j) pi/(2(n+1))):
+    that sine is odd about the middle mode and exactly 0 there, so the
+    spectrum of the shifted encoding, -c summed over the axes and divided
+    by d, is exactly symmetric, and the 1 x 1 zero encoding of a one-site
+    grid gets the eigenvalue 0. The d-dimensional eigenvalues are the
+    Kronecker sums of mu, first axis slowest as in `laplacian`. The 1-D
+    pairs are checked against the stencil T = tridiag(-1, 2, -1), applied
+    as shifts in O(n^2), under the reconstruction contract:
+    ||T S - S diag(h^2 mu)||_F <= 1e-10 ||T||.
+    """
+    n = g.n
+    j = np.arange(1, n + 1)
+    nu = 2.0 - 2.0 * np.sin((n + 1 - 2 * j) * (np.pi / (2 * (n + 1))))
+    # i j reduced mod 2(n+1) first, so every sine argument stays below 2 pi
+    S = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1)))
+    TS = 2.0 * S
+    TS[1:] -= S[:-1]
+    TS[:-1] -= S[1:]
+    check_reconstruction(TS, S * nu, float(nu.max()))
+    mu = nu / g.h / g.h
+    lam = reduce(lambda acc, _: np.add.outer(acc, mu).ravel(), range(g.d - 1), mu)
+    return lam, S
 
 
 @dataclass
@@ -154,7 +193,7 @@ def shifted_encoding(h_lap: np.ndarray, g: GridSpec) -> np.ndarray:
     if h_lap.shape != (g.size, g.size):
         raise PrecondError(
             f"operator is {h_lap.shape}, grid expects {(g.size, g.size)}")
-    return 2.0 * h_lap / (4.0 * g.d / g.h ** 2) - np.eye(g.size)
+    return 2.0 * h_lap / (4.0 * g.d / g.h / g.h) - np.eye(g.size)
 
 
 @dataclass
@@ -165,7 +204,7 @@ class ConvergenceRecord:
     d: int
     n: int
     h: float
-    T: float
+    T: float | None     # None for matrix_poly run without one
     eps: float
     params: dict = field(default_factory=dict)
     error_measured: float = 0.0
@@ -180,13 +219,16 @@ _DEFAULT_COEFFS = (1.0, 2.0, 0.0, 3.0)
 def _fourier_app(app: str, g: GridSpec, T: float, eps: float) -> tuple[dict, float, float]:
     """Cosine-series evolution vs the spectral oracle, compared on the
     spectrum; returns (planner params, operator-norm error, reported bound)."""
-    L = gradient_stack(g)
     alpha, mode = {"heat": (2.0, "direct"), "biharmonic": (4.0, "direct"),
                    "levy": (0.75, "root")}[app]
     profile = SpectralProfile(alpha=alpha, T=T, mode=mode)
-    # levy evolves L'L itself; heat and biharmonic evolve the Dirac root H
-    spectrum = (hermitian_eig(L.T @ L).eigenvalues.real if app == "levy"
-                else dirac_spectrum(L))
+    # levy evolves L'L = -Delta itself. heat and biharmonic evolve the Dirac
+    # root H, whose spectrum is +-sqrt(lam) and 0: L has more rows than
+    # columns, so LL' is singular.
+    spectrum = laplacian_eigenpairs(g)[0]
+    if app != "levy":
+        sigma = np.sqrt(spectrum)
+        spectrum = np.concatenate([sigma, -sigma, [0.0]])
     norm = float(np.abs(spectrum).max())
     distance = distance_from(spectrum, evolution_function(alpha, T))
     plan = fourier.plan_fourier(profile, norm, eps)
@@ -206,13 +248,15 @@ def _poly_app(g: GridSpec, eps: float, seed: int,
     psi = random_state(np.random.default_rng(seed), g.size)
     coeffs = np.asarray(coeffs, dtype=complex)
     f = lambda z: np.polynomial.polynomial.polyval(z, coeffs)
-    dec = eig(A)
+    # A is a polynomial of -Delta, so it shares the closed-form basis
+    lam, S = laplacian_eigenpairs(g)
+    dec = unitary_decomposition(A, 2.0 * lam / (4.0 * g.d / g.h / g.h) - 1.0,
+                                reduce(np.kron, [S] * g.d), hermitian=True)
     rho = dec.spectral_radius
     r1, _ = contour.lattice_radii(rho)
     r2 = contour.optimize_radius(contour.sup_poly_abs(coeffs), r1, 16.0 * r1).r2
-    fA = matfun(dec, f)
     psi_norm = frobenius(psi)
-    plan = contour.plan_lattice(f, eps, rho, dec.kappa_s, frobenius(fA @ psi),
+    plan = contour.plan_lattice(f, eps, rho, dec.kappa_s, frobenius(matfun_apply(dec, f, psi)),
                                 psi_norm, r1=r1, r2=r2, m=m)
     try:
         r1m = plan.r1 ** plan.m
@@ -222,7 +266,7 @@ def _poly_app(g: GridSpec, eps: float, seed: int,
         raise PrecondError(f"R1^m = {plan.r1!r}^{plan.m} leaves the normal floats")
     disc = contour.discrete_sum_apply(dec, f, plan, psi)
     try:
-        target = fA @ (r1m * np.linalg.solve(
+        target = matfun_apply(dec, f, r1m * np.linalg.solve(
             r1m * np.eye(A.shape[0]) - np.linalg.matrix_power(A, plan.m), psi))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"lattice identity solve failed: {exc}")
@@ -232,27 +276,31 @@ def _poly_app(g: GridSpec, eps: float, seed: int,
     return params, err, bound
 
 
-def run_application(app: str, g: GridSpec, T: float, eps: float,
+def run_application(app: str, g: GridSpec, T: float | None, eps: float,
                     seed: int = 0, coeffs=None,
                     m: int | None = None) -> ConvergenceRecord:
     """Run one end-to-end experiment and report errors vs its oracle.
 
     heat/biharmonic evolve e^{-T H^p} on the block root operator (p = 2, 4,
-    direct mode) on its spectrum from the real eigendecomposition of L'L,
-    without forming H; levy evolves e^{-T (L'L)^{3/4}} (root mode, alpha = 3/4). All three
-    report the operator-norm deviation from the spectral oracle next to the
-    planner's a-priori bound, measured as the largest deviation on the
-    spectrum (for heat and biharmonic, that of H: plus and minus the square
-    roots of the eigenvalues of L'L, and 0 when LL' is singular). matrix_poly runs the
-    contour path on the shifted encoding with an optimized outer radius and
-    reports the deviation from the exact polynomial lattice identity; its
-    bound column is the planned deviation from f(A) psi itself.
+    direct mode) on its spectrum, without forming H; levy evolves
+    e^{-T (L'L)^{3/4}} (root mode, alpha = 3/4). All three report the
+    operator-norm deviation from the spectral oracle next to the planner's
+    a-priori bound, measured as the largest deviation on the spectrum (for
+    heat and biharmonic, that of H: plus and minus the square roots of the
+    eigenvalues of L'L, and 0). Every spectrum comes from
+    `laplacian_eigenpairs`. matrix_poly runs the contour path on the shifted
+    encoding with an optimized outer radius and reports the deviation from
+    the exact polynomial lattice identity; its bound column is the planned
+    deviation from f(A) psi itself. It reads no T: T may be None there, and
+    a T given is only validated and recorded.
     """
     if app not in _APPS:
         raise PrecondError(f"unknown application {app!r}; choose from {_APPS}")
     if eps <= 0 or not np.isfinite(eps):
         raise PrecondError(f"eps must be positive, got {eps}")
-    if T < 0 or not np.isfinite(T):
+    if T is None and app != "matrix_poly":
+        raise PrecondError(f"application {app!r} needs an evolution time T")
+    if T is not None and (T < 0 or not np.isfinite(T)):
         raise PrecondError(f"T must be finite and non-negative, got {T}")
     dim = g.size if app in ("levy", "matrix_poly") else g.size + g.d * g.n ** (g.d - 1) * (g.n + 1)
     if dim > _MAX_SITES:

@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 
+from psf_matfunc.errors import PrecondError
 from psf_matfunc.fourier import FourierPlan, cosine_series
 from psf_matfunc.instances import complex_gaussian, random_unitary
 from psf_matfunc.kernels import SpectralProfile
+from psf_matfunc.linalg import unitary_decomposition
 
 
 def random_hermitian(seed: int | np.random.Generator, n: int, norm: float = 1.0) -> np.ndarray:
@@ -63,3 +65,29 @@ def interior_mask(d: int, n: int) -> np.ndarray:
     """Sites of a d-dimensional n^d grid whose coordinates all lie in [1, n-2]."""
     coords = np.unravel_index(np.arange(n ** d), (n,) * d)
     return np.logical_and.reduce([(c >= 1) & (c <= n - 2) for c in coords])
+
+
+def dirac_spectrum(L: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of the Dirac root H = [[0, -iL'], [iL, 0]] of a real
+    m x n factor L, without multiplicity: [sigma, -sigma], and 0 when m
+    exceeds the rank of L (Golub & Van Loan, *Matrix Computations*, 4th ed.,
+    8.6).
+
+    sigma = sqrt(lam) from one real `eigh` of L'L under the reconstruction
+    contract of `eig`; H is never formed. The rank counts the lam above the
+    eigh rounding floor n*u*max(lam). A lam carries an absolute error of
+    about u*||L||^2, so a sigma near 0 carries up to about sqrt(n*u)*||L||:
+    only functions of sigma^2 (the even ones) keep the accuracy of eigh there.
+    """
+    L = np.asarray(L)
+    if L.ndim != 2 or L.size == 0:
+        raise PrecondError(f"gradient factor must be a non-empty matrix, got shape {L.shape}")
+    if np.iscomplexobj(L) or not np.all(np.isfinite(L)):
+        raise PrecondError("gradient factor entries must be real and finite")
+    L = np.asarray(L, dtype=float)
+    LtL = L.T @ L
+    dec = unitary_decomposition(LtL, *np.linalg.eigh(LtL), hermitian=True)
+    lam = np.maximum(dec.eigenvalues.real, 0.0)   # PSD up to rounding
+    sigma = np.sqrt(lam)
+    rank = np.count_nonzero(lam > lam.size * np.finfo(float).eps * lam.max())
+    return np.concatenate([sigma, -sigma, [0.0] if L.shape[0] > rank else []])

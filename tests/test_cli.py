@@ -157,6 +157,17 @@ def test_app_matrix_poly(tmp_path, capsys):
     assert "m=8" in row[RECORD_HEADER.index("params")]
 
 
+def test_app_matrix_poly_needs_no_evolution_time(tmp_path, capsys):
+    """matrix_poly reads no T: without --T its record leaves the T cell
+    empty, and a T given is recorded."""
+    out = tmp_path / "mp.csv"
+    base = ["app", "--name", "matrix_poly", "--d", "1", "--n", "4", "--eps", "1e-6"]
+    assert run(base + ["--out", str(out)], capsys)[0] == 0
+    assert read_bytes(out).decode().splitlines()[1].split(",")[RECORD_HEADER.index("T")] == ""
+    assert run(base + ["--T", "0.5", "--out", str(out)], capsys)[0] == 0
+    assert read_bytes(out).decode().splitlines()[1].split(",")[RECORD_HEADER.index("T")] == "0.5"
+
+
 def test_cost_path_a(tmp_path, capsys):
     out = str(tmp_path / "cost.json")
     rc, text, _ = run(["cost", "--path", "a", "--alpha", "1", "--T", "1",
@@ -668,25 +679,36 @@ def test_fourier_commands_refuse_defective_operator(tmp_path, capsys, command):
     assert rc == 2 and "Hermitian" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate-contour", "--f", "exp-neg"],
-    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:24:8"],
-    ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6"],
-    ["sweep", "--path", "fourier", "--alpha", "1", "--T", "1", "--K", "4:24:4"],
-    ["app", "--name", "heat", "--d", "1", "--n", "8", "--T", "0.5", "--eps", "1e-4"],
-    ["app", "--name", "matrix_poly", "--d", "1", "--n", "8", "--T", "0.5",
-     "--eps", "1e-6"],
-], ids=lambda argv: "-".join(argv[:3]))
-def test_each_command_decomposes_its_operator_once(tmp_path, capsys, monkeypatch, argv):
+def _eig_calls(argv, capsys, monkeypatch) -> int:
+    """Calls of numpy's eig and eigh made by one successful command."""
     calls = []
     for name in ("eig", "eigh"):
         def counted(*a, _name=name, _orig=getattr(np.linalg, name), **k):
             calls.append(_name)
             return _orig(*a, **k)
         monkeypatch.setattr(np.linalg, name, counted)
-    rc, _, _ = run(argv + ["--out", str(tmp_path / "out")], capsys)
-    assert rc == 0
-    assert len(calls) == 1
+    rc, _, err = run(argv, capsys)
+    assert rc == 0, err
+    return len(calls)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-contour", "--f", "exp-neg"],
+    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:24:8"],
+    ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6"],
+    ["sweep", "--path", "fourier", "--alpha", "1", "--T", "1", "--K", "4:24:4"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_each_command_decomposes_its_operator_once(tmp_path, capsys, monkeypatch, argv):
+    assert _eig_calls(argv + ["--out", str(tmp_path / "out")], capsys, monkeypatch) == 1
+
+
+@pytest.mark.parametrize("app", list(operators._APPS))
+def test_apps_take_their_decomposition_in_closed_form(tmp_path, capsys, monkeypatch, app):
+    """The grid operators are diagonalized by the discrete sine basis, so no
+    application calls a dense eigensolver."""
+    argv = ["app", "--name", app, "--d", "2", "--n", "4", "--T", "0.5", "--eps", "1e-4",
+            "--out", str(tmp_path / "out")]
+    assert _eig_calls(argv, capsys, monkeypatch) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -285,7 +285,7 @@ def test_planned_m_is_sound():
 
 def test_plan_contour_guards():
     with pytest.raises(PrecondError):
-        plan_contour(np.diag([1.2, 0.3]), exp_neg, np.ones(2), 1e-6, r1=1.0)
+        lattice_radii(1.2, 1.0)
     with pytest.raises(PrecondError):
         plan_contour(np.zeros((2, 2)), exp_neg, np.ones(2), 1e-6)
 

@@ -10,12 +10,12 @@ from psf_matfunc import linalg
 from psf_matfunc.errors import NumericalError, PrecondError
 from psf_matfunc.instances import (random_normal_matrix, random_psd,
                                    random_state, random_unitary)
-from psf_matfunc.linalg import (dirac_spectrum, distance_from, eig, frobenius,
+from psf_matfunc.linalg import (distance_from, eig, frobenius,
                                 evolution_matrix, hermitian_eig, is_hermitian, matfun,
                                 resolvent_apply)
 from psf_matfunc.operators import dirac_operator
 
-from helpers import random_diagonalizable, random_hermitian
+from helpers import dirac_spectrum, random_diagonalizable, random_hermitian
 
 
 def test_eig_hermitian_unitary_basis():

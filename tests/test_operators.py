@@ -1,7 +1,11 @@
 import math
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psf_matfunc import contour, fourier, operators
 from psf_matfunc.errors import PrecondError
@@ -10,7 +14,8 @@ from psf_matfunc.kernels import SpectralProfile
 from psf_matfunc.linalg import eig, evolution_matrix, hermitian_eig, matfun
 from psf_matfunc.operators import (_DEFAULT_COEFFS, GridSpec, difference_operator,
                                    dirac_operator, gradient_stack, laplacian,
-                                   run_application, shifted_encoding)
+                                   laplacian_eigenpairs, run_application,
+                                   shifted_encoding)
 
 from helpers import interior_mask
 
@@ -70,6 +75,41 @@ def test_dirac_block_invariants(d, n):
     top4 = (H2 @ H2)[:cols, :cols]
     assert np.abs(top4 - (L.conj().T @ L) @ (L.conj().T @ L)).max() / scale**2 <= 1e-12
     np.testing.assert_allclose(H2[:cols, :cols].real, (L.T @ L).real, atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(dn=st.sampled_from([1, 2, 3]).flatmap(
+           lambda d: st.tuples(st.just(d), st.integers(1, 12 if d < 3 else 5))),
+       log_h=st.floats(-3.0, 3.0))
+def test_laplacian_eigenpairs_match_the_dense_operators(dn, log_h):
+    """The closed form agrees with every dense route it replaces: its
+    spectrum is eigvalsh of the Laplacian; +-sqrt of it, and 0, is eigvalsh
+    of the Dirac root H, under the squared-value tolerance of the
+    `dirac_spectrum` property test; and the Kronecker DST-I basis
+    reconstructs the shifted encoding A under the 1e-10 contract of `eig`.
+    d = 3 stops at n = 5, where H has dimension 575 (dense H and its H^4
+    check grow as the cube of that)."""
+    d, n = dn
+    g = GridSpec(d, n, 10.0 ** log_h)
+    lam, S = laplacian_eigenpairs(g)
+    u = np.finfo(float).eps
+    ref = np.linalg.eigvalsh(laplacian(g))
+    assert np.abs(np.sort(lam) - ref).max() <= 64 * g.size * u * ref.max()
+
+    L = gradient_stack(g)
+    sigma = np.sqrt(lam)
+    spectrum = np.concatenate([sigma, -sigma, [0.0]])
+    eigs = np.linalg.eigvalsh(dirac_operator(L).H)
+    assert np.abs(spectrum).max() == pytest.approx(np.abs(eigs).max(), rel=1e-12, abs=1e-12)
+    got, want = np.sort(spectrum ** 2), np.sort(eigs ** 2)
+    tol = 64 * sum(L.shape) * u * np.linalg.norm(L, 2) ** 2
+    for xs, ys in ((got, want), (want, got)):
+        assert np.abs(xs[:, None] - ys[None, :]).min(axis=1).max() <= tol
+
+    A = shifted_encoding(laplacian(g), g)
+    basis = reduce(np.kron, [S] * d)
+    lam_a = 2.0 * lam / (4.0 * d / g.h / g.h) - 1.0
+    assert np.linalg.norm((basis * lam_a) @ basis.T - A) <= 1e-10 * np.abs(lam_a).max()
 
 
 def test_dirac_rejects_non_matrix():
@@ -155,7 +195,7 @@ def test_levy_application(monkeypatch):
 
 @pytest.mark.parametrize("app", ["heat", "biharmonic"])
 def test_heat_and_biharmonic_never_build_the_dirac_operator(app, monkeypatch):
-    """Both evolve even functions of H from the decomposition of L'L."""
+    """Both evolve even functions of H from the closed-form spectrum of L'L."""
     def unused(L):  # pragma: no cover - must not run
         raise AssertionError(f"{app} built the Dirac operator")
 
@@ -224,6 +264,16 @@ def test_run_application_guards():
         run_application("heat", g, 1.0, -1e-5)
     with pytest.raises(PrecondError):
         run_application("heat", g, -1.0, 1e-5)
+    with pytest.raises(PrecondError):
+        run_application("heat", g, None, 1e-5)
+
+
+def test_matrix_poly_where_the_square_of_h_overflows():
+    """At h = 1.4e154, h^2 overflows but 4d/h^2 is a normal float, so the
+    grid is admitted: the Laplacian and the encoding divide by h twice and
+    the run returns within its bound instead of raising OverflowError."""
+    rec = run_application("matrix_poly", GridSpec(1, 4, 1.4e154), None, 1e-6)
+    assert rec.error_measured <= rec.error_bound
 
 
 def test_record_fields_round_out():
