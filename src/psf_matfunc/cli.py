@@ -110,8 +110,11 @@ def _cmd_plan(args) -> int:
     profile = _profile(args)
     eps = _required(args, "eps")
     hnorm = _required(args, "hnorm")
-    plan = fourier.plan_fourier(profile, hnorm, eps)
-    budget = fourier.error_bounds(plan, hnorm)
+    if hnorm < 0:
+        raise PrecondError(f"operator norm must be finite and non-negative, got {hnorm}")
+    # The planner reads max |lambda|, so [0, ||H||] stands in for the spectrum.
+    plan = fourier.plan_fourier(profile, [0.0, hnorm], eps)
+    budget = plan.error_bounds()
     pio.write_json(args.out, pio.fourier_plan_json(plan))
     print(f"plan: a={plan.a!r} K={plan.K} regime={plan.regime} "
           f"truncation={budget.truncation!r} aliasing={budget.aliasing!r} -> {args.out}")
@@ -145,11 +148,11 @@ def _cmd_simulate_fourier(args) -> int:
     profile = _profile(args)
     eps = _required(args, "eps")
     dec = hermitian_eig(_fourier_matrix(args))
-    plan = fourier.plan_fourier(profile, dec.norm, eps)
+    plan = fourier.plan_fourier(profile, dec.eigenvalues.real, eps)
     distance = distance_from(dec.eigenvalues.real,
                              evolution_function(profile.alpha, profile.T))
     err = distance(lambda lam: fourier.cosine_series(plan, lam))
-    budget = fourier.error_bounds(plan, dec.norm)
+    budget = plan.error_bounds()
     report = {"plan": pio.fourier_plan_json(plan), "size": dec.matrix.shape[0],
               "h_norm": dec.norm, "error_measured": err,
               "truncation_bound": budget.truncation,
@@ -163,15 +166,14 @@ def _cmd_simulate_fourier(args) -> int:
 def _cmd_simulate_contour(args) -> int:
     spec = pio.parse_function_spec(_required(args, "f"))
     dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
-    rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
-    f_psi_norm = frobenius(f_psi)
-    plan = contour.plan_lattice(spec.fn, args.eps, rho, dec.kappa_s, f_psi_norm,
-                                psi_norm, r1=r1, r2=r2, m=args.m)
+    psi_norm, f_psi_norm = float(np.linalg.norm(psi)), frobenius(f_psi)
+    plan = contour.plan_lattice(spec.fn, dec, args.eps, f_psi_norm, psi_norm,
+                                r1=r1, r2=r2, m=args.m)
     approx = contour.discrete_sum_apply(dec, spec.fn, plan, psi)
     err = frobenius(approx - f_psi)
-    bound = plan.error_bounds(rho, psi_norm).total
+    bound = plan.error_bounds(psi_norm).total
     report = {"plan": pio.contour_plan_json(plan), "size": dec.matrix.shape[0],
-              "f": spec.label, "spectral_radius": rho,
+              "f": spec.label, "spectral_radius": dec.spectral_radius,
               "error_measured": err, "error_bound": bound,
               "f_psi_norm": f_psi_norm, "eps": args.eps,
               "error_relative": _relative(err, f_psi_norm)}
@@ -250,7 +252,7 @@ def _cmd_sweep(args) -> int:
         profile = _profile(args)
         ks = pio.parse_range(_required(args, "K"))
         dec = hermitian_eig(_fourier_matrix(args))
-        plan = fourier.plan_fourier(profile, dec.norm, args.eps)
+        plan = fourier.plan_fourier(profile, dec.eigenvalues.real, args.eps)
         distance = distance_from(dec.eigenvalues.real,
                                  evolution_function(profile.alpha, profile.T))
         # One coefficient sample at the largest cutoff serves every row.
@@ -258,7 +260,7 @@ def _cmd_sweep(args) -> int:
         rows = []
         for K in ks:
             err = distance(lambda lam: fourier.cosine_series(wide, lam, K))
-            bound = fourier.error_bounds(replace(plan, K=int(K)), dec.norm).total
+            bound = replace(plan, K=int(K)).error_bounds().total
             rows.append([int(K), err, bound])
         pio.write_csv(args.out, ["K", "error_measured", "error_bound"], rows)
         print(f"sweep fourier: {len(rows)} points, a={plan.a!r} -> {args.out}")
@@ -267,16 +269,15 @@ def _cmd_sweep(args) -> int:
         spec = pio.parse_function_spec(_required(args, "f"))
         ms = pio.parse_range(_required(args, "m"))
         dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
-        rho, psi_norm = dec.spectral_radius, float(np.linalg.norm(psi))
-        f_psi_norm = frobenius(f_psi)
+        psi_norm, f_psi_norm = float(np.linalg.norm(psi)), frobenius(f_psi)
         # The radii and circle suprema do not depend on m: one plan serves every row.
-        base = contour.make_plan(spec.fn, r1, r2, int(ms[0]), kappa_s=dec.kappa_s)
+        base = contour.plan_lattice(spec.fn, dec, r1=r1, r2=r2, m=int(ms[0]))
         rows = []
         for m in ms:
             plan = replace(base, m=int(m))
             approx = contour.discrete_sum_apply(dec, spec.fn, plan, psi)
             err = frobenius(approx - f_psi)
-            budget = plan.error_bounds(rho, psi_norm)
+            budget = plan.error_bounds(psi_norm)
             rows.append([int(m), err, budget.aliasing, budget.truncation,
                          _relative(err, f_psi_norm)])
         pio.write_csv(args.out, ["m", "error", "aliasing_bound", "truncation_bound",

@@ -17,20 +17,22 @@ module provides the node set, one circle rule for the discrete sum and the
 remainder, the aliasing term, the one planner `plan_lattice` (radius
 defaults in `lattice_radii`, m from the two decay ratios in `plan_m`), the
 one bound `ContourPlan.error_bounds`, and one golden-section search for R2
-(`optimize_radius`; unimodal by the three-circles theorem).
+(`optimize_radius`; unimodal by the three-circles theorem). `plan_lattice`
+takes the caller's `SpectralDecomposition`, and the plan keeps its spectral
+radius and kappa_s, which the bound reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import ErrorBudget, PrecondError
 from .linalg import (Operator, SpectralDecomposition, as_decomposition, frobenius,
-                     matfun, resolvent_apply)
+                     matfun, resolvent_apply, unitary_decomposition)
 
 _SUP_SAMPLES = 4096
 _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(_SUP_SAMPLES) / _SUP_SAMPLES)
@@ -70,7 +72,8 @@ class ContourPlan:
     m: int
     b1: float           # sup |f| on |z| = R1
     b2: float           # sup |f| on |z| = R2
-    kappa_s: float = 1.0
+    kappa_s: float = 1.0    # of the planned operator's eigenbasis
+    rho: float = 0.0        # spectral radius of the planned operator
 
     def __post_init__(self):
         if not (0.0 < self.r1 < self.r2):
@@ -80,6 +83,8 @@ class ContourPlan:
             raise PrecondError(f"node count must lie in [1, {_MAX_NODES}], got {self.m}")
         if self.kappa_s < 1.0:
             raise PrecondError(f"kappa_s must be >= 1, got {self.kappa_s}")
+        if not 0.0 <= self.rho < self.r1:
+            raise PrecondError(f"need 0 <= rho < R1, got rho={self.rho}, R1={self.r1}")
 
     @property
     def mu(self) -> float:
@@ -90,18 +95,29 @@ class ContourPlan:
         """Nodes of the outer-circle trapezoid rule: max(8m, 256)."""
         return max(8 * self.m, 256)
 
-    def error_bounds(self, rho: float, psi_norm: float) -> ErrorBudget:
-        """Bound on ||S_m psi - f(A) psi|| for spectral radius rho: the outer
-        remainder and the spectral overlap ||g(A)|| B1 kappa_s ||psi||."""
+    def error_bounds(self, psi_norm: float) -> ErrorBudget:
+        """Bound on ||S_m psi - f(A) psi|| for the planned operator: the outer
+        remainder R2 B2 kappa_s ||psi|| mu^m / ((1 - mu^m) (R2 - R1)) and the
+        spectral overlap ||g(A)|| B1 kappa_s ||psi||, with ||g(A)|| <=
+        rho^m/(R1^m - rho^m) = q/(1 - q), q = (rho/R1)^m."""
+        mum, q = self.mu ** self.m, (self.rho / self.r1) ** self.m
         return ErrorBudget(
-            truncation=truncation_norm_bound(self, psi_norm),
-            aliasing=aliasing_norm_ratio(self, rho) * self.b1 * self.kappa_s * psi_norm)
+            truncation=(self.r2 * self.b2 * self.kappa_s * psi_norm * mum
+                        / ((1.0 - mum) * (self.r2 - self.r1))),
+            aliasing=q / (1.0 - q) * self.b1 * self.kappa_s * psi_norm)
+
+
+def scalar_operator(x: float) -> SpectralDecomposition:
+    """The decomposition of the 1 x 1 operator [x] (kappa_s = 1), for a
+    plan whose caller holds a spectral radius and no operator."""
+    return unitary_decomposition(np.array([[x]]), np.array([x]), np.eye(1),
+                                 hermitian=True)
 
 
 def make_plan(f: Callable[[np.ndarray], np.ndarray], r1: float, r2: float,
-              m: int, kappa_s: float = 1.0) -> ContourPlan:
-    """Assemble a plan with given radii and node count (`plan_lattice`)."""
-    return plan_lattice(f, None, 0.0, kappa_s, None, None, r1=r1, r2=r2, m=m)
+              m: int) -> ContourPlan:
+    """`plan_lattice` for the operator [0] with given radii and node count."""
+    return plan_lattice(f, scalar_operator(0.0), r1=r1, r2=r2, m=m)
 
 
 def _check_enclosure(A: Operator, radius: float, label: str) -> SpectralDecomposition:
@@ -155,22 +171,6 @@ def truncation_integral(A: Operator, f: Callable[[np.ndarray], np.ndarray],
                         plan.quad_n, psi, "R2")
 
 
-def truncation_norm_bound(plan: ContourPlan, psi_norm: float) -> float:
-    """Geometric bound on the remainder: R2 B2 kappa_s ||psi|| mu^m
-    / ((1 - mu^m) (R2 - R1))."""
-    mum = plan.mu ** plan.m
-    return (plan.r2 * plan.b2 * plan.kappa_s * psi_norm * mum
-            / ((1.0 - mum) * (plan.r2 - plan.r1)))
-
-
-def aliasing_norm_ratio(plan: ContourPlan, rho: float) -> float:
-    """Bound on ||g(A)|| for spectral radius rho < R1: rho^m/(R1^m - rho^m)."""
-    if not (0.0 <= rho < plan.r1):
-        raise PrecondError(f"need 0 <= rho < R1, got rho={rho}, R1={plan.r1}")
-    q = (rho / plan.r1) ** plan.m
-    return q / (1.0 - q)
-
-
 def plan_m(eps: float, r1: float, r2: float, b2: float, kappa_s: float,
            f_psi_norm: float, psi_norm: float, rho: float = 0.0) -> int:
     """Smallest m with both error channels below eps/4 (relative).
@@ -214,13 +214,8 @@ def sup_poly_abs(coeffs) -> Callable[[float], float]:
     return lambda r: float(np.polynomial.polynomial.polyval(r, a))
 
 
-class RadiusResult(NamedTuple):
-    r2: float
-    at_boundary: bool
-
-
 def optimize_radius(f_sup: Callable[[float], float], r1: float,
-                    r2_cap: float) -> RadiusResult:
+                    r2_cap: float) -> float:
     """Minimize phi(R2) = f_sup(R2) R2 / (R2 - R1)^2 over (R1, r2_cap].
 
     One golden-section search over t = log(R2 - R1) on [log(1e-9 span),
@@ -228,7 +223,8 @@ def optimize_radius(f_sup: Callable[[float], float], r1: float,
     is enough: for the supremum M(R) of |f| on |z| = R, log M is convex in
     log R (Hadamard's three-circles theorem), so d log phi / d log R2 =
     R2 M'/M + 1 - 2 R2/(R2 - R1) increases and phi has a single minimum. A
-    search that never moves its upper end returns the cap, as a boundary result.
+    search that never moves its upper end returns the cap itself; an interior
+    optimum lies below it.
     """
     if not (r1 > 0 and r2_cap > r1):
         raise PrecondError(f"need 0 < R1 < r2_cap, got R1={r1}, cap={r2_cap}")
@@ -254,8 +250,8 @@ def optimize_radius(f_sup: Callable[[float], float], r1: float,
             d = lo + _GOLDEN * (hi - lo)
             fd = phi(d)
     if hi == math.log(span):
-        return RadiusResult(r2_cap, True)
-    return RadiusResult(r1 + math.exp(0.5 * (lo + hi)), False)
+        return r2_cap
+    return r1 + math.exp(0.5 * (lo + hi))
 
 
 def lattice_radii(rho: float, r1: float | None = None,
@@ -275,19 +271,21 @@ def lattice_radii(rho: float, r1: float | None = None,
     return r1, r2
 
 
-def plan_lattice(f: Callable[[np.ndarray], np.ndarray], eps: float | None,
-                 rho: float, kappa_s: float, f_psi_norm: float | None,
-                 psi_norm: float | None, r1: float | None = None,
+def plan_lattice(f: Callable[[np.ndarray], np.ndarray], dec: SpectralDecomposition,
+                 eps: float | None = None, f_psi_norm: float | None = None,
+                 psi_norm: float | None = None, r1: float | None = None,
                  r2: float | None = None, m: int | None = None) -> ContourPlan:
-    """The contour planner: radii (`lattice_radii`), circle suprema and m.
-    m defaults to `plan_m` at relative accuracy eps against ||f(A) psi||;
+    """The contour planner for the operator of `dec`, whose spectral radius
+    and kappa_s it keeps: radii (`lattice_radii`), circle suprema and m. m
+    defaults to `plan_m` at relative accuracy eps against ||f(A) psi||;
     only then are eps and the two norms read."""
+    rho, kappa_s = dec.spectral_radius, dec.kappa_s
     r1, r2 = lattice_radii(rho, r1, r2)
     b2 = circle_sup(f, r2)
     if m is None:
         m = plan_m(eps, r1, r2, b2, kappa_s, f_psi_norm, psi_norm, rho=rho)
     return ContourPlan(r1=r1, r2=r2, m=m, b1=circle_sup(f, r1), b2=b2,
-                       kappa_s=kappa_s)
+                       kappa_s=kappa_s, rho=rho)
 
 
 def plan_contour(A: Operator, f: Callable[[np.ndarray], np.ndarray],
@@ -302,10 +300,9 @@ def plan_contour(A: Operator, f: Callable[[np.ndarray], np.ndarray],
     """
     dec = as_decomposition(A)
     psi = np.asarray(psi, dtype=complex)
-    rho = dec.spectral_radius
     r2 = None
     if optimize:
-        r1, _ = lattice_radii(rho)
-        r2 = optimize_radius(lambda r: circle_sup(f, r), r1, r2_cap_factor * r1).r2
-    return plan_lattice(f, eps, rho, dec.kappa_s, frobenius(matfun(dec, f) @ psi),
-                        frobenius(psi), r2=r2)
+        r1, _ = lattice_radii(dec.spectral_radius)
+        r2 = optimize_radius(lambda r: circle_sup(f, r), r1, r2_cap_factor * r1)
+    return plan_lattice(f, dec, eps, frobenius(matfun(dec, f) @ psi), frobenius(psi),
+                        r2=r2)

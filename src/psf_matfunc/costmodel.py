@@ -160,10 +160,13 @@ class PathComparison:
 
 
 def _contour_plan_for(problem: ProblemSpec, f: Callable) -> contour.ContourPlan:
-    """The contour plan at kappa_s = 1; R1 = max(||A||, 1) when rho = 0."""
+    """The contour plan for the 1 x 1 operator [rho] (kappa_s = 1); R1 =
+    max(||A||, 1) when rho = 0."""
     rho = problem.spectral_radius
-    return contour.plan_lattice(f, problem.eps, rho, 1.0, problem.f_psi_norm,
-                                problem.psi_norm,
+    if not 0.0 <= rho < math.inf:
+        raise PrecondError(f"spectral radius must be finite and non-negative, got {rho}")
+    return contour.plan_lattice(f, contour.scalar_operator(rho), problem.eps,
+                                problem.f_psi_norm, problem.psi_norm,
                                 r1=None if rho > 0 else max(problem.a_norm, 1.0))
 
 

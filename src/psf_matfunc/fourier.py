@@ -17,13 +17,15 @@ exist and are planned for separately:
 - aliasing (spectral copies spaced a apart), controlled by the gap between
   the lattice period a and the spectral scale of H.
 
-The planner picks the period a and the cutoff K so each reported bound is at
-most eps_internal / 2. One evaluator, `cosine_series`, sums the series at
-real points for any cutoff up to the plan's. Every run is measured on the
-spectrum of H against the one reference, `linalg.evolution_function(alpha,
-T)`, through `linalg.distance_from`: the target is e^{-T H^alpha} in both
-modes, since direct mode has p = alpha. `assemble_fourier_approx` maps the
-series to a dense matrix through `linalg.matfun`; no command needs it.
+The planner, `plan_fourier`, takes the real spectrum of H and picks the
+period a and the cutoff K so each reported bound is at most eps_internal / 2;
+the plan keeps the spectral scale, so `FourierPlan.error_bounds` takes no
+operator data. One evaluator, `cosine_series`, sums the series at real points
+for any cutoff up to the plan's. Every run is measured on the spectrum of H
+against the one reference, `linalg.evolution_function(alpha, T)`, through
+`linalg.distance_from`: the target is e^{-T H^alpha} in both modes, since
+direct mode has p = alpha. `assemble_fourier_approx` maps the series to a
+dense matrix through `linalg.matfun`; no command needs it.
 """
 
 from __future__ import annotations
@@ -49,14 +51,6 @@ def _log_over(c: float, eps: float) -> float:
     """log(c / eps), kept finite where c / eps overflows (a subnormal eps)."""
     q = c / eps
     return math.log(q) if q < math.inf else math.log(c) - math.log(eps)
-
-
-def spectral_scale(profile: SpectralProfile, h_norm: float) -> float:
-    """Frequency extent of the operator under the profile's access mode."""
-    if not (0 <= h_norm < math.inf):
-        raise PrecondError(
-            f"operator norm must be finite and non-negative, got {h_norm}")
-    return math.sqrt(h_norm) if profile.mode == "root" else float(h_norm)
 
 
 def truncation_ratio(profile: SpectralProfile, eps_internal: float) -> float:
@@ -147,10 +141,19 @@ class FourierPlan:
     def regime(self) -> str:
         return self.profile.regime
 
+    def error_bounds(self) -> ErrorBudget:
+        """Truncation/aliasing bounds on the spectrum the plan was built for."""
+        return ErrorBudget(
+            truncation=truncation_bound(self.profile, self.ratio),
+            aliasing=aliasing_bound(self.profile, self.a - self.spectral_scale,
+                                    self.eps_internal))
 
-def plan_fourier(profile: SpectralProfile, h_norm: float,
+
+def plan_fourier(profile: SpectralProfile, spectrum: np.ndarray,
                  eps_internal: float) -> FourierPlan:
-    """Choose lattice period a and cutoff K for the given operator norm.
+    """Choose lattice period a and cutoff K for a Hermitian H of the given
+    real spectrum, whose scale is sqrt(||H||) in root mode and ||H|| =
+    max |lambda| in direct mode.
 
     Seeds from the closed forms, then grows by 5% steps until each reported
     bound is <= eps_internal/2 (the fractional aliasing constant sits a hair
@@ -158,7 +161,12 @@ def plan_fourier(profile: SpectralProfile, h_norm: float,
     """
     if not (0.0 < eps_internal < 1.0):
         raise PrecondError(f"eps_internal must lie in (0, 1), got {eps_internal}")
-    scale = spectral_scale(profile, h_norm)
+    lam = np.abs(np.asarray(spectrum))
+    h_norm = float(lam.max()) if lam.size else math.nan
+    if not (0 <= h_norm < math.inf):
+        raise PrecondError(
+            f"operator norm must be finite and non-negative, got {h_norm}")
+    scale = math.sqrt(h_norm) if profile.mode == "root" else h_norm
     p, T = profile.p, profile.T
 
     # Seeds land exactly on the eps'/2 budget in exact arithmetic; the 1e-9
@@ -187,20 +195,11 @@ def plan_fourier(profile: SpectralProfile, h_norm: float,
     if not math.isfinite(ratio * a):
         raise PrecondError(f"cutoff K = {ratio!r} * period {a!r} exceeds the float range")
     K = max(1, int(math.ceil(ratio * a)))
+    if a - scale <= 0:
+        raise PrecondError(
+            f"lattice period {a} does not clear the spectral scale {scale}")
     return FourierPlan(profile=profile, a=a, K=K, eps_internal=eps_internal,
                        spectral_scale=scale)
-
-
-def error_bounds(plan: FourierPlan, h_norm: float) -> ErrorBudget:
-    """Truncation/aliasing bounds of a plan against an operator of norm h_norm."""
-    scale = spectral_scale(plan.profile, h_norm)
-    gap = plan.a - scale
-    if gap <= 0:
-        raise PrecondError(
-            f"lattice period {plan.a} does not clear the spectral scale {scale}")
-    return ErrorBudget(
-        truncation=truncation_bound(plan.profile, plan.ratio),
-        aliasing=aliasing_bound(plan.profile, gap, plan.eps_internal))
 
 
 def lcu_coefficients(plan: FourierPlan) -> np.ndarray:

@@ -415,8 +415,6 @@ def lattice_kernel(profile: SpectralProfile, x0: float, step: float,
 class L1Estimate(NamedTuple):
     value: float
     regime: str        # 'stable' (p <= 2) or 'logarithmic'
-    tail: float        # analytic tail correction included in value
-    x_cut: float       # where numerical integration stopped
 
 
 # L1 sample step at T = 1, where f has features of unit size for all p >= 1:
@@ -468,7 +466,7 @@ def l1_norm_estimate(kern: TimeKernel) -> L1Estimate:
     p < 1 is refused, as in costmodel.path_a_cost: f sharpens at 0 as p
     falls, and at p = 0.4 this step misses the norm by 1e-5.
     """
-    p, T = kern.profile.p, kern.profile.T
+    p = kern.profile.p
     if p < 1.0:
         raise PrecondError(f"L1 estimate needs p >= 1, got p = {p:g}")
     unit = SpectralProfile(p, 1.0, "direct")
@@ -477,5 +475,4 @@ def l1_norm_estimate(kern: TimeKernel) -> L1Estimate:
     body = _L1_STEP * _abs_cubic_integral(np.concatenate((y[1:2], y)))  # f(-h) = f(h)
     tail = (abs(algebraic_tail_integral(p, 1.0, n * _L1_STEP))
             if unit.regime == "fractional" else 0.0)
-    return L1Estimate(2.0 * (body + tail), "stable" if p <= 2.0 else "logarithmic",
-                      2.0 * tail, n * _L1_STEP * T ** (1.0 / p))
+    return L1Estimate(2.0 * (body + tail), "stable" if p <= 2.0 else "logarithmic")

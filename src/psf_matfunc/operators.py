@@ -147,9 +147,8 @@ def laplacian_eigenpairs(g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class DiracOperator:
-    """Hermitian block root operator and its gradient factor."""
+    """Hermitian block root operator."""
 
-    L: np.ndarray
     H: np.ndarray
 
 
@@ -179,7 +178,7 @@ def dirac_operator(L: np.ndarray) -> DiracOperator:
     if worst > _DIRAC_TOL:
         raise NumericalError(
             f"root-operator invariant violated: residual {worst:.3e} > {_DIRAC_TOL}")
-    return DiracOperator(L=L, H=H)
+    return DiracOperator(H=H)
 
 
 def shifted_encoding(h_lap: np.ndarray, g: GridSpec) -> np.ndarray:
@@ -229,11 +228,10 @@ def _fourier_app(app: str, g: GridSpec, T: float, eps: float) -> tuple[dict, flo
     if app != "levy":
         sigma = np.sqrt(spectrum)
         spectrum = np.concatenate([sigma, -sigma, [0.0]])
-    norm = float(np.abs(spectrum).max())
     distance = distance_from(spectrum, evolution_function(alpha, T))
-    plan = fourier.plan_fourier(profile, norm, eps)
+    plan = fourier.plan_fourier(profile, spectrum, eps)
     err = distance(lambda lam: fourier.cosine_series(plan, lam))
-    bound = fourier.error_bounds(plan, norm).total
+    bound = plan.error_bounds().total
     params = {"mode": profile.mode, "alpha": profile.alpha, "regime": plan.regime,
               "a": plan.a, "K": plan.K}
     return params, err, bound
@@ -244,20 +242,22 @@ def _poly_app(g: GridSpec, eps: float, seed: int,
     """Contour evaluation of a polynomial of the shifted encoding on a random
     state psi drawn from `seed`, measured against the exact lattice identity
     f(A) R1^m (R1^m I - A^m)^{-1} psi."""
-    A = shifted_encoding(laplacian(g), g)
+    # A = 2(-Delta)/(4d/h^2) - I does not depend on h: on the unit mesh no
+    # power of h can leave the float range.
+    unit = GridSpec(g.d, g.n, 1.0)
+    A = shifted_encoding(laplacian(unit), unit)
     psi = random_state(np.random.default_rng(seed), g.size)
     coeffs = np.asarray(coeffs, dtype=complex)
     f = lambda z: np.polynomial.polynomial.polyval(z, coeffs)
     # A is a polynomial of -Delta, so it shares the closed-form basis
-    lam, S = laplacian_eigenpairs(g)
-    dec = unitary_decomposition(A, 2.0 * lam / (4.0 * g.d / g.h / g.h) - 1.0,
+    lam, S = laplacian_eigenpairs(unit)
+    dec = unitary_decomposition(A, 2.0 * lam / (4.0 * g.d) - 1.0,
                                 reduce(np.kron, [S] * g.d), hermitian=True)
-    rho = dec.spectral_radius
-    r1, _ = contour.lattice_radii(rho)
-    r2 = contour.optimize_radius(contour.sup_poly_abs(coeffs), r1, 16.0 * r1).r2
+    r1, _ = contour.lattice_radii(dec.spectral_radius)
+    r2 = contour.optimize_radius(contour.sup_poly_abs(coeffs), r1, 16.0 * r1)
     psi_norm = frobenius(psi)
-    plan = contour.plan_lattice(f, eps, rho, dec.kappa_s, frobenius(matfun_apply(dec, f, psi)),
-                                psi_norm, r1=r1, r2=r2, m=m)
+    plan = contour.plan_lattice(f, dec, eps, frobenius(matfun_apply(dec, f, psi)), psi_norm,
+                                r1=r1, r2=r2, m=m)
     try:
         r1m = plan.r1 ** plan.m
     except OverflowError:
@@ -271,7 +271,7 @@ def _poly_app(g: GridSpec, eps: float, seed: int,
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"lattice identity solve failed: {exc}")
     err = frobenius(disc - target)
-    bound = plan.error_bounds(rho, psi_norm).total
+    bound = plan.error_bounds(psi_norm).total
     params = {"R1": plan.r1, "R2": plan.r2, "m": plan.m, "quad_n": plan.quad_n}
     return params, err, bound
 

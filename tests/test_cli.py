@@ -168,6 +168,23 @@ def test_app_matrix_poly_needs_no_evolution_time(tmp_path, capsys):
     assert read_bytes(out).decode().splitlines()[1].split(",")[RECORD_HEADER.index("T")] == "0.5"
 
 
+def test_app_matrix_poly_at_any_mesh_size(tmp_path, capsys):
+    """A = 2(-Delta)/(4d/h^2) - I does not depend on h: at h = 1e160, where
+    2/h^2 is subnormal, the record matches the h = 1 record but for its h
+    cell (and the measured wall time)."""
+    rows = {}
+    for h in ("1", "1e160"):
+        out = tmp_path / f"mp-{h}.csv"
+        rc, _, err = run(["app", "--name", "matrix_poly", "--d", "1", "--n", "4",
+                          "--h", h, "--eps", "1e-6", "--out", str(out)], capsys)
+        assert rc == 0, err
+        rows[h] = read_bytes(out).decode().splitlines()[1].split(",")[:-1]
+    cell = RECORD_HEADER.index("h")
+    assert float(rows["1e160"][cell]) == 1e160
+    del rows["1"][cell], rows["1e160"][cell]
+    assert rows["1"] == rows["1e160"]
+
+
 def test_cost_path_a(tmp_path, capsys):
     out = str(tmp_path / "cost.json")
     rc, text, _ = run(["cost", "--path", "a", "--alpha", "1", "--T", "1",
@@ -290,6 +307,24 @@ def test_sweep_fourier_row_at_plan_cutoff_matches_simulate(tmp_path, capsys):
     assert float(row[2]) == report["truncation_bound"] + report["aliasing_bound"]
 
 
+def test_sweep_contour_row_at_planned_m_matches_simulate(tmp_path, capsys):
+    """The contour sweep and simulate-contour plan through one planner and
+    report one bound: at the m simulate-contour planned, the sweep row
+    reports the same error, and its two channels add up to the same bound."""
+    common = ["--f", "exp-neg", "--size", "8", "--rho", "0.5", "--seed", "5"]
+    sim = str(tmp_path / "sim.json")
+    assert run(["simulate-contour", *common, "--eps", "1e-8", "--out", sim], capsys)[0] == 0
+    report = json.loads(read_bytes(sim))
+    m = report["plan"]["m"]
+    sw = str(tmp_path / "sw.csv")
+    assert run(["sweep", "--path", "contour", *common, "--m", f"{m - 8}:{m + 8}:4",
+                "--out", sw], capsys)[0] == 0
+    rows = [ln.split(",") for ln in read_bytes(sw).decode().splitlines()[1:]]
+    row = next(r for r in rows if int(r[0]) == m)
+    assert float(row[1]) == report["error_measured"]
+    assert float(row[2]) + float(row[3]) == report["error_bound"]
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "--alpha", "127.5", "--T", "1", "--x", "0:1:0.1"],
     ["kernel", "--alpha", "200.25", "--T", "1", "--x", "0:1:0.1"],
@@ -399,12 +434,23 @@ def test_exit_code_precondition(capsys):
     # K = 1,988,827 terms on 289 eigenvalues: a 4.6 GB cosine table.
     ["app", "--name", "heat", "--d", "2", "--n", "12", "--h", "1e-6", "--T", "0.5",
      "--eps", "1e-4"],
+    # plan refuses a negative norm itself: max |lambda| of [0, -1] would be 1.
+    ["plan", "--alpha", "1", "--T", "1", "--eps", "1e-6", "--hnorm", "-1",
+     "--mode", "direct"],
+    # The period a = ||H|| + gap rounds to ||H||: the planner refuses the gap.
+    ["plan", "--alpha", "1", "--T", "1", "--eps", "1e-6", "--hnorm", "1e300",
+     "--mode", "direct"],
+    # cost plans for the operator [rho], so it refuses a rho no operator has.
+    ["cost", "--path", "b", "--f", "exp-neg", "--eps", "1e-6", "--rho", "-0.5"],
+    ["cost", "--path", "b", "--f", "exp-neg", "--eps", "1e-6", "--rho", "nan"],
+    ["cost", "--path", "b", "--f", "exp-neg", "--eps", "1e-6", "--rho", "inf"],
 ], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x",
         "heat-d4-n8", "heat-d2-n64", "contour-size-0", "sweep-contour-size-0",
         "contour-rho-negative", "matrix-missing", "matrix-malformed",
         "matrix-im-x", "matrix-negative-dims", "matrix-rows-2.5",
         "cost-psinorm-nan", "cost-fpsi-inf", "app-h-inf", "app-h-nan",
-        "app-h-1e-200", "app-h-1e-6-table"])
+        "app-h-1e-200", "app-h-1e-6-table", "plan-hnorm-negative",
+        "plan-hnorm-1e300-gap", "cost-rho-negative", "cost-rho-nan", "cost-rho-inf"])
 def test_exit_code_admission(tmp_path, capsys, argv):
     (tmp_path / "malformed.json").write_text('{"rows": 1,')
     (tmp_path / "im-x.json").write_text(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,11 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from psf_matfunc import contour, util
-from psf_matfunc.contour import (ContourPlan, aliasing_norm_ratio,
-                                 aliasing_term, circle_sup, discrete_sum_apply,
-                                 lattice_radii, make_nodes, make_plan,
-                                 optimize_radius, plan_contour, plan_lattice,
-                                 plan_m, sup_poly_abs, truncation_integral,
-                                 truncation_norm_bound)
+from psf_matfunc.contour import (ContourPlan, aliasing_term, circle_sup,
+                                 discrete_sum_apply, lattice_radii, make_nodes,
+                                 make_plan, optimize_radius, plan_contour,
+                                 plan_lattice, plan_m, scalar_operator,
+                                 sup_poly_abs, truncation_integral)
 from psf_matfunc.errors import ErrorBudget, PrecondError
 from psf_matfunc.instances import random_normal_matrix, random_state
 from psf_matfunc.linalg import eig, matfun
@@ -57,6 +57,9 @@ def test_plan_validation():
         ContourPlan(r1=1.0, r2=2.0, m=0, b1=1.0, b2=1.0)
     with pytest.raises(PrecondError):
         ContourPlan(r1=1.0, r2=2.0, m=4, b1=1.0, b2=1.0, kappa_s=0.5)
+    for rho in (-0.5, 1.0, math.nan):        # the spectrum must lie inside R1
+        with pytest.raises(PrecondError, match="rho"):
+            ContourPlan(r1=1.0, r2=2.0, m=4, b1=1.0, b2=1.0, rho=rho)
     ContourPlan(r1=1.0, r2=2.0, m=2 ** 19, b1=1.0, b2=1.0)
     for m in (2 ** 19 + 1, 10 ** 15):        # node and quadrature tables too large
         with pytest.raises(PrecondError, match="node count"):
@@ -136,12 +139,14 @@ def test_aliasing_term_examples():
 
 
 def test_aliasing_norm_ratio_dominates_normal_case():
-    plan = make_plan(one, 1.0, 2.0, 3)
+    """With f = 1 (B1 = 1) on a normal A (kappa_s = 1), the overlap channel
+    at ||psi|| = 1 is the bound on ||g(A)||."""
     A = random_normal_matrix(default_rng(3), 6, spectral_radius=0.45)
+    plan = plan_lattice(one, eig(A), r1=1.0, r2=2.0, m=3)
     g = matfun(A, lambda z: z**3 / (z**3 - 1.0))
-    assert np.linalg.norm(g, 2) <= aliasing_norm_ratio(plan, 0.45) + 1e-12
+    assert np.linalg.norm(g, 2) <= plan.error_bounds(1.0).aliasing + 1e-12
     with pytest.raises(PrecondError):
-        aliasing_norm_ratio(plan, 1.5)
+        plan_lattice(one, scalar_operator(1.5), r1=1.0, r2=2.0, m=3)
 
 
 def test_truncation_vanishes_for_low_degree_at_large_radius():
@@ -158,8 +163,7 @@ def test_truncation_within_norm_bound():
     psi = random_state(default_rng(6), 6)
     plan = make_plan(exp_neg, 1.0, 2.0, 8)
     rem = truncation_integral(A, psi=psi, f=exp_neg, plan=plan)
-    assert np.linalg.norm(rem) <= truncation_norm_bound(
-        plan, float(np.linalg.norm(psi)))
+    assert np.linalg.norm(rem) <= plan.error_bounds(float(np.linalg.norm(psi))).truncation
 
 
 @pytest.mark.parametrize("make", [
@@ -291,14 +295,15 @@ def test_plan_contour_guards():
 
 
 def test_error_bounds_channels():
-    plan = make_plan(exp_neg, 1.0, 2.0, 12, kappa_s=1.5)
-    budget = plan.error_bounds(0.5, 2.0)
+    plan = replace(make_plan(exp_neg, 1.0, 2.0, 12), kappa_s=1.5, rho=0.5)
+    budget = plan.error_bounds(2.0)
+    mum, q = 0.5 ** 12, 0.5 ** 12         # mu = R1/R2 and rho/R1 are both 1/2
     assert budget == ErrorBudget(
-        truncation=truncation_norm_bound(plan, 2.0),
-        aliasing=aliasing_norm_ratio(plan, 0.5) * plan.b1 * 1.5 * 2.0)
+        truncation=2.0 * plan.b2 * 1.5 * 2.0 * mum / ((1.0 - mum) * 1.0),
+        aliasing=q / (1.0 - q) * plan.b1 * 1.5 * 2.0)
     assert budget.total == budget.truncation + budget.aliasing
     with pytest.raises(PrecondError):
-        plan.error_bounds(1.0, 2.0)          # rho on the lattice circle
+        replace(plan, rho=1.0)               # rho on the lattice circle
 
 
 def test_plan_m_takes_a_subnormal_eps():
@@ -320,16 +325,30 @@ def test_plan_lattice_defaults():
     for r1, r2 in ((math.inf, None), (math.nan, None), (1.0, math.inf), (1e308, None)):
         with pytest.raises(PrecondError, match="finite"):
             lattice_radii(0.5, r1, r2)       # 2 R1 overflows at R1 = 1e308
-    plan = plan_lattice(exp_neg, 1e-8, 0.5, 1.0, 1.0, 1.0)
+    plan = plan_lattice(exp_neg, scalar_operator(0.5), 1e-8, 1.0, 1.0)
     assert (plan.r1, plan.r2) == lattice_radii(0.5)
     assert plan.m == plan_m(1e-8, plan.r1, plan.r2, circle_sup(exp_neg, plan.r2),
                             1.0, 1.0, 1.0, rho=0.5)
     assert plan.quad_n == max(8 * plan.m, 256)
     assert plan.b1 == circle_sup(exp_neg, plan.r1)
-    fixed = plan_lattice(exp_neg, None, 0.5, 1.0, None, None, m=40)
+    assert (plan.rho, plan.kappa_s) == (0.5, 1.0)
+    fixed = plan_lattice(exp_neg, scalar_operator(0.5), m=40)
     assert (fixed.m, fixed.quad_n) == (40, 320)
     assert make_plan(exp_neg, 1.0, 2.0, 8) == plan_lattice(
-        exp_neg, None, 0.0, 1.0, None, None, r1=1.0, r2=2.0, m=8)
+        exp_neg, scalar_operator(0.0), r1=1.0, r2=2.0, m=8)
+
+
+def test_plan_lattice_reads_its_operator():
+    """The planner takes rho and kappa_s from the decomposition, and the
+    plan's bound uses both."""
+    dec = eig(random_diagonalizable(4, 6, spectral_radius=0.5))
+    assert dec.kappa_s > 1.0
+    plan = plan_lattice(exp_neg, dec, 1e-8, 1.0, 1.0)
+    assert (plan.rho, plan.kappa_s) == (dec.spectral_radius, dec.kappa_s)
+    assert plan.m == plan_m(1e-8, plan.r1, plan.r2, plan.b2, dec.kappa_s, 1.0, 1.0,
+                            rho=dec.spectral_radius)
+    q = (dec.spectral_radius / plan.r1) ** plan.m
+    assert plan.error_bounds(1.0).aliasing == q / (1.0 - q) * plan.b1 * dec.kappa_s
 
 
 _POLY = np.array([1.0, 2.0, 0.0, 3.0])
@@ -357,14 +376,11 @@ def test_contour_bound_covers_measured_error(n, seed, rho, g1, g2, m, kind,
     else:
         c = sign * pole * r2
         f = lambda z: 1.0 / (z + c)
-    dec = eig(A)
-    plan = plan_lattice(f, None, dec.spectral_radius, dec.kappa_s, None, None,
-                        r1=r1, r2=r2, m=m)
+    plan = plan_lattice(f, eig(A), r1=r1, r2=r2, m=m)
     psi_norm = float(np.linalg.norm(psi))
     err = float(np.linalg.norm(discrete_sum_apply(A, f, plan, psi)
                                - matfun(A, f) @ psi))
-    assert err <= plan.error_bounds(dec.spectral_radius, psi_norm).total \
-        + 1e-13 * psi_norm
+    assert err <= plan.error_bounds(psi_norm).total + 1e-13 * psi_norm
 
 
 def test_plan_contour_optimized_radius_runs():
@@ -379,15 +395,14 @@ def test_plan_contour_optimized_radius_runs():
 
 @pytest.mark.parametrize("degree", [2, 3, 5])
 def test_optimize_radius_monomials(degree):
-    res = optimize_radius(lambda r: r ** degree, 1.0, 16.0)
-    assert not res.at_boundary
+    r2 = optimize_radius(lambda r: r ** degree, 1.0, 16.0)
+    assert r2 < 16.0                         # an interior optimum
     target = (degree + 1) / (degree - 1)
-    assert abs(res.r2 - target) <= 0.01 * target
+    assert abs(r2 - target) <= 0.01 * target
 
 
 def test_optimize_radius_constant_hits_cap():
-    res = optimize_radius(lambda r: 1.0, 1.0, 16.0)
-    assert res == (16.0, True)
+    assert optimize_radius(lambda r: 1.0, 1.0, 16.0) == 16.0
     with pytest.raises(PrecondError):
         optimize_radius(lambda r: r ** 2, 2.0, 1.0)
 
@@ -421,8 +436,8 @@ def test_optimize_radius_matches_a_dense_grid(name):
     the remainder prefactor has a single minimum on (R1, cap]."""
     f_sup, cap_factor = _SUPS[name]
     r1 = 0.55
-    res = optimize_radius(f_sup, r1, cap_factor * r1)
-    assert res.r2 == pytest.approx(_grid_argmin(f_sup, r1, cap_factor * r1), rel=1e-3)
+    r2 = optimize_radius(f_sup, r1, cap_factor * r1)
+    assert r2 == pytest.approx(_grid_argmin(f_sup, r1, cap_factor * r1), rel=1e-3)
 
 
 @pytest.mark.parametrize("f_sup", [lambda r: r ** 3, lambda r: 1.0,

@@ -6,10 +6,8 @@ import pytest
 
 from psf_matfunc.errors import PrecondError
 from psf_matfunc.fourier import (aliasing_bound, assemble_fourier_approx,
-                                 cosine_series, error_bounds,
-                                 lcu_coefficients, plan_fourier,
-                                 spectral_scale, truncation_bound,
-                                 truncation_ratio)
+                                 cosine_series, lcu_coefficients, plan_fourier,
+                                 truncation_bound, truncation_ratio)
 from psf_matfunc.instances import random_psd
 from psf_matfunc.kernels import SpectralProfile, algebraic_envelope_constant
 from psf_matfunc.linalg import eig, evolution_matrix, matfun
@@ -20,7 +18,7 @@ from helpers import psf_residual, random_diagonalizable, random_hermitian
 def test_planner_worked_example():
     """alpha=1 root, T=1, eps'=1e-6, ||H||=1: the period follows the
     closed-form aliasing condition a = 1 + sqrt(ln(4/eps')) and K = 6."""
-    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), 1.0, 1e-6)
+    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), [1.0], 1e-6)
     assert plan.a == pytest.approx(4.89894920704081, rel=1e-12)
     assert plan.K == 6
     assert plan.regime == "analytic"
@@ -30,13 +28,19 @@ def test_planner_worked_example():
 
 
 def test_spectral_scale_modes():
+    """The planner reads ||H|| = max |lambda| off the spectrum: its square
+    root in root mode, itself in direct mode, where a negative eigenvalue
+    counts by its modulus. An empty or non-finite spectrum is refused."""
     prof_r = SpectralProfile(1.0, 1.0, "root")
     prof_d = SpectralProfile(2.0, 1.0, "direct")
-    assert spectral_scale(prof_r, 4.0) == 2.0
-    assert spectral_scale(prof_d, 4.0) == 4.0
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(PrecondError):
-            spectral_scale(prof_r, bad)
+    assert plan_fourier(prof_r, [1.0, 4.0], 1e-6).spectral_scale == 2.0
+    assert plan_fourier(prof_d, [0.5, 4.0], 1e-6).spectral_scale == 4.0
+    assert plan_fourier(prof_d, [-4.0, 1.0], 1e-6).spectral_scale == 4.0
+    for bad in ([], [1.0, math.nan], [math.inf]):
+        with pytest.raises(PrecondError, match="operator norm"):
+            plan_fourier(prof_r, np.array(bad), 1e-6)
+    with pytest.raises(PrecondError, match="does not clear"):
+        plan_fourier(prof_d, [1e300], 1e-6)    # a - scale rounds to 0
 
 
 @pytest.mark.parametrize("profile", [
@@ -49,8 +53,8 @@ def test_spectral_scale_modes():
 def test_budgets_within_half_eps(profile):
     """Both reported bounds land at or below eps'/2 by construction."""
     eps = 1e-5
-    plan = plan_fourier(profile, 1.0, eps)
-    budget = error_bounds(plan, 1.0)
+    plan = plan_fourier(profile, [1.0], eps)
+    budget = plan.error_bounds()
     slack = 1.0 + 1e-9
     assert budget.truncation <= 0.5 * eps * slack
     assert budget.aliasing <= 0.5 * eps * slack
@@ -82,7 +86,7 @@ def test_planner_takes_a_subnormal_eps(eps, K):
     """log(c / eps') is about 745 at the smallest float although c / eps'
     overflows: the analytic plan stays finite and K keeps growing with
     log(1/eps'), and the fractional aliasing constant keeps its 1/log term."""
-    plan = plan_fourier(SpectralProfile(2.0, 1.0, "direct"), 1.0, eps)
+    plan = plan_fourier(SpectralProfile(2.0, 1.0, "direct"), [1.0], eps)
     assert plan.K == K and math.isfinite(plan.a)
     c_a = aliasing_bound(SpectralProfile(0.75, 1.0, "root"), 1.0, eps) / math.exp(-1.0)
     assert c_a == pytest.approx(2.0 * (1.0 + 1.0 / (1.5 * -math.log(eps))), rel=1e-12)
@@ -96,7 +100,7 @@ def test_fractional_needs_p_at_least_one():
 
 def test_coefficients_cached_and_guarded():
     prof = SpectralProfile(1.0, 1.0, "root")
-    plan = plan_fourier(prof, 1.0, 1e-6)
+    plan = plan_fourier(prof, [1.0], 1e-6)
     c1 = lcu_coefficients(plan)
     assert c1 is lcu_coefficients(plan)
     assert c1.shape == (plan.K + 1,)
@@ -104,14 +108,14 @@ def test_coefficients_cached_and_guarded():
 
 
 def test_assemble_identity_at_zero_operator():
-    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), 1.0, 1e-6)
+    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), [1.0], 1e-6)
     approx = assemble_fourier_approx(plan, np.zeros((3, 3)))
     assert np.linalg.norm(approx - np.eye(3), 2) <= 1e-6
 
 
 def test_assemble_root_mode_psd_oracle():
     H = random_psd(np.random.default_rng(7), 8, norm=1.0)
-    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), 1.0, 1e-6)
+    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), [1.0], 1e-6)
     err = np.linalg.norm(assemble_fourier_approx(plan, H)
                          - evolution_matrix(H, 1.0, 1.0), 2)
     assert err <= 2e-6
@@ -120,7 +124,7 @@ def test_assemble_root_mode_psd_oracle():
 def test_assemble_direct_mode_indefinite_oracle():
     """Even p acts through cos, so direct mode tolerates indefinite spectra."""
     H = random_hermitian(np.random.default_rng(8), 8, norm=1.0)
-    plan = plan_fourier(SpectralProfile(2.0, 1.0, "direct"), 1.0, 1e-6)
+    plan = plan_fourier(SpectralProfile(2.0, 1.0, "direct"), [1.0], 1e-6)
     oracle = matfun(H, lambda lam: np.exp(-lam**2))
     err = np.linalg.norm(assemble_fourier_approx(plan, H) - oracle, 2)
     assert err <= 2e-6
@@ -128,7 +132,7 @@ def test_assemble_direct_mode_indefinite_oracle():
 
 def test_assemble_error_within_twice_eps_analytic():
     eps = 1e-6
-    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), 1.0, eps)
+    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), [1.0], eps)
     worst = 0.0
     for i in range(20):
         H = random_psd(np.random.default_rng(100 + i), 6, norm=1.0)
@@ -140,7 +144,7 @@ def test_assemble_error_within_twice_eps_analytic():
 
 def test_assemble_error_within_twice_eps_fractional():
     eps = 1e-3
-    plan = plan_fourier(SpectralProfile(0.75, 1.0, "root"), 1.0, eps)
+    plan = plan_fourier(SpectralProfile(0.75, 1.0, "root"), [1.0], eps)
     worst = 0.0
     for i in range(20):
         H = random_psd(np.random.default_rng(200 + i), 6, norm=1.0)
@@ -155,9 +159,9 @@ def test_assemble_measured_error_below_reported_budget():
     for profile, eps in [(SpectralProfile(1.0, 1.0, "root"), 1e-6),
                          (SpectralProfile(2.0, 1.0, "direct"), 1e-6),
                          (SpectralProfile(0.75, 1.0, "root"), 1e-4)]:
-        plan = plan_fourier(profile, 1.0, eps)
+        plan = plan_fourier(profile, [1.0], eps)
         assert profile.regime == "analytic" or plan.K == 2422
-        budget = error_bounds(plan, 1.0)
+        budget = plan.error_bounds()
         H = random_psd(np.random.default_rng(31), 8, norm=1.0)
         oracle = evolution_matrix(H, profile.alpha, profile.T)
         err = np.linalg.norm(assemble_fourier_approx(plan, H) - oracle, 2)
@@ -165,7 +169,7 @@ def test_assemble_measured_error_below_reported_budget():
 
 
 def test_assemble_guards():
-    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), 1.0, 1e-6)
+    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), [1.0], 1e-6)
     with pytest.raises(PrecondError):
         assemble_fourier_approx(plan, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(PrecondError):  # indefinite under a root plan
@@ -177,7 +181,7 @@ def test_assemble_guards():
 def test_cosine_series_cutoffs_share_one_sample():
     """Lower cutoffs of a wider plan reproduce the plan's own series."""
     H = random_psd(7, 6, norm=1.0)
-    plan = plan_fourier(SpectralProfile(0.75, 1.0, "root"), 1.0, 1e-3)
+    plan = plan_fourier(SpectralProfile(0.75, 1.0, "root"), [1.0], 1e-3)
     lam, V = np.linalg.eigh(H)
     np.testing.assert_array_equal(
         (V * cosine_series(plan, lam)) @ V.conj().T, assemble_fourier_approx(plan, H))
@@ -192,7 +196,7 @@ def test_cosine_series_cutoffs_share_one_sample():
 def test_cosine_series_refuses_oversized_table():
     """A cutoff times eigenvalue count beyond the table cap is refused before
     the coefficients are sampled or the cosine table is allocated."""
-    plan = plan_fourier(SpectralProfile(1.0, 1.0, "direct"), 1.0, 1e-6)
+    plan = plan_fourier(SpectralProfile(1.0, 1.0, "direct"), [1.0], 1e-6)
     wide = replace(plan, K=1 << 26, coefficients=None)
     with pytest.raises(PrecondError, match="cosine table"):
         cosine_series(wide, np.array([0.25, 0.5, 0.75]))
@@ -223,7 +227,7 @@ def test_decomposition_stands_in_for_its_operator(profile):
     refused either way."""
     H = random_psd(9, 6, norm=1.0)
     dec = eig(H)
-    plan = plan_fourier(profile, dec.norm, 1e-6)
+    plan = plan_fourier(profile, dec.eigenvalues.real, 1e-6)
     np.testing.assert_array_equal(assemble_fourier_approx(plan, dec),
                                   assemble_fourier_approx(plan, H))
     np.testing.assert_array_equal(evolution_matrix(dec, profile.alpha, profile.T),
@@ -266,7 +270,7 @@ def test_scalar_psf_dominated_by_bounds():
 
 def test_plan_serialization_fields():
     from psf_matfunc.io import fourier_plan_json
-    plan = plan_fourier(SpectralProfile(1.5, 2.0, "root"), 1.5, 1e-4)
+    plan = plan_fourier(SpectralProfile(1.5, 2.0, "root"), [1.5], 1e-4)
     obj = fourier_plan_json(plan)
     for key in ("alpha", "T", "mode", "a", "K", "eps_internal", "c"):
         assert key in obj

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def test_non_finite_entries_rejected(tmp_path):
 
 
 def test_fourier_plan_json_fields():
-    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), 1.0, 1e-6)
+    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), [1.0], 1e-6)
     obj = fourier_plan_json(plan)
     assert {"alpha", "T", "mode", "a", "K", "eps_internal", "c"} <= set(obj)
     assert (obj["alpha"], obj["T"], obj["mode"]) == (1.0, 1.0, "root")
@@ -68,7 +69,7 @@ def test_fourier_plan_json_fields():
 
 
 def test_contour_plan_json_fields():
-    plan = make_plan(lambda z: np.exp(-z), 1.0, 2.5, 12, kappa_s=1.5)
+    plan = replace(make_plan(lambda z: np.exp(-z), 1.0, 2.5, 12), kappa_s=1.5)
     obj = contour_plan_json(plan)
     assert obj["mu"] == plan.mu
     assert obj == {"R1": 1.0, "R2": 2.5, "m": 12, "mu": plan.mu,

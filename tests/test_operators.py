@@ -214,7 +214,7 @@ def test_structured_route_matches_eigh_of_the_dirac_root(app, alpha, d, n):
     g, T, eps = GridSpec(d, n, 1.0), 0.5, 1e-6
     dec = hermitian_eig(dirac_operator(gradient_stack(g)).H)
     plan = fourier.plan_fourier(SpectralProfile(alpha=alpha, T=T, mode="direct"),
-                                dec.norm, eps)
+                                dec.eigenvalues.real, eps)
     approx = fourier.assemble_fourier_approx(plan, dec)
     oracle = evolution_matrix(dec, alpha, T)
     rec = run_application(app, g, T, eps)
@@ -248,8 +248,8 @@ def test_matrix_poly_bound_covers_error(d, n, m):
     assert rec.error_measured <= rec.error_bound
     A = shifted_encoding(laplacian(g), g)
     f = lambda z: np.polynomial.polynomial.polyval(z, np.asarray(_DEFAULT_COEFFS))
-    plan = contour.make_plan(f, rec.params["R1"], rec.params["R2"], rec.params["m"],
-                             kappa_s=eig(A).kappa_s)
+    plan = contour.plan_lattice(f, eig(A), r1=rec.params["R1"], r2=rec.params["R2"],
+                                m=rec.params["m"])
     psi = random_state(np.random.default_rng(3), g.size)
     deviation = np.linalg.norm(contour.discrete_sum_apply(A, f, plan, psi)
                                - matfun(A, f) @ psi)
@@ -270,8 +270,8 @@ def test_run_application_guards():
 
 def test_matrix_poly_where_the_square_of_h_overflows():
     """At h = 1.4e154, h^2 overflows but 4d/h^2 is a normal float, so the
-    grid is admitted: the Laplacian and the encoding divide by h twice and
-    the run returns within its bound instead of raising OverflowError."""
+    grid is admitted, and the run returns within its bound: the encoding
+    does not depend on h and is built on the unit mesh."""
     rec = run_application("matrix_poly", GridSpec(1, 4, 1.4e154), None, 1e-6)
     assert rec.error_measured <= rec.error_bound
 
