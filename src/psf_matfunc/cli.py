@@ -165,6 +165,7 @@ def _cmd_simulate_fourier(args) -> int:
 
 def _cmd_simulate_contour(args) -> int:
     spec = pio.parse_function_spec(_required(args, "f"))
+    contour.admit_eps(args.eps)
     dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
     psi_norm, f_psi_norm = float(np.linalg.norm(psi)), frobenius(f_psi)
     plan = contour.plan_lattice(spec.fn, dec, args.eps, f_psi_norm, psi_norm,

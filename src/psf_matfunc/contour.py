@@ -39,7 +39,7 @@ _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(_SUP_SAMPLES) / _SUP_SAMPLES)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _RADIUS_REL_TOL = 1e-6   # width of the final R2 bracket, relative to R2
 # Largest node count of a plan (the remainder rule takes 8 times as many):
-# it keeps a node count like 1e9 from allocating its nodes and solutions.
+# it keeps a node count like 1e9 from allocating its nodes and weights.
 _MAX_NODES = 1 << 19
 
 
@@ -133,16 +133,13 @@ def _check_enclosure(A: Operator, radius: float, label: str) -> SpectralDecompos
 def _circle_rule(A: Operator, g: Callable[[np.ndarray], np.ndarray], radius: float,
                  n: int, psi: np.ndarray, label: str) -> np.ndarray:
     """(1/n) sum_k z_k g(z_k) (z_k I - A)^{-1} psi on z = make_nodes(radius, n),
-    summed in ascending k, for a spectrum enclosed by the circle.
-
-    All n node solves are one batched `resolvent_apply` call on A's
-    decomposition; the reduction runs in a fixed order without threads, so
-    results are bitwise reproducible.
+    for a spectrum enclosed by the circle: one `resolvent_apply` call on A's
+    decomposition with weights z_k g(z_k)/n. The sum runs in a fixed order
+    without threads, so results are bitwise reproducible.
     """
     dec = _check_enclosure(A, radius, label)
     z = make_nodes(radius, n)
-    weights = z * np.asarray(g(z), dtype=complex) / n
-    return np.sum(weights[:, None] * resolvent_apply(dec, z, psi), axis=0)
+    return resolvent_apply(dec, z, z * np.asarray(g(z), dtype=complex) / n, psi)
 
 
 def discrete_sum_apply(A: Operator, f: Callable[[np.ndarray], np.ndarray],
@@ -171,6 +168,12 @@ def truncation_integral(A: Operator, f: Callable[[np.ndarray], np.ndarray],
                         plan.quad_n, psi, "R2")
 
 
+def admit_eps(eps: float) -> None:
+    """A relative target accuracy must lie in (0, 1)."""
+    if not (0.0 < eps < 1.0):
+        raise PrecondError(f"eps must lie in (0, 1), got {eps}")
+
+
 def plan_m(eps: float, r1: float, r2: float, b2: float, kappa_s: float,
            f_psi_norm: float, psi_norm: float, rho: float = 0.0) -> int:
     """Smallest m with both error channels below eps/4 (relative).
@@ -179,8 +182,7 @@ def plan_m(eps: float, r1: float, r2: float, b2: float, kappa_s: float,
     Channel (ii), remainder: mu^m/(1 - mu^m) <= eps f_psi_norm (R2 - R1)
     / (4 R2 B2 kappa_s psi_norm).
     """
-    if not (0.0 < eps < 1.0):
-        raise PrecondError(f"eps must lie in (0, 1), got {eps}")
+    admit_eps(eps)
     if not (0.0 <= rho < r1 < r2):
         raise PrecondError(f"need 0 <= rho < R1 < R2, got {rho}, {r1}, {r2}")
     if not (all(0.0 < v < math.inf for v in (f_psi_norm, psi_norm, b2))

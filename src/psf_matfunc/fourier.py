@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ErrorBudget, NumericalError, PrecondError
+from .errors import ErrorBudget, PrecondError
 from .kernels import (_LOG_FLOAT_MAX, SpectralProfile, algebraic_envelope_constant,
                       lattice_kernel, saddle_rate)
 from .linalg import Operator, clamp_psd, hermitian_eig, matfun
@@ -181,7 +181,8 @@ def plan_fourier(profile: SpectralProfile, spectrum: np.ndarray,
             break
         gap *= _GROWTH
     else:
-        raise NumericalError("aliasing gap failed to reach its budget")
+        raise PrecondError(f"aliasing gap of p={p:g}, T={T:g} does not reach its "
+                           f"budget in {_MAX_GROWTH_STEPS} growth steps")
     a = scale + gap
 
     ratio = truncation_ratio(profile, eps_internal)
@@ -190,7 +191,8 @@ def plan_fourier(profile: SpectralProfile, spectrum: np.ndarray,
             break
         ratio *= _GROWTH
     else:
-        raise NumericalError("truncation cutoff failed to reach its budget")
+        raise PrecondError(f"truncation cutoff of p={p:g}, T={T:g} does not reach its "
+                           f"budget in {_MAX_GROWTH_STEPS} growth steps")
 
     if not math.isfinite(ratio * a):
         raise PrecondError(f"cutoff K = {ratio!r} * period {a!r} exceeds the float range")

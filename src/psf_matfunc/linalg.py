@@ -43,7 +43,8 @@ Hermitian H, ||f(H) - g(H)||_2 is max |f - g| over the real spectrum, so
 oracle as a dense matrix. Which spectra a real power admits is decided here
 too: an even integer power (`is_even_integer`) any, any other power a PSD
 one (`clamp_psd`). The same reduction serves every shift of a contour sum:
-`resolvent_apply` takes a vector of shifts and solves them all at once.
+`resolvent_apply` takes a vector of shifts and their weights and returns the
+weighted sum of the solutions, block by block.
 """
 
 from __future__ import annotations
@@ -282,19 +283,20 @@ def matfun_apply(M: Operator, fn: Callable[[np.ndarray], np.ndarray],
     return V @ (flam * c)
 
 
-def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (zI - A) x = b at one shift z, or at every entry of a shift
-    vector z of shape (s,) at once, returning shape (n,) or (s, n).
+def resolvent_apply(A: Operator, z: np.ndarray, weights: np.ndarray,
+                    b: np.ndarray) -> np.ndarray:
+    """The weighted resolvent sum sum_j w_j (z_j I - A)^{-1} b, of shape (n,),
+    over a shift vector z of shape (s,) and its weights w of the same shape.
 
     All shifts are served by the one decomposition of A (Laub, IEEE TAC 26,
-    1981): c = V^{-1} b once, then x = V (c / (z - lambda)). Every shift
+    1981): c = V^{-1} b once, then x_j = V (c / (z_j - lambda)). Every shift
     keeps its distance to spec(A) above 1e-13*||A||, and every solution its
-    residual against A itself below 1e-10*||b||; a row that misses the
+    residual against A itself below 1e-10*||b||; a solution that misses the
     residual bound gets one step of fixed-precision iterative refinement
     through the same solve (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 12) before it is refused. The shifts are admitted and
-    solved in blocks of at most 2^22/n, so each temporary stays within 2^22
-    entries; the result itself has s n.
+    Algorithms*, ch. 12) before it is refused. The shifts are admitted,
+    solved and summed in blocks of at most 2^22/n, so each temporary stays
+    within 2^22 entries and no s x n block of solutions is held.
     """
     dec = as_decomposition(A)
     b = np.asarray(b, dtype=complex)
@@ -302,51 +304,55 @@ def resolvent_apply(A: Operator, z: complex | np.ndarray, b: np.ndarray) -> np.n
     if b.shape != (n,):
         raise PrecondError(f"vector shape {b.shape} does not match matrix {dec.matrix.shape}")
     zs = np.asarray(z, dtype=complex)
-    if zs.ndim > 1:
-        raise PrecondError(f"shifts must be a scalar or a vector, got shape {zs.shape}")
-    zs = zs.reshape(-1)
+    if zs.ndim != 1 or zs.size == 0:
+        raise PrecondError(f"shifts must be a non-empty vector, got shape {zs.shape}")
     if not np.all(np.isfinite(zs)):
         raise PrecondError("shifts must be finite")
+    ws = np.asarray(weights, dtype=complex)
+    if ws.shape != zs.shape:
+        raise PrecondError(f"weights shape {ws.shape} does not match shifts {zs.shape}")
     lam, V = dec.eigenvalues, dec.basis
 
-    def solve(gap: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def solve(gap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Rows (z_i I - A)^{-1} rhs_i, gap = z_i - lambda; rhs (n,) or (k, n)."""
         c = rhs @ V.conj() if dec.unitary else np.linalg.solve(V, rhs.T).T
-        return np.matmul(c / gap, V.T, out=out)
+        return (c / gap) @ V.T
 
-    def residual(w: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Rows (w_i I - A) x_i - b, formed with A itself, not its factors."""
-        return w[:, None] * X - X @ dec.matrix.T - b
+    def residual(zb: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Rows (z_i I - A) x_i - b, formed with A itself, not its factors."""
+        return zb[:, None] * X - X @ dec.matrix.T - b
 
     tol = 1e-10 * max(float(np.linalg.norm(b)), 1e-300)
-    X = np.empty((zs.size, n), dtype=complex)
+    total = None
     rows = max(1, _SOLVE_BLOCK // n)
     # A row that overflows is not finite, and so it fails tol.
     with np.errstate(all="ignore"):
         for i in range(0, zs.size, rows):
-            w = zs[i:i + rows]
-            gaps = w[:, None] - lam[None, :]
+            zb = zs[i:i + rows]
+            gaps = zb[:, None] - lam[None, :]
             dist = np.abs(gaps).min(axis=1)
             near = (dist <= _RESOLVENT_DIST * dec.norm) | (dist == 0.0)
             if np.any(near):
                 k = int(np.argmax(near))
                 raise PrecondError(
-                    f"shift z={w[k]} is within {_RESOLVENT_DIST:.0e}*||A|| of the "
+                    f"shift z={zb[k]} is within {_RESOLVENT_DIST:.0e}*||A|| of the "
                     f"spectrum (distance {dist[k]:.3e}); resolvent solve refused")
-            Xb = solve(gaps, b, out=X[i:i + rows])
-            R = residual(w, Xb)
+            X = solve(gaps, b)
+            R = residual(zb, X)
             bad = np.flatnonzero(~(np.linalg.norm(R, axis=1) <= tol))
             if bad.size:
                 # one refinement step: x <- x - (zI - A)^{-1} ((zI - A) x - b)
-                Xb[bad] -= solve(gaps[bad], R[bad])
-                resid = np.linalg.norm(residual(w[bad], Xb[bad]), axis=1)
+                X[bad] -= solve(gaps[bad], R[bad])
+                resid = np.linalg.norm(residual(zb[bad], X[bad]), axis=1)
                 fail = ~(resid <= tol)
                 if np.any(fail):
                     k = int(np.argmax(fail))
                     raise NumericalError(
                         f"resolvent solve residual {resid[k]:.3e} exceeds 1e-10*||b|| "
-                        f"at shift z={w[bad[k]]} after one refinement step")
-    return X[0] if np.ndim(z) == 0 else X
+                        f"at shift z={zb[bad[k]]} after one refinement step")
+            part = np.sum(ws[i:i + rows, None] * X, axis=0)
+            total = part if total is None else total + part
+    return total
 
 
 def distance_from(spectrum: np.ndarray, g: Callable[[np.ndarray], np.ndarray]

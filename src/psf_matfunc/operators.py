@@ -296,15 +296,11 @@ def run_application(app: str, g: GridSpec, T: float | None, eps: float,
     """
     if app not in _APPS:
         raise PrecondError(f"unknown application {app!r}; choose from {_APPS}")
-    if eps <= 0 or not np.isfinite(eps):
-        raise PrecondError(f"eps must be positive, got {eps}")
+    contour.admit_eps(eps)
     if T is None and app != "matrix_poly":
         raise PrecondError(f"application {app!r} needs an evolution time T")
     if T is not None and (T < 0 or not np.isfinite(T)):
         raise PrecondError(f"T must be finite and non-negative, got {T}")
-    dim = g.size if app in ("levy", "matrix_poly") else g.size + g.d * g.n ** (g.d - 1) * (g.n + 1)
-    if dim > _MAX_SITES:
-        raise PrecondError(f"dense dimension {dim} is beyond the desk-scale cap {_MAX_SITES}")
 
     t0 = time.perf_counter()
     if app == "matrix_poly":

@@ -41,6 +41,15 @@ def test_plan_worked_example(tmp_path, capsys):
     assert len(obj["c"]) == obj["K"] + 1
 
 
+def test_plan_at_a_large_even_p_reaches_its_budget(tmp_path, capsys):
+    """At p = 10000 the saddle rate is small, but the growth steps still
+    reach the budget; at p = 2e6 they do not (see the admission cases)."""
+    rc, text, err = run(["plan", "--alpha", "5000", "--T", "1", "--eps", "1e-6",
+                         "--hnorm", "1", "--out", str(tmp_path / "plan.json")], capsys)
+    assert rc == 0, err
+    assert "K=46735" in text
+
+
 def test_kernel_csv(tmp_path, capsys):
     out = str(tmp_path / "kern.csv")
     argv = ["kernel", "--alpha", "0.75", "--T", "1", "--x", "0:2:0.5",
@@ -144,6 +153,18 @@ def test_app_heat_record(tmp_path, capsys):
     err = float(fields[RECORD_HEADER.index("error_measured")])
     bound = float(fields[RECORD_HEADER.index("error_bound")])
     assert err <= bound
+
+
+def test_app_heat_on_a_long_line(tmp_path, capsys):
+    """heat on 2048 sites runs on the spectrum of its Dirac root, which
+    is never formed, and meets its bound."""
+    out = str(tmp_path / "heat.csv")
+    rc, _, err = run(["app", "--name", "heat", "--d", "1", "--n", "2048", "--T", "0.5",
+                      "--eps", "1e-6", "--out", out], capsys)
+    assert rc == 0, err
+    row = read_bytes(out).decode().splitlines()[1].split(",")
+    assert (float(row[RECORD_HEADER.index("error_measured")])
+            <= float(row[RECORD_HEADER.index("error_bound")]))
 
 
 def test_app_matrix_poly(tmp_path, capsys):
@@ -408,9 +429,19 @@ def test_exit_code_precondition(capsys):
      "--size", "0"],
     ["app", "--name", "matrix_poly", "--d", "1", "--n", "8", "--T", "0.5",
      "--eps", "1e-6", "--coeffs", "1,x"],
-    # Dense dimension 22528 and 12416: refused before anything is allocated.
-    ["app", "--name", "heat", "--d", "4", "--n", "8", "--T", "0.5", "--eps", "1e-6"],
-    ["app", "--name", "heat", "--d", "2", "--n", "64", "--T", "0.5", "--eps", "1e-6"],
+    # 4225 and 4913 sites: the grid refuses them before anything is allocated.
+    ["app", "--name", "heat", "--d", "2", "--n", "65", "--T", "0.5", "--eps", "1e-6"],
+    ["app", "--name", "levy", "--d", "3", "--n", "17", "--T", "0.5", "--eps", "1e-6"],
+    # eps outside (0, 1) is refused before the operator is built, also when
+    # --m leaves nothing to plan and when f(A) psi would overflow.
+    ["simulate-contour", "--f", "exp-neg", "--eps=-0.5", "--m", "8"],
+    ["simulate-contour", "--f", "poly:1,2,0,3", "--eps=-0.5", "--rho", "1e300",
+     "--size", "2", "--seed", "2"],
+    ["app", "--name", "matrix_poly", "--d", "1", "--n", "8", "--eps", "5", "--m", "8"],
+    # A budget the growth steps cannot reach: the saddle rate of a large even
+    # p vanishes with sin(pi/(2(p-1))).
+    ["plan", "--alpha", "1e6", "--T", "1", "--eps", "1e-6", "--hnorm", "1"],
+    ["simulate-fourier", "--alpha", "1e300", "--T", "1", "--eps", "1e-6"],
     ["simulate-contour", "--f", "exp-neg", "--size", "0"],
     ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:16:8", "--size", "0"],
     ["simulate-contour", "--f", "exp-neg", "--rho", "-1"],
@@ -445,7 +476,9 @@ def test_exit_code_precondition(capsys):
     ["cost", "--path", "b", "--f", "exp-neg", "--eps", "1e-6", "--rho", "nan"],
     ["cost", "--path", "b", "--f", "exp-neg", "--eps", "1e-6", "--rho", "inf"],
 ], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x",
-        "heat-d4-n8", "heat-d2-n64", "contour-size-0", "sweep-contour-size-0",
+        "heat-d2-n65", "levy-d3-n17", "contour-eps-negative-m8",
+        "contour-eps-negative-rho-1e300", "matrix-poly-eps-5-m8", "plan-p2e6-budget",
+        "simulate-fourier-p2e300-budget", "contour-size-0", "sweep-contour-size-0",
         "contour-rho-negative", "matrix-missing", "matrix-malformed",
         "matrix-im-x", "matrix-negative-dims", "matrix-rows-2.5",
         "cost-psinorm-nan", "cost-fpsi-inf", "app-h-inf", "app-h-nan",
@@ -530,12 +563,13 @@ def test_kernel_exit_code_fuzz(tmp_path_factory, alpha, T, mode, x):
 
 
 # Fourier planner overflows that exited 1: gap^p in the aliasing bound at
-# p = 16000.5 and p = 2e300, and K = (K/a) * a beyond the float range.
+# p = 16000.5 and p = 2e300, and K = (K/a) * a beyond the float range. At
+# p = 2e300 the truncation cutoff never meets its budget.
 _PLAN_OVERFLOWS = [
     (["plan", "--alpha", "8000.25", "--T", "1", "--eps", "1e-6", "--hnorm", "1"], 2),
     (["plan", "--alpha", "0.5", "--T", "1e300", "--eps", "0.5", "--hnorm", "1e300"], 2),
-    (["simulate-fourier", "--alpha", "1e300", "--T", "1", "--eps", "1e-6"], 3),
-    (["sweep", "--path", "fourier", "--alpha", "1e300", "--T", "1", "--K", "4:8:4"], 3),
+    (["simulate-fourier", "--alpha", "1e300", "--T", "1", "--eps", "1e-6"], 2),
+    (["sweep", "--path", "fourier", "--alpha", "1e300", "--T", "1", "--K", "4:8:4"], 2),
 ]
 
 
@@ -543,8 +577,8 @@ _PLAN_OVERFLOWS = [
                          ids=["plan-p16000.5", "plan-K-inf", "simulate-fourier-p1e300",
                               "sweep-fourier-p1e300"])
 def test_fourier_planner_overflow_exit_code(tmp_path, capsys, argv, code):
-    """A plan beyond the float range is refused (exit 2) or reported as not
-    reaching its budget (exit 3), never a traceback."""
+    """A plan beyond the float range or its budget is refused (exit 2),
+    never a traceback."""
     rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
     assert rc == code, err
 
@@ -593,7 +627,7 @@ def test_fourier_exit_code_fuzz(tmp_path_factory, command, alpha, T, eps, hnorm,
                                 size, seed):
     """A Fourier run returns (exit 0) or refuses (exit 2 or 3), never a
     traceback: at alpha = 1e300 the truncation cutoff never meets its budget
-    within the growth steps, and the run exits 3."""
+    within the growth steps, and the run is refused (exit 2)."""
     argv = [command, "--alpha", repr(alpha), f"--T={T!r}", f"--eps={eps!r}",
             f"--hnorm={hnorm!r}", "--mode", mode, "--size", str(size),
             "--seed", str(seed), "--out", str(tmp_path_factory.getbasetemp() / "fuzz")]
@@ -602,7 +636,7 @@ def test_fourier_exit_code_fuzz(tmp_path_factory, command, alpha, T, eps, hnorm,
     rc = cli.main(argv)
     assert rc in (0, 2, 3)
     if alpha == 1e300:
-        assert rc == 3
+        assert rc == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -189,9 +189,9 @@ def test_contour_sums_make_one_batched_solve(monkeypatch):
     shifts = []
     real = contour.resolvent_apply
 
-    def counting(A, z, b):
+    def counting(A, z, weights, b):
         shifts.append(np.size(z))
-        return real(A, z, b)
+        return real(A, z, weights, b)
 
     def no_pool(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("contour called util.ordered_map")

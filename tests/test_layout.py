@@ -5,7 +5,7 @@ src/psf_matfunc/ must be read somewhere in the package other than in its own
 definition, or be named by the benchmark under perfbench/. So must every
 annotated field and every property of a top-level class, read as an
 attribute. Fixtures and references that only tests need live in
-tests/helpers.py.
+tests/helpers.py. No module reads an environment variable.
 """
 
 import ast
@@ -93,6 +93,21 @@ def test_every_package_name_has_a_consumer():
 
 def test_every_class_field_has_a_reader():
     assert unread_fields() == []
+
+
+def environment_reads() -> list[str]:
+    """Modules that read an environment variable through `os`."""
+    return [f"{path.stem}:{n.lineno}"
+            for path, tree in _trees(PACKAGE).items() for n in ast.walk(tree)
+            if (isinstance(n, ast.Attribute) and n.attr in ("environ", "getenv")
+                and isinstance(n.value, ast.Name) and n.value.id == "os")
+            or (isinstance(n, ast.ImportFrom) and n.module == "os"
+                and any(a.name in ("environ", "getenv") for a in n.names))]
+
+
+def test_no_module_reads_the_environment():
+    """A run is set by its flags alone, never by an environment knob."""
+    assert environment_reads() == []
 
 
 def test_package_root_reexports_nothing():

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,8 +36,8 @@ def test_decomposition_serves_resolvent_and_evolution():
     dec = eig(A)
     assert not dec.hermitian and dec.norm == np.linalg.norm(A, 2)
     b = random_state(np.random.default_rng(5), 5)
-    np.testing.assert_array_equal(resolvent_apply(dec, 0.9j, b),
-                                  resolvent_apply(A, 0.9j, b))
+    np.testing.assert_array_equal(resolvent_apply(dec, [0.9j], [1.0], b),
+                                  resolvent_apply(A, [0.9j], [1.0], b))
     with pytest.raises(PrecondError):
         evolution_matrix(dec, 1.0, 1.0)
     P = random_psd(np.random.default_rng(6), 5)
@@ -155,7 +156,7 @@ def test_resolvent_matches_matfun():
         A = random_normal_matrix(rng, n, spectral_radius=float(rng.uniform(0.3, 0.9)))
         b = random_state(rng, n)
         z = complex(rng.uniform(1.2, 3.0), rng.uniform(-1.0, 1.0))
-        x = resolvent_apply(A, z, b)
+        x = resolvent_apply(A, [z], [1.0], b)
         ref = matfun(A, lambda lam: 1.0 / (z - lam)) @ b
         assert np.linalg.norm(x - ref) <= 1e-10
 
@@ -164,16 +165,19 @@ def test_resolvent_shift_on_spectrum_refused():
     A = np.diag([0.5, -0.2]).astype(complex)
     b = np.array([1.0, 1.0], dtype=complex)
     with pytest.raises(PrecondError):
-        resolvent_apply(A, 0.5, b)
+        resolvent_apply(A, [0.5], [1.0], b)
 
 
 def test_resolvent_shape_check():
     A = np.eye(3, dtype=complex)
     with pytest.raises(PrecondError):
-        resolvent_apply(A, 2.0, np.ones(4, dtype=complex))
-    for z in (np.full((2, 2), 2.0), np.array([2.0, np.nan])):
-        with pytest.raises(PrecondError):
-            resolvent_apply(A, z, np.ones(3, dtype=complex))
+        resolvent_apply(A, [2.0], [1.0], np.ones(4, dtype=complex))
+    for z in (2.0, np.array([]), np.full((2, 2), 2.0), np.array([2.0, np.nan])):
+        with pytest.raises(PrecondError, match="shifts"):
+            resolvent_apply(A, z, np.ones(np.shape(z)), np.ones(3, dtype=complex))
+    for w in (1.0, np.ones(3), np.ones((2, 1))):
+        with pytest.raises(PrecondError, match="weights"):
+            resolvent_apply(A, [2.0, 3.0], w, np.ones(3, dtype=complex))
 
 
 def _conditioned_diagonalizable(seed: int, n: int, kappa: float) -> np.ndarray:
@@ -192,35 +196,62 @@ def _conditioned_diagonalizable(seed: int, n: int, kappa: float) -> np.ndarray:
     (lambda seed: _conditioned_diagonalizable(seed, 12, 1e3), 1e-10),
 ], ids=["hermitian", "normal", "non-normal"])
 def test_batched_resolvent_matches_per_shift_solve(make, rtol):
+    """Each one-shift call agrees with an LU solve, and a unit weight picks
+    the same solution out of the batch of all 64 shifts."""
     A = make(3)
     dec = eig(A)
     b = random_state(np.random.default_rng(4), 12)
     z = 0.6 * np.exp(2j * np.pi * np.arange(1, 65) / 64)
-    X = resolvent_apply(dec, z, b)
+    X = np.array([resolvent_apply(dec, [w], [1.0], b) for w in z])
     assert X.shape == (64, 12)
     for w, x in zip(z, X):
         ref = np.linalg.solve(w * np.eye(12) - A, b)
         assert np.linalg.norm(x - ref) <= rtol * np.linalg.norm(ref)
-    assert resolvent_apply(dec, z[5], b).shape == (12,)
-    np.testing.assert_allclose(resolvent_apply(dec, z[5], b), X[5], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(resolvent_apply(dec, z, np.eye(64)[5], b), X[5],
+                               rtol=0, atol=1e-14)
 
 
 def test_resolvent_solves_a_large_batch_in_blocks(monkeypatch):
-    """Shifts beyond one block are solved block by block, each row as in one
-    batch, and a shift on the spectrum in a later block is named."""
+    """Shifts beyond one block are solved and summed block by block: each
+    solution (picked by a unit weight) is as in one block, the sum is the
+    in-order sum of each block's own call, and a shift on the spectrum in a
+    later block is named."""
     b = random_state(np.random.default_rng(2), 5)
     z = 0.8 * np.exp(2j * np.pi * np.arange(1, 24) / 23)
+    c = z / z.size
     for A in (random_normal_matrix(np.random.default_rng(1), 5, spectral_radius=0.5),
               _conditioned_diagonalizable(1, 5, 1e3)):
         dec = eig(A)
-        ref = resolvent_apply(dec, z, b)
+        ref = [resolvent_apply(dec, z, e, b) for e in np.eye(23)]
+        parts = [resolvent_apply(dec, z[i:i + 3], c[i:i + 3], b) for i in range(0, 23, 3)]
         monkeypatch.setattr(linalg, "_SOLVE_BLOCK", 3 * 5)     # blocks of 3 shifts
-        X = resolvent_apply(dec, z, b)
+        X = [resolvent_apply(dec, z, e, b) for e in np.eye(23)]
         np.testing.assert_allclose(X, ref, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(resolvent_apply(dec, z, c, b),
+                                      sum(parts[1:], parts[0]))
         lam = dec.eigenvalues[2]
         with pytest.raises(PrecondError, match=re.escape(f"z={lam}")):
-            resolvent_apply(dec, np.concatenate([z, [lam]]), b)
+            resolvent_apply(dec, np.concatenate([z, [lam]]), np.ones(24), b)
         monkeypatch.undo()
+
+
+def test_resolvent_sum_holds_one_block(monkeypatch):
+    """2^14 shifts at n = 16 in blocks of 256: the call allocates well under
+    the s x n solutions a returned block would hold."""
+    s, n = 1 << 14, 16
+    dec = eig(random_hermitian(np.random.default_rng(6), n, norm=0.5))
+    b = random_state(np.random.default_rng(7), n)
+    z = 0.8 * np.exp(2j * np.pi * np.arange(1, s + 1) / s)
+    c = z / s
+    monkeypatch.setattr(linalg, "_SOLVE_BLOCK", 1 << 12)
+    tracemalloc.start()
+    try:
+        S = resolvent_apply(dec, z, c, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.shape == (n,)
+    assert peak < s * n * 16 / 4
 
 
 def test_frobenius_norm_does_not_overflow():
@@ -254,7 +285,7 @@ def test_resolvent_shift_vector_names_the_shift_on_the_spectrum():
     A = np.diag([0.5, -0.2]).astype(complex)
     b = np.array([1.0, 1.0], dtype=complex)
     with pytest.raises(PrecondError, match=r"z=\(-0\.2\+0j\)"):
-        resolvent_apply(A, np.array([1.0, 0.5j, -0.2, 2.0]), b)
+        resolvent_apply(A, np.array([1.0, 0.5j, -0.2, 2.0]), np.ones(4), b)
 
 
 def test_resolvent_residual_is_checked_against_the_matrix():
@@ -264,10 +295,10 @@ def test_resolvent_residual_is_checked_against_the_matrix():
     dec = eig(random_hermitian(np.random.default_rng(9), 6, norm=0.5))
     b = random_state(np.random.default_rng(10), 6)
     z = np.array([0.9, dec.eigenvalues[2] + 1e-3, -0.9j])
-    resolvent_apply(dec, z, b)
+    resolvent_apply(dec, z, np.ones(3), b)
     bent = dataclasses.replace(dec, eigenvalues=dec.eigenvalues + 1e-6)
     with pytest.raises(NumericalError, match="refinement"):
-        resolvent_apply(bent, z, b)
+        resolvent_apply(bent, z, np.ones(3), b)
 
 
 def test_resolvent_refinement_rescues_ill_conditioned_basis():
@@ -284,7 +315,7 @@ def test_resolvent_refinement_rescues_ill_conditioned_basis():
     assert max(lu) <= tol
     one_pass = (np.linalg.solve(dec.basis, b) / (z[:, None] - dec.eigenvalues)) @ dec.basis.T
     assert np.linalg.norm(z[:, None] * one_pass - one_pass @ A.T - b, axis=1).max() > tol
-    X = resolvent_apply(dec, z, b)
+    X = np.array([resolvent_apply(dec, [w], [1.0], b) for w in z])
     assert np.linalg.norm(z[:, None] * X - X @ A.T - b, axis=1).max() <= tol
 
 
