@@ -28,11 +28,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import contour, costmodel, fourier, io as pio, operators
-from .errors import NumericalError, PrecondError
+from .errors import NumericalError, PrecondError, admit_eps
 from .instances import random_normal_matrix, random_psd, random_state
 from .kernels import SpectralProfile, envelope_function, lattice_kernel
 from .linalg import (distance_from, eig, evolution_function, frobenius, hermitian_eig,
-                     matfun)
+                     matfun_apply)
 
 
 def _load_config(path: str) -> dict:
@@ -100,7 +100,7 @@ def _contour_setup(args, spec: pio.FunctionSpec):
     r1, r2 = contour.lattice_radii(dec.spectral_radius, args.R1, args.R2)
     _refuse_pole(spec, r2)
     psi = random_state(np.random.default_rng(args.seed + 1), dec.matrix.shape[0])
-    return dec, r1, r2, psi, matfun(dec, spec.fn) @ psi
+    return dec, r1, r2, psi, matfun_apply(dec, spec.fn, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def _cmd_simulate_fourier(args) -> int:
 
 def _cmd_simulate_contour(args) -> int:
     spec = pio.parse_function_spec(_required(args, "f"))
-    contour.admit_eps(args.eps)
+    admit_eps(args.eps)
     dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
     psi_norm, f_psi_norm = float(np.linalg.norm(psi)), frobenius(f_psi)
     plan = contour.plan_lattice(spec.fn, dec, args.eps, f_psi_norm, psi_norm,

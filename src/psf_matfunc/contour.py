@@ -30,9 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ErrorBudget, PrecondError
+from .errors import ErrorBudget, PrecondError, admit_eps
 from .linalg import (Operator, SpectralDecomposition, as_decomposition, frobenius,
-                     matfun, resolvent_apply, unitary_decomposition)
+                     matfun_apply, resolvent_apply, unitary_decomposition)
 
 _SUP_SAMPLES = 4096
 _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(_SUP_SAMPLES) / _SUP_SAMPLES)
@@ -153,7 +153,7 @@ def aliasing_term(A: Operator, f: Callable[[np.ndarray], np.ndarray],
     """f(A) g(A) psi with g(z) = z^m / (z^m - R1^m), as one spectral function."""
     dec = _check_enclosure(A, plan.r1, "R1")
     m, r1m = plan.m, plan.r1 ** plan.m
-    return matfun(dec, lambda z: f(z) * z ** m / (z ** m - r1m)) @ psi
+    return matfun_apply(dec, lambda z: f(z) * z ** m / (z ** m - r1m), psi)
 
 
 def truncation_integral(A: Operator, f: Callable[[np.ndarray], np.ndarray],
@@ -166,12 +166,6 @@ def truncation_integral(A: Operator, f: Callable[[np.ndarray], np.ndarray],
     m, r1m = plan.m, plan.r1 ** plan.m
     return _circle_rule(A, lambda z: f(z) * r1m / (z ** m - r1m), plan.r2,
                         plan.quad_n, psi, "R2")
-
-
-def admit_eps(eps: float) -> None:
-    """A relative target accuracy must lie in (0, 1)."""
-    if not (0.0 < eps < 1.0):
-        raise PrecondError(f"eps must lie in (0, 1), got {eps}")
 
 
 def plan_m(eps: float, r1: float, r2: float, b2: float, kappa_s: float,
@@ -192,7 +186,8 @@ def plan_m(eps: float, r1: float, r2: float, b2: float, kappa_s: float,
 
     def smallest(ratio: float, log_target: float) -> int:
         # ratio^m / (1 - ratio^m) <= t  <=>  m log(1/ratio) >= log(1 + 1/t),
-        # in logarithms: t may underflow (a subnormal eps) or overflow
+        # in logarithms: the remainder target may underflow (||f(A) psi|| tiny
+        # against B2) or overflow
         if ratio == 0.0:
             return 1
         need = (math.log1p(math.exp(log_target)) - log_target if log_target < 0.0
@@ -306,5 +301,5 @@ def plan_contour(A: Operator, f: Callable[[np.ndarray], np.ndarray],
     if optimize:
         r1, _ = lattice_radii(dec.spectral_radius)
         r2 = optimize_radius(lambda r: circle_sup(f, r), r1, r2_cap_factor * r1)
-    return plan_lattice(f, dec, eps, frobenius(matfun(dec, f) @ psi), frobenius(psi),
+    return plan_lattice(f, dec, eps, frobenius(matfun_apply(dec, f, psi)), frobenius(psi),
                         r2=r2)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ErrorBudget, PrecondError
+from .errors import ErrorBudget, PrecondError, admit_eps
 from .kernels import (_LOG_FLOAT_MAX, SpectralProfile, algebraic_envelope_constant,
                       lattice_kernel, saddle_rate)
 from .linalg import Operator, clamp_psd, hermitian_eig, matfun
@@ -45,12 +45,6 @@ _MAX_GROWTH_STEPS = 200
 # Largest cos(k theta) table `cosine_series` builds: 2^27 floats, 1 GiB (its
 # outer-product argument takes as much again).
 _MAX_TABLE_ENTRIES = 1 << 27
-
-
-def _log_over(c: float, eps: float) -> float:
-    """log(c / eps), kept finite where c / eps overflows (a subnormal eps)."""
-    q = c / eps
-    return math.log(q) if q < math.inf else math.log(c) - math.log(eps)
 
 
 def truncation_ratio(profile: SpectralProfile, eps_internal: float) -> float:
@@ -64,7 +58,7 @@ def truncation_ratio(profile: SpectralProfile, eps_internal: float) -> float:
     a_eff = p / 2.0
     if profile.regime == "analytic":
         return (a_eff / math.pi) * T ** (1.0 / p) * (
-            _log_over(2.0, eps_internal) / (p - 1.0)) ** (1.0 - 1.0 / p)
+            math.log(2.0 / eps_internal) / (p - 1.0)) ** (1.0 - 1.0 / p)
     if p < 1.0:
         raise PrecondError(
             f"fractional planning needs p >= 1 (profile has p = {p}); "
@@ -72,9 +66,8 @@ def truncation_ratio(profile: SpectralProfile, eps_internal: float) -> float:
     C = algebraic_envelope_constant(p, T)
     if C == 0.0:
         raise PrecondError(f"algebraic envelope constant of p={p:g}, T={T:g} underflows to 0")
-    denom = a_eff * eps_internal     # 0 when eps' is near the smallest float
-    target = 2.0 * C / denom if denom else math.inf
-    if math.isinf(target):
+    target = 2.0 * C / (a_eff * eps_internal)
+    if math.isinf(target):           # a C near the largest float (T ~ 1e305)
         log_ratio = (math.log(2.0 * C / a_eff) - math.log(eps_internal)) / p
         return math.exp(log_ratio) if log_ratio <= _LOG_FLOAT_MAX else math.inf
     return target ** (1.0 / p)
@@ -87,8 +80,9 @@ def truncation_bound(profile: SpectralProfile, ratio: float) -> float:
     envelope integral with a factor 2 for the two tails and a factor 2
     prefactor safety (the true saddle prefactor reaches sqrt(pi) at p = 2).
     The rate is the stationary-phase one (saddle_rate), which the kernel
-    actually follows; the model envelope's faster rate would understate the
-    tail for p > 2. Fractional: C / ((p/2) X^p), conservative through C.
+    actually follows and the `kernel` envelope decays at; the rate without
+    its sine would understate the tail for p > 2. Fractional: C / ((p/2)
+    X^p), conservative through C.
     """
     if ratio <= 0:
         raise PrecondError(f"cutoff ratio must be positive, got {ratio}")
@@ -118,7 +112,7 @@ def aliasing_bound(profile: SpectralProfile, gap: float, eps_internal: float) ->
     base = 0.0 if p * math.log(gap) > _LOG_FLOAT_MAX else math.exp(-T * gap ** p)
     if profile.regime == "analytic":
         return 2.0 * base
-    c_a = 2.0 * (1.0 + 1.0 / (p * _log_over(1.0, eps_internal)))
+    c_a = 2.0 * (1.0 + 1.0 / (p * math.log(1.0 / eps_internal)))
     return c_a * base
 
 
@@ -159,8 +153,7 @@ def plan_fourier(profile: SpectralProfile, spectrum: np.ndarray,
     bound is <= eps_internal/2 (the fractional aliasing constant sits a hair
     above 2, so the seed can land just over budget).
     """
-    if not (0.0 < eps_internal < 1.0):
-        raise PrecondError(f"eps_internal must lie in (0, 1), got {eps_internal}")
+    admit_eps(eps_internal)
     lam = np.abs(np.asarray(spectrum))
     h_norm = float(lam.max()) if lam.size else math.nan
     if not (0 <= h_norm < math.inf):
@@ -174,7 +167,7 @@ def plan_fourier(profile: SpectralProfile, spectrum: np.ndarray,
     budget = (eps_internal / 2.0) * (1.0 + 1e-9)
 
     # A seed, ratio or K beyond the float range is inf, and K refuses it.
-    seed = _log_over(4.0, eps_internal) / T
+    seed = math.log(4.0 / eps_internal) / T
     gap = math.inf if math.log(seed) / p > _LOG_FLOAT_MAX else seed ** (1.0 / p)
     for _ in range(_MAX_GROWTH_STEPS):
         if aliasing_bound(profile, gap, eps_internal) <= budget:

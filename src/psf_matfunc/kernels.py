@@ -20,8 +20,9 @@ a cosine period wide, with doubling refinement) is independent of the FFT
 and serves as the test oracle of `lattice_kernel` and `l1_norm_estimate`,
 next to the closed forms at p = 2 (Gaussian) and p = 1 (Cauchy).
 
-The module also provides the two decay envelopes used by the planner
-(super-exponential for even integer p, algebraic C/|x|^{p+1} otherwise) and a
+The module also provides the two decay envelopes of the `kernel` table
+(super-exponential at the saddle rate for even integer p, which the planner
+and the alias distance read too, algebraic C/|x|^{p+1} otherwise) and a
 numerical estimate of ||f||_1 from one lattice FFT, whose growth with the
 profile order separates the "stable" regime (p <= 2, f is a probability
 density, norm exactly 1) from the logarithmic-growth regime.
@@ -175,11 +176,15 @@ def algebraic_envelope_constant(p: float, T: float) -> float:
     return (T / math.pi) * math.exp(log_gamma) * sine
 
 
-def envelope_rate(profile: SpectralProfile) -> tuple[float, float]:
-    """(lambda, beta) of the super-exponential envelope exp(-lambda |x|^beta).
+def saddle_rate(profile: SpectralProfile) -> tuple[float, float]:
+    """(lambda, beta) of the stationary-phase decay exp(-lambda |x|^beta) of
+    |f(x)|, for p > 1.
 
-    beta = p/(p-1) and lambda = (p-1) * (pi / (a_eff * T^{1/p}))^beta with
-    a_eff = p/2; only meaningful for p > 1.
+    The stationary point of -T xi^p + 2 pi i x xi gives beta = p/(p-1) and
+    lambda = sin(pi/(2(p-1))) * (p-1) * (pi/(a_eff T^{1/p}))^beta with a_eff
+    = p/2 (validated against quadrature at p = 4, 6). At p = 2 the sine is 1
+    and lambda = pi^2/T, the Gaussian's own rate; at larger p the sine slows
+    the decay below the rate without it.
     """
     p, T = profile.p, profile.T
     if p <= 1:
@@ -190,38 +195,31 @@ def envelope_rate(profile: SpectralProfile) -> tuple[float, float]:
         lam = (p - 1.0) * (math.pi / (a_eff * T ** (1.0 / p))) ** beta
     except OverflowError:
         raise PrecondError(f"envelope rate of p={p:g}, T={T:g} exceeds the float range")
-    return lam, beta
-
-
-def saddle_rate(profile: SpectralProfile) -> tuple[float, float]:
-    """(lambda, beta) of the true stationary-phase decay of |f(x)|.
-
-    The stationary point of -T xi^p + 2 pi i x xi gives the exponent
-    -lambda x^beta with lambda = sin(pi/(2(p-1))) * (p-1) *
-    (pi/(a_eff T^{1/p}))^beta. At p = 2 the sine is 1 and this coincides
-    with envelope_rate; for larger even p the model envelope overstates the
-    decay by exactly that sine factor, so error bounds must use this rate
-    (validated against quadrature at p = 4, 6).
-    """
-    lam, beta = envelope_rate(profile)
-    p = profile.p
     return lam * math.sin(0.5 * math.pi / (p - 1.0)), beta   # 2 (p - 1) may overflow
 
 
 def envelope_function(profile: SpectralProfile) -> Callable[[float], float]:
-    """x -> model envelope of |f(x)|: super-exponential in the analytic
-    regime (even integer p), algebraic C/|x|^{p+1} in the fractional regime.
-    The profile's constants are computed once for a whole table of points."""
+    """x -> envelope of |f(x)|: super-exponential in the analytic regime
+    (even integer p), algebraic C/|x|^{p+1} in the fractional regime. The
+    profile's constants are computed once for a whole table of points.
+
+    The analytic envelope is 2 f(0) exp(-lambda |x|^beta) at `saddle_rate`,
+    with f(0) = 2 Gamma(1 + 1/p) T^{-1/p} in closed form. The smallest C
+    with |f| <= C exp(-lambda |x|^beta) is f(0) at p = 2 and at most 1.07
+    f(0) at even p >= 4; the 2 is the prefactor safety that
+    `fourier.truncation_bound` takes too.
+    """
     if profile.regime == "analytic":
-        lam, beta = envelope_rate(profile)
+        lam, beta = saddle_rate(profile)
+        top = 4.0 * math.gamma(1.0 + 1.0 / profile.p) * profile.T ** (-1.0 / profile.p)
 
         def analytic(x: float) -> float:
             if x == 0:
-                return 1.0
+                return top
             if beta * math.log(abs(x)) > _LOG_FLOAT_MAX:   # |x|^beta overflows
                 log_rate = math.log(lam) + beta * math.log(abs(x))
-                return 0.0 if log_rate > _LOG_FLOAT_MAX else math.exp(-math.exp(log_rate))
-            return math.exp(-lam * abs(x) ** beta)
+                return 0.0 if log_rate > _LOG_FLOAT_MAX else top * math.exp(-math.exp(log_rate))
+            return top * math.exp(-lam * abs(x) ** beta)
         return analytic
     p1 = profile.p + 1.0
     C = algebraic_envelope_constant(profile.p, profile.T)

@@ -44,7 +44,11 @@ oracle as a dense matrix. Which spectra a real power admits is decided here
 too: an even integer power (`is_even_integer`) any, any other power a PSD
 one (`clamp_psd`). The same reduction serves every shift of a contour sum:
 `resolvent_apply` takes a vector of shifts and their weights and returns the
-weighted sum of the solutions, block by block.
+weighted sum of the solutions as one rational function on the spectrum,
+V (r(Lambda) * V^{-1} b) with r(lambda) = sum_j w_j / (z_j - lambda). No
+solution is formed: a residual bound from E = A V - V Lambda certifies every
+shift against A itself, and only a shift it leaves uncertified is solved,
+checked and refined on its own.
 """
 
 from __future__ import annotations
@@ -271,6 +275,12 @@ def matfun(M: Operator, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     return out
 
 
+def _coordinates(dec: SpectralDecomposition, b: np.ndarray) -> np.ndarray:
+    """V^{-1} b, applied as V^H b on a unitary basis; b of shape (n,) or (n, k)."""
+    V = dec.basis
+    return V.conj().T @ b if dec.unitary else np.linalg.solve(V, b)
+
+
 def matfun_apply(M: Operator, fn: Callable[[np.ndarray], np.ndarray],
                  b: np.ndarray) -> np.ndarray:
     """f(M) b = V f(Lambda) V^{-1} b through the eigendecomposition, without
@@ -278,9 +288,36 @@ def matfun_apply(M: Operator, fn: Callable[[np.ndarray], np.ndarray],
     checked as in `matfun`."""
     dec = as_decomposition(M)
     flam = np.asarray(_values_on(fn, dec.eigenvalues), dtype=complex)
+    return dec.basis @ (flam * _coordinates(dec, b))
+
+
+def _solve_shifts(dec: SpectralDecomposition, c: np.ndarray, z: np.ndarray,
+                  gaps: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Rows x_i = V (c / (z_i - lambda)) = (z_i I - A)^{-1} b, gaps = z_i -
+    lambda and c = V^{-1} b, each with its residual (z_i I - A) x_i - b,
+    formed with A itself, below tol. A row that misses it gets one step of
+    fixed-precision iterative refinement through the same basis (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 12) before it is
+    refused with NumericalError."""
     V = dec.basis
-    c = V.conj().T @ b if dec.unitary else np.linalg.solve(V, b)
-    return V @ (flam * c)
+
+    def residual(zb: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return zb[:, None] * X - X @ dec.matrix.T - b
+
+    X = (c / gaps) @ V.T
+    R = residual(z, X)
+    bad = np.flatnonzero(~(np.linalg.norm(R, axis=1) <= tol))
+    if bad.size:
+        # one refinement step: x <- x - (zI - A)^{-1} ((zI - A) x - b)
+        X[bad] -= (_coordinates(dec, R[bad].T).T / gaps[bad]) @ V.T
+        resid = np.linalg.norm(residual(z[bad], X[bad]), axis=1)
+        fail = ~(resid <= tol)
+        if np.any(fail):
+            k = int(np.argmax(fail))
+            raise NumericalError(
+                f"resolvent solve residual {resid[k]:.3e} exceeds 1e-10*||b|| "
+                f"at shift z={z[bad[k]]} after one refinement step")
+    return X
 
 
 def resolvent_apply(A: Operator, z: np.ndarray, weights: np.ndarray,
@@ -288,15 +325,23 @@ def resolvent_apply(A: Operator, z: np.ndarray, weights: np.ndarray,
     """The weighted resolvent sum sum_j w_j (z_j I - A)^{-1} b, of shape (n,),
     over a shift vector z of shape (s,) and its weights w of the same shape.
 
-    All shifts are served by the one decomposition of A (Laub, IEEE TAC 26,
-    1981): c = V^{-1} b once, then x_j = V (c / (z_j - lambda)). Every shift
-    keeps its distance to spec(A) above 1e-13*||A||, and every solution its
-    residual against A itself below 1e-10*||b||; a solution that misses the
-    residual bound gets one step of fixed-precision iterative refinement
-    through the same solve (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 12) before it is refused. The shifts are admitted,
-    solved and summed in blocks of at most 2^22/n, so each temporary stays
-    within 2^22 entries and no s x n block of solutions is held.
+    The sum is one rational function of A, r(A) b with r(lambda) = sum_j
+    w_j / (z_j - lambda), served by the one decomposition of A (Laub, IEEE
+    TAC 26, 1981; Trefethen & Weideman, SIAM Review 56, 2014): c = V^{-1} b
+    once, then each block of shifts sums its part r_B of r on the spectrum
+    and adds V (r_B * c), O(s n) work past the decomposition. Every shift
+    keeps its distance to spec(A) above 1e-13*||A||, and every solution
+    x_j = V d_j, d_j = c / (z_j - lambda), its residual against A itself
+    below 1e-10*||b||, certified without forming x_j:
+
+        (z_j I - A) V d_j - b = (V c - b) - E d_j,   E = A V - V Lambda,
+
+    so ||V c - b|| + ||E||_F ||c|| / dist(z_j, spec A) <= 1e-10*||b|| bounds
+    it, for one n x n product per call. A shift the bound does not certify
+    is solved on its own (`_solve_shifts`: residual, one refinement step,
+    NumericalError), and its w_j x_j is added to its block's part. The
+    shifts are admitted and summed in blocks of at most 2^22/n, so each
+    temporary stays within 2^22 entries.
     """
     dec = as_decomposition(A)
     b = np.asarray(b, dtype=complex)
@@ -312,45 +357,39 @@ def resolvent_apply(A: Operator, z: np.ndarray, weights: np.ndarray,
     if ws.shape != zs.shape:
         raise PrecondError(f"weights shape {ws.shape} does not match shifts {zs.shape}")
     lam, V = dec.eigenvalues, dec.basis
-
-    def solve(gap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Rows (z_i I - A)^{-1} rhs_i, gap = z_i - lambda; rhs (n,) or (k, n)."""
-        c = rhs @ V.conj() if dec.unitary else np.linalg.solve(V, rhs.T).T
-        return (c / gap) @ V.T
-
-    def residual(zb: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Rows (z_i I - A) x_i - b, formed with A itself, not its factors."""
-        return zb[:, None] * X - X @ dec.matrix.T - b
-
     tol = 1e-10 * max(float(np.linalg.norm(b)), 1e-300)
-    total = None
     rows = max(1, _SOLVE_BLOCK // n)
-    # A row that overflows is not finite, and so it fails tol.
+    total = None
+    # A bound or a term that overflows is not finite: its shift is solved on
+    # its own, and a row that overflows there fails tol.
     with np.errstate(all="ignore"):
+        c = _coordinates(dec, b)
+        base = frobenius(V @ c - b)
+        E = V * lam                       # -E = V Lambda - A V, built in place
+        E -= dec.matrix @ V
+        slope = frobenius(E) * frobenius(c)
         for i in range(0, zs.size, rows):
-            zb = zs[i:i + rows]
-            gaps = zb[:, None] - lam[None, :]
-            dist = np.abs(gaps).min(axis=1)
+            zb, wb = zs[i:i + rows], ws[i:i + rows]
+            # One s x n buffer holds the gaps z - lambda, then their inverses:
+            # a fresh temporary of that size costs page faults on every call.
+            # zb is repeated along the rows first, since numpy's complex
+            # subtract is several times slower with a stride-0 operand.
+            inv = np.repeat(zb[:, None], n, axis=1)
+            inv -= lam
+            dist = np.abs(inv).min(axis=1)
             near = (dist <= _RESOLVENT_DIST * dec.norm) | (dist == 0.0)
             if np.any(near):
                 k = int(np.argmax(near))
                 raise PrecondError(
                     f"shift z={zb[k]} is within {_RESOLVENT_DIST:.0e}*||A|| of the "
                     f"spectrum (distance {dist[k]:.3e}); resolvent solve refused")
-            X = solve(gaps, b)
-            R = residual(zb, X)
-            bad = np.flatnonzero(~(np.linalg.norm(R, axis=1) <= tol))
-            if bad.size:
-                # one refinement step: x <- x - (zI - A)^{-1} ((zI - A) x - b)
-                X[bad] -= solve(gaps[bad], R[bad])
-                resid = np.linalg.norm(residual(zb[bad], X[bad]), axis=1)
-                fail = ~(resid <= tol)
-                if np.any(fail):
-                    k = int(np.argmax(fail))
-                    raise NumericalError(
-                        f"resolvent solve residual {resid[k]:.3e} exceeds 1e-10*||b|| "
-                        f"at shift z={zb[bad[k]]} after one refinement step")
-            part = np.sum(ws[i:i + rows, None] * X, axis=0)
+            sure = (base + slope / dist <= tol) & np.isfinite(1.0 / dist)
+            np.divide(1.0, inv, out=inv)
+            inv[~sure] = 0.0        # an uncertified shift is solved on its own
+            part = V @ ((wb @ inv) * c)
+            if not np.all(sure):
+                rest = ~sure
+                part += wb[rest] @ _solve_shifts(dec, c, zb[rest], zb[rest, None] - lam, b, tol)
             total = part if total is None else total + part
     return total
 

@@ -34,7 +34,7 @@ from functools import reduce
 import numpy as np
 
 from . import contour, fourier
-from .errors import NumericalError, PrecondError
+from .errors import NumericalError, PrecondError, admit_eps
 from .instances import random_state
 from .kernels import SpectralProfile
 from .linalg import (check_reconstruction, distance_from, evolution_function,
@@ -296,7 +296,7 @@ def run_application(app: str, g: GridSpec, T: float | None, eps: float,
     """
     if app not in _APPS:
         raise PrecondError(f"unknown application {app!r}; choose from {_APPS}")
-    contour.admit_eps(eps)
+    admit_eps(eps)
     if T is None and app != "matrix_poly":
         raise PrecondError(f"application {app!r} needs an evolution time T")
     if T is not None and (T < 0 or not np.isfinite(T)):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import psf_matfunc
 from psf_matfunc import cli, contour, fourier, linalg, operators
+from psf_matfunc.errors import EPS_FLOOR
 from psf_matfunc.io import RECORD_HEADER
+from psf_matfunc.kernels import SpectralProfile, saddle_rate
 
 from helpers import save_matrix
 
@@ -62,6 +64,25 @@ def test_kernel_csv(tmp_path, capsys):
     first = read_bytes(out)
     rc, _, _ = run(argv, capsys)
     assert rc == 0 and read_bytes(out) == first
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(p=st.integers(1, 20).map(lambda k: 2.0 * k), T=st.floats(0.1, 10.0))
+def test_kernel_envelope_bounds_the_kernel_at_even_p(tmp_path_factory, p, T):
+    """At even p the envelope column is at least |f| on every row where |f|
+    is above 1e3 u f(0), from x = 0 to where the envelope falls near 1e-13
+    f(0): the envelope decays at the saddle rate, from 2 f(0)."""
+    lam, beta = saddle_rate(SpectralProfile(p, T, "direct"))
+    step = (31.0 / lam) ** (1.0 / beta) / 200.0
+    out = str(tmp_path_factory.getbasetemp() / "envelope.csv")
+    rc = cli.main(["kernel", "--alpha", repr(p), "--T", repr(T), "--mode", "direct",
+                   "--x", f"0:{200.0 * step!r}:{step!r}", "--out", out])
+    assert rc == 0
+    rows = np.array([[float(v) for v in ln.split(",")]
+                     for ln in read_bytes(out).decode().splitlines()[1:]])
+    f, env = np.abs(rows[:, 1]), rows[:, 2]
+    above = f > 1e3 * np.finfo(float).eps * f[0]
+    assert above.sum() > 10 and np.all(env[above] >= f[above])
 
 
 def test_kernel_cauchy_lattice_left_of_zero(tmp_path, capsys):
@@ -581,6 +602,20 @@ def test_fourier_planner_overflow_exit_code(tmp_path, capsys, argv, code):
     never a traceback."""
     rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
     assert rc == code, err
+
+
+@pytest.mark.parametrize("eps", ["1e-16", "1e-300"])
+@pytest.mark.parametrize("argv", [
+    ["simulate-fourier", "--alpha", "1", "--T", "1", "--size", "4"],
+    ["simulate-contour", "--f", "exp-neg", "--size", "4"],
+    ["app", "--name", "heat", "--d", "1", "--n", "8", "--T", "0.5"],
+], ids=lambda argv: argv[0])
+def test_eps_below_the_rounding_floor_exits_two(tmp_path, capsys, argv, eps):
+    """Below the floor the measured error sits at rounding above the bound
+    (1.4e-15 against 4.0e-301 on the contour path at eps 1e-300): each path
+    refuses such an eps at the door and names the floor."""
+    rc, _, err = run(argv + ["--eps", eps, "--out", str(tmp_path / "out")], capsys)
+    assert rc == 2 and f"[{EPS_FLOOR:g}, 1)" in err
 
 
 def _log_uniform(lo_exp: float, hi_exp: float):

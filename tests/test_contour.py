@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from psf_matfunc.contour import (ContourPlan, aliasing_term, circle_sup,
                                  make_plan, optimize_radius, plan_contour,
                                  plan_lattice, plan_m, scalar_operator,
                                  sup_poly_abs, truncation_integral)
-from psf_matfunc.errors import ErrorBudget, PrecondError
+from psf_matfunc.errors import EPS_FLOOR, ErrorBudget, PrecondError
 from psf_matfunc.instances import random_normal_matrix, random_state
 from psf_matfunc.linalg import eig, matfun
 
@@ -307,10 +308,20 @@ def test_error_bounds_channels():
 
 
 def test_plan_m_takes_a_subnormal_eps():
-    """eps/4 underflows to 0 at the smallest eps, and the remainder target
-    may overflow: the node count is found in logarithms, finite both ways."""
-    m = plan_m(5e-324, 0.55, 1.1, 3.0, 1.0, 1.0, 1.0, rho=0.5)
-    assert m == math.ceil((math.log(4.0) - math.log(5e-324)) / math.log(1.1))
+    """An eps below the rounding floor is refused (exit 2), the floor named;
+    at the floor m follows the overlap channel. The remainder target may
+    still underflow (||f(A) psi|| = 5e-131 against B2 = 1e286, as for e^{-A}
+    at spectrum 300) or overflow at an admitted eps: the node count is found
+    in logarithms, finite both ways."""
+    with pytest.raises(PrecondError, match=re.escape(f"[{EPS_FLOOR:g}, 1)")):
+        plan_m(5e-324, 0.55, 1.1, 3.0, 1.0, 1.0, 1.0, rho=0.5)
+    m = plan_m(EPS_FLOOR, 0.55, 1.1, 3.0, 1.0, 1.0, 1.0, rho=0.5)
+    assert m == math.ceil((math.log(4.0) - math.log(EPS_FLOOR)) / math.log(1.1))
+    log_t2 = (math.log(1e-8) + math.log(5e-131) + math.log(330.0)
+              - math.log(4.0 * 660.0) - math.log(1e286))
+    assert 1e-8 * 5e-131 * 330.0 / (4.0 * 660.0 * 1e286) == 0.0
+    assert plan_m(1e-8, 330.0, 660.0, 1e286, 1.0, 5e-131, 1.0, rho=300.0) == math.ceil(
+        -log_t2 / math.log(2.0))
     assert plan_m(0.5, 1.0, 2.0, 1e-300, 1.0, 1e300, 1.0) == 1
 
 

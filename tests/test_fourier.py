@@ -1,10 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from psf_matfunc.errors import PrecondError
+from psf_matfunc.errors import EPS_FLOOR, PrecondError
 from psf_matfunc.fourier import (aliasing_bound, assemble_fourier_approx,
                                  cosine_series, lcu_coefficients, plan_fourier,
                                  truncation_bound, truncation_ratio)
@@ -83,13 +84,18 @@ def test_truncation_bound_beyond_the_float_range():
 
 @pytest.mark.parametrize("eps, K", [(1e-300, 229), (1e-310, 237), (5e-324, 246)])
 def test_planner_takes_a_subnormal_eps(eps, K):
-    """log(c / eps') is about 745 at the smallest float although c / eps'
-    overflows: the analytic plan stays finite and K keeps growing with
-    log(1/eps'), and the fractional aliasing constant keeps its 1/log term."""
-    plan = plan_fourier(SpectralProfile(2.0, 1.0, "direct"), [1.0], eps)
-    assert plan.K == K and math.isfinite(plan.a)
-    c_a = aliasing_bound(SpectralProfile(0.75, 1.0, "root"), 1.0, eps) / math.exp(-1.0)
-    assert c_a == pytest.approx(2.0 * (1.0 + 1.0 / (1.5 * -math.log(eps))), rel=1e-12)
+    """An eps below the rounding floor is refused (exit 2), the floor named.
+    It was once planned: K = 229, 237 and 246 terms, of which all past
+    k ~ 54 were the sampler's rounding noise. At the floor itself the plan
+    is finite and shorter, and the fractional aliasing constant keeps its
+    1/log term."""
+    prof = SpectralProfile(2.0, 1.0, "direct")
+    with pytest.raises(PrecondError, match=re.escape(f"[{EPS_FLOOR:g}, 1)")):
+        plan_fourier(prof, [1.0], eps)
+    plan = plan_fourier(prof, [1.0], EPS_FLOOR)
+    assert plan.K < K and math.isfinite(plan.a)
+    c_a = aliasing_bound(SpectralProfile(0.75, 1.0, "root"), 1.0, EPS_FLOOR) / math.exp(-1.0)
+    assert c_a == pytest.approx(2.0 * (1.0 + 1.0 / (1.5 * -math.log(EPS_FLOOR))), rel=1e-12)
 
 
 def test_fractional_needs_p_at_least_one():

@@ -11,7 +11,7 @@ from psf_matfunc.errors import NumericalError, PrecondError
 from psf_matfunc.kernels import (SpectralProfile, TimeKernel, _hurwitz,
                                  algebraic_envelope_constant,
                                  algebraic_tail_integral, envelope_function,
-                                 envelope_rate, kernel_values, l1_norm_estimate,
+                                 kernel_values, l1_norm_estimate,
                                  lattice_kernel, saddle_rate)
 
 
@@ -192,7 +192,8 @@ def test_envelope_beyond_the_float_range():
     gauss = envelope_function(SpectralProfile(1.0, 0.7, "root"))       # p = 2
     assert gauss(1e300) == 0.0
     assert gauss(-1e300) == 0.0
-    assert gauss(1e-300) == 1.0
+    assert gauss(1e-300) == gauss(0.0) == pytest.approx(2.0 * math.sqrt(math.pi / 0.7),
+                                                        rel=1e-14)
 
 
 def test_tail_series_tracks_kernel():
@@ -207,36 +208,50 @@ def test_tail_series_tracks_kernel():
 
 
 def test_gaussian_envelope_is_exact_modulus():
-    prof = gaussian_profile()
-    lam, beta = envelope_rate(prof)
-    assert (lam, beta) == pytest.approx((math.pi**2, 2.0), rel=1e-14)
-    envelope = envelope_function(prof)
-    for x in (0.3, 1.0, 2.5):
-        assert envelope(x) == pytest.approx(math.exp(-math.pi**2 * x**2), rel=1e-12)
+    """At p = 2 the kernel is f(x) = sqrt(pi/T) e^{-pi^2 x^2/T}: the saddle
+    rate is its exact rate pi^2/T, f(0) its exact peak, and the envelope
+    2 f(0) e^{-pi^2 x^2/T} is exactly twice its modulus."""
+    for T in (1.0, 0.25):
+        prof = gaussian_profile(T)
+        assert saddle_rate(prof) == pytest.approx((math.pi**2 / T, 2.0), rel=1e-14)
+        envelope = envelope_function(prof)
+        for x in (0.0, 0.3, 1.0, 2.5):
+            assert envelope(x) == pytest.approx(
+                2.0 * math.sqrt(math.pi / T) * math.exp(-math.pi**2 * x**2 / T), rel=1e-12)
 
 
 def test_saddle_rate_matches_envelope_at_p2():
+    """The envelope decays at the saddle rate from its value at 0, which is
+    twice f(0) = 2 Gamma(1 + 1/p) T^{-1/p}: at p = 2 that is 2 sqrt(pi)."""
     prof = gaussian_profile()
-    assert saddle_rate(prof) == pytest.approx(envelope_rate(prof), rel=1e-14)
+    lam, beta = saddle_rate(prof)
+    envelope = envelope_function(prof)
+    assert envelope(0.0) == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-14)
+    for x in (0.3, 1.0, 2.5):
+        assert envelope(x) / envelope(0.0) == pytest.approx(math.exp(-lam * x**beta),
+                                                            rel=1e-12)
 
 
 def test_saddle_rate_is_observed_decay_p4():
-    """The model envelope overstates decay for p > 2; the stationary-phase
-    rate (envelope rate times sin(pi/(2(p-1)))) is what |f| actually follows.
+    """The rate without the stationary-phase sine overstates the decay for
+    p > 2; the saddle rate (that rate times sin(pi/(2(p-1)))) is what |f|
+    actually follows, and the envelope at it stays above |f|.
 
     Fit the semilog slope of |f| against x^beta and compare to both rates:
-    the saddle rate must match, the raw envelope rate must not."""
+    the saddle rate must match, the rate without the sine must not."""
     prof = SpectralProfile(4.0, 1.0, "direct")
-    lam_env, beta = envelope_rate(prof)
-    lam_sad, beta_s = saddle_rate(prof)
-    assert beta_s == beta
-    assert lam_sad == pytest.approx(lam_env * math.sin(math.pi / 6.0), rel=1e-14)
+    lam_sad, beta = saddle_rate(prof)
+    assert beta == pytest.approx(4.0 / 3.0, rel=1e-15)
+    lam_env = lam_sad / math.sin(math.pi / 6.0)
+    assert lam_env == pytest.approx(3.0 * (math.pi / 2.0) ** beta, rel=1e-14)
     kern = TimeKernel(prof)
     xs = np.linspace(1.5, 3.0, 8)
     vals = np.abs(kernel_values(kern, xs))
     fit = -np.polyfit(xs**beta, np.log(vals), 1)[0]
     assert abs(fit - lam_sad) / lam_sad < 0.05
     assert abs(fit - lam_env) / lam_env > 0.4
+    envelope = envelope_function(prof)
+    assert all(envelope(x) >= v for x, v in zip(xs, vals))
 
 
 def test_l1_unit_for_stable_exponents():

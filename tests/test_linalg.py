@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from psf_matfunc import linalg
 from psf_matfunc.errors import NumericalError, PrecondError
-from psf_matfunc.instances import (random_normal_matrix, random_psd,
+from psf_matfunc.instances import (complex_gaussian, random_normal_matrix, random_psd,
                                    random_state, random_unitary)
 from psf_matfunc.linalg import (distance_from, eig, frobenius,
                                 evolution_matrix, hermitian_eig, is_hermitian, matfun,
@@ -209,6 +209,58 @@ def test_batched_resolvent_matches_per_shift_solve(make, rtol):
         assert np.linalg.norm(x - ref) <= rtol * np.linalg.norm(ref)
     np.testing.assert_allclose(resolvent_apply(dec, z, np.eye(64)[5], b), X[5],
                                rtol=0, atol=1e-14)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(kind=st.sampled_from(["hermitian", "normal", "non-normal"]), n=st.integers(1, 64),
+       s=st.integers(1, 600), radius=st.floats(0.6, 3.0), circle=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_rational_sum_matches_per_shift_lu_solves(kind, n, s, radius, circle, seed):
+    """The sum V (r(Lambda) * V^{-1} b) agrees with sum_j w_j x_j, each x_j =
+    (z_j I - A)^{-1} b from its own LU solve: to 1e-12 relative for
+    Hermitian and normal A, to 1e-9 at kappa_s 1e3. The spectrum lies in
+    |lambda| <= 0.5; the shifts lie on a circle of the given radius with
+    the circle rule's weights z_j e^{-z_j}/s, or at random outside it with
+    random weights."""
+    rng = np.random.default_rng(seed)
+    A = {"hermitian": lambda: random_hermitian(rng, n, norm=0.5),
+         "normal": lambda: random_normal_matrix(rng, n, spectral_radius=0.5),
+         "non-normal": lambda: _conditioned_diagonalizable(seed, n, 1e3)}[kind]()
+    b = random_state(rng, n)
+    if circle:
+        z = radius * np.exp(2j * np.pi * np.arange(1, s + 1) / s)
+        w = z * np.exp(-z) / s
+    else:
+        z = radius * rng.uniform(1.0, 2.0, s) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, s))
+        w = complex_gaussian(rng, (s,))
+    X = np.linalg.solve(z[:, None, None] * np.eye(n) - A,
+                        np.broadcast_to(b[:, None], (s, n, 1)))[..., 0]
+    ref = w @ X
+    rtol = 1e-9 if kind == "non-normal" else 1e-12
+    assert np.linalg.norm(resolvent_apply(eig(A), z, w, b) - ref) <= rtol * np.linalg.norm(ref)
+
+
+def test_certified_sum_forms_no_solution(monkeypatch):
+    """When the residual bound certifies every shift, no shift is solved on
+    its own. Eigenvalues bent 1e-6 off A leave every shift uncertified: all
+    of them go to the per-shift fallback, whose refinement step brings the
+    sum back to the unbent one."""
+    calls = []
+    fallback = linalg._solve_shifts
+
+    def spy(dec, c, z, gaps, b, tol):
+        calls.append(z.size)
+        return fallback(dec, c, z, gaps, b, tol)
+
+    monkeypatch.setattr(linalg, "_solve_shifts", spy)
+    dec = eig(random_normal_matrix(np.random.default_rng(3), 32, spectral_radius=0.5))
+    b = random_state(np.random.default_rng(4), 32)
+    z = 0.6 * np.exp(2j * np.pi * np.arange(1, 209) / 208)
+    S = resolvent_apply(dec, z, z / 208, b)
+    assert calls == []
+    bent = dataclasses.replace(dec, eigenvalues=dec.eigenvalues + 1e-6)
+    assert np.linalg.norm(resolvent_apply(bent, z, z / 208, b) - S) <= 1e-10
+    assert calls == [208]
 
 
 def test_resolvent_solves_a_large_batch_in_blocks(monkeypatch):
