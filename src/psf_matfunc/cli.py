@@ -127,19 +127,14 @@ def _cmd_kernel(args) -> int:
     vals = lattice_kernel(profile, lo, step, count)
     xs = [lo + i * step for i in range(count)]
     fractional = profile.regime == "fractional"
-    # Built at the first point that needs it: at large p the algebraic
-    # constant overflows, which a table of x = 0 alone never asks for.
-    envelope = None
-    rows = []
-    for x, v in zip(xs, vals):
-        if x == 0.0 and fractional:
-            env = math.inf
-        else:
-            envelope = envelope or envelope_function(profile)
-            env = envelope(float(x))
-        rows.append([float(x), float(v), env])
-    pio.write_csv(args.out, ["x", "kernel", "envelope"], rows)
-    print(f"kernel: {len(rows)} points, p={profile.p:g} ({profile.regime}), "
+    # The fractional envelope reads inf at x = 0. Its algebraic constant
+    # overflows at large p, so a table of x = 0 alone never builds it.
+    envelope = (envelope_function(profile)
+                if not fractional or any(x != 0.0 for x in xs) else None)
+    envs = [math.inf if fractional and x == 0.0 else envelope(x) for x in xs]
+    pio.write_csv(args.out, ["x", "kernel", "envelope"],
+                  list(zip(xs, vals.tolist(), envs)))
+    print(f"kernel: {count} points, p={profile.p:g} ({profile.regime}), "
           f"f(x0)={float(vals[0])!r} -> {args.out}")
     return 0
 
@@ -269,6 +264,7 @@ def _cmd_sweep(args) -> int:
     if which == "contour":
         spec = pio.parse_function_spec(_required(args, "f"))
         ms = pio.parse_range(_required(args, "m"))
+        admit_eps(args.eps)
         dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
         psi_norm, f_psi_norm = float(np.linalg.norm(psi)), frobenius(f_psi)
         # The radii and circle suprema do not depend on m: one plan serves every row.

@@ -237,40 +237,47 @@ def _fourier_app(app: str, g: GridSpec, T: float, eps: float) -> tuple[dict, flo
     return params, err, bound
 
 
+def _encoding_decomposition(g: GridSpec):
+    """The shifted encoding of `g`, decomposed in the Kronecker product of
+    the DST-I basis: A is a polynomial of -Delta, so it shares the
+    closed-form basis. A = 2(-Delta)/(4d/h^2) - I does not depend on h: on
+    the unit mesh no power of h can leave the float range."""
+    unit = GridSpec(g.d, g.n, 1.0)
+    lam, S = laplacian_eigenpairs(unit)
+    return unitary_decomposition(shifted_encoding(laplacian(unit), unit),
+                                 2.0 * lam / (4.0 * g.d) - 1.0,
+                                 reduce(np.kron, [S] * g.d), hermitian=True)
+
+
+def _lattice_target(dec, f, r1: float, m: int, psi: np.ndarray) -> np.ndarray:
+    """The exact lattice identity f(A) R1^m (R1^m I - A^m)^{-1} psi, as one
+    function on the spectrum, the form `contour.aliasing_term` takes."""
+    try:
+        r1m = r1 ** m
+    except OverflowError:
+        r1m = math.inf
+    # A subnormal R1^m has lost digits, and an infinite one makes the ratio nan.
+    if not sys.float_info.min <= r1m < math.inf:
+        raise PrecondError(f"R1^m = {r1!r}^{m} leaves the normal floats")
+    return matfun_apply(dec, lambda z: f(z) * r1m / (r1m - z ** m), psi)
+
+
 def _poly_app(g: GridSpec, eps: float, seed: int,
               coeffs, m: int | None) -> tuple[dict, float, float]:
     """Contour evaluation of a polynomial of the shifted encoding on a random
     state psi drawn from `seed`, measured against the exact lattice identity
-    f(A) R1^m (R1^m I - A^m)^{-1} psi."""
-    # A = 2(-Delta)/(4d/h^2) - I does not depend on h: on the unit mesh no
-    # power of h can leave the float range.
-    unit = GridSpec(g.d, g.n, 1.0)
-    A = shifted_encoding(laplacian(unit), unit)
+    (`_lattice_target`)."""
+    dec = _encoding_decomposition(g)
     psi = random_state(np.random.default_rng(seed), g.size)
     coeffs = np.asarray(coeffs, dtype=complex)
     f = lambda z: np.polynomial.polynomial.polyval(z, coeffs)
-    # A is a polynomial of -Delta, so it shares the closed-form basis
-    lam, S = laplacian_eigenpairs(unit)
-    dec = unitary_decomposition(A, 2.0 * lam / (4.0 * g.d) - 1.0,
-                                reduce(np.kron, [S] * g.d), hermitian=True)
     r1, _ = contour.lattice_radii(dec.spectral_radius)
     r2 = contour.optimize_radius(contour.sup_poly_abs(coeffs), r1, 16.0 * r1)
     psi_norm = frobenius(psi)
     plan = contour.plan_lattice(f, dec, eps, frobenius(matfun_apply(dec, f, psi)), psi_norm,
                                 r1=r1, r2=r2, m=m)
-    try:
-        r1m = plan.r1 ** plan.m
-    except OverflowError:
-        r1m = math.inf
-    if not sys.float_info.min <= r1m < math.inf:   # subnormal: psi / R1^m is inf
-        raise PrecondError(f"R1^m = {plan.r1!r}^{plan.m} leaves the normal floats")
-    disc = contour.discrete_sum_apply(dec, f, plan, psi)
-    try:
-        target = matfun_apply(dec, f, r1m * np.linalg.solve(
-            r1m * np.eye(A.shape[0]) - np.linalg.matrix_power(A, plan.m), psi))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"lattice identity solve failed: {exc}")
-    err = frobenius(disc - target)
+    target = _lattice_target(dec, f, plan.r1, plan.m, psi)
+    err = frobenius(contour.discrete_sum_apply(dec, f, plan, psi) - target)
     bound = plan.error_bounds(psi_norm).total
     params = {"R1": plan.r1, "R2": plan.r2, "m": plan.m, "quad_n": plan.quad_n}
     return params, err, bound

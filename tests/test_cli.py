@@ -496,6 +496,10 @@ def test_exit_code_precondition(capsys):
     ["cost", "--path", "b", "--f", "exp-neg", "--eps", "1e-6", "--rho", "-0.5"],
     ["cost", "--path", "b", "--f", "exp-neg", "--eps", "1e-6", "--rho", "nan"],
     ["cost", "--path", "b", "--f", "exp-neg", "--eps", "1e-6", "--rho", "inf"],
+    # sweep --path contour admits its --eps as simulate-contour does.
+    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:16:8", "--eps", "nan"],
+    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:16:8", "--eps=-5"],
+    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:16:8", "--eps", "1e-16"],
 ], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x",
         "heat-d2-n65", "levy-d3-n17", "contour-eps-negative-m8",
         "contour-eps-negative-rho-1e300", "matrix-poly-eps-5-m8", "plan-p2e6-budget",
@@ -504,7 +508,9 @@ def test_exit_code_precondition(capsys):
         "matrix-im-x", "matrix-negative-dims", "matrix-rows-2.5",
         "cost-psinorm-nan", "cost-fpsi-inf", "app-h-inf", "app-h-nan",
         "app-h-1e-200", "app-h-1e-6-table", "plan-hnorm-negative",
-        "plan-hnorm-1e300-gap", "cost-rho-negative", "cost-rho-nan", "cost-rho-inf"])
+        "plan-hnorm-1e300-gap", "cost-rho-negative", "cost-rho-nan", "cost-rho-inf",
+        "sweep-contour-eps-nan", "sweep-contour-eps-negative",
+        "sweep-contour-eps-1e-16"])
 def test_exit_code_admission(tmp_path, capsys, argv):
     (tmp_path / "malformed.json").write_text('{"rows": 1,')
     (tmp_path / "im-x.json").write_text(

@@ -1,16 +1,20 @@
+import csv
+import io
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from psf_matfunc.contour import make_plan
 from psf_matfunc.costmodel import path_a_cost
 from psf_matfunc.errors import PrecondError
 from psf_matfunc.fourier import lcu_coefficients, plan_fourier
-from psf_matfunc.io import (RECORD_HEADER, contour_plan_json,
+from psf_matfunc.io import (RECORD_HEADER, _fmt, contour_plan_json,
                             cost_report_json, csv_text, fourier_plan_json,
                             load_matrix, parse_function_spec, parse_range,
                             record_row, write_csv, write_json)
@@ -107,6 +111,48 @@ def test_csv_numpy_scalars_render_plain():
     text = csv_text(["x"], [[np.float64(0.1)], [np.int64(3)]])
     assert text == "x\r\n0.1\r\n3\r\n"
     assert "np." not in text
+
+
+# Floats at the edges of repr's forms: the signed zero and infinities, NaN,
+# the subnormals, and both sides of the switches to exponent form at 1e16
+# and 1e-4.
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.225073858507201e-308, 2.2250738585072014e-308,
+                1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16,
+                1e-4, 9.999999999999999e-05, 1.0000000000000002e-4, -1e-4]
+_CELLS = st.one_of(
+    st.floats(), st.sampled_from(_EDGE_FLOATS),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.none(),
+    st.text(alphabet=st.sampled_from(list('ab ,"\r\n;=')), max_size=6),
+    st.text(max_size=4))
+
+
+def _writer_text(header: list, rows: list) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\r\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(header=st.lists(st.text(alphabet=st.sampled_from(list('xy ,"\r\n')), max_size=3),
+                       min_size=1, max_size=3),
+       rows=st.lists(st.lists(_CELLS, max_size=4), max_size=5))
+def test_csv_text_matches_the_csv_writer(header, rows):
+    """RFC 4180 as the `csv` module writes it: CRLF records, a field quoted
+    only when it holds a comma, a quote, CR or LF, and a record of one empty
+    field written as a quoted empty string."""
+    assert csv_text(header, rows) == _writer_text(header, rows)
+
+
+@pytest.mark.parametrize("row", [[None], [""], ["a,b"], ['say "x"'], ["\r"], ["\n"],
+                                 [" "], [], [None, None], [-0.0], [np.float64(1e16)]])
+def test_csv_text_one_field_and_quoting_edges(row):
+    assert csv_text(["h"], [row]) == _writer_text(["h"], [row])
 
 
 def test_write_csv_and_json(tmp_path):

@@ -256,6 +256,27 @@ def test_matrix_poly_bound_covers_error(d, n, m):
     assert deviation <= rec.error_bound
 
 
+@pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2) for n in range(2, 9)])
+def test_matrix_poly_lattice_target_matches_the_dense_identity(d, n):
+    """The spectral target is the dense identity f(A) R1^m (R1^m I - A^m)^{-1}
+    psi, formed with `matrix_power` and `solve`, at m = 2, 8 and the planned
+    m, to 1e-13 ||psi||."""
+    g = GridSpec(d, n, 1.0)
+    dec = operators._encoding_decomposition(g)
+    A = shifted_encoding(laplacian(g), g)
+    np.testing.assert_array_equal(dec.matrix, A)
+    f = lambda z: np.polynomial.polynomial.polyval(z, np.asarray(_DEFAULT_COEFFS))
+    fA = sum(c * np.linalg.matrix_power(A, k) for k, c in enumerate(_DEFAULT_COEFFS))
+    psi = random_state(np.random.default_rng(n), g.size)
+    planned = run_application("matrix_poly", g, None, 1e-8, seed=n).params
+    for m in (2, 8, planned["m"]):
+        r1m = planned["R1"] ** m
+        dense = fA @ (r1m * np.linalg.solve(
+            r1m * np.eye(g.size) - np.linalg.matrix_power(A, m), psi))
+        target = operators._lattice_target(dec, f, planned["R1"], m, psi)
+        assert np.linalg.norm(target - dense) <= 1e-13 * np.linalg.norm(psi)
+
+
 def test_run_application_guards():
     g = GridSpec(1, 6, 1.0)
     with pytest.raises(PrecondError):
