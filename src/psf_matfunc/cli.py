@@ -190,6 +190,8 @@ def _cmd_app(args) -> int:
             coeffs = [float(t) for t in args.coeffs.split(",")]
         except ValueError as exc:
             raise PrecondError(f"--coeffs must be numbers a0,a1,...: {exc}")
+        if not all(map(math.isfinite, coeffs)):
+            raise PrecondError(f"--coeffs must be finite, got {args.coeffs}")
     rec = operators.run_application(name, operators.GridSpec(d, n, args.h), T, eps,
                                     seed=args.seed, coeffs=coeffs, m=args.m)
     pio.write_csv(args.out, pio.RECORD_HEADER, [pio.record_row(rec)])

@@ -17,14 +17,15 @@ module provides the node set, one circle rule for the discrete sum and the
 remainder, the aliasing term, the one planner `plan_lattice` (radius
 defaults in `lattice_radii`, m from the two decay ratios in `plan_m`), the
 one bound `ContourPlan.error_bounds`, and one golden-section search for R2
-(`optimize_radius`; unimodal by the three-circles theorem). `plan_lattice`
-takes the caller's `SpectralDecomposition`, and the plan keeps its spectral
-radius and kappa_s, which the bound reads.
+(`optimize_radius`, for `plan_contour`). `plan_lattice` takes the caller's
+`SpectralDecomposition`, and the plan keeps its spectral radius and kappa_s,
+which the bound reads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -150,9 +151,17 @@ def discrete_sum_apply(A: Operator, f: Callable[[np.ndarray], np.ndarray],
 
 def aliasing_term(A: Operator, f: Callable[[np.ndarray], np.ndarray],
                   plan: ContourPlan, psi: np.ndarray) -> np.ndarray:
-    """f(A) g(A) psi with g(z) = z^m / (z^m - R1^m), as one spectral function."""
+    """f(A) g(A) psi with g(z) = z^m / (z^m - R1^m), as one spectral function.
+    R1^m must be a normal float: a subnormal one has lost digits, and an
+    infinite one makes the ratio nan."""
     dec = _check_enclosure(A, plan.r1, "R1")
-    m, r1m = plan.m, plan.r1 ** plan.m
+    m = plan.m
+    try:
+        r1m = plan.r1 ** m
+    except OverflowError:
+        r1m = math.inf
+    if not sys.float_info.min <= r1m < math.inf:
+        raise PrecondError(f"R1^m = {plan.r1!r}^{m} leaves the normal floats")
     return matfun_apply(dec, lambda z: f(z) * z ** m / (z ** m - r1m), psi)
 
 
@@ -199,16 +208,6 @@ def plan_m(eps: float, r1: float, r2: float, b2: float, kappa_s: float,
               - math.log(r2) - math.log(b2) - math.log(kappa_s) - math.log(psi_norm))
     m2 = smallest(r1 / r2, log_t2)
     return max(m1, m2)
-
-
-def sup_poly_abs(coeffs) -> Callable[[float], float]:
-    """f_sup for a polynomial with ascending coefficients: sum |a_n| R^n.
-
-    Exact when all coefficients share a phase (sup attained on the positive
-    ray); otherwise a safe upper envelope.
-    """
-    a = np.abs(np.asarray(coeffs, dtype=complex))
-    return lambda r: float(np.polynomial.polynomial.polyval(r, a))
 
 
 def optimize_radius(f_sup: Callable[[float], float], r1: float,

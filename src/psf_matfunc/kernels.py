@@ -383,6 +383,10 @@ def lattice_kernel(profile: SpectralProfile, x0: float, step: float,
     while N < min(target, 2.0 * _MAX_LATTICE_SAMPLES):
         N *= 2
     P = N * step
+    if P == math.inf:
+        raise PrecondError(
+            f"lattice of {count} points at step {step:g} needs a period "
+            f"{N} * {step:g} beyond the float range")
     h = 1.0 / P
     # xi = m h for |m| <= m_max, taken in rows of N consecutive m starting at
     # a multiple of N, so column r of each row holds m = r (mod N); the rows

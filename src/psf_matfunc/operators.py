@@ -2,14 +2,13 @@
 
 Builds the staggered first-order difference stencil, its d-dimensional
 Kronecker gradient stack L, the Hermitian block root operator
-H = [[0, -iL'], [iL, 0]] whose square is blockdiag(L'L, LL'), the Dirichlet
-Laplacian -Delta = L'L, and the spectrally shifted encoding
-A = 2(-Delta)/(4d/h^2) - I with vanishing diagonal. `run_application` wires
-these into four experiments: heat (cosine-series evolution of e^{-T H^2}),
-biharmonic (e^{-T H^4}), levy (fractional e^{-T (L'L)^{3/4}} driven through
-the operator L'L itself, never through a materialized fractional power), and
-matrix_poly (contour evaluation of a polynomial, checked against its exact
-lattice identity).
+H = [[0, -iL'], [iL, 0]] whose square is blockdiag(L'L, LL') (L'L = -Delta,
+the Dirichlet Laplacian), and the shifted encoding A = 2(-Delta)/(4d/h^2) - I,
+-1/(2d) times the grid adjacency. `run_application` wires these into four
+experiments: heat (cosine-series evolution of e^{-T H^2}), biharmonic
+(e^{-T H^4}), levy (fractional e^{-T (L'L)^{3/4}} driven through the operator
+L'L itself, never through a materialized fractional power), and matrix_poly
+(contour evaluation of a polynomial, checked against its lattice identity).
 
 No experiment calls a dense eigensolver. The discrete sine transform
 diagonalizes -Delta exactly, and `laplacian_eigenpairs` returns its
@@ -26,7 +25,6 @@ basis, under the reconstruction contract of `linalg.eig`.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -101,21 +99,9 @@ def gradient_stack(g: GridSpec) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def laplacian(g: GridSpec) -> np.ndarray:
-    """Dirichlet Laplacian (-Delta) as a Kronecker sum of 1-D stencils."""
-    one = (np.diag(2.0 * np.ones(g.n)) + np.diag(-np.ones(g.n - 1), 1)
-           + np.diag(-np.ones(g.n - 1), -1)) / g.h / g.h
-    out = np.zeros((g.size, g.size))
-    for k in range(g.d):
-        left = np.eye(g.n ** k)
-        right = np.eye(g.n ** (g.d - 1 - k))
-        out += np.kron(np.kron(left, one), right)
-    return out
-
-
 def laplacian_eigenpairs(g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of `laplacian(g)` in closed form, in its site order,
-    and the 1-D eigenbasis S; the d-dimensional basis is S (x) ... (x) S.
+    """The eigenvalues of -Delta = L'L (L = `gradient_stack(g)`) in closed
+    form, and the 1-D eigenbasis S; the d-dimensional basis is S (x) ... (x) S.
 
     In 1-D, mu_j = (4/h^2) sin^2(j pi/(2(n+1))) with eigenvector column j of
     S_ij = sqrt(2/(n+1)) sin(i j pi/(n+1)), the DST-I basis: real,
@@ -126,7 +112,7 @@ def laplacian_eigenpairs(g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     spectrum of the shifted encoding, -c summed over the axes and divided
     by d, is exactly symmetric, and the 1 x 1 zero encoding of a one-site
     grid gets the eigenvalue 0. The d-dimensional eigenvalues are the
-    Kronecker sums of mu, first axis slowest as in `laplacian`. The 1-D
+    Kronecker sums of mu, first axis slowest as in `gradient_stack`. The 1-D
     pairs are checked against the stencil T = tridiag(-1, 2, -1), applied
     as shifts in O(n^2), under the reconstruction contract:
     ||T S - S diag(h^2 mu)||_F <= 1e-10 ||T||.
@@ -181,18 +167,18 @@ def dirac_operator(L: np.ndarray) -> DiracOperator:
     return DiracOperator(H=H)
 
 
-def shifted_encoding(h_lap: np.ndarray, g: GridSpec) -> np.ndarray:
-    """A = 2 h_lap / (4d/h^2) - I, the zero-diagonal contraction of -Delta.
+def shifted_encoding(g: GridSpec) -> np.ndarray:
+    """A = 2(-Delta)/(4d/h^2) - I, the zero-diagonal contraction of -Delta.
 
-    Uses the nominal norm proxy 4d/h^2 (not the exact sin^2 extreme), which
-    is what makes the diagonal vanish identically. Rows of interior sites
-    (coordinates in [1, n-2]) have 1-norm exactly 1, boundary rows less.
-    """
-    h_lap = np.asarray(h_lap, dtype=float)
-    if h_lap.shape != (g.size, g.size):
-        raise PrecondError(
-            f"operator is {h_lap.shape}, grid expects {(g.size, g.size)}")
-    return 2.0 * h_lap / (4.0 * g.d / g.h / g.h) - np.eye(g.size)
+    The nominal norm proxy 4d/h^2 (not the exact sin^2 extreme) cancels the
+    diagonal and h, so A is -1/(2d) times the grid adjacency, the Kronecker
+    sum of the path adjacency over the axes: its entries are exactly 0 and
+    -1/(2d). Rows of interior sites (coordinates in [1, n-2]) have 1-norm
+    exactly 1, boundary rows less."""
+    path = np.eye(g.n, k=1) + np.eye(g.n, k=-1)
+    adj = reduce(lambda acc, _: np.kron(acc, np.eye(g.n)) + np.kron(np.eye(len(acc)), path),
+                 range(g.d - 1), path)
+    return (0.0 - adj) / (2.0 * g.d)     # 0 - adj keeps the zeros positive
 
 
 @dataclass
@@ -240,43 +226,26 @@ def _fourier_app(app: str, g: GridSpec, T: float, eps: float) -> tuple[dict, flo
 def _encoding_decomposition(g: GridSpec):
     """The shifted encoding of `g`, decomposed in the Kronecker product of
     the DST-I basis: A is a polynomial of -Delta, so it shares the
-    closed-form basis. A = 2(-Delta)/(4d/h^2) - I does not depend on h: on
-    the unit mesh no power of h can leave the float range."""
-    unit = GridSpec(g.d, g.n, 1.0)
-    lam, S = laplacian_eigenpairs(unit)
-    return unitary_decomposition(shifted_encoding(laplacian(unit), unit),
-                                 2.0 * lam / (4.0 * g.d) - 1.0,
+    closed-form basis. Neither depends on h, so the eigenvalues come from
+    the unit mesh, where no power of h can leave the float range."""
+    lam, S = laplacian_eigenpairs(GridSpec(g.d, g.n, 1.0))
+    return unitary_decomposition(shifted_encoding(g), 2.0 * lam / (4.0 * g.d) - 1.0,
                                  reduce(np.kron, [S] * g.d), hermitian=True)
-
-
-def _lattice_target(dec, f, r1: float, m: int, psi: np.ndarray) -> np.ndarray:
-    """The exact lattice identity f(A) R1^m (R1^m I - A^m)^{-1} psi, as one
-    function on the spectrum, the form `contour.aliasing_term` takes."""
-    try:
-        r1m = r1 ** m
-    except OverflowError:
-        r1m = math.inf
-    # A subnormal R1^m has lost digits, and an infinite one makes the ratio nan.
-    if not sys.float_info.min <= r1m < math.inf:
-        raise PrecondError(f"R1^m = {r1!r}^{m} leaves the normal floats")
-    return matfun_apply(dec, lambda z: f(z) * r1m / (r1m - z ** m), psi)
 
 
 def _poly_app(g: GridSpec, eps: float, seed: int,
               coeffs, m: int | None) -> tuple[dict, float, float]:
     """Contour evaluation of a polynomial of the shifted encoding on a random
-    state psi drawn from `seed`, measured against the exact lattice identity
-    (`_lattice_target`)."""
+    state psi drawn from `seed`, planned at the default radii as in
+    `simulate-contour`, against the lattice identity f(A) psi minus the
+    aliasing term, exact for m above the degree."""
     dec = _encoding_decomposition(g)
     psi = random_state(np.random.default_rng(seed), g.size)
     coeffs = np.asarray(coeffs, dtype=complex)
     f = lambda z: np.polynomial.polynomial.polyval(z, coeffs)
-    r1, _ = contour.lattice_radii(dec.spectral_radius)
-    r2 = contour.optimize_radius(contour.sup_poly_abs(coeffs), r1, 16.0 * r1)
-    psi_norm = frobenius(psi)
-    plan = contour.plan_lattice(f, dec, eps, frobenius(matfun_apply(dec, f, psi)), psi_norm,
-                                r1=r1, r2=r2, m=m)
-    target = _lattice_target(dec, f, plan.r1, plan.m, psi)
+    f_psi, psi_norm = matfun_apply(dec, f, psi), frobenius(psi)
+    plan = contour.plan_lattice(f, dec, eps, frobenius(f_psi), psi_norm, m=m)
+    target = f_psi - contour.aliasing_term(dec, f, plan, psi)
     err = frobenius(contour.discrete_sum_apply(dec, f, plan, psi) - target)
     bound = plan.error_bounds(psi_norm).total
     params = {"R1": plan.r1, "R2": plan.r2, "m": plan.m, "quad_n": plan.quad_n}
@@ -296,10 +265,10 @@ def run_application(app: str, g: GridSpec, T: float | None, eps: float,
     heat and biharmonic, that of H: plus and minus the square roots of the
     eigenvalues of L'L, and 0). Every spectrum comes from
     `laplacian_eigenpairs`. matrix_poly runs the contour path on the shifted
-    encoding with an optimized outer radius and reports the deviation from
-    the exact polynomial lattice identity; its bound column is the planned
-    deviation from f(A) psi itself. It reads no T: T may be None there, and
-    a T given is only validated and recorded.
+    encoding at the default radii R1 = 1.1 rho, R2 = 2 R1 and reports the
+    deviation from its lattice identity f(A) psi - `contour.aliasing_term`;
+    its bound column is the planned deviation from f(A) psi itself. It reads
+    no T: T may be None there, and a T given is only validated and recorded.
     """
     if app not in _APPS:
         raise PrecondError(f"unknown application {app!r}; choose from {_APPS}")

@@ -1,6 +1,6 @@
 """Write every output of the benchmark workloads and the README commands.
 
-    python3 tests/dump_outputs.py OUT_DIR [--seed N]
+    python3 tests/dump_outputs.py OUT_DIR [--seed N] [--manifest FILE]
 
 Runs, in process and against the source tree this file sits in, every case
 of the four workloads of perfbench/workloads.py at one seed (default 5) and
@@ -25,13 +25,24 @@ commits
     diff -r /tmp/a /tmp/b
 
 lists every output that moved. The workload module is read, not changed.
+
+`--manifest FILE` also writes, as JSON, what a later dump is checked
+against (tests/test_dump_outputs.py): the numpy version and its BLAS, the
+sha256 of every dumped file, and per case its exit code and its headline
+numbers as `repr` strings, K or m and each error_measured with its bound.
+The checked-in manifest is tests/outputs_manifest.json, written at seed 5:
+
+    python3 tests/dump_outputs.py /tmp/a --manifest tests/outputs_manifest.json
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import hashlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -97,18 +108,55 @@ def _write_log(path: Path, entries: list[tuple[str, object, str]]) -> None:
             fh.write(f"== {cid}\nexit {code}\n{output}")
 
 
-def _dump_workload(name: str, seed: int, out: Path) -> None:
+def headline(path: Path) -> dict:
+    """K or m, and each (error_measured, its bound), of one CLI output file,
+    as `repr` strings; {} for a file without them or one never written."""
+    if path.suffix == ".json" and path.exists():
+        report = json.loads(path.read_text(encoding="utf-8"))
+        plan = report.get("plan", report)
+        out = {key: [repr(plan[key])] for key in ("K", "m") if key in plan}
+        if "error_measured" in report:
+            bound = (report["error_bound"] if "error_bound" in report
+                     else report["truncation_bound"] + report["aliasing_bound"])
+            out["errors"] = [[repr(report["error_measured"]), repr(bound)]]
+        return out
+    if path.suffix != ".csv" or not path.exists():
+        return {}
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    out = {}
+    for key in ("K", "m"):
+        counts = [row[key] for row in rows if key in row]
+        counts += [p.partition("=")[2] for row in rows
+                   for p in row.get("params", "").split(";") if p.startswith(key + "=")]
+        if counts:
+            out[key] = counts
+    if rows and "error_bound" in rows[0]:      # app records and Fourier sweeps
+        out["errors"] = [[row["error_measured"], row["error_bound"]] for row in rows]
+    elif rows and "truncation_bound" in rows[0]:  # contour sweeps
+        out["errors"] = [[row["error"], repr(float(row["aliasing_bound"])
+                                             + float(row["truncation_bound"]))]
+                         for row in rows]
+    return out
+
+
+def _dump_workload(name: str, seed: int, out: Path) -> dict:
     out.mkdir()
-    entries = []
+    entries, cases = [], {}
     with _inside(out):
         for case in workloads.build(name, seed, "."):
             result, output = _captured(case.call)
             if isinstance(result, str):
                 entries.append((case.cid, result, output))
+                cases[case.cid] = {"exit": result}
                 continue
             code, payload = result
             entries.append((case.cid, code, output))
-            if isinstance(payload, str) or payload is None:   # a CLI case's file
+            cases[case.cid] = {"exit": code}
+            if isinstance(payload, str):    # a CLI case's file
+                cases[case.cid].update(headline(Path(payload)))
+                continue
+            if payload is None:
                 continue
             target = Path("api", case.cid)
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -117,33 +165,76 @@ def _dump_workload(name: str, seed: int, out: Path) -> None:
             else:
                 target.with_name(target.name + ".txt").write_text(repr(payload) + "\n")
     _write_log(out / "cases.txt", entries)
+    return cases
 
 
-def dump(out: Path, seed: int) -> None:
+def dump(out: Path, seed: int) -> dict:
     """Every output of the workloads at `seed` and of the README commands,
-    under `out`, which must not exist yet."""
+    under `out`, which must not exist yet; returns each case's exit code and
+    headline numbers, keyed by "<workload>/<case id>" and "readme/<i argv>"."""
     out.mkdir(parents=True)
+    cases = {}
     for name in workloads.WORKLOADS:
-        _dump_workload(name, seed, out / name)
+        cases.update({f"{name}/{cid}": case
+                      for cid, case in _dump_workload(name, seed, out / name).items()})
     entries = []
     for i, argv in enumerate(readme_commands()):
-        (out / "readme" / str(i)).mkdir(parents=True)
-        with _inside(out / "readme" / str(i)):
+        run_dir = out / "readme" / str(i)
+        run_dir.mkdir(parents=True)
+        with _inside(run_dir):
             code, output = _captured(lambda: _run_cli(argv))
-        entries.append((f"{i:02d} {shlex.join(argv)}", code, output))
+        cid = f"{i:02d} {shlex.join(argv)}"
+        entries.append((cid, code, output))
+        cases[f"readme/{cid}"] = {"exit": code}
+        for path in run_dir.iterdir():
+            cases[f"readme/{cid}"].update(headline(path))
     _write_log(out / "readme" / "cases.txt", entries)
     for path in out.rglob("*.csv"):
         _drop_wall_time(path)
+    return cases
+
+
+def fingerprint() -> dict:
+    """The numpy version and the name and version of its BLAS: a dump is
+    byte-identical only on the same pair."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def manifest(out: Path, seed: int) -> dict:
+    """Dump under `out` and return the manifest of that dump."""
+    cases = dump(out, seed)
+    files = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in sorted(out.rglob("*")) if path.is_file()}
+    return {"seed": seed, **fingerprint(), "files": files,
+            "cases": dict(sorted(cases.items()))}
+
+
+def manifest_text(man: dict) -> str:
+    """The manifest as JSON with one line per file and per case, so that a
+    diff of two manifests names each output that moved."""
+    def entry(key, value, indent):
+        if not isinstance(value, dict) or indent > 1:
+            return f"{' ' * indent}{json.dumps(key)}: {json.dumps(value)}"
+        inner = ",\n".join(entry(k, v, indent + 1) for k, v in value.items())
+        return f"{' ' * indent}{json.dumps(key)}: {{\n{inner}\n{' ' * indent}}}"
+
+    return "{\n" + ",\n".join(entry(k, v, 1) for k, v in man.items()) + "\n}\n"
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", type=Path, help="directory to create")
     ap.add_argument("--seed", type=int, default=5, help="workload seed")
+    ap.add_argument("--manifest", type=Path, help="also write the dump's manifest here")
     args = ap.parse_args(argv)
     if args.out.exists():
         ap.error(f"{args.out} exists; name a new directory")
-    dump(args.out, args.seed)
+    if args.manifest is None:
+        dump(args.out, args.seed)
+    else:
+        args.manifest.write_text(manifest_text(manifest(args.out, args.seed)),
+                                 encoding="utf-8")
     return 0
 
 

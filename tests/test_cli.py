@@ -527,6 +527,16 @@ def test_exit_code_admission(tmp_path, capsys, argv):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("coeffs", ["inf", "nan", "1,-inf,3"])
+def test_app_refuses_non_finite_coeffs(tmp_path, capsys, coeffs):
+    """A coefficient that is not finite is refused at the door (exit 2),
+    with a message that names --coeffs, before any operator is built."""
+    rc, _, err = run(["app", "--name", "matrix_poly", "--d", "1", "--n", "4",
+                      "--eps", "1e-6", "--coeffs", coeffs,
+                      "--out", str(tmp_path / "out")], capsys)
+    assert rc == 2 and err.startswith("precondition:") and "--coeffs" in err
+
+
 @pytest.mark.parametrize("flag", ["--eps", "--R1", "--rho"])
 def test_negative_exponent_value_reaches_the_command(tmp_path, capsys, flag):
     """argparse takes -1e-8 for a flag; the command's own admission sees it."""
@@ -579,10 +589,12 @@ _EXTREME_T = [5e-324, 1e308]
 @example(alpha=60.25, T=1.0, mode="root", x="0.001:0.002:0.001")
 @example(alpha=1e308, T=1.0, mode="root", x="0:10:0.5")
 @example(alpha=1.0, T=5e-324, mode="root", x="0:1:0.5")
+@example(alpha=1e308, T=1.0, mode="direct", x="-1e+302:-1e+302:2.5e+301")
 def test_kernel_exit_code_fuzz(tmp_path_factory, alpha, T, mode, x):
     """A kernel table returns (exit 0) or refuses (exit 2 or 3), never a
     traceback: at p = 120.5 and x = 1e-3, |x|^{p+1} underflows and the
-    envelope reads inf; at T = 5e-324 the envelope rate overflows."""
+    envelope reads inf; at T = 5e-324 the envelope rate overflows; at step
+    2.5e301 the lattice period overflows."""
     out = str(tmp_path_factory.getbasetemp() / "fuzz.csv")
     rc = cli.main(["kernel", "--alpha", repr(alpha), "--T", repr(T), "--mode", mode,
                    "--x", x, "--out", out])
@@ -706,7 +718,8 @@ def _extreme_or(strategy):
        n=st.integers(-1, 8), h=_extreme_or(_log_uniform(-2.0, 2.0)),
        T=_extreme_or(_log_uniform(-3.0, 3.0)), eps=_extreme_or(_log_uniform(-16.0, 0.0)),
        m=st.one_of(st.none(), st.integers(-2, 400), st.sampled_from([2 ** 19 + 1, 10 ** 9])),
-       coeffs=st.one_of(st.none(), st.sampled_from(["1,2,0,3", "0,0,0,1e200", "1e200"])),
+       coeffs=st.one_of(st.none(), st.sampled_from(["1,2,0,3", "0,0,0,1e200", "1e200",
+                                                     "1e308,1e308,1e308", "inf", "nan"])),
        seed=st.integers(0, 1000))
 @example(name="heat", d=1, n=8, h=1.0, T=1e308, eps=1e-16, m=None, coeffs=None, seed=0)
 @example(name="matrix_poly", d=1, n=2, h=1.0, T=1.0, eps=1e-6, m=2, coeffs="0,0,0,1e200",
@@ -714,12 +727,16 @@ def _extreme_or(strategy):
 @example(name="matrix_poly", d=2, n=2, h=1.0, T=2.0, eps=1e-200, m=None, coeffs=None,
          seed=0)
 @example(name="matrix_poly", d=1, n=2, h=1.0, T=1.0, eps=1e-6, m=1200, coeffs=None, seed=0)
+@example(name="matrix_poly", d=1, n=4, h=1.0, T=1.0, eps=1e-6, m=None,
+         coeffs="1e308,1e308,1e308", seed=0)
 def test_app_exit_code_fuzz(tmp_path_factory, name, d, n, h, T, eps, m, coeffs, seed):
     """An application returns a finite error (exit 0) or refuses (exit 2 or
-    3), never a traceback: not at T = 1e308, whose truncation bound leaves
-    the float range, nor at eps = 1e-200 or m = 1200, whose R1^m underflows
-    to 0 or to a subnormal, nor with a coefficient 1e200, whose norms
-    overflow a plain sum of squares."""
+    3), never a traceback or a numpy warning (an error under pytest): not at
+    T = 1e308, whose truncation bound leaves the float range, nor at
+    eps = 1e-200 or m = 1200, whose R1^m underflows to 0 or to a subnormal,
+    nor with a coefficient 1e200, whose norms overflow a plain sum of
+    squares, nor with coefficients 1e308, whose f overflows on the
+    spectrum."""
     out = tmp_path_factory.getbasetemp() / "fuzz.csv"
     argv = ["app", "--name", name, f"--d={d}", f"--n={n}", f"--h={h!r}", f"--T={T!r}",
             f"--eps={eps!r}", "--seed", str(seed), "--out", str(out)]

@@ -13,7 +13,7 @@ from psf_matfunc.contour import (ContourPlan, aliasing_term, circle_sup,
                                  discrete_sum_apply, lattice_radii, make_nodes,
                                  make_plan, optimize_radius, plan_contour,
                                  plan_lattice, plan_m, scalar_operator,
-                                 sup_poly_abs, truncation_integral)
+                                 truncation_integral)
 from psf_matfunc.errors import EPS_FLOOR, ErrorBudget, PrecondError
 from psf_matfunc.instances import random_normal_matrix, random_state
 from psf_matfunc.linalg import eig, matfun
@@ -137,6 +137,15 @@ def test_aliasing_term_examples():
     plan4 = make_plan(exp_neg, 1.0, 2.0, 4)
     assert np.linalg.norm(
         aliasing_term(np.zeros((2, 2)), exp_neg, plan4, np.ones(2))) == 0.0
+
+
+@pytest.mark.parametrize("r1,m", [(2.0, 2000), (0.5, 1070)], ids=["inf", "subnormal"])
+def test_aliasing_term_refuses_r1m_outside_the_normal_floats(r1, m):
+    """An infinite R1^m makes the ratio nan and a subnormal one has lost
+    digits: either is refused (exit 2), not raised as an OverflowError."""
+    plan = make_plan(exp_neg, r1, 2.0 * r1, m)
+    with pytest.raises(PrecondError, match="normal floats"):
+        aliasing_term(np.array([[0.1]]), exp_neg, plan, np.array([1.0]))
 
 
 def test_aliasing_norm_ratio_dominates_normal_case():
@@ -437,7 +446,6 @@ _SUPS = {
     "mixed-poly": (lambda r: circle_sup(
         lambda z: np.polynomial.polynomial.polyval(z, _MIXED), r), 16.0),
     "inv-shift": (lambda r: circle_sup(lambda z: 1.0 / (z + 2.0), r), 3.0),
-    "sup-poly-abs": (sup_poly_abs(_MIXED), 16.0),
 }
 
 
@@ -459,6 +467,3 @@ def test_optimize_radius_is_one_search(f_sup):
     optimize_radius(lambda r: calls.append(r) or f_sup(r), 0.55, 16.0 * 0.55)
     assert len(calls) <= 50
 
-
-def test_sup_helpers():
-    assert sup_poly_abs([1.0, -2.0, 3.0])(2.0) == pytest.approx(17.0)

@@ -1,7 +1,12 @@
+import json
+from pathlib import Path
+
 from psf_matfunc import cli
 from psf_matfunc.io import RECORD_HEADER, write_csv
 
 import dump_outputs
+
+MANIFEST = Path(__file__).with_name("outputs_manifest.json")
 
 
 def test_readme_commands_name_cli_commands():
@@ -22,3 +27,26 @@ def test_drop_wall_time_leaves_every_other_byte(tmp_path):
     before = table.read_bytes()
     dump_outputs._drop_wall_time(table)
     assert table.read_bytes() == before
+
+
+def test_outputs_match_the_manifest(tmp_path):
+    """A dump at the manifest's seed reproduces tests/outputs_manifest.json:
+    every file byte for byte on the numpy and BLAS it was written with, and
+    elsewhere every exit code and K or m exactly, with each error_measured
+    at or below its bound. A change that moves an output on purpose
+    rewrites the manifest (`dump_outputs.py OUT --manifest FILE`)."""
+    want = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    got = dump_outputs.manifest(tmp_path / "out", want["seed"])
+    if (got["numpy"], got["blas"]) == (want["numpy"], want["blas"]):
+        moved = sorted(name for name in want["files"].keys() | got["files"].keys()
+                       if want["files"].get(name) != got["files"].get(name))
+        assert moved == []
+
+    def counts(cases):
+        return {cid: {k: v for k, v in case.items() if k != "errors"}
+                for cid, case in cases.items()}
+
+    assert counts(got["cases"]) == counts(want["cases"])
+    over = [(cid, err, bound) for cid, case in got["cases"].items()
+            for err, bound in case.get("errors", []) if not float(err) <= float(bound)]
+    assert over == []

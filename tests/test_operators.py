@@ -11,11 +11,11 @@ from psf_matfunc import contour, fourier, operators
 from psf_matfunc.errors import PrecondError
 from psf_matfunc.instances import random_state
 from psf_matfunc.kernels import SpectralProfile
-from psf_matfunc.linalg import eig, evolution_matrix, hermitian_eig, matfun
+from psf_matfunc.linalg import (eig, evolution_matrix, frobenius, hermitian_eig, matfun,
+                                matfun_apply)
 from psf_matfunc.operators import (_DEFAULT_COEFFS, GridSpec, difference_operator,
-                                   dirac_operator, gradient_stack, laplacian,
-                                   laplacian_eigenpairs, run_application,
-                                   shifted_encoding)
+                                   dirac_operator, gradient_stack, laplacian_eigenpairs,
+                                   run_application, shifted_encoding)
 
 from helpers import interior_mask
 
@@ -51,10 +51,27 @@ def test_gradient_stack_norm_cap():
 
 
 def test_laplacian_is_normal_product_of_stack():
-    for d, n in [(1, 6), (2, 3)]:
+    """L'L is the Dirichlet Laplacian: 2d/h^2 on the diagonal, -1/h^2
+    between grid neighbours (sites one apart in one coordinate), 0 else."""
+    for d, n in [(1, 6), (2, 3), (3, 3)]:
         g = GridSpec(d, n, 0.5)
         L = gradient_stack(g)
-        np.testing.assert_allclose(laplacian(g), L.T @ L, atol=1e-12)
+        sites = np.array(list(np.ndindex(*[n] * d)))
+        hops = np.abs(sites[:, None, :] - sites[None, :, :]).sum(axis=2)
+        expect = np.where(hops == 0, 2.0 * d, np.where(hops == 1, -1.0, 0.0)) / 0.25
+        np.testing.assert_allclose(L.T @ L, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3) for n in range(1, 9)
+                                 if n ** d <= 512])
+def test_shifted_encoding_is_the_scaled_laplacian(d, n):
+    """Formed from the grid alone, A equals 2(L'L)/(4d) - I on the unit mesh
+    entry for entry: its entries are exactly 0 and -1/(2d)."""
+    g = GridSpec(d, n, 1.0)
+    L = gradient_stack(g)
+    A = shifted_encoding(g)
+    assert np.array_equal(A, 2.0 * (L.T @ L) / (4.0 * d) - np.eye(g.size))
+    assert set(np.unique(A)) <= {0.0, -1.0 / (2 * d)}
 
 
 @pytest.mark.parametrize("d,n", [(1, 8), (2, 4)])
@@ -86,17 +103,18 @@ def test_laplacian_eigenpairs_match_the_dense_operators(dn, log_h):
     spectrum is eigvalsh of the Laplacian; +-sqrt of it, and 0, is eigvalsh
     of the Dirac root H, under the squared-value tolerance of the
     `dirac_spectrum` property test; and the Kronecker DST-I basis
-    reconstructs the shifted encoding A under the 1e-10 contract of `eig`.
+    reconstructs the shifted encoding A, which does not depend on h, with
+    the eigenvalues of the unit mesh under the 1e-10 contract of `eig`.
     d = 3 stops at n = 5, where H has dimension 575 (dense H and its H^4
     check grow as the cube of that)."""
     d, n = dn
     g = GridSpec(d, n, 10.0 ** log_h)
     lam, S = laplacian_eigenpairs(g)
     u = np.finfo(float).eps
-    ref = np.linalg.eigvalsh(laplacian(g))
+    L = gradient_stack(g)
+    ref = np.linalg.eigvalsh(L.T @ L)
     assert np.abs(np.sort(lam) - ref).max() <= 64 * g.size * u * ref.max()
 
-    L = gradient_stack(g)
     sigma = np.sqrt(lam)
     spectrum = np.concatenate([sigma, -sigma, [0.0]])
     eigs = np.linalg.eigvalsh(dirac_operator(L).H)
@@ -106,9 +124,9 @@ def test_laplacian_eigenpairs_match_the_dense_operators(dn, log_h):
     for xs, ys in ((got, want), (want, got)):
         assert np.abs(xs[:, None] - ys[None, :]).min(axis=1).max() <= tol
 
-    A = shifted_encoding(laplacian(g), g)
+    A = shifted_encoding(g)
     basis = reduce(np.kron, [S] * d)
-    lam_a = 2.0 * lam / (4.0 * d / g.h / g.h) - 1.0
+    lam_a = 2.0 * laplacian_eigenpairs(GridSpec(d, n, 1.0))[0] / (4.0 * d) - 1.0
     assert np.linalg.norm((basis * lam_a) @ basis.T - A) <= 1e-10 * np.abs(lam_a).max()
 
 
@@ -119,7 +137,7 @@ def test_dirac_rejects_non_matrix():
 
 def test_shifted_encoding_structure_1d():
     g = GridSpec(1, 8, 1.0)
-    A = shifted_encoding(laplacian(g), g)
+    A = shifted_encoding(g)
     interior = interior_mask(g.d, g.n)
     assert np.abs(np.diag(A)).max() <= 1e-14
     assert np.abs(A[interior]).sum(axis=1).max() == pytest.approx(1.0, abs=1e-14)
@@ -128,7 +146,7 @@ def test_shifted_encoding_structure_1d():
 
 def test_shifted_encoding_structure_2d():
     g = GridSpec(2, 4, 1.0)
-    A = shifted_encoding(laplacian(g), g)
+    A = shifted_encoding(g)
     interior = interior_mask(g.d, g.n)
     assert np.abs(np.diag(A)).max() <= 1e-14
     assert np.abs(A[interior]).sum(axis=1).max() == pytest.approx(1.0, abs=1e-14)
@@ -136,13 +154,11 @@ def test_shifted_encoding_structure_2d():
     # boundary rows lose stencil mass to the Dirichlet wall
     boundary_l1 = np.abs(A[~interior]).sum(axis=1)
     assert boundary_l1.max() < 1.0
-    with pytest.raises(PrecondError):
-        shifted_encoding(np.eye(3), g)
 
 
 def test_shifted_encoding_no_interior():
     g = GridSpec(1, 2, 1.0)
-    A = shifted_encoding(laplacian(g), g)
+    A = shifted_encoding(g)
     interior = interior_mask(g.d, g.n)
     assert interior.sum() == 0
     assert A[interior].shape == (0, g.size)
@@ -246,7 +262,7 @@ def test_matrix_poly_bound_covers_error(d, n, m):
     g = GridSpec(d, n, 1.0)
     rec = run_application("matrix_poly", g, 0.0, 1e-6, m=m, seed=3)
     assert rec.error_measured <= rec.error_bound
-    A = shifted_encoding(laplacian(g), g)
+    A = shifted_encoding(g)
     f = lambda z: np.polynomial.polynomial.polyval(z, np.asarray(_DEFAULT_COEFFS))
     plan = contour.plan_lattice(f, eig(A), r1=rec.params["R1"], r2=rec.params["R2"],
                                 m=rec.params["m"])
@@ -256,24 +272,44 @@ def test_matrix_poly_bound_covers_error(d, n, m):
     assert deviation <= rec.error_bound
 
 
+@pytest.mark.parametrize("d,n,eps,m", [(1, 6, 1e-6, None), (2, 4, 1e-8, None),
+                                       (1, 8, 1e-4, 4), (2, 3, 1e-6, 2)])
+def test_matrix_poly_plans_as_plan_lattice_at_the_default_radii(d, n, eps, m):
+    """matrix_poly plans as `simulate-contour` does: R1 = 1.1 rho, R2 = 2 R1,
+    and the m and bound of `plan_lattice` at the same norms."""
+    g = GridSpec(d, n, 1.0)
+    rec = run_application("matrix_poly", g, None, eps, m=m, seed=5)
+    dec = operators._encoding_decomposition(g)
+    f = lambda z: np.polynomial.polynomial.polyval(z, np.asarray(_DEFAULT_COEFFS, complex))
+    psi = random_state(np.random.default_rng(5), g.size)
+    plan = contour.plan_lattice(f, dec, eps, frobenius(matfun_apply(dec, f, psi)),
+                                frobenius(psi), m=m)
+    assert (rec.params["R1"], rec.params["R2"]) == (plan.r1, plan.r2) == (
+        1.1 * dec.spectral_radius, 2.0 * 1.1 * dec.spectral_radius)
+    assert rec.params["m"] == plan.m
+    assert rec.error_bound == plan.error_bounds(frobenius(psi)).total
+
+
 @pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2) for n in range(2, 9)])
 def test_matrix_poly_lattice_target_matches_the_dense_identity(d, n):
-    """The spectral target is the dense identity f(A) R1^m (R1^m I - A^m)^{-1}
-    psi, formed with `matrix_power` and `solve`, at m = 2, 8 and the planned
-    m, to 1e-13 ||psi||."""
+    """The target f(A) psi minus the aliasing term is the dense identity
+    f(A) R1^m (R1^m I - A^m)^{-1} psi, formed with `matrix_power` and
+    `solve`, at m = 2, 8 and the planned m, to 1e-13 ||psi||."""
     g = GridSpec(d, n, 1.0)
     dec = operators._encoding_decomposition(g)
-    A = shifted_encoding(laplacian(g), g)
+    A = shifted_encoding(g)
     np.testing.assert_array_equal(dec.matrix, A)
     f = lambda z: np.polynomial.polynomial.polyval(z, np.asarray(_DEFAULT_COEFFS))
     fA = sum(c * np.linalg.matrix_power(A, k) for k, c in enumerate(_DEFAULT_COEFFS))
     psi = random_state(np.random.default_rng(n), g.size)
     planned = run_application("matrix_poly", g, None, 1e-8, seed=n).params
     for m in (2, 8, planned["m"]):
-        r1m = planned["R1"] ** m
+        plan = contour.plan_lattice(f, dec, m=m)
+        assert plan.r1 == planned["R1"]
+        r1m = plan.r1 ** m
         dense = fA @ (r1m * np.linalg.solve(
             r1m * np.eye(g.size) - np.linalg.matrix_power(A, m), psi))
-        target = operators._lattice_target(dec, f, planned["R1"], m, psi)
+        target = matfun_apply(dec, f, psi) - contour.aliasing_term(dec, f, plan, psi)
         assert np.linalg.norm(target - dense) <= 1e-13 * np.linalg.norm(psi)
 
 
