@@ -210,22 +210,40 @@ def _cmd_cost(args) -> int:
         profile = SpectralProfile(alpha=args.alpha, T=args.T, mode=args.mode)
     fspec = pio.parse_function_spec(args.f) if args.f else None
 
-    if which == "a":
-        if profile is None:
-            raise PrecondError("cost --path a needs --alpha (and --T, --mode)")
-        rep = costmodel.path_a_cost(profile, args.anorm, args.T, eps, args.ur)
-    else:
-        if which == "b" and fspec is None:
+    if which == "a" and profile is None:
+        raise PrecondError("cost --path a needs --alpha (and --T, --mode)")
+    if which == "b":
+        if fspec is None:
             raise PrecondError("cost --path b needs --f")
-        cmp = costmodel.compare_paths(costmodel.ProblemSpec(
-            eps=eps, a_norm=args.anorm, spectral_radius=args.rho,
-            profile=profile if which == "both" else None,
-            f=fspec.fn if fspec else None, T=args.T, u_r=args.ur, gamma=args.gamma,
-            psi_norm=args.psinorm, f_psi_norm=args.fpsi))
-        if fspec and cmp.plan_b is not None:
-            _refuse_pole(fspec, cmp.plan_b.r2)
-        rep = cmp.report_b
+        profile = None                     # path b models f alone
+    if which != "a":
+        if not 0.0 < eps < 1.0:
+            raise PrecondError(f"eps must lie in (0, 1), got {eps}")
+        if profile is None and fspec is None:
+            raise PrecondError("problem needs a decay profile, a holomorphic f, or both")
+
+    report_a = report_b = None
+    if profile is not None:
+        report_a = costmodel.path_a_cost(profile, args.anorm, args.T, eps, args.ur)
+    recommendation, reason = costmodel.recommend(profile)
+    if which != "a" and recommendation != "path-a":
+        if fspec is not None:
+            f = fspec.fn
+        else:   # an analytic profile: e^{-T z^p} is entire
+            p_int, T = int(round(profile.p)), args.T
+            f = lambda z: np.exp(-T * z ** p_int)
+        rho = args.rho
+        if not 0.0 <= rho < math.inf:
+            raise PrecondError(f"spectral radius must be finite and non-negative, got {rho}")
+        # The 1 x 1 operator [rho] (kappa_s = 1); R1 = max(||A||, 1) at rho = 0.
+        plan = contour.plan_lattice(f, contour.scalar_operator(rho), eps, args.fpsi,
+                                    args.psinorm,
+                                    r1=None if rho > 0 else max(args.anorm, 1.0))
+        report_b = costmodel.path_b_cost(plan, args.gamma, args.fpsi, args.psinorm, eps)
+        if fspec is not None:
+            _refuse_pole(fspec, plan.r2)
     if which != "both":
+        rep = report_a if which == "a" else report_b
         out = args.out or "cost.json"
         pio.write_json(out, pio.cost_report_json(rep))
         print(f"cost path-{which}: matrix_queries={rep.matrix_queries!r} "
@@ -233,14 +251,11 @@ def _cmd_cost(args) -> int:
         return 0
     fields = ["matrix_queries", "state_queries", "lcu_terms",
               "amplification", "l1_norm", "u_r"]
-    rows = []
-    for name in fields:
-        ra = getattr(cmp.report_a, name) if cmp.report_a else ""
-        rb = getattr(cmp.report_b, name) if cmp.report_b else ""
-        rows.append([name, ra, rb])
+    rows = [[name, getattr(report_a, name) if report_a else "",
+             getattr(report_b, name) if report_b else ""] for name in fields]
     out = args.out or "cost.csv"
     pio.write_csv(out, ["metric", "path-a", "path-b"], rows)
-    print(f"recommendation: {cmp.recommendation} ({cmp.reason}) -> {out}")
+    print(f"recommendation: {recommendation} ({reason}) -> {out}")
     return 0
 
 

@@ -149,19 +149,23 @@ def discrete_sum_apply(A: Operator, f: Callable[[np.ndarray], np.ndarray],
     return _circle_rule(A, f, plan.r1, plan.m, psi, "R1")
 
 
-def aliasing_term(A: Operator, f: Callable[[np.ndarray], np.ndarray],
-                  plan: ContourPlan, psi: np.ndarray) -> np.ndarray:
-    """f(A) g(A) psi with g(z) = z^m / (z^m - R1^m), as one spectral function.
-    R1^m must be a normal float: a subnormal one has lost digits, and an
-    infinite one makes the ratio nan."""
-    dec = _check_enclosure(A, plan.r1, "R1")
-    m = plan.m
+def _r1_power(plan: ContourPlan) -> float:
+    """R1^m of the closure terms, which must be a normal float: a subnormal
+    one has lost digits, and an infinite one makes their ratios nan."""
     try:
-        r1m = plan.r1 ** m
+        r1m = plan.r1 ** plan.m
     except OverflowError:
         r1m = math.inf
     if not sys.float_info.min <= r1m < math.inf:
-        raise PrecondError(f"R1^m = {plan.r1!r}^{m} leaves the normal floats")
+        raise PrecondError(f"R1^m = {plan.r1!r}^{plan.m} leaves the normal floats")
+    return r1m
+
+
+def aliasing_term(A: Operator, f: Callable[[np.ndarray], np.ndarray],
+                  plan: ContourPlan, psi: np.ndarray) -> np.ndarray:
+    """f(A) g(A) psi with g(z) = z^m / (z^m - R1^m), as one spectral function."""
+    dec = _check_enclosure(A, plan.r1, "R1")
+    m, r1m = plan.m, _r1_power(plan)
     return matfun_apply(dec, lambda z: f(z) * z ** m / (z ** m - r1m), psi)
 
 
@@ -172,7 +176,7 @@ def truncation_integral(A: Operator, f: Callable[[np.ndarray], np.ndarray],
     (1/(2 pi i)) oint_{|z|=R2} R1^m/(z^m - R1^m) f(z) (zI-A)^{-1} psi dz,
     with plan.quad_n = max(8m, 256) uniform nodes.
     """
-    m, r1m = plan.m, plan.r1 ** plan.m
+    m, r1m = plan.m, _r1_power(plan)
     return _circle_rule(A, lambda z: f(z) * r1m / (z ** m - r1m), plan.r2,
                         plan.quad_n, psi, "R2")
 

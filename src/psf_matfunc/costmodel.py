@@ -7,15 +7,17 @@ be mistaken for absolute resource estimates. The interesting guarantees
 are the exponents: T and 1/eps ratios reproduce the advertised powers
 exactly because the models are single products plus an additive log term
 that can be isolated by evaluating at T = 0.
+
+The module holds the two models and `recommend`, which picks a path from
+the target alone. The `cost` command calls them in turn, and it plans the
+contour for `path_b_cost` with `contour.plan_lattice`, the planner every
+contour command uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 from . import contour
 from .errors import PrecondError
@@ -128,85 +130,20 @@ def path_b_cost(plan: contour.ContourPlan, gamma: float, f_psi_norm: float,
                                    "(no f supplied)"])
 
 
-@dataclass
-class ProblemSpec:
-    """What compare_paths needs to know about one problem instance."""
+def recommend(profile: SpectralProfile | None) -> tuple[str, str]:
+    """(recommendation, reason) for a target given by its decay profile, or
+    by a holomorphic f alone when profile is None.
 
-    eps: float
-    a_norm: float = 1.0            # operator scale ||A|| (or ||H||)
-    spectral_radius: float = 0.0   # rho(A), for contour enclosure
-    profile: SpectralProfile | None = None   # set when f = e^{-T H^alpha}
-    f: Callable | None = None      # holomorphic candidate for the contour path
-    T: float = 1.0
-    u_r: float = 1.0
-    gamma: float = 1.0
-    psi_norm: float = 1.0
-    f_psi_norm: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
-            raise PrecondError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.profile is None and self.f is None:
-            raise PrecondError("problem needs a decay profile, a holomorphic f, or both")
-
-
-@dataclass
-class PathComparison:
-    recommendation: str            # "path-a" | "path-b" | "either"
-    reason: str
-    report_a: CostReport | None
-    report_b: CostReport | None
-    plan_b: contour.ContourPlan | None = None   # the plan behind report_b
-
-
-def _contour_plan_for(problem: ProblemSpec, f: Callable) -> contour.ContourPlan:
-    """The contour plan for the 1 x 1 operator [rho] (kappa_s = 1); R1 =
-    max(||A||, 1) when rho = 0."""
-    rho = problem.spectral_radius
-    if not 0.0 <= rho < math.inf:
-        raise PrecondError(f"spectral radius must be finite and non-negative, got {rho}")
-    return contour.plan_lattice(f, contour.scalar_operator(rho), problem.eps,
-                                problem.f_psi_norm, problem.psi_norm,
-                                r1=None if rho > 0 else max(problem.a_norm, 1.0))
-
-
-def compare_paths(problem: ProblemSpec) -> PathComparison:
-    """Emit both cost reports where applicable and recommend a path.
-
-    Fractional decay profiles have a branch point at the origin, which rules
-    out the contour representation: path-a. A holomorphic f with no decay
-    profile goes to the contour path: path-b. Analytic (even-exponent)
-    profiles admit both: either, with the exponential f synthesized for the
-    contour report when not supplied.
+    A fractional profile has a branch point at the origin, which rules out
+    the contour representation: path-a. A holomorphic f with no decay
+    profile goes to the contour path: path-b. An analytic (even-p) profile
+    admits both: either.
     """
-    prof = problem.profile
-    f = problem.f
-    report_a = None
-    if prof is not None:
-        report_a = path_a_cost(prof, problem.a_norm, problem.T, problem.eps,
-                               problem.u_r)
-    if prof is not None and prof.regime == "fractional":
-        return PathComparison(
-            recommendation="path-a",
-            reason="fractional exponent has a branch point at the origin; "
-                   "no contour enclosure is analytic there",
-            report_a=report_a, report_b=None)
-    if f is None and prof is not None:
-        # analytic regime: e^{-T z^p} is entire, so the contour path applies
-        p_int = int(round(prof.p))
-        T = problem.T
-        f = lambda z: np.exp(-T * z ** p_int)
-    plan_b = _contour_plan_for(problem, f)
-    report_b = path_b_cost(plan_b, problem.gamma, problem.f_psi_norm,
-                           problem.psi_norm, problem.eps)
-    if prof is None:
-        return PathComparison(
-            recommendation="path-b",
-            reason="f is holomorphic on a disk enclosing the spectrum; "
-                   "geometric convergence applies",
-            report_a=None, report_b=report_b, plan_b=plan_b)
-    return PathComparison(
-        recommendation="either",
-        reason="entire target function: both representations converge "
-               "(cosine series and contour lattice)",
-        report_a=report_a, report_b=report_b, plan_b=plan_b)
+    if profile is None:
+        return "path-b", ("f is holomorphic on a disk enclosing the spectrum; "
+                          "geometric convergence applies")
+    if profile.regime == "fractional":
+        return "path-a", ("fractional exponent has a branch point at the origin; "
+                          "no contour enclosure is analytic there")
+    return "either", ("entire target function: both representations converge "
+                      "(cosine series and contour lattice)")

@@ -33,15 +33,24 @@ from .contour import ContourPlan
 from .costmodel import CostReport
 from .errors import PrecondError
 from .fourier import FourierPlan, lcu_coefficients
-from .operators import ConvergenceRecord
+from .kernels import _MAX_LATTICE_SAMPLES
+from .operators import _MAX_SITES, ConvergenceRecord
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
+def _admit_shape(path: str, rows: int, cols: int) -> None:
+    """A declared shape is refused before it is densified when a side
+    exceeds the largest dense dimension the package admits anywhere."""
+    if max(rows, cols) > _MAX_SITES:
+        raise PrecondError(f"matrix in {path} is {rows}x{cols}, beyond the dense "
+                           f"cap of {_MAX_SITES} rows and columns")
+
+
 def load_matrix(path: str) -> np.ndarray:
     """Dense complex matrix from .json ({rows, cols, re[], im[]}) or a
-    Matrix Market file (any other extension)."""
+    Matrix Market file (any other extension), at most 4096 x 4096."""
     if path.endswith(".json"):
         # ValueError covers malformed JSON and a non-numeric entry.
         try:
@@ -57,6 +66,7 @@ def load_matrix(path: str) -> np.ndarray:
             raise PrecondError(f"matrix JSON in {path}: rows and cols must be "
                                f"integers, got {obj['rows']!r} x {obj['cols']!r}")
         rows, cols = (int(d) for d in dims)
+        _admit_shape(path, rows, cols)
         if min(rows, cols) < 0 or re.size != rows * cols or im.size != rows * cols:
             raise PrecondError(
                 f"matrix JSON in {path}: {rows}x{cols} declared but "
@@ -65,7 +75,11 @@ def load_matrix(path: str) -> np.ndarray:
     else:
         import scipy.io   # scipy loads only for this branch
         try:
+            rows, cols = scipy.io.mminfo(path)[:2]
+            _admit_shape(path, rows, cols)   # before mmread densifies anything
             M = scipy.io.mmread(path)
+        except PrecondError:
+            raise
         except Exception as exc:
             raise PrecondError(f"cannot read Matrix Market file {path}: {exc}")
         M = np.asarray(getattr(M, "todense", lambda: M)(), dtype=complex)
@@ -213,6 +227,9 @@ def parse_lattice(spec: str) -> tuple[float, float, int]:
             raise PrecondError(f"range {spec!r} must be lo:hi:step or a number")
     except (ValueError, OverflowError) as exc:
         raise PrecondError(f"bad range {spec!r}: {exc}")
+    if count > _MAX_LATTICE_SAMPLES:
+        raise PrecondError(f"range {spec!r} has {count} points, beyond the cap "
+                           f"of {_MAX_LATTICE_SAMPLES}")
     return lo, step, count
 
 

@@ -500,6 +500,15 @@ def test_exit_code_precondition(capsys):
     ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:16:8", "--eps", "nan"],
     ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:16:8", "--eps=-5"],
     ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:16:8", "--eps", "1e-16"],
+    # Declared sizes beyond the caps, refused before anything is built: the
+    # 3-line coordinate file would densify to 74.5 GiB, and 1e9 range points
+    # make a list of tens of GB.
+    ["simulate-contour", "--f", "exp-neg", "--matrix", "{tmp}/big.mtx"],
+    ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6",
+     "--matrix", "{tmp}/rows-5000.json"],
+    ["sweep", "--path", "fourier", "--alpha", "1", "--T", "1", "--K", "0:1e9:1"],
+    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:1e9:8"],
+    ["kernel", "--alpha", "1", "--T", "1", "--x", "0:1e9:1"],
 ], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x",
         "heat-d2-n65", "levy-d3-n17", "contour-eps-negative-m8",
         "contour-eps-negative-rho-1e300", "matrix-poly-eps-5-m8", "plan-p2e6-budget",
@@ -510,7 +519,8 @@ def test_exit_code_precondition(capsys):
         "app-h-1e-200", "app-h-1e-6-table", "plan-hnorm-negative",
         "plan-hnorm-1e300-gap", "cost-rho-negative", "cost-rho-nan", "cost-rho-inf",
         "sweep-contour-eps-nan", "sweep-contour-eps-negative",
-        "sweep-contour-eps-1e-16"])
+        "sweep-contour-eps-1e-16", "matrix-mtx-100000", "matrix-rows-5000",
+        "sweep-fourier-K-1e9", "sweep-contour-m-1e9", "kernel-x-1e9"])
 def test_exit_code_admission(tmp_path, capsys, argv):
     (tmp_path / "malformed.json").write_text('{"rows": 1,')
     (tmp_path / "im-x.json").write_text(
@@ -520,6 +530,10 @@ def test_exit_code_admission(tmp_path, capsys, argv):
     (tmp_path / "rows-2.5.json").write_text(
         json.dumps({"rows": 2.5, "cols": 2, "re": [0.5, 0.0, 0.0, 0.25],
                     "im": [0.0] * 4}))
+    (tmp_path / "big.mtx").write_text("%%MatrixMarket matrix coordinate real general\n"
+                                      "100000 100000 1\n1 1 1.0\n")
+    (tmp_path / "rows-5000.json").write_text(
+        json.dumps({"rows": 5000, "cols": 5000, "re": [0.0], "im": [0.0]}))
     argv = [a.format(tmp=tmp_path) for a in argv]
     t0 = time.perf_counter()
     rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
@@ -669,26 +683,29 @@ def test_plan_exit_code_fuzz(tmp_path_factory, alpha, T, eps, hnorm, mode):
        T=st.one_of(_log_uniform(-300.0, 300.0), st.sampled_from(_EXTREME_T)),
        eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        hnorm=_log_uniform(-300.0, 300.0), mode=st.sampled_from(["root", "direct"]),
-       size=st.integers(1, 8), seed=st.integers(0, 1000))
+       size=st.integers(1, 8), seed=st.integers(0, 1000), K=st.just("4:12:4"))
 @example(command="simulate-fourier", alpha=1e300, T=1.0, eps=1e-6, hnorm=1.0,
-         mode="root", size=8, seed=0)
+         mode="root", size=8, seed=0, K="4:12:4")
 @example(command="sweep", alpha=1e300, T=1.0, eps=1e-6, hnorm=1.0,
-         mode="root", size=8, seed=0)
+         mode="root", size=8, seed=0, K="4:12:4")
 @example(command="simulate-fourier", alpha=1e308, T=1.0, eps=1e-6, hnorm=1.0,
-         mode="root", size=8, seed=0)
+         mode="root", size=8, seed=0, K="4:12:4")
+@example(command="sweep", alpha=1.0, T=1.0, eps=1e-6, hnorm=1.0,
+         mode="root", size=8, seed=0, K="0:1e9:1")
 def test_fourier_exit_code_fuzz(tmp_path_factory, command, alpha, T, eps, hnorm, mode,
-                                size, seed):
+                                size, seed, K):
     """A Fourier run returns (exit 0) or refuses (exit 2 or 3), never a
     traceback: at alpha = 1e300 the truncation cutoff never meets its budget
-    within the growth steps, and the run is refused (exit 2)."""
+    within the growth steps, and the run is refused (exit 2), as is a sweep
+    over 1e9 cutoffs, whose list alone would not fit in memory."""
     argv = [command, "--alpha", repr(alpha), f"--T={T!r}", f"--eps={eps!r}",
             f"--hnorm={hnorm!r}", "--mode", mode, "--size", str(size),
             "--seed", str(seed), "--out", str(tmp_path_factory.getbasetemp() / "fuzz")]
     if command == "sweep":
-        argv[1:1] = ["--path", "fourier", "--K", "4:12:4"]
+        argv[1:1] = ["--path", "fourier", "--K", K]
     rc = cli.main(argv)
     assert rc in (0, 2, 3)
-    if alpha == 1e300:
+    if alpha == 1e300 or K == "0:1e9:1":
         assert rc == 2
 
 

@@ -148,6 +148,16 @@ def test_aliasing_term_refuses_r1m_outside_the_normal_floats(r1, m):
         aliasing_term(np.array([[0.1]]), exp_neg, plan, np.array([1.0]))
 
 
+@pytest.mark.parametrize("r1,m", [(2.0, 2000), (0.5, 1070)], ids=["inf", "subnormal"])
+def test_truncation_integral_refuses_r1m_outside_the_normal_floats(r1, m):
+    """The remainder term reads the same R1^m as the aliasing term: an
+    infinite one raised an OverflowError there, and a subnormal one
+    returned 0. Both are refused."""
+    plan = make_plan(exp_neg, r1, 2.0 * r1, m)
+    with pytest.raises(PrecondError, match="normal floats"):
+        truncation_integral(np.array([[0.1]]), exp_neg, plan, np.array([1.0]))
+
+
 def test_aliasing_norm_ratio_dominates_normal_case():
     """With f = 1 (B1 = 1) on a normal A (kappa_s = 1), the overlap channel
     at ||psi|| = 1 is the bound on ||g(A)||."""

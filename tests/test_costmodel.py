@@ -1,11 +1,14 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
+from psf_matfunc import cli
 from psf_matfunc.contour import ContourPlan, make_plan, plan_m
-from psf_matfunc.costmodel import (CostReport, ProblemSpec, compare_paths,
-                                   l1_norm_model, path_a_cost, path_b_cost)
+from psf_matfunc.costmodel import (CostReport, l1_norm_model, path_a_cost, path_b_cost,
+                                   recommend)
 from psf_matfunc.errors import PrecondError
 from psf_matfunc.kernels import SpectralProfile
 
@@ -104,34 +107,52 @@ def test_lcu_terms_step_per_eps_halving(r2, expected_step):
     assert all(s >= 1 for s in steps)
 
 
-def test_compare_paths_fractional_refuses_contour():
-    comp = compare_paths(ProblemSpec(
-        eps=1e-6, profile=SpectralProfile(0.75, 1.0, "root")))
-    assert comp.recommendation == "path-a"
-    assert comp.report_b is None
-    assert comp.report_a is not None
-    assert "branch point" in comp.reason
+def cost_table(tmp_path, capsys, *argv):
+    """(exit code, stdout, {metric: (path-a cell, path-b cell)}) of
+    `cost --path both`."""
+    out = tmp_path / "cost.csv"
+    rc = cli.main(["cost", "--path", "both", *argv, "--out", str(out)])
+    text = capsys.readouterr().out
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["metric", "path-a", "path-b"]
+    return rc, text, {name: (a, b) for name, a, b in rows[1:]}
 
 
-def test_compare_paths_holomorphic_only():
-    comp = compare_paths(ProblemSpec(
-        eps=1e-6, f=lambda z: 1.0 / (z + 3.0), spectral_radius=0.5))
-    assert comp.recommendation == "path-b"
-    assert comp.report_a is None
-    assert comp.report_b is not None
-    assert comp.report_b.assumptions
+def test_recommend_fractional_refuses_contour(tmp_path, capsys):
+    rec, reason = recommend(SpectralProfile(0.75, 1.0, "root"))
+    assert rec == "path-a"
+    assert "branch point" in reason
+    rc, text, table = cost_table(tmp_path, capsys, "--alpha", "0.75", "--eps", "1e-6")
+    assert rc == 0 and f"recommendation: path-a ({reason})" in text
+    assert all(a != "" and b == "" for a, b in table.values())
 
 
-def test_compare_paths_analytic_profile_allows_both():
-    comp = compare_paths(ProblemSpec(
-        eps=1e-6, profile=SpectralProfile(1.0, 1.0, "root"),
-        spectral_radius=0.5))
-    assert comp.recommendation == "either"
-    assert comp.report_a is not None and comp.report_b is not None
+def test_recommend_holomorphic_only(tmp_path, capsys):
+    rec, reason = recommend(None)
+    assert rec == "path-b"
+    rc, text, table = cost_table(tmp_path, capsys, "--f", "inv-shift:3", "--rho", "0.5",
+                                 "--eps", "1e-6")
+    assert rc == 0 and f"recommendation: path-b ({reason})" in text
+    assert all(a == "" and b != "" for a, b in table.values())
+    out = tmp_path / "cost.json"
+    assert cli.main(["cost", "--path", "b", "--f", "inv-shift:3", "--rho", "0.5",
+                     "--eps", "1e-6", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["assumptions"]
 
 
-def test_problem_spec_validation():
-    with pytest.raises(PrecondError):
-        ProblemSpec(eps=2.0, profile=SpectralProfile(1.0, 1.0, "root"))
-    with pytest.raises(PrecondError):
-        ProblemSpec(eps=1e-6)
+def test_recommend_analytic_profile_allows_both(tmp_path, capsys):
+    rec, reason = recommend(SpectralProfile(1.0, 1.0, "root"))
+    assert rec == "either"
+    rc, text, table = cost_table(tmp_path, capsys, "--alpha", "1", "--rho", "0.5",
+                                 "--eps", "1e-6")
+    assert rc == 0 and f"recommendation: either ({reason})" in text
+    assert all(a != "" and b != "" for a, b in table.values())
+
+
+def test_cost_cli_validation(tmp_path, capsys):
+    out = str(tmp_path / "cost.csv")
+    assert cli.main(["cost", "--alpha", "1", "--eps", "2", "--out", out]) == 2
+    assert "eps must lie in (0, 1)" in capsys.readouterr().err
+    assert cli.main(["cost", "--eps", "1e-6", "--out", out]) == 2
+    assert "needs a decay profile, a holomorphic f, or both" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from psf_matfunc.errors import PrecondError
 from psf_matfunc.fourier import lcu_coefficients, plan_fourier
 from psf_matfunc.io import (RECORD_HEADER, _fmt, contour_plan_json,
                             cost_report_json, csv_text, fourier_plan_json,
-                            load_matrix, parse_function_spec, parse_range,
+                            load_matrix, parse_function_spec, parse_lattice, parse_range,
                             record_row, write_csv, write_json)
 from psf_matfunc.kernels import SpectralProfile
 from psf_matfunc.operators import GridSpec, run_application
@@ -50,6 +50,24 @@ def test_matrix_json_entry_count_guard(tmp_path):
         json.dump({"rows": 2, "re": [1, 2, 3, 4]}, fh)
     with pytest.raises(PrecondError):
         load_matrix(p)
+
+
+def test_matrix_shape_beyond_the_dense_cap_is_refused(tmp_path):
+    """A declared side above 4096 is refused before anything is densified:
+    the 3-line coordinate file below would densify to 74.5 GiB."""
+    p = tmp_path / "big.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                 "100000 100000 1\n1 1 1.0\n")
+    with pytest.raises(PrecondError, match="beyond the dense cap"):
+        load_matrix(str(p))
+    q = tmp_path / "tall.json"
+    q.write_text(json.dumps({"rows": 4097, "cols": 1, "re": [0.0] * 4097,
+                             "im": [0.0] * 4097}))
+    with pytest.raises(PrecondError, match="beyond the dense cap"):
+        load_matrix(str(q))
+    q.write_text(json.dumps({"rows": 4096, "cols": 1, "re": [0.0] * 4096,
+                             "im": [0.0] * 4096}))
+    assert load_matrix(str(q)).shape == (4096, 1)
 
 
 def test_non_finite_entries_rejected(tmp_path):
@@ -198,6 +216,17 @@ def test_function_spec_inv_shift():
         parse_function_spec("inv-shift:0")
     with pytest.raises(PrecondError):
         parse_function_spec("runge")
+
+
+def test_parse_lattice_refuses_a_count_beyond_the_cap():
+    """A range of more than 2^24 points is refused before any point is
+    built: a list of 1e9 floats would not fit in memory."""
+    assert parse_lattice(f"0:{2 ** 24 - 1}:1") == (0.0, 1.0, 2 ** 24)
+    for spec in ("0:1e9:1", "8:1e9:8", "0:1e300:1"):
+        with pytest.raises(PrecondError, match="points, beyond the cap"):
+            parse_lattice(spec)
+    with pytest.raises(PrecondError, match="points, beyond the cap"):
+        parse_range("0:1e9:1")
 
 
 def test_parse_range():
