@@ -22,7 +22,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,8 +30,7 @@ from . import contour, costmodel, fourier, io as pio, operators
 from .errors import NumericalError, PrecondError, admit_eps
 from .instances import random_normal_matrix, random_psd, random_state
 from .kernels import SpectralProfile, envelope_function, lattice_kernel
-from .linalg import (distance_from, eig, evolution_function, frobenius, hermitian_eig,
-                     matfun_apply)
+from .linalg import eig, frobenius, hermitian_eig, matfun_apply
 
 
 def _load_config(path: str) -> dict:
@@ -72,12 +70,6 @@ def _fourier_matrix(args) -> np.ndarray:
     if args.size < 1:
         raise PrecondError(f"--size must be >= 1, got {args.size}")
     return random_psd(np.random.default_rng(args.seed), args.size, norm=args.hnorm)
-
-
-def _relative(err: float, f_psi_norm: float) -> float | None:
-    """err relative to ||f(A) psi||, the norm the planner's eps is relative
-    to; None (JSON null, an empty CSV cell) when f(A) psi = 0."""
-    return err / f_psi_norm if f_psi_norm > 0.0 else None
 
 
 def _refuse_pole(spec: pio.FunctionSpec, r2: float) -> None:
@@ -144,10 +136,7 @@ def _cmd_simulate_fourier(args) -> int:
     eps = _required(args, "eps")
     dec = hermitian_eig(_fourier_matrix(args))
     plan = fourier.plan_fourier(profile, dec.eigenvalues.real, eps)
-    distance = distance_from(dec.eigenvalues.real,
-                             evolution_function(profile.alpha, profile.T))
-    err = distance(lambda lam: fourier.cosine_series(plan, lam))
-    budget = plan.error_bounds()
+    [(_, err, budget)] = fourier.measure(plan, dec.eigenvalues.real, [plan.K])
     report = {"plan": pio.fourier_plan_json(plan), "size": dec.matrix.shape[0],
               "h_norm": dec.norm, "error_measured": err,
               "truncation_bound": budget.truncation,
@@ -162,19 +151,17 @@ def _cmd_simulate_contour(args) -> int:
     spec = pio.parse_function_spec(_required(args, "f"))
     admit_eps(args.eps)
     dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
-    psi_norm, f_psi_norm = float(np.linalg.norm(psi)), frobenius(f_psi)
-    plan = contour.plan_lattice(spec.fn, dec, args.eps, f_psi_norm, psi_norm,
+    f_psi_norm = frobenius(f_psi)
+    plan = contour.plan_lattice(spec.fn, dec, args.eps, f_psi_norm, frobenius(psi),
                                 r1=r1, r2=r2, m=args.m)
-    approx = contour.discrete_sum_apply(dec, spec.fn, plan, psi)
-    err = frobenius(approx - f_psi)
-    bound = plan.error_bounds(psi_norm).total
+    [(_, err, relative, budget)] = contour.measure(dec, spec.fn, plan, psi, f_psi, [plan.m])
     report = {"plan": pio.contour_plan_json(plan), "size": dec.matrix.shape[0],
               "f": spec.label, "spectral_radius": dec.spectral_radius,
-              "error_measured": err, "error_bound": bound,
+              "error_measured": err, "error_bound": budget.total,
               "f_psi_norm": f_psi_norm, "eps": args.eps,
-              "error_relative": _relative(err, f_psi_norm)}
+              "error_relative": relative}
     pio.write_json(args.out, report)
-    print(f"simulate-contour: error={err!r} bound={bound!r} m={plan.m} -> {args.out}")
+    print(f"simulate-contour: error={err!r} bound={budget.total!r} m={plan.m} -> {args.out}")
     return 0
 
 
@@ -266,15 +253,8 @@ def _cmd_sweep(args) -> int:
         ks = pio.parse_range(_required(args, "K"))
         dec = hermitian_eig(_fourier_matrix(args))
         plan = fourier.plan_fourier(profile, dec.eigenvalues.real, args.eps)
-        distance = distance_from(dec.eigenvalues.real,
-                                 evolution_function(profile.alpha, profile.T))
-        # One coefficient sample at the largest cutoff serves every row.
-        wide = replace(plan, K=int(ks.max()), coefficients=None)
-        rows = []
-        for K in ks:
-            err = distance(lambda lam: fourier.cosine_series(wide, lam, K))
-            bound = replace(plan, K=int(K)).error_bounds().total
-            rows.append([int(K), err, bound])
+        rows = [[K, err, budget.total]
+                for K, err, budget in fourier.measure(plan, dec.eigenvalues.real, ks)]
         pio.write_csv(args.out, ["K", "error_measured", "error_bound"], rows)
         print(f"sweep fourier: {len(rows)} points, a={plan.a!r} -> {args.out}")
         return 0
@@ -283,17 +263,10 @@ def _cmd_sweep(args) -> int:
         ms = pio.parse_range(_required(args, "m"))
         admit_eps(args.eps)
         dec, r1, r2, psi, f_psi = _contour_setup(args, spec)
-        psi_norm, f_psi_norm = float(np.linalg.norm(psi)), frobenius(f_psi)
         # The radii and circle suprema do not depend on m: one plan serves every row.
         base = contour.plan_lattice(spec.fn, dec, r1=r1, r2=r2, m=int(ms[0]))
-        rows = []
-        for m in ms:
-            plan = replace(base, m=int(m))
-            approx = contour.discrete_sum_apply(dec, spec.fn, plan, psi)
-            err = frobenius(approx - f_psi)
-            budget = plan.error_bounds(psi_norm)
-            rows.append([int(m), err, budget.aliasing, budget.truncation,
-                         _relative(err, f_psi_norm)])
+        rows = [[m, err, bound.aliasing, bound.truncation, rel]
+                for m, err, rel, bound in contour.measure(dec, spec.fn, base, psi, f_psi, ms)]
         pio.write_csv(args.out, ["m", "error", "aliasing_bound", "truncation_bound",
                                  "error_relative"], rows)
         print(f"sweep contour: {len(rows)} points, R1={r1!r} R2={r2!r} -> {args.out}")

@@ -16,7 +16,8 @@ where the remainder E_m is a contour integral over a larger circle |z| = R2
 module provides the node set, one circle rule for the discrete sum and the
 remainder, the aliasing term, the one planner `plan_lattice` (radius
 defaults in `lattice_radii`, m from the two decay ratios in `plan_m`), the
-one bound `ContourPlan.error_bounds`, and one golden-section search for R2
+one bound `ContourPlan.error_bounds`, the one measurement `measure` of every
+contour run (simulate, sweep, app), and one golden-section search for R2
 (`optimize_radius`, for `plan_contour`). `plan_lattice` takes the caller's
 `SpectralDecomposition`, and the plan keeps its spectral radius and kappa_s,
 which the bound reads.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -147,6 +148,19 @@ def discrete_sum_apply(A: Operator, f: Callable[[np.ndarray], np.ndarray],
                        plan: ContourPlan, psi: np.ndarray) -> np.ndarray:
     """S_m psi = (1/m) sum_k w_k f(w_k) (w_k I - A)^{-1} psi on the lattice."""
     return _circle_rule(A, f, plan.r1, plan.m, psi, "R1")
+
+
+def measure(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray],
+            plan: ContourPlan, psi: np.ndarray, target: np.ndarray, node_counts) -> list:
+    """[(m, ||S_m psi - target||, that error relative to ||target|| or None
+    when target = 0, ErrorBudget at m)] for each node count m."""
+    psi_norm, target_norm = frobenius(psi), frobenius(target)
+
+    def row(at_m: ContourPlan) -> tuple:
+        err = frobenius(discrete_sum_apply(dec, f, at_m, psi) - target)
+        return (at_m.m, err, err / target_norm if target_norm > 0.0 else None,
+                at_m.error_bounds(psi_norm))
+    return [row(replace(plan, m=int(m))) for m in node_counts]
 
 
 def _r1_power(plan: ContourPlan) -> float:

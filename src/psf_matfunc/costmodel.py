@@ -104,10 +104,10 @@ def path_b_cost(plan: contour.ContourPlan, gamma: float, f_psi_norm: float,
     """Contour path model from a concrete plan.
 
     matrix_queries = gamma^2 alpha_A^2 B1 / ||f(A)psi|| *
-    ln(gamma alpha_A B1 / (||f(A)psi|| eps)); the block-encoding factor
-    alpha_A is modeled as R1 (the enclosing radius dominates the spectral
-    norm at desk scale). Amplification is that envelope, the core factor
-    gamma R1 B1 / ||f(A)psi||.
+    max(0, ln(gamma alpha_A B1 / (||f(A)psi|| eps))), no queries once that
+    core is below eps; the block-encoding factor alpha_A is modeled as R1
+    (the enclosing radius dominates the spectral norm at desk scale).
+    Amplification is that envelope, the core factor gamma R1 B1 / ||f(A)psi||.
     """
     if gamma <= 0 or f_psi_norm <= 0 or psi_norm <= 0:
         raise PrecondError("gamma and the state norms must be positive")
@@ -117,7 +117,7 @@ def path_b_cost(plan: contour.ContourPlan, gamma: float, f_psi_norm: float,
     core = gamma * alpha_a * plan.b1 / f_psi_norm
     if not 0.0 < core < math.inf:
         raise PrecondError(f"amplification gamma R1 B1 / ||f psi|| = {core} is 0 or inf")
-    mq = gamma * alpha_a * core * math.log(core / eps)
+    mq = gamma * alpha_a * core * max(math.log(core / eps), 0.0)
     return CostReport(path="B", matrix_queries=mq, state_queries=core,
                       lcu_terms=float(plan.m), amplification=core,
                       l1_norm=plan.r1 * plan.b1,

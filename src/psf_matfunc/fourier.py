@@ -21,24 +21,26 @@ The planner, `plan_fourier`, takes the real spectrum of H and picks the
 period a and the cutoff K so each reported bound is at most eps_internal / 2;
 the plan keeps the spectral scale, so `FourierPlan.error_bounds` takes no
 operator data. One evaluator, `cosine_series`, sums the series at real points
-for any cutoff up to the plan's. Every run is measured on the spectrum of H
-against the one reference, `linalg.evolution_function(alpha, T)`, through
-`linalg.distance_from`: the target is e^{-T H^alpha} in both modes, since
-direct mode has p = alpha. `assemble_fourier_approx` maps the series to a
-dense matrix through `linalg.matfun`; no command needs it.
+for any cutoff up to the plan's. `measure`, the one measurement of every
+Fourier run (simulate, sweep, app), takes each cutoff's error on the
+spectrum of H against the one reference, `linalg.evolution_function(alpha,
+T)`, through `linalg.distance_from`: the target is e^{-T H^alpha} in both
+modes, since direct mode has p = alpha. `assemble_fourier_approx` maps the
+series to a dense matrix through `linalg.matfun`; no command needs it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ErrorBudget, PrecondError, admit_eps
 from .kernels import (_LOG_FLOAT_MAX, SpectralProfile, algebraic_envelope_constant,
                       lattice_kernel, saddle_rate)
-from .linalg import Operator, clamp_psd, hermitian_eig, matfun
+from .linalg import (Operator, clamp_psd, distance_from, evolution_function, hermitian_eig,
+                     matfun)
 
 _GROWTH = 1.05
 _MAX_GROWTH_STEPS = 200
@@ -231,6 +233,17 @@ def cosine_series(plan: FourierPlan, lam: np.ndarray,
     theta = (2.0 * np.pi / plan.a) * grid
     ks = np.arange(1, K + 1, dtype=float)
     return c[0] + 2.0 * (c[1:K + 1] @ np.cos(np.outer(ks, theta)))
+
+
+def measure(plan: FourierPlan, spectrum: np.ndarray, cutoffs) -> list:
+    """[(K, error on the spectrum, ErrorBudget at K)] for each cutoff K: the
+    oracle e^{-T lam^alpha} is evaluated once, and the coefficients are sampled
+    once, at the largest cutoff, on the plan itself when that is plan.K."""
+    distance = distance_from(spectrum, evolution_function(plan.profile.alpha, plan.profile.T))
+    top = int(max(cutoffs))
+    wide = plan if top == plan.K else replace(plan, K=top, coefficients=None)
+    return [(int(K), distance(lambda lam: cosine_series(wide, lam, int(K))),
+             replace(plan, K=int(K)).error_bounds()) for K in cutoffs]
 
 
 def assemble_fourier_approx(plan: FourierPlan, H: Operator) -> np.ndarray:

@@ -67,10 +67,10 @@ def load_matrix(path: str) -> np.ndarray:
                                f"integers, got {obj['rows']!r} x {obj['cols']!r}")
         rows, cols = (int(d) for d in dims)
         _admit_shape(path, rows, cols)
-        if min(rows, cols) < 0 or re.size != rows * cols or im.size != rows * cols:
+        if min(rows, cols) < 0 or re.shape != (rows * cols,) or im.shape != (rows * cols,):
             raise PrecondError(
-                f"matrix JSON in {path}: {rows}x{cols} declared but "
-                f"{re.size} re / {im.size} im entries")
+                f"matrix JSON in {path}: {rows}x{cols} declared, so re and im must be flat "
+                f"lists of {rows * cols} entries, got shapes {re.shape} / {im.shape}")
         M = (re + 1j * im).reshape(rows, cols)
     else:
         import scipy.io   # scipy loads only for this branch
@@ -194,8 +194,8 @@ def parse_function_spec(spec: str) -> FunctionSpec:
             coeffs = np.array([float(t) for t in spec[5:].split(",")], dtype=float)
         except ValueError as exc:
             raise PrecondError(f"bad polynomial coefficients in {spec!r}: {exc}")
-        if coeffs.size == 0:
-            raise PrecondError("polynomial needs at least one coefficient")
+        if not np.all(np.isfinite(coeffs)):
+            raise PrecondError(f"polynomial coefficients must be finite, got {spec!r}")
         return FunctionSpec(spec, lambda z: np.polynomial.polynomial.polyval(z, coeffs),
                             None)
     if spec.startswith("inv-shift:"):
@@ -203,8 +203,8 @@ def parse_function_spec(spec: str) -> FunctionSpec:
             c = float(spec[10:])
         except ValueError as exc:
             raise PrecondError(f"bad shift in {spec!r}: {exc}")
-        if c == 0.0:
-            raise PrecondError("inv-shift needs a nonzero shift")
+        if c == 0.0 or not math.isfinite(c):
+            raise PrecondError(f"inv-shift needs a finite nonzero shift, got {spec!r}")
         return FunctionSpec(spec, lambda z: 1.0 / (z + c), abs(c))
     raise PrecondError(
         f"unknown function spec {spec!r}; use exp-neg, exp-neg-i, "
@@ -238,6 +238,8 @@ def parse_range(spec: str) -> np.ndarray:
     be an integer (cutoff and node-count sweeps)."""
     lo, step, count = parse_lattice(spec)
     vals = [lo + i * step for i in range(count)]
+    if not all(abs(v) < 2.0 ** 63 for v in vals):
+        raise PrecondError(f"range {spec!r} has a point beyond the int64 range")
     out = np.array([int(round(v)) for v in vals], dtype=int)
     if np.any(np.abs(out - np.asarray(vals)) > 1e-9):
         raise PrecondError(f"range {spec!r} must contain integers")

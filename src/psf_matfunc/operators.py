@@ -8,13 +8,14 @@ the Dirichlet Laplacian), and the shifted encoding A = 2(-Delta)/(4d/h^2) - I,
 experiments: heat (cosine-series evolution of e^{-T H^2}), biharmonic
 (e^{-T H^4}), levy (fractional e^{-T (L'L)^{3/4}} driven through the operator
 L'L itself, never through a materialized fractional power), and matrix_poly
-(contour evaluation of a polynomial, checked against its lattice identity).
+(contour evaluation of a polynomial, measured by `contour.measure` against
+its lattice identity).
 
 No experiment calls a dense eigensolver. The discrete sine transform
 diagonalizes -Delta exactly, and `laplacian_eigenpairs` returns its
 eigenvalues and the 1-D DST-I basis in closed form, checked against the
 stencil. The three Fourier experiments measure their error on the spectrum
-of the operator (`linalg.distance_from`), with no dense series or oracle:
+of the operator (`fourier.measure`), with no dense series or oracle:
 for levy the eigenvalues lam of -Delta, for heat and biharmonic those of H,
 +-sqrt(lam) and 0 (L has more rows than columns, so LL' is singular). H is
 never formed there; `dirac_operator` builds it explicitly for checking its
@@ -35,8 +36,7 @@ from . import contour, fourier
 from .errors import NumericalError, PrecondError, admit_eps
 from .instances import random_state
 from .kernels import SpectralProfile
-from .linalg import (check_reconstruction, distance_from, evolution_function,
-                     frobenius, matfun_apply, unitary_decomposition)
+from .linalg import check_reconstruction, frobenius, matfun_apply, unitary_decomposition
 
 _MAX_SITES = 4096
 _DIRAC_TOL = 1e-12
@@ -214,13 +214,11 @@ def _fourier_app(app: str, g: GridSpec, T: float, eps: float) -> tuple[dict, flo
     if app != "levy":
         sigma = np.sqrt(spectrum)
         spectrum = np.concatenate([sigma, -sigma, [0.0]])
-    distance = distance_from(spectrum, evolution_function(alpha, T))
     plan = fourier.plan_fourier(profile, spectrum, eps)
-    err = distance(lambda lam: fourier.cosine_series(plan, lam))
-    bound = plan.error_bounds().total
+    [(_, err, budget)] = fourier.measure(plan, spectrum, [plan.K])
     params = {"mode": profile.mode, "alpha": profile.alpha, "regime": plan.regime,
               "a": plan.a, "K": plan.K}
-    return params, err, bound
+    return params, err, budget.total
 
 
 def _encoding_decomposition(g: GridSpec):
@@ -243,13 +241,12 @@ def _poly_app(g: GridSpec, eps: float, seed: int,
     psi = random_state(np.random.default_rng(seed), g.size)
     coeffs = np.asarray(coeffs, dtype=complex)
     f = lambda z: np.polynomial.polynomial.polyval(z, coeffs)
-    f_psi, psi_norm = matfun_apply(dec, f, psi), frobenius(psi)
-    plan = contour.plan_lattice(f, dec, eps, frobenius(f_psi), psi_norm, m=m)
+    f_psi = matfun_apply(dec, f, psi)
+    plan = contour.plan_lattice(f, dec, eps, frobenius(f_psi), frobenius(psi), m=m)
     target = f_psi - contour.aliasing_term(dec, f, plan, psi)
-    err = frobenius(contour.discrete_sum_apply(dec, f, plan, psi) - target)
-    bound = plan.error_bounds(psi_norm).total
+    [(_, err, _, budget)] = contour.measure(dec, f, plan, psi, target, [plan.m])
     params = {"R1": plan.r1, "R2": plan.r2, "m": plan.m, "quad_n": plan.quad_n}
-    return params, err, bound
+    return params, err, budget.total
 
 
 def run_application(app: str, g: GridSpec, T: float | None, eps: float,

@@ -1,11 +1,13 @@
-"""Write every output of the benchmark workloads and the README commands.
+"""Write every output of the benchmark workloads, the README commands and
+the edge command lines.
 
     python3 tests/dump_outputs.py OUT_DIR [--seed N] [--manifest FILE]
 
 Runs, in process and against the source tree this file sits in, every case
-of the four workloads of perfbench/workloads.py at one seed (default 5) and
-every `psf-matfunc` command line of README.md, and writes under OUT_DIR,
-which must not exist yet:
+of the four workloads of perfbench/workloads.py at one seed (default 5),
+every `psf-matfunc` command line of README.md and every one of
+tests/edge_commands.txt, and writes under OUT_DIR, which must not exist
+yet:
 
 - `<workload>/`: each CLI case's output file, under the name the workload
   gives it, and `api/<case id>.npy` (an array) or `.txt` (any other value)
@@ -13,7 +15,11 @@ which must not exist yet:
 - `<workload>/cases.txt`: per case id, in sorted order, its exit code (the
   outcome class of an API case), stdout and stderr;
 - `readme/<i>/`: the output file of README command i, run in that
-  directory, and `readme/cases.txt` as above.
+  directory, and `readme/cases.txt` as above;
+- `edge/<i>/` and `edge/cases.txt`: the same for edge command line i. An
+  argument that names a file of tests/edge_inputs/ is copied into the
+  directory for the run and removed after it, so the directory holds
+  outputs only.
 
 The `wall_time_ms` column of app records reports real elapsed time, so it
 is dropped from every CSV that has it; every other byte is the program's.
@@ -45,6 +51,7 @@ import io
 import json
 import os
 import shlex
+import shutil
 import sys
 import traceback
 from pathlib import Path
@@ -58,10 +65,15 @@ import workloads  # noqa: E402
 from psf_matfunc import cli  # noqa: E402
 
 
-def readme_commands(readme: Path = ROOT / "README.md") -> list[list[str]]:
-    """The argv of each line of the README that starts with `psf-matfunc `."""
+README = ROOT / "README.md"
+EDGE_COMMANDS = ROOT / "tests" / "edge_commands.txt"
+EDGE_INPUTS = ROOT / "tests" / "edge_inputs"
+
+
+def command_lines(path: Path = README) -> list[list[str]]:
+    """The argv of each line of `path` that starts with `psf-matfunc `."""
     return [shlex.split(line, comments=True)[1:]
-            for line in readme.read_text(encoding="utf-8").splitlines()
+            for line in path.read_text(encoding="utf-8").splitlines()
             if line.startswith("psf-matfunc ")]
 
 
@@ -168,27 +180,41 @@ def _dump_workload(name: str, seed: int, out: Path) -> dict:
     return cases
 
 
+def _dump_lines(lines: Path, out: Path) -> dict:
+    """Run each command line of `lines` in its own directory `out/<i>/`."""
+    entries, cases = [], {}
+    for i, argv in enumerate(command_lines(lines)):
+        run_dir = out / str(i)
+        run_dir.mkdir(parents=True)
+        inputs = [run_dir / arg for arg in argv if (EDGE_INPUTS / arg).is_file()]
+        for path in inputs:
+            shutil.copyfile(EDGE_INPUTS / path.name, path)
+        with _inside(run_dir):
+            code, output = _captured(lambda: _run_cli(argv))
+        for path in inputs:
+            path.unlink()
+        cid = f"{i:02d} {shlex.join(argv)}"
+        entries.append((cid, code, output))
+        cases[cid] = {"exit": code}
+        for path in run_dir.iterdir():
+            cases[cid].update(headline(path))
+    _write_log(out / "cases.txt", entries)
+    return cases
+
+
 def dump(out: Path, seed: int) -> dict:
-    """Every output of the workloads at `seed` and of the README commands,
-    under `out`, which must not exist yet; returns each case's exit code and
-    headline numbers, keyed by "<workload>/<case id>" and "readme/<i argv>"."""
+    """Every output of the workloads at `seed`, of the README commands and
+    of the edge command lines, under `out`, which must not exist yet;
+    returns each case's exit code and headline numbers, keyed by
+    "<workload>/<case id>", "readme/<i argv>" and "edge/<i argv>"."""
     out.mkdir(parents=True)
     cases = {}
     for name in workloads.WORKLOADS:
         cases.update({f"{name}/{cid}": case
                       for cid, case in _dump_workload(name, seed, out / name).items()})
-    entries = []
-    for i, argv in enumerate(readme_commands()):
-        run_dir = out / "readme" / str(i)
-        run_dir.mkdir(parents=True)
-        with _inside(run_dir):
-            code, output = _captured(lambda: _run_cli(argv))
-        cid = f"{i:02d} {shlex.join(argv)}"
-        entries.append((cid, code, output))
-        cases[f"readme/{cid}"] = {"exit": code}
-        for path in run_dir.iterdir():
-            cases[f"readme/{cid}"].update(headline(path))
-    _write_log(out / "readme" / "cases.txt", entries)
+    for name, lines in (("readme", README), ("edge", EDGE_COMMANDS)):
+        cases.update({f"{name}/{cid}": case
+                      for cid, case in _dump_lines(lines, out / name).items()})
     for path in out.rglob("*.csv"):
         _drop_wall_time(path)
     return cases

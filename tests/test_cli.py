@@ -509,6 +509,17 @@ def test_exit_code_precondition(capsys):
     ["sweep", "--path", "fourier", "--alpha", "1", "--T", "1", "--K", "0:1e9:1"],
     ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:1e9:8"],
     ["kernel", "--alpha", "1", "--T", "1", "--x", "0:1e9:1"],
+    # re or im nested instead of flat, with the declared entry count.
+    ["simulate-contour", "--f", "exp-neg", "--matrix", "{tmp}/re-nested.json"],
+    ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6",
+     "--matrix", "{tmp}/im-nested.json"],
+    # A node count beyond the int64 range.
+    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "9.3e18:9.3e18:1"],
+    # A function spec with a number that is not finite.
+    ["simulate-contour", "--f", "inv-shift:nan"],
+    ["simulate-contour", "--f", "inv-shift:inf"],
+    ["simulate-contour", "--f", "poly:nan,1"],
+    ["sweep", "--path", "contour", "--f", "inv-shift:nan", "--m", "8:16:8"],
 ], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x",
         "heat-d2-n65", "levy-d3-n17", "contour-eps-negative-m8",
         "contour-eps-negative-rho-1e300", "matrix-poly-eps-5-m8", "plan-p2e6-budget",
@@ -520,7 +531,10 @@ def test_exit_code_precondition(capsys):
         "plan-hnorm-1e300-gap", "cost-rho-negative", "cost-rho-nan", "cost-rho-inf",
         "sweep-contour-eps-nan", "sweep-contour-eps-negative",
         "sweep-contour-eps-1e-16", "matrix-mtx-100000", "matrix-rows-5000",
-        "sweep-fourier-K-1e9", "sweep-contour-m-1e9", "kernel-x-1e9"])
+        "sweep-fourier-K-1e9", "sweep-contour-m-1e9", "kernel-x-1e9",
+        "matrix-re-nested", "matrix-im-nested", "sweep-contour-m-9.3e18",
+        "contour-f-inv-shift-nan", "contour-f-inv-shift-inf", "contour-f-poly-nan",
+        "sweep-contour-f-inv-shift-nan"])
 def test_exit_code_admission(tmp_path, capsys, argv):
     (tmp_path / "malformed.json").write_text('{"rows": 1,')
     (tmp_path / "im-x.json").write_text(
@@ -534,6 +548,10 @@ def test_exit_code_admission(tmp_path, capsys, argv):
                                       "100000 100000 1\n1 1 1.0\n")
     (tmp_path / "rows-5000.json").write_text(
         json.dumps({"rows": 5000, "cols": 5000, "re": [0.0], "im": [0.0]}))
+    (tmp_path / "re-nested.json").write_text(
+        json.dumps({"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]], "im": [0] * 4}))
+    (tmp_path / "im-nested.json").write_text(
+        json.dumps({"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [[0, 0], [0, 0]]}))
     argv = [a.format(tmp=tmp_path) for a in argv]
     t0 = time.perf_counter()
     rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
@@ -692,12 +710,15 @@ def test_plan_exit_code_fuzz(tmp_path_factory, alpha, T, eps, hnorm, mode):
          mode="root", size=8, seed=0, K="4:12:4")
 @example(command="sweep", alpha=1.0, T=1.0, eps=1e-6, hnorm=1.0,
          mode="root", size=8, seed=0, K="0:1e9:1")
+@example(command="sweep", alpha=1.0, T=1.0, eps=1e-6, hnorm=1.0,
+         mode="root", size=8, seed=0, K="9.3e18:9.3e18:1")
 def test_fourier_exit_code_fuzz(tmp_path_factory, command, alpha, T, eps, hnorm, mode,
                                 size, seed, K):
     """A Fourier run returns (exit 0) or refuses (exit 2 or 3), never a
     traceback: at alpha = 1e300 the truncation cutoff never meets its budget
     within the growth steps, and the run is refused (exit 2), as is a sweep
-    over 1e9 cutoffs, whose list alone would not fit in memory."""
+    over 1e9 cutoffs, whose list alone would not fit in memory, and one at a
+    cutoff beyond the int64 range."""
     argv = [command, "--alpha", repr(alpha), f"--T={T!r}", f"--eps={eps!r}",
             f"--hnorm={hnorm!r}", "--mode", mode, "--size", str(size),
             "--seed", str(seed), "--out", str(tmp_path_factory.getbasetemp() / "fuzz")]
@@ -705,7 +726,7 @@ def test_fourier_exit_code_fuzz(tmp_path_factory, command, alpha, T, eps, hnorm,
         argv[1:1] = ["--path", "fourier", "--K", K]
     rc = cli.main(argv)
     assert rc in (0, 2, 3)
-    if alpha == 1e300 or K == "0:1e9:1":
+    if alpha == 1e300 or K in ("0:1e9:1", "9.3e18:9.3e18:1"):
         assert rc == 2
 
 

@@ -16,7 +16,7 @@ from psf_matfunc.contour import (ContourPlan, aliasing_term, circle_sup,
                                  truncation_integral)
 from psf_matfunc.errors import EPS_FLOOR, ErrorBudget, PrecondError
 from psf_matfunc.instances import random_normal_matrix, random_state
-from psf_matfunc.linalg import eig, matfun
+from psf_matfunc.linalg import eig, matfun, matfun_apply
 
 from helpers import random_diagonalizable, random_hermitian
 
@@ -477,3 +477,20 @@ def test_optimize_radius_is_one_search(f_sup):
     optimize_radius(lambda r: calls.append(r) or f_sup(r), 0.55, 16.0 * 0.55)
     assert len(calls) <= 50
 
+
+def test_measure_rows_at_each_node_count():
+    """Each row holds m, ||S_m psi - target||, that error relative to
+    ||target|| (None at target = 0) and the bounds of the plan at m."""
+    dec = eig(random_normal_matrix(default_rng(3), 6, spectral_radius=0.5))
+    psi = random_state(default_rng(4), 6)
+    plan = plan_lattice(exp_neg, dec, m=8)
+    f_psi = matfun_apply(dec, exp_neg, psi)
+    rows = contour.measure(dec, exp_neg, plan, psi, f_psi, [8, 4, 16])
+    for (m, err, rel, budget), want in zip(rows, (8, 4, 16)):
+        at_m = replace(plan, m=want)
+        assert m == want and budget == at_m.error_bounds(np.linalg.norm(psi))
+        assert err == np.linalg.norm(discrete_sum_apply(dec, exp_neg, at_m, psi) - f_psi)
+        assert rel == err / np.linalg.norm(f_psi)
+    assert rows[2][1] < rows[0][1] < rows[1][1]
+    [(_, err, rel, _)] = contour.measure(dec, exp_neg, plan, psi, np.zeros(6), [8])
+    assert rel is None and err > 0.0

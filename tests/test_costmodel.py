@@ -98,6 +98,16 @@ def test_path_b_amplification_source():
         path_b_cost(plan, 0.0, 1.0, 1.0, 1e-4)
 
 
+@pytest.mark.parametrize("gamma,eps", [(0.1, 0.5), (1e-320, 1e-6)])
+def test_path_b_core_below_eps_costs_no_queries(gamma, eps):
+    """Once the amplification core gamma R1 B1 / ||f(A)psi|| is below eps
+    the log factor is floored at 0: no negative query count, and no -0.0."""
+    plan = make_plan(lambda z: np.exp(-z), 1.0, 2.0, 16)
+    rep = path_b_cost(plan, gamma, 1.0, 1.0, eps)
+    assert rep.state_queries < eps
+    assert math.copysign(1.0, rep.matrix_queries) == 1.0 and rep.matrix_queries == 0.0
+
+
 @pytest.mark.parametrize("r2,expected_step", [(2.0, 1), (1.3, 3)])
 def test_lcu_terms_step_per_eps_halving(r2, expected_step):
     """Node count grows by ceil(log 2 / log(R2/R1)) per halving of eps."""

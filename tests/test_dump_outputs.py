@@ -10,9 +10,15 @@ MANIFEST = Path(__file__).with_name("outputs_manifest.json")
 
 
 def test_readme_commands_name_cli_commands():
-    commands = dump_outputs.readme_commands()
+    commands = dump_outputs.command_lines()
     assert len(commands) >= 7
     assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+
+
+def test_edge_commands_name_cli_commands():
+    commands = dump_outputs.command_lines(dump_outputs.EDGE_COMMANDS)
+    assert len(commands) >= 10
+    assert {argv[0] for argv in commands} <= set(cli._COMMANDS)
 
 
 def test_drop_wall_time_leaves_every_other_byte(tmp_path):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from psf_matfunc import fourier
 from psf_matfunc.errors import EPS_FLOOR, PrecondError
 from psf_matfunc.fourier import (aliasing_bound, assemble_fourier_approx,
                                  cosine_series, lcu_coefficients, plan_fourier,
@@ -283,3 +284,23 @@ def test_plan_serialization_fields():
     assert obj["a"] == plan.a and obj["K"] == plan.K
     assert (obj["alpha"], obj["T"], obj["mode"]) == (1.5, 2.0, "root")
     np.testing.assert_array_equal(obj["c"], lcu_coefficients(plan))
+
+
+def test_measure_samples_once_at_the_largest_cutoff(monkeypatch):
+    """One oracle and one coefficient sample, at the largest cutoff, serve
+    every row; that sample is the plan's own (and stays cached on it) only
+    when the largest cutoff is plan.K. Each row holds the largest deviation
+    on the spectrum from e^{-T lam^alpha} and the plan's bounds at K."""
+    spectrum = np.linspace(0.0, 1.0, 9)
+    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), spectrum, 1e-6)
+    real, counts = fourier.lattice_kernel, []
+    monkeypatch.setattr(fourier, "lattice_kernel",
+                        lambda *args: counts.append(args[3]) or real(*args))
+    rows = fourier.measure(plan, spectrum, [2, plan.K + 3, 4])
+    assert counts == [plan.K + 4] and plan.coefficients is None
+    assert [(K, budget) for K, _, budget in rows] == [
+        (K, replace(plan, K=K).error_bounds()) for K in (2, plan.K + 3, 4)]
+    [(K, err, budget)] = fourier.measure(plan, spectrum, [plan.K])
+    assert counts == [plan.K + 4, plan.K + 1] and plan.coefficients is not None
+    assert (K, budget) == (plan.K, plan.error_bounds())
+    assert err == float(np.abs(cosine_series(plan, spectrum) - np.exp(-spectrum)).max())

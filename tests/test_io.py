@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,15 @@ def test_matrix_json_entry_count_guard(tmp_path):
         json.dump({"rows": 2, "re": [1, 2, 3, 4]}, fh)
     with pytest.raises(PrecondError):
         load_matrix(p)
+    # re and im are flat row-major lists: a nested one with the right entry
+    # count is refused, not broadcast against the other.
+    for entries in ({"re": [[1, 0], [0, 1]], "im": [0, 0, 0, 0]},
+                    {"re": [1, 0, 0, 1], "im": [[0, 0], [0, 0]]},
+                    {"re": [[1, 0, 0, 1]], "im": [[0, 0, 0, 0]]}):
+        with open(p, "w") as fh:
+            json.dump({"rows": 2, "cols": 2, **entries}, fh)
+        with pytest.raises(PrecondError, match="flat lists"):
+            load_matrix(p)
 
 
 def test_matrix_shape_beyond_the_dense_cap_is_refused(tmp_path):
@@ -206,14 +216,19 @@ def test_function_spec_poly():
         parse_function_spec("poly:")
     with pytest.raises(PrecondError):
         parse_function_spec("poly:1,x")
+    for spec in ("poly:nan,1", "poly:1,inf", "poly:1e309"):
+        with pytest.raises(PrecondError, match=re.escape(f"finite, got {spec!r}")):
+            parse_function_spec(spec)
 
 
 def test_function_spec_inv_shift():
     spec = parse_function_spec("inv-shift:2")
     assert spec.pole_radius == 2.0
     assert spec.fn(0.5) == pytest.approx(0.4)
-    with pytest.raises(PrecondError):
-        parse_function_spec("inv-shift:0")
+    for spec in ("inv-shift:0", "inv-shift:nan", "inv-shift:inf", "inv-shift:-inf",
+                 "inv-shift:1e309"):
+        with pytest.raises(PrecondError, match=re.escape(f"nonzero shift, got {spec!r}")):
+            parse_function_spec(spec)
     with pytest.raises(PrecondError):
         parse_function_spec("runge")
 
@@ -239,3 +254,8 @@ def test_parse_range():
             parse_range(spec)
     with pytest.raises(PrecondError):
         parse_range("a:b:c")
+    # A point that no int64 holds is refused before the array is built.
+    assert parse_range("9.2e18")[0] == 9_200_000_000_000_000_000
+    for spec in ("9.3e18:9.3e18:1", "-9.3e18", "0:1e19:5e18"):
+        with pytest.raises(PrecondError, match="int64"):
+            parse_range(spec)
