@@ -203,15 +203,13 @@ def _cmd_cost(args) -> int:
         if fspec is None:
             raise PrecondError("cost --path b needs --f")
         profile = None                     # path b models f alone
-    if which != "a":
-        if not 0.0 < eps < 1.0:
-            raise PrecondError(f"eps must lie in (0, 1), got {eps}")
-        if profile is None and fspec is None:
-            raise PrecondError("problem needs a decay profile, a holomorphic f, or both")
+    if which != "a" and profile is None and fspec is None:
+        raise PrecondError("problem needs a decay profile, a holomorphic f, or both")
 
     report_a = report_b = None
-    if profile is not None:
-        report_a = costmodel.path_a_cost(profile, args.anorm, args.T, eps, args.ur)
+    if profile is not None:     # [0, ||A||] stands in for the spectrum, as in `plan`
+        report_a = costmodel.path_a_cost(
+            fourier.plan_fourier(profile, [0.0, args.anorm], eps), args.anorm, args.ur)
     recommendation, reason = costmodel.recommend(profile)
     if which != "a" and recommendation != "path-a":
         if fspec is not None:
@@ -226,9 +224,9 @@ def _cmd_cost(args) -> int:
         plan = contour.plan_lattice(f, contour.scalar_operator(rho), eps, args.fpsi,
                                     args.psinorm,
                                     r1=None if rho > 0 else max(args.anorm, 1.0))
-        report_b = costmodel.path_b_cost(plan, args.gamma, args.fpsi, args.psinorm, eps)
         if fspec is not None:
             _refuse_pole(fspec, plan.r2)
+        report_b = costmodel.path_b_cost(plan, f, args.gamma, args.fpsi, args.psinorm, eps)
     if which != "both":
         rep = report_a if which == "a" else report_b
         out = args.out or "cost.json"

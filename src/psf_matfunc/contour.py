@@ -271,7 +271,8 @@ def optimize_radius(f_sup: Callable[[float], float], r1: float,
 def lattice_radii(rho: float, r1: float | None = None,
                   r2: float | None = None) -> tuple[float, float]:
     """(R1, R2) for spectral radius rho: R1 defaults to 1.1 rho and must
-    enclose the spectrum, R2 defaults to 2 R1; both must be finite."""
+    enclose the spectrum, R2 defaults to 2 R1 and must exceed R1; both must
+    be finite."""
     if r1 is None:
         if rho == 0.0:
             raise PrecondError("cannot choose R1 automatically for a nilpotent A")
@@ -282,6 +283,8 @@ def lattice_radii(rho: float, r1: float | None = None,
     r2 = 2.0 * r1 if r2 is None else r2
     if not (math.isfinite(r1) and math.isfinite(r2)):
         raise PrecondError(f"radii must be finite, got R1={r1}, R2={r2}")
+    if r2 <= r1:
+        raise PrecondError(f"outer radius R2 = {r2} must exceed the lattice radius R1 = {r1}")
     return r1, r2
 
 

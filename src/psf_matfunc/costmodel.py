@@ -1,34 +1,37 @@
-"""Query-count models for both evaluation paths.
+"""Query counts and LCU sizes of both evaluation paths.
 
-Every formula here is an asymptotic complexity evaluated with unit
-constants — a scaling model, not a gate count. Reports carry an explicit
-assumptions list naming each modeled constant so downstream tables cannot
-be mistaken for absolute resource estimates. The interesting guarantees
-are the exponents: T and 1/eps ratios reproduce the advertised powers
-exactly because the models are single products plus an additive log term
-that can be isolated by evaluating at T = 0.
+The LCU fields are read from the plans: path A's `lcu_terms` 2K + 1 and
+`l1_norm` |c_0| + 2 sum_{k>=1} |c_k| (Childs & Wiebe, QIC 12, 2012), path
+B's node count m and (R1/m) sum_j |f(w_j)| on the nodes. `matrix_queries`,
+`state_queries` and path B's `amplification` are scaling models: asymptotic
+complexities with unit constants, not gate counts, as each report's
+assumptions list says. Their T and 1/eps ratios reproduce the advertised
+powers exactly: `path_a_queries` is a single product plus an additive log
+term, isolated at T = 0, where no plan exists.
 
-The module holds the two models and `recommend`, which picks a path from
-the target alone. The `cost` command calls them in turn, and it plans the
-contour for `path_b_cost` with `contour.plan_lattice`, the planner every
-contour command uses.
+`recommend` picks a path from the target alone. The `cost` command plans
+with `fourier.plan_fourier` and `contour.plan_lattice`, as the other
+commands do, and exits 2 where a planner refuses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
-from . import contour
+import numpy as np
+
+from . import contour, fourier
 from .errors import PrecondError
 from .kernels import SpectralProfile
 
-_UNIT_NOTE = "all O(.) constants set to 1 (scaling model, not a gate count)"
+_UNIT_NOTE = "query counts: all O(.) constants set to 1 (scaling model, not a gate count)"
 
 
 @dataclass
 class CostReport:
-    """One path's modeled query counts plus the assumptions behind them."""
+    """One path's query counts and LCU size plus the assumptions behind them."""
 
     path: str                  # "A" or "B"
     matrix_queries: float
@@ -49,19 +52,11 @@ class CostReport:
                 raise PrecondError(f"{name} must be finite and nonnegative, got {v}")
 
 
-def l1_norm_model(profile: SpectralProfile) -> float:
-    """Coefficient 1-norm model: exactly 1 in the stable band (p <= 2),
-    logarithmic (4/pi^2) ln(p/2) + 1 beyond it."""
-    p = profile.p
-    if p <= 2.0:
-        return 1.0
-    return (4.0 / math.pi ** 2) * math.log(p / 2.0) + 1.0
-
-
-def path_a_cost(profile: SpectralProfile, a_norm: float, T: float, eps: float,
-                u_r: float = 1.0) -> CostReport:
-    """Cosine-series path model. T overrides the profile's own time so the
-    same profile can be swept.
+def path_a_queries(profile: SpectralProfile, a_norm: float, T: float, eps: float,
+                   u_r: float = 1.0) -> tuple[float, float]:
+    """(matrix_queries, state_queries) of the cosine-series path, a scaling
+    model. T overrides the profile's own time so the same profile can be
+    swept.
 
     Analytic regime: u_r log(1+alpha) [ (||A|| T)^{1/p} L^{1-1/p} + L ],
     L = ln(u_r/eps). Fractional: u_r log(alpha+e) alpha (||A|| T)^{1/p}
@@ -75,39 +70,42 @@ def path_a_cost(profile: SpectralProfile, a_norm: float, T: float, eps: float,
     if u_r < 1.0:
         raise PrecondError(f"u_r = ||u0||/||uT|| must be >= 1, got {u_r}")
     p, alpha = profile.p, profile.alpha
-    L = math.log(u_r / eps)
-    l1 = l1_norm_model(profile)
-    assumptions = [_UNIT_NOTE,
-                   f"l1-norm model: 1 for p <= 2, (4/pi^2) ln(p/2) + 1 beyond (p = {p:g})",
-                   "amplification modeled as u_r * l1 (success-probability overhead)"]
     if profile.regime == "analytic":
+        L = math.log(u_r / eps)
         D = (a_norm * T) ** (1.0 / p) * L ** (1.0 - 1.0 / p)
-        mq = u_r * math.log(1.0 + alpha) * (D + L)
-        sq = u_r * math.log(1.0 + alpha)
-        terms = D + L
-        assumptions.append("analytic-regime coefficient count (||A||T)^{1/p} L^{1-1/p} + L")
-    else:
-        if p < 1.0:
-            raise PrecondError(f"fractional path needs p >= 1, got p = {p}")
-        D = alpha * (a_norm * T) ** (1.0 / p) * (u_r / eps) ** (1.0 / p)
-        mq = u_r * math.log(alpha + math.e) * D
-        sq = u_r * math.log(alpha + math.e)
-        terms = alpha * (u_r / eps) ** (1.0 / p) * ((T * a_norm) ** (1.0 / p) + L ** (1.0 / p))
-        assumptions.append("fractional-regime dominant factor (u_r/eps)^{1/p}")
+        return u_r * math.log(1.0 + alpha) * (D + L), u_r * math.log(1.0 + alpha)
+    if p < 1.0:
+        raise PrecondError(f"fractional path needs p >= 1, got p = {p}")
+    D = alpha * (a_norm * T) ** (1.0 / p) * (u_r / eps) ** (1.0 / p)
+    return u_r * math.log(alpha + math.e) * D, u_r * math.log(alpha + math.e)
+
+
+def path_a_cost(plan: fourier.FourierPlan, a_norm: float, u_r: float = 1.0) -> CostReport:
+    """Cosine-series path report for a plan made against the norm a_norm:
+    the query counts of `path_a_queries` at the plan's profile and eps, and
+    the LCU of the plan, 2K + 1 terms of 1-norm |c_0| + 2 sum_{k>=1} |c_k|."""
+    mq, sq = path_a_queries(plan.profile, a_norm, plan.profile.T, plan.eps_internal, u_r)
+    c = fourier.lcu_coefficients(plan)
+    l1 = abs(float(c[0])) + 2.0 * float(np.abs(c[1:]).sum())
     return CostReport(path="A", matrix_queries=mq, state_queries=sq,
-                      lcu_terms=terms, amplification=u_r * l1, l1_norm=l1,
-                      u_r=u_r, assumptions=assumptions)
+                      lcu_terms=float(2 * plan.K + 1), amplification=u_r * l1,
+                      l1_norm=l1, u_r=u_r,
+                      assumptions=[_UNIT_NOTE,
+                                   "amplification taken as u_r * l1_norm "
+                                   "(success-probability overhead)"])
 
 
-def path_b_cost(plan: contour.ContourPlan, gamma: float, f_psi_norm: float,
-                psi_norm: float, eps: float) -> CostReport:
-    """Contour path model from a concrete plan.
+def path_b_cost(plan: contour.ContourPlan, f: Callable[[np.ndarray], np.ndarray],
+                gamma: float, f_psi_norm: float, psi_norm: float, eps: float) -> CostReport:
+    """Contour path report from a concrete plan of f.
 
     matrix_queries = gamma^2 alpha_A^2 B1 / ||f(A)psi|| *
     max(0, ln(gamma alpha_A B1 / (||f(A)psi|| eps))), no queries once that
     core is below eps; the block-encoding factor alpha_A is modeled as R1
     (the enclosing radius dominates the spectral norm at desk scale).
     Amplification is that envelope, the core factor gamma R1 B1 / ||f(A)psi||.
+    The LCU is the plan's: m terms of weights w_j f(w_j) / m on the nodes
+    w_j, whose 1-norm is (R1/m) sum_j |f(w_j)|.
     """
     if gamma <= 0 or f_psi_norm <= 0 or psi_norm <= 0:
         raise PrecondError("gamma and the state norms must be positive")
@@ -118,16 +116,15 @@ def path_b_cost(plan: contour.ContourPlan, gamma: float, f_psi_norm: float,
     if not 0.0 < core < math.inf:
         raise PrecondError(f"amplification gamma R1 B1 / ||f psi|| = {core} is 0 or inf")
     mq = gamma * alpha_a * core * max(math.log(core / eps), 0.0)
+    with np.errstate(all="ignore"):    # a non-finite norm is refused by CostReport
+        l1 = plan.r1 / plan.m * float(np.abs(f(contour.make_nodes(plan.r1, plan.m))).sum())
     return CostReport(path="B", matrix_queries=mq, state_queries=core,
-                      lcu_terms=float(plan.m), amplification=core,
-                      l1_norm=plan.r1 * plan.b1,
+                      lcu_terms=float(plan.m), amplification=core, l1_norm=l1,
                       u_r=psi_norm / f_psi_norm,
                       assumptions=[_UNIT_NOTE,
                                    "block-encoding factor alpha_A modeled as R1",
-                                   "coefficient 1-norm modeled as R1*B1",
                                    "u_r reported as ||psi||/||f(A)psi||",
-                                   "amplification from the R1*B1 envelope "
-                                   "(no f supplied)"])
+                                   "amplification modeled by the R1*B1 envelope"])
 
 
 def recommend(profile: SpectralProfile | None) -> tuple[str, str]:

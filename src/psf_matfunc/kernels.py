@@ -465,7 +465,7 @@ def l1_norm_estimate(kern: TimeKernel) -> L1Estimate:
     to the alias distance X of `lattice_kernel`, past which f has one sign
     and follows its large-x series (none for even p): |f| is integrated on
     cubic interpolants cut at the sign changes, plus the series tail from X.
-    p < 1 is refused, as in costmodel.path_a_cost: f sharpens at 0 as p
+    p < 1 is refused, as in costmodel.path_a_queries: f sharpens at 0 as p
     falls, and at p = 0.4 this step misses the norm by 1e-5.
     """
     p = kern.profile.p

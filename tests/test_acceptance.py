@@ -13,7 +13,7 @@ from numpy.random import default_rng
 from psf_matfunc.contour import (discrete_sum_apply, aliasing_term, make_plan,
                                  optimize_radius, plan_contour, plan_m,
                                  truncation_integral)
-from psf_matfunc.costmodel import path_a_cost
+from psf_matfunc.costmodel import path_a_queries
 from psf_matfunc.fourier import assemble_fourier_approx, plan_fourier
 from psf_matfunc.instances import random_normal_matrix, random_psd, \
     random_state
@@ -246,14 +246,14 @@ def test_criterion_11_cost_model_exponents():
     ratio_worst = 0.0
     for alpha in (1.0, 2.0, 3.0):
         prof = SpectralProfile(alpha, 1.0, "root")
-        base = path_a_cost(prof, 1.0, 0.0, 1e-6).matrix_queries
-        m1 = path_a_cost(prof, 1.0, 1.0, 1e-6).matrix_queries
-        m16 = path_a_cost(prof, 1.0, 16.0, 1e-6).matrix_queries
+        base = path_a_queries(prof, 1.0, 0.0, 1e-6)[0]
+        m1 = path_a_queries(prof, 1.0, 1.0, 1e-6)[0]
+        m16 = path_a_queries(prof, 1.0, 16.0, 1e-6)[0]
         ratio_worst = max(ratio_worst, abs(
             (m16 - base) / (m1 - base) - 16.0 ** (1.0 / (2.0 * alpha))))
     prof_f = SpectralProfile(0.75, 1.0, "root")
-    e1 = path_a_cost(prof_f, 1.0, 1.0, 1e-4).matrix_queries
-    e2 = path_a_cost(prof_f, 1.0, 1.0, 1e-4 / 16.0).matrix_queries
+    e1 = path_a_queries(prof_f, 1.0, 1.0, 1e-4)[0]
+    e2 = path_a_queries(prof_f, 1.0, 1.0, 1e-4 / 16.0)[0]
     frac_diff = abs(e2 / e1 - 16.0 ** (1.0 / 1.5))
     exact_ok = ratio_worst <= 1e-9 and frac_diff <= 1e-9
 

@@ -442,6 +442,15 @@ def test_exit_code_precondition(capsys):
     assert rc == 2 and "singularity" in err
 
 
+# The message an admission case must name, where one check speaks for
+# several paths to a refusal.
+_ADMISSION_MESSAGES = {
+    "simulate-contour --f exp-neg --R1 1 --R2 0.9": "R2 = 0.9 must exceed the lattice radius R1",
+    "simulate-contour --f exp-neg --R1 1 --R2 0.9 --m 10":
+        "R2 = 0.9 must exceed the lattice radius R1",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["plan", "--alpha", "1", "--T", "1", "--eps", "1e-6", "--hnorm", "nan"],
     ["plan", "--alpha", "1", "--T", "1", "--eps", "1e-6", "--hnorm", "inf"],
@@ -520,6 +529,10 @@ def test_exit_code_precondition(capsys):
     ["simulate-contour", "--f", "inv-shift:inf"],
     ["simulate-contour", "--f", "poly:nan,1"],
     ["sweep", "--path", "contour", "--f", "inv-shift:nan", "--m", "8:16:8"],
+    # An outer radius inside the lattice circle, refused by the radii
+    # themselves whether m is planned or given.
+    ["simulate-contour", "--f", "exp-neg", "--R1", "1", "--R2", "0.9"],
+    ["simulate-contour", "--f", "exp-neg", "--R1", "1", "--R2", "0.9", "--m", "10"],
 ], ids=["hnorm-nan", "hnorm-inf", "alpha-inf", "size-0", "coeffs-x",
         "heat-d2-n65", "levy-d3-n17", "contour-eps-negative-m8",
         "contour-eps-negative-rho-1e300", "matrix-poly-eps-5-m8", "plan-p2e6-budget",
@@ -534,7 +547,7 @@ def test_exit_code_precondition(capsys):
         "sweep-fourier-K-1e9", "sweep-contour-m-1e9", "kernel-x-1e9",
         "matrix-re-nested", "matrix-im-nested", "sweep-contour-m-9.3e18",
         "contour-f-inv-shift-nan", "contour-f-inv-shift-inf", "contour-f-poly-nan",
-        "sweep-contour-f-inv-shift-nan"])
+        "sweep-contour-f-inv-shift-nan", "contour-R2-below-R1", "contour-R2-below-R1-m10"])
 def test_exit_code_admission(tmp_path, capsys, argv):
     (tmp_path / "malformed.json").write_text('{"rows": 1,')
     (tmp_path / "im-x.json").write_text(
@@ -552,10 +565,11 @@ def test_exit_code_admission(tmp_path, capsys, argv):
         json.dumps({"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]], "im": [0] * 4}))
     (tmp_path / "im-nested.json").write_text(
         json.dumps({"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [[0, 0], [0, 0]]}))
+    needle = _ADMISSION_MESSAGES.get(" ".join(argv), "")
     argv = [a.format(tmp=tmp_path) for a in argv]
     t0 = time.perf_counter()
     rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
-    assert rc == 2 and err.startswith("precondition:")
+    assert rc == 2 and err.startswith("precondition:") and needle in err
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -6,26 +6,30 @@ import numpy as np
 import pytest
 
 from psf_matfunc import cli
-from psf_matfunc.contour import ContourPlan, make_plan, plan_m
-from psf_matfunc.costmodel import (CostReport, l1_norm_model, path_a_cost, path_b_cost,
+from psf_matfunc.contour import make_nodes, make_plan, plan_lattice, plan_m, scalar_operator
+from psf_matfunc.costmodel import (CostReport, path_a_cost, path_a_queries, path_b_cost,
                                    recommend)
-from psf_matfunc.errors import PrecondError
+from psf_matfunc.errors import EPS_FLOOR, PrecondError
+from psf_matfunc.fourier import plan_fourier
+from psf_matfunc.io import parse_function_spec
 from psf_matfunc.kernels import SpectralProfile
-
-
-def test_l1_norm_model_bands():
-    for alpha in (0.5, 0.75, 1.0):
-        assert l1_norm_model(SpectralProfile(alpha, 1.0, "root")) == 1.0
-    big = l1_norm_model(SpectralProfile(8.0, 1.0, "root"))
-    assert big == pytest.approx((4.0 / math.pi**2) * math.log(8.0) + 1.0)
-    assert big > 1.0
 
 
 def test_path_a_T_zero_isolates_log_term():
     prof = SpectralProfile(1.0, 1.0, "root")
-    rep = path_a_cost(prof, 1.0, 0.0, 1e-6)
-    assert rep.matrix_queries == pytest.approx(
-        math.log(2.0) * math.log(1e6), rel=1e-12)
+    mq, _ = path_a_queries(prof, 1.0, 0.0, 1e-6)
+    assert mq == pytest.approx(math.log(2.0) * math.log(1e6), rel=1e-12)
+
+
+def test_path_a_cost_reads_the_plan():
+    """The queries are the scaling model at the plan's profile and eps; the
+    LCU size is the plan's."""
+    plan = plan_fourier(SpectralProfile(1.0, 1.0, "root"), [0.0, 2.0], 1e-6)
+    rep = path_a_cost(plan, 2.0, u_r=1.5)
+    assert (rep.matrix_queries, rep.state_queries) == path_a_queries(
+        plan.profile, 2.0, 1.0, 1e-6, 1.5)
+    assert rep.lcu_terms == 2 * plan.K + 1
+    assert rep.amplification == 1.5 * rep.l1_norm
     assert rep.path == "A"
     assert rep.assumptions      # scaling-model caveats always attached
 
@@ -34,26 +38,26 @@ def test_path_a_T_zero_isolates_log_term():
 def test_path_a_time_exponent(alpha, p):
     """Subtracting the T = 0 baseline isolates the (||A|| T)^{1/p} factor."""
     prof = SpectralProfile(alpha, 1.0, "root")
-    base = path_a_cost(prof, 1.0, 0.0, 1e-6).matrix_queries
-    m1 = path_a_cost(prof, 1.0, 1.0, 1e-6).matrix_queries
-    m16 = path_a_cost(prof, 1.0, 16.0, 1e-6).matrix_queries
+    base = path_a_queries(prof, 1.0, 0.0, 1e-6)[0]
+    m1 = path_a_queries(prof, 1.0, 1.0, 1e-6)[0]
+    m16 = path_a_queries(prof, 1.0, 16.0, 1e-6)[0]
     ratio = (m16 - base) / (m1 - base)
     assert ratio == pytest.approx(16.0 ** (1.0 / p), rel=1e-12)
 
 
 def test_path_a_fractional_eps_exponent():
     prof = SpectralProfile(0.75, 1.0, "root")     # p = 1.5
-    m1 = path_a_cost(prof, 1.0, 1.0, 1e-4).matrix_queries
-    m2 = path_a_cost(prof, 1.0, 1.0, 1e-4 / 16.0).matrix_queries
+    m1 = path_a_queries(prof, 1.0, 1.0, 1e-4)[0]
+    m2 = path_a_queries(prof, 1.0, 1.0, 1e-4 / 16.0)[0]
     assert m2 / m1 == pytest.approx(16.0 ** (2.0 / 3.0), rel=1e-12)
 
 
 def test_path_a_monotone_in_inputs():
     for prof in (SpectralProfile(1.0, 1.0, "root"),
                  SpectralProfile(0.75, 1.0, "root")):
-        mq = lambda **kw: path_a_cost(
+        mq = lambda **kw: path_a_queries(
             prof, kw.get("a_norm", 1.0), kw.get("T", 1.0),
-            kw.get("eps", 1e-6), kw.get("u_r", 1.0)).matrix_queries
+            kw.get("eps", 1e-6), kw.get("u_r", 1.0))[0]
         assert mq(eps=1e-8) > mq(eps=1e-6) > mq(eps=1e-4)
         assert mq(T=4.0) > mq(T=1.0)
         assert mq(a_norm=3.0) > mq(a_norm=1.0)
@@ -62,12 +66,13 @@ def test_path_a_monotone_in_inputs():
 
 def test_path_a_guards():
     prof = SpectralProfile(1.0, 1.0, "root")
+    plan = plan_fourier(prof, [0.0, 1.0], 1e-6)
     with pytest.raises(PrecondError):
-        path_a_cost(prof, 1.0, 1.0, 1e-6, u_r=0.5)
+        path_a_cost(plan, 1.0, u_r=0.5)
     with pytest.raises(PrecondError):
-        path_a_cost(prof, -1.0, 1.0, 1e-6)
+        path_a_cost(plan, -1.0)
     with pytest.raises(PrecondError):
-        path_a_cost(prof, 1.0, 1.0, 2.0)
+        path_a_queries(prof, 1.0, 1.0, 2.0)
 
 
 def test_cost_report_validation():
@@ -82,28 +87,29 @@ def test_cost_report_validation():
 def test_path_b_unit_plan_spot_value():
     one = lambda z: np.ones_like(np.asarray(z, dtype=complex))
     plan = make_plan(one, 1.0, 2.0, 8)
-    rep = path_b_cost(plan, 1.0, 1.0, 1.0, 1e-4)
+    rep = path_b_cost(plan, one, 1.0, 1.0, 1.0, 1e-4)
     assert rep.matrix_queries == pytest.approx(math.log(1e4), rel=1e-12)
     assert rep.state_queries == pytest.approx(1.0)
     assert rep.lcu_terms == 8.0
+    assert rep.l1_norm == 1.0           # (R1/m) sum_j |f(w_j)| at f = 1, R1 = 1
     assert rep.path == "B"
 
 
 def test_path_b_amplification_source():
     exp_neg = lambda z: np.exp(-z)
     plan = make_plan(exp_neg, 1.0, 2.0, 16)
-    rep = path_b_cost(plan, 1.0, 1.0, 1.0, 1e-4)
+    rep = path_b_cost(plan, exp_neg, 1.0, 1.0, 1.0, 1e-4)
     assert rep.amplification == pytest.approx(plan.r1 * plan.b1)
     with pytest.raises(PrecondError):
-        path_b_cost(plan, 0.0, 1.0, 1.0, 1e-4)
+        path_b_cost(plan, exp_neg, 0.0, 1.0, 1.0, 1e-4)
 
 
 @pytest.mark.parametrize("gamma,eps", [(0.1, 0.5), (1e-320, 1e-6)])
 def test_path_b_core_below_eps_costs_no_queries(gamma, eps):
     """Once the amplification core gamma R1 B1 / ||f(A)psi|| is below eps
     the log factor is floored at 0: no negative query count, and no -0.0."""
-    plan = make_plan(lambda z: np.exp(-z), 1.0, 2.0, 16)
-    rep = path_b_cost(plan, gamma, 1.0, 1.0, eps)
+    exp_neg = lambda z: np.exp(-z)
+    rep = path_b_cost(make_plan(exp_neg, 1.0, 2.0, 16), exp_neg, gamma, 1.0, 1.0, eps)
     assert rep.state_queries < eps
     assert math.copysign(1.0, rep.matrix_queries) == 1.0 and rep.matrix_queries == 0.0
 
@@ -163,6 +169,68 @@ def test_recommend_analytic_profile_allows_both(tmp_path, capsys):
 def test_cost_cli_validation(tmp_path, capsys):
     out = str(tmp_path / "cost.csv")
     assert cli.main(["cost", "--alpha", "1", "--eps", "2", "--out", out]) == 2
-    assert "eps must lie in (0, 1)" in capsys.readouterr().err
+    assert f"[{EPS_FLOOR:g}, 1)" in capsys.readouterr().err
     assert cli.main(["cost", "--eps", "1e-6", "--out", out]) == 2
     assert "needs a decay profile, a holomorphic f, or both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha,eps,mode,norm", [
+    ("0.75", "1e-4", "root", "1"), ("1", "1e-8", "root", "1"),
+    ("10.25", "1e-3", "root", "1"), ("1.5", "1e-4", "direct", "2"),
+], ids=["p1.5", "p2", "p20.5", "direct-p1.5"])
+def test_cost_path_a_reports_the_lcu_plan_builds(tmp_path, capsys, alpha, eps, mode, norm):
+    """`cost --path a` and `plan` at the same inputs describe one LCU: 2K + 1
+    terms of 1-norm |c_0| + 2 sum_{k>=1} |c_k|."""
+    common = ["--alpha", alpha, "--T", "1", "--eps", eps, "--mode", mode]
+    plan_out, cost_out = tmp_path / "plan.json", tmp_path / "cost.json"
+    assert cli.main(["plan", *common, "--hnorm", norm, "--out", str(plan_out)]) == 0
+    assert cli.main(["cost", "--path", "a", *common, "--anorm", norm,
+                     "--out", str(cost_out)]) == 0
+    capsys.readouterr()
+    plan = json.loads(plan_out.read_text(encoding="utf-8"))
+    rep = json.loads(cost_out.read_text(encoding="utf-8"))
+    c = np.array(plan["c"])
+    assert rep["lcu_terms"] == 2 * plan["K"] + 1
+    assert rep["l1_norm"] == abs(c[0]) + 2.0 * float(np.abs(c[1:]).sum())
+    assert rep["amplification"] == rep["l1_norm"]      # u_r = 1
+
+
+@pytest.mark.parametrize("f", ["inv-shift:3", "exp-neg", "poly:1,2,0,3"])
+def test_cost_path_b_l1_norm_is_the_node_weight_sum(tmp_path, capsys, f):
+    """Path B's 1-norm is sum_j |w_j f(w_j)| / m = (R1/m) sum_j |f(w_j)| on
+    the nodes of the plan `cost` makes for the operator [--rho]."""
+    out = tmp_path / "cost.json"
+    assert cli.main(["cost", "--path", "b", "--f", f, "--eps", "1e-8",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    fn = parse_function_spec(f).fn
+    plan = plan_lattice(fn, scalar_operator(0.5), 1e-8, 1.0, 1.0)
+    rep = json.loads(out.read_text(encoding="utf-8"))
+    assert rep["lcu_terms"] == plan.m
+    assert rep["l1_norm"] == plan.r1 / plan.m * float(
+        np.abs(fn(make_nodes(plan.r1, plan.m))).sum())
+    if f == "inv-shift:3":
+        assert round(rep["l1_norm"], 4) == 0.1849
+
+
+@pytest.mark.parametrize("argv", [
+    ["--path", "a", "--alpha", "1"],
+    ["--path", "b", "--f", "exp-neg"],
+    ["--path", "both", "--alpha", "1"],
+    ["--path", "both", "--alpha", "0.75"],
+], ids=["path-a", "path-b", "both-analytic", "both-fractional"])
+def test_cost_admits_eps_through_the_planners(tmp_path, capsys, argv):
+    """Each path admits eps through its planner, so both refuse an eps below
+    the rounding floor with the floor named."""
+    rc = cli.main(["cost", *argv, "--eps", "1e-20", "--out", str(tmp_path / "out")])
+    assert rc == 2 and f"[{EPS_FLOOR:g}, 1)" in capsys.readouterr().err
+
+
+def test_cost_path_a_refuses_what_plan_refuses(tmp_path, capsys):
+    """At alpha 0.5, eps 1e-6 the kernel lattice exceeds its sample cap:
+    `cost` reports no counts for a plan that cannot be built."""
+    common = ["--alpha", "0.5", "--T", "1", "--eps", "1e-6", "--out", str(tmp_path / "out")]
+    assert cli.main(["plan", *common, "--hnorm", "1"]) == 2
+    plan_err = capsys.readouterr().err
+    assert cli.main(["cost", "--path", "a", *common]) == 2
+    assert capsys.readouterr().err == plan_err and "samples" in plan_err

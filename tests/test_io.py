@@ -110,7 +110,8 @@ def test_contour_plan_json_fields():
 
 
 def test_cost_report_json_keys():
-    rep = path_a_cost(SpectralProfile(1.0, 1.0, "root"), 1.0, 1.0, 1e-6)
+    rep = path_a_cost(plan_fourier(SpectralProfile(1.0, 1.0, "root"), [0.0, 1.0], 1e-6),
+                      1.0)
     obj = cost_report_json(rep)
     assert obj["path"] == "A"
     for key in ("matrix_queries", "state_queries", "lcu_terms",
