@@ -30,7 +30,7 @@ from . import contour, costmodel, fourier, io as pio, operators
 from .errors import NumericalError, PrecondError, admit_eps
 from .instances import random_normal_matrix, random_psd, random_state
 from .kernels import SpectralProfile, envelope_function, lattice_kernel
-from .linalg import eig, frobenius, hermitian_eig, matfun_apply
+from .linalg import eig, evolution_function, frobenius, hermitian_eig, matfun_apply
 
 
 def _load_config(path: str) -> dict:
@@ -118,12 +118,7 @@ def _cmd_kernel(args) -> int:
     lo, step, count = pio.parse_lattice(args.x)
     vals = lattice_kernel(profile, lo, step, count)
     xs = [lo + i * step for i in range(count)]
-    fractional = profile.regime == "fractional"
-    # The fractional envelope reads inf at x = 0. Its algebraic constant
-    # overflows at large p, so a table of x = 0 alone never builds it.
-    envelope = (envelope_function(profile)
-                if not fractional or any(x != 0.0 for x in xs) else None)
-    envs = [math.inf if fractional and x == 0.0 else envelope(x) for x in xs]
+    envs = map(envelope_function(profile), xs)
     pio.write_csv(args.out, ["x", "kernel", "envelope"],
                   list(zip(xs, vals.tolist(), envs)))
     print(f"kernel: {count} points, p={profile.p:g} ({profile.regime}), "
@@ -212,11 +207,8 @@ def _cmd_cost(args) -> int:
             fourier.plan_fourier(profile, [0.0, args.anorm], eps), args.anorm, args.ur)
     recommendation, reason = costmodel.recommend(profile)
     if which != "a" and recommendation != "path-a":
-        if fspec is not None:
-            f = fspec.fn
-        else:   # an analytic profile: e^{-T z^p} is entire
-            p_int, T = int(round(profile.p)), args.T
-            f = lambda z: np.exp(-T * z ** p_int)
+        # An analytic profile's e^{-T z^p} is entire.
+        f = fspec.fn if fspec is not None else evolution_function(profile.p, profile.T)
         rho = args.rho
         if not 0.0 <= rho < math.inf:
             raise PrecondError(f"spectral radius must be finite and non-negative, got {rho}")

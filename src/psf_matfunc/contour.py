@@ -13,14 +13,14 @@ differs from f(A) by two terms with clean geometric decay in m:
 
 where the remainder E_m is a contour integral over a larger circle |z| = R2
 (evaluated here by a periodic trapezoid rule, spectrally accurate). The
-module provides the node set, one circle rule for the discrete sum and the
-remainder, the aliasing term, the one planner `plan_lattice` (radius
-defaults in `lattice_radii`, m from the two decay ratios in `plan_m`), the
-one bound `ContourPlan.error_bounds`, the one measurement `measure` of every
-contour run (simulate, sweep, app), and one golden-section search for R2
-(`optimize_radius`, for `plan_contour`). `plan_lattice` takes the caller's
-`SpectralDecomposition`, and the plan keeps its spectral radius and kappa_s,
-which the bound reads.
+module provides the one circle rule `circle_rule` (the nodes and weights of
+the discrete sum, of the remainder and of `cost`'s LCU), the aliasing term,
+the one planner `plan_lattice` (radius defaults in `lattice_radii`, m from
+the two decay ratios in `plan_m`), the one bound `ContourPlan.error_bounds`,
+the one measurement `measure` of every contour run (simulate, sweep, app),
+and one golden-section search for R2 (`optimize_radius`, for
+`plan_contour`). `plan_lattice` takes the caller's `SpectralDecomposition`,
+and the plan keeps its spectral radius and kappa_s, which the bound reads.
 """
 
 from __future__ import annotations
@@ -45,14 +45,19 @@ _RADIUS_REL_TOL = 1e-6   # width of the final R2 bracket, relative to R2
 _MAX_NODES = 1 << 19
 
 
-def make_nodes(r1: float, m: int) -> np.ndarray:
-    """Lattice w_k = R1 e^{2 pi i k / m}, k = 1..m."""
-    if r1 <= 0:
-        raise PrecondError(f"lattice radius must be positive, got {r1}")
-    if m < 1:
-        raise PrecondError(f"node count must be >= 1, got {m}")
-    k = np.arange(1, m + 1, dtype=float)
-    return r1 * np.exp(2j * np.pi * k / m)
+def circle_rule(g: Callable[[np.ndarray], np.ndarray], radius: float,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point periodic trapezoid rule on |z| = radius: nodes z_k =
+    radius e^{2 pi i k/n}, k = 1..n, and weights c_k = z_k g(z_k)/n, so that
+    sum_k c_k (z_k I - A)^{-1} approximates g(A) for an enclosed spectrum.
+    The weights are the LCU of the contour path; sum_k |c_k| its 1-norm."""
+    if radius <= 0:
+        raise PrecondError(f"lattice radius must be positive, got {radius}")
+    if n < 1:
+        raise PrecondError(f"node count must be >= 1, got {n}")
+    k = np.arange(1, n + 1, dtype=float)
+    z = radius * np.exp(2j * np.pi * k / n)
+    return z, z * np.asarray(g(z), dtype=complex) / n
 
 
 def circle_sup(f: Callable[[np.ndarray], np.ndarray], radius: float) -> float:
@@ -132,22 +137,13 @@ def _check_enclosure(A: Operator, radius: float, label: str) -> SpectralDecompos
     return dec
 
 
-def _circle_rule(A: Operator, g: Callable[[np.ndarray], np.ndarray], radius: float,
-                 n: int, psi: np.ndarray, label: str) -> np.ndarray:
-    """(1/n) sum_k z_k g(z_k) (z_k I - A)^{-1} psi on z = make_nodes(radius, n),
-    for a spectrum enclosed by the circle: one `resolvent_apply` call on A's
-    decomposition with weights z_k g(z_k)/n. The sum runs in a fixed order
-    without threads, so results are bitwise reproducible.
-    """
-    dec = _check_enclosure(A, radius, label)
-    z = make_nodes(radius, n)
-    return resolvent_apply(dec, z, z * np.asarray(g(z), dtype=complex) / n, psi)
-
-
 def discrete_sum_apply(A: Operator, f: Callable[[np.ndarray], np.ndarray],
                        plan: ContourPlan, psi: np.ndarray) -> np.ndarray:
-    """S_m psi = (1/m) sum_k w_k f(w_k) (w_k I - A)^{-1} psi on the lattice."""
-    return _circle_rule(A, f, plan.r1, plan.m, psi, "R1")
+    """S_m psi = (1/m) sum_k w_k f(w_k) (w_k I - A)^{-1} psi on the lattice:
+    one `resolvent_apply` call on the `circle_rule` nodes and weights, in a
+    fixed order without threads, so results are bitwise reproducible."""
+    dec = _check_enclosure(A, plan.r1, "R1")
+    return resolvent_apply(dec, *circle_rule(f, plan.r1, plan.m), psi)
 
 
 def measure(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray],
@@ -191,8 +187,9 @@ def truncation_integral(A: Operator, f: Callable[[np.ndarray], np.ndarray],
     with plan.quad_n = max(8m, 256) uniform nodes.
     """
     m, r1m = plan.m, _r1_power(plan)
-    return _circle_rule(A, lambda z: f(z) * r1m / (z ** m - r1m), plan.r2,
-                        plan.quad_n, psi, "R2")
+    dec = _check_enclosure(A, plan.r2, "R2")
+    return resolvent_apply(dec, *circle_rule(lambda z: f(z) * r1m / (z ** m - r1m),
+                                             plan.r2, plan.quad_n), psi)
 
 
 def plan_m(eps: float, r1: float, r2: float, b2: float, kappa_s: float,

@@ -2,12 +2,13 @@
 
 The LCU fields are read from the plans: path A's `lcu_terms` 2K + 1 and
 `l1_norm` |c_0| + 2 sum_{k>=1} |c_k| (Childs & Wiebe, QIC 12, 2012), path
-B's node count m and (R1/m) sum_j |f(w_j)| on the nodes. `matrix_queries`,
-`state_queries` and path B's `amplification` are scaling models: asymptotic
-complexities with unit constants, not gate counts, as each report's
-assumptions list says. Their T and 1/eps ratios reproduce the advertised
-powers exactly: `path_a_queries` is a single product plus an additive log
-term, isolated at T = 0, where no plan exists.
+B's node count m and sum_j |c_j| of its `contour.circle_rule` weights c_j,
+with amplification gamma sum_j |c_j| / ||f(A)psi||. `matrix_queries` and
+`state_queries` are scaling models: asymptotic complexities with unit
+constants, not gate counts, as each report's assumptions list says. Their T
+and 1/eps ratios reproduce the advertised powers exactly: `path_a_queries`
+is a single product plus an additive log term, isolated at T = 0, where no
+plan exists.
 
 `recommend` picks a path from the target alone. The `cost` command plans
 with `fourier.plan_fourier` and `contour.plan_lattice`, as the other
@@ -99,32 +100,30 @@ def path_b_cost(plan: contour.ContourPlan, f: Callable[[np.ndarray], np.ndarray]
                 gamma: float, f_psi_norm: float, psi_norm: float, eps: float) -> CostReport:
     """Contour path report from a concrete plan of f.
 
-    matrix_queries = gamma^2 alpha_A^2 B1 / ||f(A)psi|| *
-    max(0, ln(gamma alpha_A B1 / (||f(A)psi|| eps))), no queries once that
-    core is below eps; the block-encoding factor alpha_A is modeled as R1
-    (the enclosing radius dominates the spectral norm at desk scale).
-    Amplification is that envelope, the core factor gamma R1 B1 / ||f(A)psi||.
-    The LCU is the plan's: m terms of weights w_j f(w_j) / m on the nodes
-    w_j, whose 1-norm is (R1/m) sum_j |f(w_j)|.
+    The LCU is the plan's `contour.circle_rule`: m terms of weights c_j =
+    w_j f(w_j) / m on the nodes w_j, of 1-norm ||c||_1 = sum_j |c_j|. The
+    amplification and state-query core is gamma ||c||_1 / ||f(A)psi||, and
+    matrix_queries = gamma alpha_A core * max(0, ln(core / eps)), no queries
+    once the core is below eps; the block-encoding factor alpha_A is modeled
+    as R1 (the enclosing radius dominates the spectral norm at desk scale).
     """
     if gamma <= 0 or f_psi_norm <= 0 or psi_norm <= 0:
         raise PrecondError("gamma and the state norms must be positive")
     if not (0.0 < eps < 1.0):
         raise PrecondError(f"eps must lie in (0, 1), got {eps}")
-    alpha_a = plan.r1
-    core = gamma * alpha_a * plan.b1 / f_psi_norm
+    with np.errstate(all="ignore"):    # a non-finite weight is refused below
+        _, weights = contour.circle_rule(f, plan.r1, plan.m)
+        l1 = float(np.abs(weights).sum())
+    core = gamma * l1 / f_psi_norm
     if not 0.0 < core < math.inf:
-        raise PrecondError(f"amplification gamma R1 B1 / ||f psi|| = {core} is 0 or inf")
-    mq = gamma * alpha_a * core * max(math.log(core / eps), 0.0)
-    with np.errstate(all="ignore"):    # a non-finite norm is refused by CostReport
-        l1 = plan.r1 / plan.m * float(np.abs(f(contour.make_nodes(plan.r1, plan.m))).sum())
+        raise PrecondError(f"amplification gamma ||c||_1 / ||f psi|| = {core} is 0 or inf")
+    mq = gamma * plan.r1 * core * max(math.log(core / eps), 0.0)     # alpha_A = R1
     return CostReport(path="B", matrix_queries=mq, state_queries=core,
                       lcu_terms=float(plan.m), amplification=core, l1_norm=l1,
                       u_r=psi_norm / f_psi_norm,
                       assumptions=[_UNIT_NOTE,
                                    "block-encoding factor alpha_A modeled as R1",
-                                   "u_r reported as ||psi||/||f(A)psi||",
-                                   "amplification modeled by the R1*B1 envelope"])
+                                   "u_r reported as ||psi||/||f(A)psi||"])
 
 
 def recommend(profile: SpectralProfile | None) -> tuple[str, str]:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -171,23 +172,19 @@ def plan_fourier(profile: SpectralProfile, spectrum: np.ndarray,
     # A seed, ratio or K beyond the float range is inf, and K refuses it.
     seed = math.log(4.0 / eps_internal) / T
     gap = math.inf if math.log(seed) / p > _LOG_FLOAT_MAX else seed ** (1.0 / p)
-    for _ in range(_MAX_GROWTH_STEPS):
-        if aliasing_bound(profile, gap, eps_internal) <= budget:
-            break
-        gap *= _GROWTH
-    else:
-        raise PrecondError(f"aliasing gap of p={p:g}, T={T:g} does not reach its "
-                           f"budget in {_MAX_GROWTH_STEPS} growth steps")
-    a = scale + gap
 
-    ratio = truncation_ratio(profile, eps_internal)
-    for _ in range(_MAX_GROWTH_STEPS):
-        if truncation_bound(profile, ratio) <= budget:
-            break
-        ratio *= _GROWTH
-    else:
-        raise PrecondError(f"truncation cutoff of p={p:g}, T={T:g} does not reach its "
+    def grow(value: float, bound: Callable[[float], float], what: str) -> float:
+        # value * _GROWTH^j at the first j whose bound meets the budget
+        for _ in range(_MAX_GROWTH_STEPS):
+            if bound(value) <= budget:
+                return value
+            value *= _GROWTH
+        raise PrecondError(f"{what} of p={p:g}, T={T:g} does not reach its "
                            f"budget in {_MAX_GROWTH_STEPS} growth steps")
+
+    a = scale + grow(gap, lambda g: aliasing_bound(profile, g, eps_internal), "aliasing gap")
+    ratio = grow(truncation_ratio(profile, eps_internal),
+                 lambda r: truncation_bound(profile, r), "truncation cutoff")
 
     if not math.isfinite(ratio * a):
         raise PrecondError(f"cutoff K = {ratio!r} * period {a!r} exceeds the float range")

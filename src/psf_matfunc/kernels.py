@@ -156,6 +156,19 @@ def kernel_values(kern: TimeKernel, xs: np.ndarray) -> np.ndarray:
         f"tolerance {_PANEL_TOLERANCE:.3e}")
 
 
+def _envelope_constant(p: float, T: float) -> tuple[float, float]:
+    """(C, log C) of `algebraic_envelope_constant`, C = inf beyond the float range."""
+    log_gamma = math.lgamma(p + 1.0)
+    log_scale = log_gamma + math.log(T) - math.log(math.pi)    # of (T/pi) Gamma(p+1)
+    sine = abs(math.sin(math.pi * p / 2.0))
+    if log_scale > _LOG_FLOAT_MAX:
+        return math.inf, log_scale + math.log(sine)
+    # Gamma(p+1) may overflow where C (small T) does not
+    C = (math.exp(log_gamma + math.log(T / math.pi)) * sine if log_gamma > _LOG_FLOAT_MAX
+         else (T / math.pi) * math.exp(log_gamma) * sine)
+    return C, math.log(C) if C > 0.0 else -math.inf
+
+
 def algebraic_envelope_constant(p: float, T: float) -> float:
     """Magnitude constant of the algebraic envelope C/|x|^{p+1}.
 
@@ -166,14 +179,11 @@ def algebraic_envelope_constant(p: float, T: float) -> float:
     instead. Raises PrecondError when C exceeds the float range (p above
     about 170 at T = 1).
     """
-    log_gamma = math.lgamma(p + 1.0)
-    if log_gamma + math.log(T) - math.log(math.pi) > _LOG_FLOAT_MAX:
+    C, _ = _envelope_constant(p, T)
+    if C == math.inf:
         raise PrecondError(
             f"algebraic envelope constant of p={p:g}, T={T:g} exceeds the float range")
-    sine = abs(math.sin(math.pi * p / 2.0))
-    if log_gamma > _LOG_FLOAT_MAX:   # Gamma(p+1) overflows, C (small T) need not
-        return math.exp(log_gamma + math.log(T / math.pi)) * sine
-    return (T / math.pi) * math.exp(log_gamma) * sine
+    return C
 
 
 def saddle_rate(profile: SpectralProfile) -> tuple[float, float]:
@@ -208,6 +218,9 @@ def envelope_function(profile: SpectralProfile) -> Callable[[float], float]:
     with |f| <= C exp(-lambda |x|^beta) is f(0) at p = 2 and at most 1.07
     f(0) at even p >= 4; the 2 is the prefactor safety that
     `fourier.truncation_bound` takes too.
+
+    The algebraic envelope reads inf at its pole x = 0, and is read in
+    logarithms where C or |x|^{p+1} leaves the float range.
     """
     if profile.regime == "analytic":
         lam, beta = saddle_rate(profile)
@@ -222,14 +235,14 @@ def envelope_function(profile: SpectralProfile) -> Callable[[float], float]:
             return top * math.exp(-lam * abs(x) ** beta)
         return analytic
     p1 = profile.p + 1.0
-    C = algebraic_envelope_constant(profile.p, profile.T)
+    C, log_c = _envelope_constant(profile.p, profile.T)
 
     def algebraic(x: float) -> float:
-        if x == 0:
-            raise PrecondError("algebraic envelope has a pole at x = 0")
+        if x == 0:      # the pole
+            return math.inf
         log_pow = p1 * math.log(abs(x))
-        if abs(log_pow) > _LOG_FLOAT_MAX:   # |x|^{p+1} overflows or underflows
-            log_env = math.log(C) - log_pow
+        if C == math.inf or abs(log_pow) > _LOG_FLOAT_MAX:   # C or |x|^{p+1} out of range
+            log_env = log_c - log_pow
             return math.exp(log_env) if log_env <= _LOG_FLOAT_MAX else math.inf
         return C / abs(x) ** p1
     return algebraic

@@ -417,9 +417,9 @@ def evolution_function(alpha: float, T: float) -> Callable[[np.ndarray], np.ndar
     """The scalar map lam -> e^{-T lam^alpha} on a real spectrum, the one
     oracle of the Fourier path.
 
-    An even integer alpha is an integer power, defined on any Hermitian H
-    (heat and biharmonic on the indefinite Dirac root). Any other alpha
-    needs H PSD up to the `clamp_psd` window.
+    An even integer alpha is a polynomial power, defined on any Hermitian H
+    (heat and biharmonic on the indefinite Dirac root) and at complex contour
+    nodes too. Any other alpha needs H PSD up to the `clamp_psd` window.
     """
     if alpha <= 0:
         raise PrecondError(f"alpha must be positive, got {alpha}")

@@ -377,16 +377,20 @@ def test_large_fractional_p_exits_zero_or_two(tmp_path, capsys, argv):
     assert rc in (0, 2), err
 
 
-def test_kernel_origin_alone_needs_no_envelope_constant(tmp_path, capsys):
-    """At p = 180.5 the algebraic envelope constant overflows: a table that
-    holds x = 0 alone (envelope inf) never computes it, one more point does."""
+def test_kernel_envelope_constant_beyond_the_float_range(tmp_path, capsys):
+    """At p = 180.5 the algebraic envelope constant overflows, and the table
+    reads the envelope in logarithms: inf at the pole x = 0 and wherever it
+    exceeds the largest float, finite further out."""
     out = str(tmp_path / "k.csv")
-    rc, _, _ = run(["kernel", "--alpha", "90.25", "--T", "1", "--x", "0:0:1",
-                    "--out", out], capsys)
-    assert rc == 0 and read_bytes(out).decode().splitlines()[1].endswith(",inf")
-    rc, _, err = run(["kernel", "--alpha", "90.25", "--T", "1", "--x", "0:1:1",
+    for x in ("0:0:1", "0:1:0.5"):
+        rc, _, err = run(["kernel", "--alpha", "90.25", "--T", "1", "--x", x,
+                          "--out", out], capsys)
+        assert rc == 0, err
+        assert all(ln.endswith(",inf") for ln in read_bytes(out).decode().splitlines()[1:])
+    rc, _, err = run(["kernel", "--alpha", "90.25", "--T", "1", "--x", "10:10:1",
                       "--out", out], capsys)
-    assert rc == 2 and "float range" in err
+    assert rc == 0, err
+    assert 0.0 < float(read_bytes(out).decode().splitlines()[1].split(",")[2]) < math.inf
 
 
 def test_config_merge_and_override(tmp_path, capsys):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from psf_matfunc import contour, util
-from psf_matfunc.contour import (ContourPlan, aliasing_term, circle_sup,
-                                 discrete_sum_apply, lattice_radii, make_nodes,
+from psf_matfunc.contour import (ContourPlan, aliasing_term, circle_rule, circle_sup,
+                                 discrete_sum_apply, lattice_radii,
                                  make_plan, optimize_radius, plan_contour,
                                  plan_lattice, plan_m, scalar_operator,
                                  truncation_integral)
@@ -29,18 +29,27 @@ def exp_neg(z):
     return np.exp(-z)
 
 
-def test_make_nodes():
-    w = make_nodes(1.0, 4)
+def test_circle_rule_nodes():
+    w, _ = circle_rule(one, 1.0, 4)
     np.testing.assert_allclose(sorted(w, key=np.angle),
                                [-1j, 1.0, 1j, -1.0], atol=1e-15)
-    np.testing.assert_allclose(make_nodes(2.0, 1), [2.0], atol=1e-15)
-    w = make_nodes(0.7, 9)
+    np.testing.assert_allclose(circle_rule(one, 2.0, 1)[0], [2.0], atol=1e-15)
+    w, _ = circle_rule(one, 0.7, 9)
     np.testing.assert_allclose(np.abs(w), 0.7, rtol=1e-14)
     assert abs(w.sum()) < 1e-14
     with pytest.raises(PrecondError):
-        make_nodes(-1.0, 4)
+        circle_rule(one, -1.0, 4)
     with pytest.raises(PrecondError):
-        make_nodes(1.0, 0)
+        circle_rule(one, 1.0, 0)
+
+
+def test_circle_rule_weights():
+    """The weights are z_k g(z_k)/n: for g = 1 on the unit circle they are
+    the nodes over n, which sum to 0 and have 1-norm 1."""
+    z, c = circle_rule(one, 1.0, 8)
+    np.testing.assert_array_equal(c, z / 8)
+    assert abs(c.sum()) < 1e-15
+    assert np.abs(c).sum() == pytest.approx(1.0, rel=1e-15)
 
 
 def test_circle_sup():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from psf_matfunc import cli
-from psf_matfunc.contour import make_nodes, make_plan, plan_lattice, plan_m, scalar_operator
+from psf_matfunc.contour import circle_rule, make_plan, plan_lattice, plan_m, scalar_operator
 from psf_matfunc.costmodel import (CostReport, path_a_cost, path_a_queries, path_b_cost,
                                    recommend)
 from psf_matfunc.errors import EPS_FLOOR, PrecondError
@@ -91,22 +91,26 @@ def test_path_b_unit_plan_spot_value():
     assert rep.matrix_queries == pytest.approx(math.log(1e4), rel=1e-12)
     assert rep.state_queries == pytest.approx(1.0)
     assert rep.lcu_terms == 8.0
-    assert rep.l1_norm == 1.0           # (R1/m) sum_j |f(w_j)| at f = 1, R1 = 1
+    assert rep.l1_norm == pytest.approx(1.0, rel=1e-15)   # sum_j |w_j| / m at f = 1, R1 = 1
     assert rep.path == "B"
 
 
 def test_path_b_amplification_source():
+    """The amplification is gamma sum_j |c_j| / ||f(A)psi|| over the plan's
+    own circle-rule weights, below the R1 B1 envelope that bounds it."""
     exp_neg = lambda z: np.exp(-z)
     plan = make_plan(exp_neg, 1.0, 2.0, 16)
-    rep = path_b_cost(plan, exp_neg, 1.0, 1.0, 1.0, 1e-4)
-    assert rep.amplification == pytest.approx(plan.r1 * plan.b1)
+    rep = path_b_cost(plan, exp_neg, 2.0, 0.5, 1.0, 1e-4)
+    l1 = float(np.abs(circle_rule(exp_neg, plan.r1, plan.m)[1]).sum())
+    assert rep.amplification == rep.state_queries == 2.0 * l1 / 0.5
+    assert rep.l1_norm == l1 < plan.r1 * plan.b1
     with pytest.raises(PrecondError):
         path_b_cost(plan, exp_neg, 0.0, 1.0, 1.0, 1e-4)
 
 
 @pytest.mark.parametrize("gamma,eps", [(0.1, 0.5), (1e-320, 1e-6)])
 def test_path_b_core_below_eps_costs_no_queries(gamma, eps):
-    """Once the amplification core gamma R1 B1 / ||f(A)psi|| is below eps
+    """Once the amplification core gamma ||c||_1 / ||f(A)psi|| is below eps
     the log factor is floored at 0: no negative query count, and no -0.0."""
     exp_neg = lambda z: np.exp(-z)
     rep = path_b_cost(make_plan(exp_neg, 1.0, 2.0, 16), exp_neg, gamma, 1.0, 1.0, eps)
@@ -197,8 +201,8 @@ def test_cost_path_a_reports_the_lcu_plan_builds(tmp_path, capsys, alpha, eps, m
 
 @pytest.mark.parametrize("f", ["inv-shift:3", "exp-neg", "poly:1,2,0,3"])
 def test_cost_path_b_l1_norm_is_the_node_weight_sum(tmp_path, capsys, f):
-    """Path B's 1-norm is sum_j |w_j f(w_j)| / m = (R1/m) sum_j |f(w_j)| on
-    the nodes of the plan `cost` makes for the operator [--rho]."""
+    """Path B's 1-norm is sum_j |c_j| of the circle-rule weights c_j =
+    w_j f(w_j) / m of the plan `cost` makes for the operator [--rho]."""
     out = tmp_path / "cost.json"
     assert cli.main(["cost", "--path", "b", "--f", f, "--eps", "1e-8",
                      "--out", str(out)]) == 0
@@ -207,10 +211,27 @@ def test_cost_path_b_l1_norm_is_the_node_weight_sum(tmp_path, capsys, f):
     plan = plan_lattice(fn, scalar_operator(0.5), 1e-8, 1.0, 1.0)
     rep = json.loads(out.read_text(encoding="utf-8"))
     assert rep["lcu_terms"] == plan.m
-    assert rep["l1_norm"] == plan.r1 / plan.m * float(
-        np.abs(fn(make_nodes(plan.r1, plan.m))).sum())
+    assert rep["l1_norm"] == float(np.abs(circle_rule(fn, plan.r1, plan.m)[1]).sum())
     if f == "inv-shift:3":
-        assert round(rep["l1_norm"], 4) == 0.1849
+        assert round(rep["l1_norm"], 4) == round(rep["amplification"], 4) == 0.1849
+        assert round(rep["matrix_queries"], 4) == 1.7017
+
+
+@pytest.mark.parametrize("f", ["inv-shift:3", "exp-neg", "exp-neg-i"])
+def test_cost_path_b_amplification_is_the_lcu_norm(tmp_path, capsys, f):
+    """One report, one 1-norm: amplification and state_queries are both
+    gamma l1_norm / ||f(A)psi||, and matrix_queries is gamma R1 times that
+    core times ln(core / eps)."""
+    out = tmp_path / "cost.json"
+    assert cli.main(["cost", "--path", "b", "--f", f, "--eps", "1e-8", "--rho", "1",
+                     "--gamma", "1.5", "--fpsi", "0.25", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rep = json.loads(out.read_text(encoding="utf-8"))
+    core = 1.5 * rep["l1_norm"] / 0.25
+    assert rep["amplification"] == rep["state_queries"] == core
+    r1 = plan_lattice(parse_function_spec(f).fn, scalar_operator(1.0), 1e-8, 0.25, 1.0).r1
+    assert rep["matrix_queries"] == pytest.approx(1.5 * r1 * core * math.log(core / 1e-8),
+                                                  rel=1e-14)
 
 
 @pytest.mark.parametrize("argv", [

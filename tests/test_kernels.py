@@ -173,13 +173,12 @@ def test_fractional_envelope_is_constant_times_power():
     envelope = envelope_function(prof)
     for x in (0.5, 2.0, 7.0):
         assert envelope(x) == pytest.approx(C / x**2.5, rel=1e-12)
-    with pytest.raises(PrecondError):
-        envelope(0.0)
+    assert envelope(0.0) == math.inf       # the pole
 
 
 def test_envelope_beyond_the_float_range():
-    """Where |x|^{p+1} or |x|^beta leaves the float range the envelope is
-    read through logarithms: inf above the largest float, 0.0 below the
+    """Where C, |x|^{p+1} or |x|^beta leaves the float range the envelope
+    is read through logarithms: inf above the largest float, 0.0 below the
     smallest, and the exact value where it fits."""
     frac = envelope_function(SpectralProfile(60.25, 1.0, "root"))     # p = 120.5
     assert frac(1e-3) == math.inf
@@ -189,6 +188,11 @@ def test_envelope_beyond_the_float_range():
     C = algebraic_envelope_constant(120.5, 1e-300)
     assert tiny_t(1e-3) == pytest.approx(
         math.exp(math.log(C) + 121.5 * math.log(1e3)), rel=1e-12)
+    huge = envelope_function(SpectralProfile(90.25, 1.0, "root"))   # p = 180.5, C = inf
+    log_c = math.lgamma(181.5) - math.log(math.pi) + math.log(abs(math.sin(90.25 * math.pi)))
+    assert huge(0.0) == huge(0.5) == huge(-1.0) == math.inf
+    assert huge(10.0) == pytest.approx(math.exp(log_c - 181.5 * math.log(10.0)), rel=1e-12)
+    assert huge(1e300) == 0.0
     gauss = envelope_function(SpectralProfile(1.0, 0.7, "root"))       # p = 2
     assert gauss(1e300) == 0.0
     assert gauss(-1e300) == 0.0
