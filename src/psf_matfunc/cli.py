@@ -72,25 +72,16 @@ def _fourier_matrix(args) -> np.ndarray:
     return random_psd(np.random.default_rng(args.seed), args.size, norm=args.hnorm)
 
 
-def _refuse_pole(spec: pio.FunctionSpec, r2: float) -> None:
-    """A contour of outer radius r2 must stay inside the singularity of f."""
-    if spec.pole_radius is not None and r2 >= spec.pole_radius:
-        raise PrecondError(
-            f"outer radius {r2} reaches the singularity of {spec.label} "
-            f"at |z| = {spec.pole_radius}")
-
-
 def _contour_setup(args, spec: pio.FunctionSpec):
     """(eig(A), R1, R2, psi, f(A) psi) shared by the contour commands, which
-    decompose A only here."""
+    decompose A only here; `contour.lattice_radii` admits the radii first."""
     if args.matrix is not None:
         A = pio.load_matrix(args.matrix)
     else:
         A = random_normal_matrix(np.random.default_rng(args.seed), args.size,
                                  spectral_radius=args.rho)
     dec = eig(A)
-    r1, r2 = contour.lattice_radii(dec.spectral_radius, args.R1, args.R2)
-    _refuse_pole(spec, r2)
+    r1, r2 = contour.lattice_radii(dec.spectral_radius, args.R1, args.R2, spec.pole_radius)
     psi = random_state(np.random.default_rng(args.seed + 1), dec.matrix.shape[0])
     return dec, r1, r2, psi, matfun_apply(dec, spec.fn, psi)
 
@@ -215,9 +206,8 @@ def _cmd_cost(args) -> int:
         # The 1 x 1 operator [rho] (kappa_s = 1); R1 = max(||A||, 1) at rho = 0.
         plan = contour.plan_lattice(f, contour.scalar_operator(rho), eps, args.fpsi,
                                     args.psinorm,
-                                    r1=None if rho > 0 else max(args.anorm, 1.0))
-        if fspec is not None:
-            _refuse_pole(fspec, plan.r2)
+                                    r1=None if rho > 0 else max(args.anorm, 1.0),
+                                    pole=fspec.pole_radius if fspec is not None else None)
         report_b = costmodel.path_b_cost(plan, f, args.gamma, args.fpsi, args.psinorm, eps)
     if which != "both":
         rep = report_a if which == "a" else report_b
@@ -429,6 +419,8 @@ def main(argv=None) -> int:
                 k: v for k, v in cfg.items()
                 if k in vars(args) and k not in ("config", "command")})
             args = ap.parse_args(argv)
+        if args.seed < 0:
+            raise PrecondError(f"--seed must be non-negative, got {args.seed}")
         return _COMMANDS[args.command].run(args)
     except PrecondError as exc:
         print(f"precondition: {exc}", file=sys.stderr)

@@ -13,14 +13,17 @@ differs from f(A) by two terms with clean geometric decay in m:
 
 where the remainder E_m is a contour integral over a larger circle |z| = R2
 (evaluated here by a periodic trapezoid rule, spectrally accurate). The
-module provides the one circle rule `circle_rule` (the nodes and weights of
-the discrete sum, of the remainder and of `cost`'s LCU), the aliasing term,
-the one planner `plan_lattice` (radius defaults in `lattice_radii`, m from
-the two decay ratios in `plan_m`), the one bound `ContourPlan.error_bounds`,
-the one measurement `measure` of every contour run (simulate, sweep, app),
-and one golden-section search for R2 (`optimize_radius`, for
-`plan_contour`). `plan_lattice` takes the caller's `SpectralDecomposition`,
-and the plan keeps its spectral radius and kappa_s, which the bound reads.
+identity holds on an annulus rho < R1 < R2 < pole where f is holomorphic,
+pole the radius of f's nearest singularity; `lattice_radii` alone admits
+it. The module provides the one circle rule `circle_rule` (the nodes and
+weights of the discrete sum, of the remainder and of `cost`'s LCU), the
+aliasing term, the one planner `plan_lattice` (radii from `lattice_radii`,
+m from the two decay ratios in `plan_m`), the one bound
+`ContourPlan.error_bounds`, the one measurement `measure` of every contour
+run (simulate, sweep, app), and one golden-section search for R2
+(`optimize_radius`, for `plan_contour`). `plan_lattice` takes the caller's
+`SpectralDecomposition`, and the plan keeps its spectral radius and
+kappa_s, which the bound reads.
 """
 
 from __future__ import annotations
@@ -72,26 +75,20 @@ def circle_sup(f: Callable[[np.ndarray], np.ndarray], radius: float) -> float:
 
 @dataclass
 class ContourPlan:
-    """Radii, node count and circle statistics for a contour evaluation."""
+    """Radii, node count and circle statistics for a contour evaluation. The
+    planner admits the radii; m, which `measure` also sets, is checked here."""
 
     r1: float
     r2: float
     m: int
     b1: float           # sup |f| on |z| = R1
     b2: float           # sup |f| on |z| = R2
-    kappa_s: float = 1.0    # of the planned operator's eigenbasis
-    rho: float = 0.0        # spectral radius of the planned operator
+    kappa_s: float      # of the planned operator's eigenbasis
+    rho: float          # spectral radius of the planned operator
 
     def __post_init__(self):
-        if not (0.0 < self.r1 < self.r2):
-            raise PrecondError(
-                f"radii must satisfy 0 < R1 < R2, got R1={self.r1}, R2={self.r2}")
         if not 1 <= self.m <= _MAX_NODES:
             raise PrecondError(f"node count must lie in [1, {_MAX_NODES}], got {self.m}")
-        if self.kappa_s < 1.0:
-            raise PrecondError(f"kappa_s must be >= 1, got {self.kappa_s}")
-        if not 0.0 <= self.rho < self.r1:
-            raise PrecondError(f"need 0 <= rho < R1, got rho={self.rho}, R1={self.r1}")
 
     @property
     def mu(self) -> float:
@@ -194,15 +191,14 @@ def truncation_integral(A: Operator, f: Callable[[np.ndarray], np.ndarray],
 
 def plan_m(eps: float, r1: float, r2: float, b2: float, kappa_s: float,
            f_psi_norm: float, psi_norm: float, rho: float = 0.0) -> int:
-    """Smallest m with both error channels below eps/4 (relative).
+    """Smallest m with both error channels below eps/4 (relative), on radii
+    that `lattice_radii` admitted.
 
     Channel (i), spectral overlap: rho^m/(R1^m - rho^m) <= eps/4.
     Channel (ii), remainder: mu^m/(1 - mu^m) <= eps f_psi_norm (R2 - R1)
     / (4 R2 B2 kappa_s psi_norm).
     """
     admit_eps(eps)
-    if not (0.0 <= rho < r1 < r2):
-        raise PrecondError(f"need 0 <= rho < R1 < R2, got {rho}, {r1}, {r2}")
     if not (all(0.0 < v < math.inf for v in (f_psi_norm, psi_norm, b2))
             and 1.0 <= kappa_s < math.inf):
         raise PrecondError("norms and B2 must be finite and positive, "
@@ -265,11 +261,14 @@ def optimize_radius(f_sup: Callable[[float], float], r1: float,
     return r1 + math.exp(0.5 * (lo + hi))
 
 
-def lattice_radii(rho: float, r1: float | None = None,
-                  r2: float | None = None) -> tuple[float, float]:
-    """(R1, R2) for spectral radius rho: R1 defaults to 1.1 rho and must
-    enclose the spectrum, R2 defaults to 2 R1 and must exceed R1; both must
-    be finite."""
+def lattice_radii(rho: float, r1: float | None = None, r2: float | None = None,
+                  pole: float | None = None) -> tuple[float, float]:
+    """(R1, R2) on the annulus rho < R1 < R2 < pole where the contour sum is
+    exact: R1 defaults to 1.1 rho, R2 to 2 R1, both must be finite, and
+    `pole`, the radius of f's nearest singularity (None for an entire f),
+    must lie beyond R2."""
+    if not 0.0 <= rho:                  # nan is refused too
+        raise PrecondError(f"spectral radius must be non-negative, got {rho}")
     if r1 is None:
         if rho == 0.0:
             raise PrecondError("cannot choose R1 automatically for a nilpotent A")
@@ -282,19 +281,23 @@ def lattice_radii(rho: float, r1: float | None = None,
         raise PrecondError(f"radii must be finite, got R1={r1}, R2={r2}")
     if r2 <= r1:
         raise PrecondError(f"outer radius R2 = {r2} must exceed the lattice radius R1 = {r1}")
+    if pole is not None and r2 >= pole:
+        raise PrecondError(f"outer radius R2 = {r2} reaches f's singularity at |z| = {pole}")
     return r1, r2
 
 
 def plan_lattice(f: Callable[[np.ndarray], np.ndarray], dec: SpectralDecomposition,
                  eps: float | None = None, f_psi_norm: float | None = None,
                  psi_norm: float | None = None, r1: float | None = None,
-                 r2: float | None = None, m: int | None = None) -> ContourPlan:
+                 r2: float | None = None, m: int | None = None,
+                 pole: float | None = None) -> ContourPlan:
     """The contour planner for the operator of `dec`, whose spectral radius
-    and kappa_s it keeps: radii (`lattice_radii`), circle suprema and m. m
-    defaults to `plan_m` at relative accuracy eps against ||f(A) psi||;
+    and kappa_s it keeps: radii, admitted by `lattice_radii` against rho and
+    f's singularity radius `pole` before f is sampled, circle suprema and m.
+    m defaults to `plan_m` at relative accuracy eps against ||f(A) psi||;
     only then are eps and the two norms read."""
     rho, kappa_s = dec.spectral_radius, dec.kappa_s
-    r1, r2 = lattice_radii(rho, r1, r2)
+    r1, r2 = lattice_radii(rho, r1, r2, pole)
     b2 = circle_sup(f, r2)
     if m is None:
         m = plan_m(eps, r1, r2, b2, kappa_s, f_psi_norm, psi_norm, rho=rho)

@@ -1,5 +1,5 @@
-"""Exception types, the error-budget type and the accuracy floor shared
-across the package.
+"""Exception types, the error-budget type, the accuracy floor and the dense
+dimension cap shared across the package.
 
 Precondition violations and numerical failures are kept distinct so the CLI
 can map them to different exit codes (2 and 3 respectively). Both paths
@@ -25,6 +25,10 @@ class NumericalError(RuntimeError):
 # the Fourier run does too, and at 1e-14 both hold (Higham, *Accuracy and
 # Stability of Numerical Algorithms*, 2002, ch. 3-4).
 EPS_FLOOR = 1e-14
+
+# Largest dense dimension admitted anywhere (a grid's site count, a generated
+# instance's size, a loaded matrix's side): one complex 4096^2 matrix is 256 MiB.
+MAX_DENSE_DIM = 4096
 
 
 def admit_eps(eps: float) -> None:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import PrecondError
+from .errors import MAX_DENSE_DIM, PrecondError
 
 
 def complex_gaussian(seed: int | np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -35,8 +35,8 @@ def random_unitary(seed: int | np.random.Generator, n: int) -> np.ndarray:
 
 def random_psd(seed: int | np.random.Generator, n: int, norm: float = 1.0) -> np.ndarray:
     """Hermitian PSD matrix with spectral norm exactly `norm`."""
-    if n < 1:
-        raise PrecondError(f"matrix size must be >= 1, got {n}")
+    if not 1 <= n <= MAX_DENSE_DIM:     # checked before anything is allocated
+        raise PrecondError(f"matrix size must lie in [1, {MAX_DENSE_DIM}], got {n}")
     if not (0 <= norm < math.inf):
         raise PrecondError(f"norm must be finite and non-negative, got {norm}")
     rng = np.random.default_rng(seed)
@@ -53,8 +53,8 @@ def random_normal_matrix(seed: int | np.random.Generator, n: int,
     The largest eigenvalue modulus is rescaled to hit `spectral_radius`
     exactly, which the contour tests rely on.
     """
-    if n < 1:
-        raise PrecondError(f"matrix size must be >= 1, got {n}")
+    if not 1 <= n <= MAX_DENSE_DIM:     # checked before anything is allocated
+        raise PrecondError(f"matrix size must lie in [1, {MAX_DENSE_DIM}], got {n}")
     if not (0 <= spectral_radius < math.inf):
         raise PrecondError(
             f"spectral radius must be finite and non-negative, got {spectral_radius}")

@@ -31,10 +31,10 @@ import numpy as np
 
 from .contour import ContourPlan
 from .costmodel import CostReport
-from .errors import PrecondError
+from .errors import MAX_DENSE_DIM, PrecondError
 from .fourier import FourierPlan, lcu_coefficients
 from .kernels import _MAX_LATTICE_SAMPLES
-from .operators import _MAX_SITES, ConvergenceRecord
+from .operators import ConvergenceRecord
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +43,9 @@ from .operators import _MAX_SITES, ConvergenceRecord
 def _admit_shape(path: str, rows: int, cols: int) -> None:
     """A declared shape is refused before it is densified when a side
     exceeds the largest dense dimension the package admits anywhere."""
-    if max(rows, cols) > _MAX_SITES:
+    if max(rows, cols) > MAX_DENSE_DIM:
         raise PrecondError(f"matrix in {path} is {rows}x{cols}, beyond the dense "
-                           f"cap of {_MAX_SITES} rows and columns")
+                           f"cap of {MAX_DENSE_DIM} rows and columns")
 
 
 def load_matrix(path: str) -> np.ndarray:

@@ -33,12 +33,11 @@ from functools import reduce
 import numpy as np
 
 from . import contour, fourier
-from .errors import NumericalError, PrecondError, admit_eps
+from .errors import MAX_DENSE_DIM, NumericalError, PrecondError, admit_eps
 from .instances import random_state
 from .kernels import SpectralProfile
 from .linalg import check_reconstruction, frobenius, matfun_apply, unitary_decomposition
 
-_MAX_SITES = 4096
 _DIRAC_TOL = 1e-12
 
 
@@ -59,9 +58,9 @@ class GridSpec:
             raise PrecondError(
                 f"mesh size {self.h} leaves the stencil scale 4d/h^2 outside the "
                 "positive finite floats")
-        if self.n ** self.d > _MAX_SITES:
+        if self.n ** self.d > MAX_DENSE_DIM:
             raise PrecondError(
-                f"grid has {self.n ** self.d} sites, beyond the desk-scale cap {_MAX_SITES}")
+                f"grid has {self.n ** self.d} sites, beyond the desk-scale cap {MAX_DENSE_DIM}")
 
     @property
     def size(self) -> int:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psf_matfunc
-from psf_matfunc import cli, contour, fourier, linalg, operators
+from psf_matfunc import cli, contour, fourier, instances, linalg, operators
 from psf_matfunc.errors import EPS_FLOOR
 from psf_matfunc.io import RECORD_HEADER
 from psf_matfunc.kernels import SpectralProfile, saddle_rate
@@ -329,6 +329,68 @@ def test_cost_refuses_outer_radius_at_pole(tmp_path, capsys, argv):
     rc, _, err = run(["cost", "--eps", "1e-6", *argv, "--out", str(tmp_path / "out")],
                      capsys)
     assert rc == 2 and "singularity" in err
+
+
+def test_cost_refuses_the_pole_before_sampling_f(tmp_path, capsys, monkeypatch):
+    """The planner admits R2 = 1.1 against the pole of 1/(z+0.1) at |z| = 0.1
+    before it samples f on any circle."""
+    radii = []
+    real = contour.circle_sup
+    monkeypatch.setattr(contour, "circle_sup", lambda f, r: radii.append(r) or real(f, r))
+    rc, _, err = run(["cost", "--path", "b", "--f", "inv-shift:0.1", "--eps", "1e-6",
+                      "--out", str(tmp_path / "out")], capsys)
+    assert rc == 2 and "singularity" in err
+    assert radii == []
+
+
+class _Reached(Exception):
+    pass
+
+
+def _refuse_allocation(seed, shape):
+    raise _Reached(shape)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6"],
+    ["simulate-contour", "--f", "exp-neg"],
+    ["sweep", "--path", "fourier", "--alpha", "1", "--T", "1", "--K", "4:8:4"],
+    ["sweep", "--path", "contour", "--f", "exp-neg", "--m", "8:16:8"],
+], ids=["simulate-fourier", "simulate-contour", "sweep-fourier", "sweep-contour"])
+def test_size_beyond_the_dense_cap_is_refused_before_allocating(tmp_path, capsys,
+                                                                monkeypatch, argv):
+    """A generated instance of side 100000 would take 149 GiB: it is refused
+    against the dense cap before any entry is drawn."""
+    monkeypatch.setattr(instances, "complex_gaussian", _refuse_allocation)
+    for size in ("4097", "100000"):
+        rc, _, err = run(argv + ["--size", size, "--out", str(tmp_path / "out")], capsys)
+        assert rc == 2 and err.startswith("precondition:") and "4096" in err, err
+    with pytest.raises(_Reached):         # the cap itself is admitted
+        instances.random_psd(0, 4096)
+    with pytest.raises(_Reached):
+        instances.random_normal_matrix(0, 4096)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-fourier", "--alpha", "1", "--T", "1", "--eps", "1e-6", "--seed", "-1"],
+    ["simulate-contour", "--f", "exp-neg", "--seed", "-1"],
+    ["sweep", "--path", "fourier", "--alpha", "1", "--T", "1", "--K", "4:8:4",
+     "--seed", "-5"],
+    ["app", "--name", "matrix_poly", "--d", "1", "--n", "4", "--eps", "1e-6",
+     "--seed", "-1"],
+    ["plan", "--alpha", "1", "--T", "1", "--eps", "1e-6", "--hnorm", "1", "--seed", "-1"],
+], ids=["simulate-fourier", "simulate-contour", "sweep-fourier", "app", "plan"])
+def test_negative_seed_is_refused(tmp_path, capsys, argv):
+    rc, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert rc == 2 and err.startswith("precondition:") and "--seed" in err, err
+
+
+def test_negative_seed_from_config_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -3\n")
+    rc, _, err = run(["simulate-contour", "--f", "exp-neg", "--config", str(cfg),
+                      "--out", str(tmp_path / "out")], capsys)
+    assert rc == 2 and err.startswith("precondition:") and "--seed" in err, err
 
 
 def test_sweep_fourier_row_at_plan_cutoff_matches_simulate(tmp_path, capsys):

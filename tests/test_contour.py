@@ -61,19 +61,25 @@ def test_circle_sup():
 
 
 def test_plan_validation():
-    with pytest.raises(PrecondError):
-        ContourPlan(r1=2.0, r2=1.0, m=4, b1=1.0, b2=1.0)
-    with pytest.raises(PrecondError):
-        ContourPlan(r1=1.0, r2=2.0, m=0, b1=1.0, b2=1.0)
-    with pytest.raises(PrecondError):
-        ContourPlan(r1=1.0, r2=2.0, m=4, b1=1.0, b2=1.0, kappa_s=0.5)
-    for rho in (-0.5, 1.0, math.nan):        # the spectrum must lie inside R1
-        with pytest.raises(PrecondError, match="rho"):
-            ContourPlan(r1=1.0, r2=2.0, m=4, b1=1.0, b2=1.0, rho=rho)
-    ContourPlan(r1=1.0, r2=2.0, m=2 ** 19, b1=1.0, b2=1.0)
+    """The plan checks its node count; the radii, rho and kappa_s are
+    admitted by the planner before a plan is built."""
+    fields = dict(r1=1.0, r2=2.0, b1=1.0, b2=1.0, kappa_s=1.0, rho=0.0)
+    with pytest.raises(PrecondError, match="node count"):
+        ContourPlan(m=0, **fields)
+    ContourPlan(m=2 ** 19, **fields)
     for m in (2 ** 19 + 1, 10 ** 15):        # node and quadrature tables too large
         with pytest.raises(PrecondError, match="node count"):
-            ContourPlan(r1=1.0, r2=2.0, m=m, b1=1.0, b2=1.0)
+            ContourPlan(m=m, **fields)
+        with pytest.raises(PrecondError, match="node count"):
+            plan_lattice(one, scalar_operator(0.5), r1=1.0, r2=2.0, m=m)
+    with pytest.raises(PrecondError, match="must exceed"):
+        lattice_radii(0.0, 2.0, 1.0)
+    for rho in (-0.5, 1.0, math.nan):        # the spectrum must lie inside R1
+        with pytest.raises(PrecondError, match="spectral radius"):
+            lattice_radii(rho, 1.0, 2.0)
+    with pytest.raises(PrecondError, match="kappa_s"):
+        plan_lattice(one, replace(scalar_operator(0.5), kappa_s=0.5), 1e-6, 1.0, 1.0,
+                     r1=1.0, r2=2.0)
     plan = make_plan(one, 1.0, 2.0, 4)
     assert plan.mu == 0.5
     assert plan.quad_n == 256
@@ -296,8 +302,8 @@ def test_plan_m_examples():
         assert 0 <= hi - lo <= 1
     with pytest.raises(PrecondError):
         plan_m(2.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(PrecondError):
-        plan_m(1e-6, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, rho=1.5)
+    with pytest.raises(PrecondError, match="not enclosed"):
+        plan_lattice(one, scalar_operator(1.5), 1e-6, 1.0, 1.0, r1=1.0, r2=2.0)
 
 
 def test_planned_m_is_sound():
@@ -331,8 +337,8 @@ def test_error_bounds_channels():
         truncation=2.0 * plan.b2 * 1.5 * 2.0 * mum / ((1.0 - mum) * 1.0),
         aliasing=q / (1.0 - q) * plan.b1 * 1.5 * 2.0)
     assert budget.total == budget.truncation + budget.aliasing
-    with pytest.raises(PrecondError):
-        replace(plan, rho=1.0)               # rho on the lattice circle
+    with pytest.raises(PrecondError, match="not enclosed"):
+        plan_lattice(exp_neg, scalar_operator(1.0), r1=1.0, r2=2.0, m=12)  # rho on R1
 
 
 def test_plan_m_takes_a_subnormal_eps():
@@ -375,6 +381,21 @@ def test_plan_lattice_defaults():
     assert (fixed.m, fixed.quad_n) == (40, 320)
     assert make_plan(exp_neg, 1.0, 2.0, 8) == plan_lattice(
         exp_neg, scalar_operator(0.0), r1=1.0, r2=2.0, m=8)
+
+
+def test_lattice_radii_keep_r2_inside_the_pole():
+    """R2 at f's singularity is refused, R2 just inside it admitted, and an
+    entire f (pole None) leaves the radii as they were."""
+    with pytest.raises(PrecondError, match="singularity"):
+        lattice_radii(0.5, 1.0, 2.0, pole=2.0)
+    inside = math.nextafter(2.0, 0.0)
+    assert lattice_radii(0.5, 1.0, inside, pole=2.0) == (1.0, inside)
+    with pytest.raises(PrecondError, match="singularity"):
+        lattice_radii(0.5, pole=1.1)         # the default R2 = 2 R1 = 1.1 reaches it
+    assert lattice_radii(0.5, pole=None) == lattice_radii(0.5)
+    assert lattice_radii(0.5, 0.8, 3.0, None) == (0.8, 3.0)
+    with pytest.raises(PrecondError, match="singularity"):
+        plan_lattice(one, scalar_operator(0.5), r1=1.0, r2=2.0, m=8, pole=1.5)
 
 
 def test_plan_lattice_reads_its_operator():
